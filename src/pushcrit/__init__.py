@@ -41,6 +41,7 @@ from .errors import (
     StructuralViolationError,
     UnclassifiableGraphError,
     UndefinedInputError,
+    UnknownFixtureError,
 )
 from .fixtures import builtin_graphs, fixture
 from .graph import (

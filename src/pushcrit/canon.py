@@ -19,7 +19,6 @@ pushing some set".
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 
 from .errors import IncompatibleInputError
 from .graph import OrientedGraph
@@ -299,12 +298,3 @@ def underlying_cert(g: OrientedGraph) -> bytes:
     nbits = n * (n - 1) // 2
     return b"U1" + n.to_bytes(2, "big") + cert.to_bytes((nbits + 7) // 8 or 1, "big")
 
-
-@lru_cache(maxsize=4096)
-def _cached_canonical_form(key):
-    n, arcs = key
-    return canonical_form(OrientedGraph(n, arcs))
-
-
-def canonical_form_cached(g: OrientedGraph) -> bytes:
-    return _cached_canonical_form((g.vertex_count, g.arcs))

@@ -51,9 +51,6 @@ class ChainDecomposition:
                 return c
         raise KeyError(v)
 
-    def chains_at(self, v: int) -> tuple[Chain, ...]:
-        return tuple(c for c in self.chains if v in c.endpoints)
-
 
 def classify_vertices(g: OrientedGraph) -> ChainDecomposition:
     """Decompose g into chains and classify every 3+-vertex.

@@ -1,4 +1,4 @@
-"""Reducible-configuration gadgets and their exhaustive verifier.
+"""Reducible-configuration gadgets and their extendability verifier.
 
 A configuration is a gadget graph with a designated boundary: the
 boundary vertices get arbitrary colors, the rest (the set X) is uncolored
@@ -12,11 +12,32 @@ internal counts (chain pieces hold at most 3 internal 2-vertices because
 longer chains are themselves reducible).  The three 6-cycle
 configurations additionally constrain the cycle to be directed, which up
 to internal pushes is exactly an even-forward-parity constraint.
+
+Two routes decide reducibility.  The exhaustive sweep runs one AT(C3)
+search per orientation class and boundary coloring.  The tree DP, the
+tree version of the path color-propagation table (``path_color_sets``),
+decides a gadget in one pass when X induces a tree, every boundary vertex
+is a leaf hanging off X, and no cycle is constrained; this shape is read
+from the graph, never from the configuration id.  Rooting X anywhere, it
+keeps for every vertex the family of AT(C3) state masks its subtree can
+force over all orientations and boundary colorings, reduced to the
+inclusion-minimal masks: a boundary leaf forces the singleton of its
+color, a child with mask S joined by an arc in either direction forces
+the in- or out-neighborhood of S, and a vertex forces the intersections
+of one forced mask per child.  The gadget is reducible exactly when the
+empty mask never appears.  The DP agrees with the sweep because it
+covers a superset of the sweep's cases with the same verdict on each:
+every orientation, not one per push class (pushing X preserves
+extendability), and every boundary coloring, not only those with the
+first color pinned (rotating the colors preserves extendability).  An
+irreducible gadget is handed to the sweep, which reports the first
+counterexample in its enumeration order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .errors import ConfigError
@@ -275,12 +296,20 @@ def _boundary_colorings(boundary: tuple[int, ...], reduce_rotation: bool):
 
 @dataclass(frozen=True)
 class ConfigurationCheck:
+    """Verdict and case counts of one gadget.
+
+    ``method`` names the route that decided the gadget ("tree_dp" or
+    "sweep"); it is not part of the JSON evidence, which is the same from
+    both routes.
+    """
+
     gadget: ConfigurationGadget
     ok: bool
     orientations: int
     colorings_per_orientation: int
     cases_checked: int
     counterexample: tuple | None = None
+    method: str = "sweep"
 
     def to_json_dict(self) -> dict:
         out = {
@@ -300,15 +329,99 @@ class ConfigurationCheck:
         return out
 
 
-def verify_configuration(
+# -- tree DP -------------------------------------------------------------------
+
+
+def _tree_children(gadget: ConfigurationGadget):
+    """Root-first X vertices and children lists, or None off the tree shape.
+
+    The shape: no directed-cycle constraint, X non-empty and inducing a
+    tree, and every boundary vertex a leaf whose one neighbor lies in X.
+    Boundary leaves appear as children but are never expanded.
+    """
+    if gadget.directed_cycles:
+        return None
+    g = gadget.graph
+    x = gadget.internal
+    inside = set(x)
+    if not x or any(
+        len(g.neighbors(b)) != 1 or g.neighbors(b)[0] not in inside
+        for b in gadget.boundary
+    ):
+        return None
+    if sum(1 for t, h in g.edges if t in inside and h in inside) != len(x) - 1:
+        return None
+    children: dict[int, list[int]] = {v: [] for v in x}
+    order = [x[0]]
+    seen = {x[0]}
+    for v in order:
+        for w in g.neighbors(v):
+            if w not in seen:
+                seen.add(w)
+                children[v].append(w)
+                if w in inside:
+                    order.append(w)
+    if len(order) != len(x):
+        return None
+    return order, children
+
+
+def _minimal_masks(masks) -> tuple[int, ...]:
+    """The inclusion-minimal members of a set of masks."""
+    out: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if not any(k & m == k for k in out):
+            out.append(m)
+    return tuple(out)
+
+
+@lru_cache(maxsize=1)
+def _neighborhood_tables() -> tuple[tuple[int, ...], ...]:
+    """Unions of the AT(C3) in-masks, and of the out-masks, over each state set."""
+    at = target_index(AT_C3)
+    tables = []
+    for masks in (at.in_masks, at.out_masks):
+        table = [0] * (at.full_mask + 1)
+        for s in range(1, at.full_mask + 1):
+            low = s & -s
+            table[s] = table[s ^ low] | masks[low.bit_length() - 1]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _tree_reducible(gadget: ConfigurationGadget) -> bool:
+    """True when the tree DP proves the gadget reducible.
+
+    False means the gadget is off the tree shape or irreducible; either way
+    the sweep has to decide it.
+    """
+    shape = _tree_children(gadget)
+    if shape is None:
+        return False
+    order, children = shape
+    tables = _neighborhood_tables()
+    full = target_index(AT_C3).full_mask
+    boundary_family = (0b001, 0b010, 0b100)  # colors are AT(C3)'s unpushed states
+    family: dict[int, tuple[int, ...]] = {}
+    for v in reversed(order):
+        forced: tuple[int, ...] = (full,)
+        for u in children[v]:
+            child = family[u] if u in family else boundary_family
+            pulled = _minimal_masks(table[s] for s in child for table in tables)
+            forced = _minimal_masks(a & b for a in forced for b in pulled)
+            if forced[0] == 0:
+                return False
+        family[v] = forced
+    return True
+
+
+# -- verification --------------------------------------------------------------
+
+
+def _sweep_configuration(
     gadget: ConfigurationGadget, reduce_rotation: bool = True
 ) -> ConfigurationCheck:
-    """Check extendability over all orientations and boundary colorings.
-
-    Rotating all three colors commutes with extension (the target's color
-    classes are rotation symmetric), so by default the first boundary
-    color is pinned to 0; pass reduce_rotation=False for the full sweep.
-    """
+    """One AT(C3) search per orientation class and boundary coloring."""
     boundary = tuple(sorted(gadget.boundary))
     colorings = list(_boundary_colorings(boundary, reduce_rotation))
     at_index = target_index(AT_C3)
@@ -338,3 +451,34 @@ def verify_configuration(
                     (oriented.arcs, coloring),
                 )
     return ConfigurationCheck(gadget, True, orientations, len(colorings), cases)
+
+
+def verify_configuration(
+    gadget: ConfigurationGadget, reduce_rotation: bool = True
+) -> ConfigurationCheck:
+    """Check extendability over all orientations and boundary colorings.
+
+    Rotating all three colors commutes with extension (the target's color
+    classes are rotation symmetric), so by default the first boundary
+    color is pinned to 0; pass reduce_rotation=False for the full sweep.
+
+    A gadget of the tree shape (see the module docstring) that the tree DP
+    proves reducible is decided without any search; every other gadget,
+    and every irreducible one, goes through the exhaustive sweep.  The
+    counts are those of the sweep in both cases: for a DP-decided gadget
+    ``cases_checked`` is orientation classes times colorings, the cases
+    the DP decides jointly.
+    """
+    if not _tree_reducible(gadget):
+        return _sweep_configuration(gadget, reduce_rotation)
+    boundary = tuple(sorted(gadget.boundary))
+    colorings = sum(1 for _ in _boundary_colorings(boundary, reduce_rotation))
+    orientations = sum(1 for _ in orientation_representatives(gadget))
+    return ConfigurationCheck(
+        gadget,
+        True,
+        orientations,
+        colorings,
+        orientations * colorings,
+        method="tree_dp",
+    )

@@ -15,11 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chains import ChainDecomposition, classify_vertices
-from .graph import OrientedGraph, potential
+from .graph import (
+    POTENTIAL_ARC_WEIGHT,
+    POTENTIAL_VERTEX_WEIGHT,
+    OrientedGraph,
+    potential,
+)
 
 
 def initial_charge(degree: int) -> int:
-    return 13 * degree - 30
+    return POTENTIAL_ARC_WEIGHT * degree - 2 * POTENTIAL_VERTEX_WEIGHT
 
 
 def updated_charge_lower_bound(degree: int, total: int | None):

@@ -38,20 +38,23 @@ import numpy as np
 from .canon import canonical_data, canonical_form, orbit_of
 from .chains import classify_vertices
 from .errors import ConfigError, ResourceBudgetError
-from .graph import OrientedGraph, potential
+from .graph import (
+    POTENTIAL_ARC_WEIGHT,
+    POTENTIAL_VERTEX_WEIGHT,
+    OrientedGraph,
+    potential,
+)
 from .hom import AT_C3, solve_mapping, target_index
 from .orient import push_class_representatives
 
 UNDERLYING_VERTEX_LIMIT = 12
 FIND_CRITICAL_VERTEX_LIMIT = 10
 
-BOUND_VERTEX_WEIGHT = 15
-BOUND_ARC_WEIGHT = 13
 BOUND_OFFSET = 2
 
 
 def satisfies_density_bound(n: int, m: int) -> bool:
-    return BOUND_ARC_WEIGHT * m >= BOUND_VERTEX_WEIGHT * n + BOUND_OFFSET
+    return POTENTIAL_ARC_WEIGHT * m >= POTENTIAL_VERTEX_WEIGHT * n + BOUND_OFFSET
 
 
 # -- underlying graph generation ----------------------------------------------

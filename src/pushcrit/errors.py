@@ -49,6 +49,12 @@ class FixtureIntegrityError(PushcritError):
     """A builtin graph failed one of its transcription gates."""
 
 
+class UnknownFixtureError(PushcritError, KeyError):
+    """A fixture name outside the builtin set; still a KeyError for lookups."""
+
+    __str__ = PushcritError.__str__  # the message, not KeyError's repr of it
+
+
 class ResourceBudgetError(PushcritError):
     """A search or enumeration ran out of its node / wall-time budget.
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .density import mad_exact
-from .errors import FixtureIntegrityError
+from .errors import FixtureIntegrityError, UnknownFixtureError
 from .graph import OrientedGraph, anti_twin, directed_cycle, girth, potential
 from .hom import AT_C3, C3
 
@@ -135,5 +135,5 @@ def builtin_graphs() -> dict[str, OrientedGraph]:
 def fixture(name: str) -> OrientedGraph:
     graphs = builtin_graphs()
     if name not in graphs:
-        raise KeyError(f"unknown fixture {name!r}; have {sorted(graphs)}")
+        raise UnknownFixtureError(f"unknown fixture {name!r}; have {sorted(graphs)}")
     return graphs[name]

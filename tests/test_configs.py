@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import os
+from dataclasses import replace
+from itertools import combinations_with_replacement
+
 import pytest
 
 import pushcrit as pc
 from pushcrit.configs import (
+    _Builder,
+    _center_with_chains,
+    _sweep_configuration,
+    _tree_children,
+    _tree_reducible,
+    _two_centers,
     gadgets_for,
     negative_control_gadget,
     orientation_representatives,
@@ -122,3 +132,101 @@ def test_extend_routes_agree_on_c2_gadget(rng):
             fast = pc.extend_partial(oriented, pcol)
             slow = pc.extend_partial_bruteforce(oriented, pcol)
             assert (fast is None) == (slow is None)
+
+
+# -- tree DP against the exhaustive sweep --------------------------------------
+
+
+def _chain_multisets(max_chains: int):
+    """Chain internal counts 0..3, one tuple per multiset, longest first."""
+    for k in range(max_chains + 1):
+        yield from combinations_with_replacement((3, 2, 1, 0), k)
+
+
+def _assert_dp_matches_sweep(gadgets):
+    """DP-route and sweep evidence agree; returns (reducible, irreducible)."""
+    verdicts = []
+    for gadget in gadgets:
+        assert _tree_children(gadget) is not None, gadget.params
+        check = verify_configuration(gadget)
+        oracle = _sweep_configuration(gadget)
+        assert check.to_json_dict() == oracle.to_json_dict(), gadget.params
+        assert check.method == ("tree_dp" if oracle.ok else "sweep")
+        verdicts.append(oracle.ok)
+    return verdicts.count(True), verdicts.count(False)
+
+
+@pytest.mark.parametrize("cid", [f"C{i}" for i in range(1, 12)])
+@pytest.mark.parametrize("reduce_rotation", [True, False])
+def test_tree_dp_evidence_matches_sweep(cid, reduce_rotation):
+    for gadget in gadgets_for(cid):
+        check = verify_configuration(gadget, reduce_rotation)
+        assert check.method == "tree_dp"
+        oracle = _sweep_configuration(gadget, reduce_rotation)
+        assert check.to_json_dict() == oracle.to_json_dict()
+
+
+def test_tree_dp_rejects_negative_control_and_sweep_reports_it():
+    gadget = negative_control_gadget()
+    assert _tree_children(gadget) is not None and not _tree_reducible(gadget)
+    check = verify_configuration(gadget)
+    assert check.method == "sweep"
+    assert check.to_json_dict() == _sweep_configuration(gadget).to_json_dict()
+
+
+def test_tree_dp_matches_sweep_on_center_gadgets():
+    # up to six hanging chains: at most 6^5 = 7,776 cases each
+    gadgets = [
+        _center_with_chains("X", counts)
+        for counts in _chain_multisets(6)
+        if counts
+    ]
+    reducible, irreducible = _assert_dp_matches_sweep(gadgets)
+    assert reducible and irreducible
+
+
+def _two_center_gadgets(max_leaves: int):
+    for link in range(4):
+        for u in _chain_multisets(max_leaves):
+            for v in _chain_multisets(max_leaves - len(u)):
+                if u >= v:  # the shape is symmetric in u and v
+                    yield _two_centers("X", link, u, v)
+
+
+def test_tree_dp_matches_sweep_on_two_center_gadgets():
+    # up to four boundary leaves (216 cases); six leaves are a stretch run
+    reducible, irreducible = _assert_dp_matches_sweep(_two_center_gadgets(4))
+    assert reducible and irreducible
+
+
+@pytest.mark.skipif(
+    not os.environ.get("PUSHCRIT_STRETCH"),
+    reason="stretch run; set PUSHCRIT_STRETCH=1 to enable (~3 min)",
+)
+def test_stretch_tree_dp_matches_sweep_on_two_center_gadgets_up_to_7776_cases():
+    reducible, irreducible = _assert_dp_matches_sweep(_two_center_gadgets(6))
+    assert reducible and irreducible
+
+
+def test_gadgets_off_the_tree_shape_take_the_sweep():
+    (c14,) = gadgets_for("C14")
+    assert _tree_children(c14) is None  # directed-cycle constraint
+    assert verify_configuration(c14).method == "sweep"
+    # without the constraint X still holds the 6-cycle, so is no tree
+    unconstrained = replace(c14, directed_cycles=())
+    assert _tree_children(unconstrained) is None
+    assert verify_configuration(unconstrained).method == "sweep"
+    # X is the path u-v-w, but the boundary vertex b closes it to a 4-cycle
+    b = _Builder("X", ())
+    u, v, w = b.vertex(), b.vertex(), b.vertex()
+    b.arc(u, v)
+    b.arc(v, w)
+    both = b.boundary_vertex()
+    b.arc(both, u)
+    b.arc(w, both)
+    b.hang(v, 0)
+    closed = b.build()
+    assert _tree_children(closed) is None
+    check = verify_configuration(closed)
+    assert check.method == "sweep"
+    assert check.to_json_dict() == _sweep_configuration(closed).to_json_dict()

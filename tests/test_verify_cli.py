@@ -121,6 +121,17 @@ def test_cli_parse_error_is_usage(tmp_path, capsys):
     assert rc == cli.EXIT_USAGE
 
 
+def test_cli_unknown_fixture_is_usage(capsys):
+    rc = cli.main(["info", "@nope"])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unknown fixture 'nope'" in err
+    with pytest.raises(KeyError):  # still a KeyError for lookup callers
+        pc.fixture("nope")
+    with pytest.raises(pc.PushcritError):
+        pc.fixture("nope")
+
+
 def test_cli_discharge_unclassifiable(capsys):
     rc = cli.main(["discharge", "@c3"])
     assert rc == cli.EXIT_USAGE
