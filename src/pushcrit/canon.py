@@ -27,10 +27,6 @@ _FORM_MAGIC_PUSH = b"P1"
 _FORM_MAGIC_ISO = b"O1"
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
     """Equitable refinement: split cells by degree into each target cell."""
     changed = True
@@ -47,7 +43,7 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
                     continue
                 groups: dict[int, list[int]] = {}
                 for v in cell:
-                    groups.setdefault(_popcount(adj[v] & tmask), []).append(v)
+                    groups.setdefault((adj[v] & tmask).bit_count(), []).append(v)
                 if len(groups) > 1:
                     changed = True
                 for key in sorted(groups):
@@ -294,7 +290,11 @@ def are_pushably_isomorphic(g: OrientedGraph, h: OrientedGraph) -> bool:
 def underlying_cert(g: OrientedGraph) -> bytes:
     """Canonical certificate of the underlying simple graph."""
     cert, _, _ = canonical_data(g.adjacency_masks)
-    n = g.vertex_count
+    return encode_underlying_cert(g.vertex_count, cert)
+
+
+def encode_underlying_cert(n: int, cert: int) -> bytes:
+    """``underlying_cert`` bytes from the ``cert`` of ``canonical_data``."""
     nbits = n * (n - 1) // 2
     return b"U1" + n.to_bytes(2, "big") + cert.to_bytes((nbits + 7) // 8 or 1, "big")
 

@@ -146,28 +146,31 @@ def _shard_dir(args):
     return os.environ.get("PUSHCRIT_SHARDS")
 
 
-def _cmd_enumerate(args) -> int:
+def _print_progress(n: int, done: int, total: int) -> None:
+    print(f"{n} {done}/{total}", file=sys.stderr, flush=True)
+
+
+def _find_critical(args):
     _check_budgets(args)
-    records = enumeration.find_critical(
+    return enumeration.find_critical(
         args.max_n,
         jobs=args.jobs,
         shard_dir=_shard_dir(args),
         resume=args.resume,
         wall_budget_s=args.budget_seconds,
+        progress=_print_progress if args.progress else None,
     )
+
+
+def _cmd_enumerate(args) -> int:
+    records = _find_critical(args)
     payload = {"records": [r.to_json_dict() for r in records]}
     _emit(args, payload, "\n".join(json.dumps(r.to_json_dict(), sort_keys=True) for r in records))
     return EXIT_OK
 
 
 def _cmd_verify_bound(args) -> int:
-    records = enumeration.find_critical(
-        args.max_n,
-        jobs=args.jobs,
-        shard_dir=_shard_dir(args),
-        resume=args.resume,
-        wall_budget_s=args.budget_seconds,
-    )
+    records = _find_critical(args)
     report = enumeration.verify_density_bound(records)
     _emit(args, report.to_json_dict(), "PASS" if report.ok else "FAIL")
     return EXIT_OK if report.ok else EXIT_PROPERTY_FAILS
@@ -265,6 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--shards", default=None, help="shard directory (or PUSHCRIT_SHARDS)")
         p.add_argument("--resume", action="store_true")
         p.add_argument("--budget-seconds", type=float, default=None)
+        p.add_argument(
+            "--progress",
+            action="store_true",
+            help="write 'n done/total' to stderr after each scanned candidate",
+        )
         p.set_defaults(func=fn)
 
     p = sub.add_parser("verify-paper", help="run verification suites")

@@ -8,6 +8,18 @@ orbit representatives of the parent's automorphism group.  Orientations
 of each underlying graph are walked one per push class (spanning-tree
 normalization), and the critical ones are reported with canonical codes.
 
+Before a child is canonically labeled it must pass an O(n) max-degree
+pretest (McKay's cheap-invariant pretest, "Isomorph-free exhaustive
+generation", J. Algorithms 1998): its new vertex must have maximum degree
+in the child.  The pretest is exact.  Canonical labeling first splits the
+unit cell by degree in ascending order, and later splits never reorder
+cells, so the highest canonical label always falls on a vertex of maximum
+degree, as does every vertex of its orbit; a child whose new vertex has
+lower degree than some other vertex would be rejected anyway.  The
+certificate computed for each accepted child is carried along
+(``UnderlyingGraph.cert``), so the scan never labels a candidate again to
+name it in a shard cursor.
+
 The scan for pushably 3-critical graphs prunes hard, and every prune is
 backed by a verifier test elsewhere in the suite:
 
@@ -30,12 +42,13 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from multiprocessing import get_context
 
 import numpy as np
 
-from .canon import canonical_data, canonical_form, orbit_of
+from .canon import canonical_data, canonical_form, encode_underlying_cert, orbit_of
 from .chains import classify_vertices
 from .errors import ConfigError, ResourceBudgetError
 from .graph import (
@@ -64,6 +77,8 @@ def satisfies_density_bound(n: int, m: int) -> bool:
 class UnderlyingGraph:
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
+    # the canonical certificate from ``canonical_data``, set by generation
+    cert: int | None = field(default=None, compare=False, repr=False)
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -148,45 +163,62 @@ def _adds_k4(masks, new_mask: int) -> bool:
     return False
 
 
-_LEVEL_CACHE: dict[tuple[int, bool], list[tuple[int, ...]]] = {}
+_Level = list[tuple[tuple[int, ...], int]]
+_LEVEL_CACHE: dict[tuple[int, bool], _Level] = {}
 
 
-def _graphs_on(n: int, forbid_k4: bool) -> list[tuple[int, ...]]:
-    """Adjacency-mask tuples, one per isomorphism class on n vertices."""
+def _graphs_on(n: int, forbid_k4: bool, tick=None) -> _Level:
+    """(adjacency masks, canonical cert) pairs, one per isomorphism class
+    on n vertices.
+
+    ``tick`` is called before each parent is extended; it may raise to
+    abandon the level, which is then not cached.
+    """
     key = (n, forbid_k4)
     if key in _LEVEL_CACHE:
         return _LEVEL_CACHE[key]
     if n == 1:
-        level = [(0,)]
+        level = [((0,), 0)]
     else:
         level = []
-        for parent in _graphs_on(n - 1, forbid_k4):
+        for parent, _ in _graphs_on(n - 1, forbid_k4, tick):
+            if tick is not None:
+                tick()
             _, _, pgens = canonical_data(parent)
             for smask in _subset_orbit_reps(n - 1, pgens):
-                if forbid_k4 and _adds_k4(parent, smask):
-                    continue
                 child = tuple(
                     parent[v] | ((smask >> v & 1) << (n - 1)) for v in range(n - 1)
                 ) + (smask,)
-                _, labeling, cgens = canonical_data(child)
+                # the max-degree pretest (see the module docstring)
+                degree = smask.bit_count()
+                if any(m.bit_count() > degree for m in child):
+                    continue
+                if forbid_k4 and _adds_k4(parent, smask):
+                    continue
+                cert, labeling, cgens = canonical_data(child)
                 deleted = labeling.index(n - 1)
                 if n - 1 in orbit_of(deleted, cgens, lambda g, v: g[v]):
-                    level.append(child)
+                    level.append((child, cert))
     _LEVEL_CACHE[key] = level
     return level
 
 
-def enumerate_underlying(n: int, min_degree: int = 2, forbid_k4: bool = False):
+def enumerate_underlying(
+    n: int, min_degree: int = 2, forbid_k4: bool = False, tick=None
+):
     """All connected simple graphs on n vertices with the degree floor,
-    one per isomorphism class."""
+    one per isomorphism class, each carrying its canonical ``cert``.
+
+    ``tick`` is called between parents while a level is generated.
+    """
     if not 1 <= n <= UNDERLYING_VERTEX_LIMIT:
         raise ConfigError(
             f"underlying enumeration supports 1..{UNDERLYING_VERTEX_LIMIT} vertices"
         )
     if min_degree not in (0, 1, 2):
         raise ConfigError("min_degree must be 0, 1 or 2")
-    for masks in _graphs_on(n, forbid_k4):
-        ug = UnderlyingGraph(n, _masks_to_edges(masks))
+    for masks, cert in _graphs_on(n, forbid_k4, tick):
+        ug = UnderlyingGraph(n, _masks_to_edges(masks), cert)
         if ug.min_degree() >= min_degree and ug.is_connected():
             yield ug
 
@@ -487,17 +519,17 @@ def make_record(code_hex: str, g: OrientedGraph, exception_codes) -> Enumeration
     )
 
 
-def _worker(args):
-    n, edges = args
-    under = UnderlyingGraph(n, tuple(tuple(e) for e in edges))
-    from .canon import underlying_cert
+def _cursor(under: UnderlyingGraph) -> str:
+    """The shard CURSOR naming a generated candidate: its underlying_cert."""
+    return encode_underlying_cert(under.vertex_count, under.cert).hex()
 
-    ucert = underlying_cert(OrientedGraph(n, under.edges)).hex()
+
+def _worker(under: UnderlyingGraph):
     hits = [
         (code, g.vertex_count, tuple(g.arcs))
         for code, g in _scan_underlying_for_critical(under)
     ]
-    return ucert, hits
+    return _cursor(under), hits
 
 
 @dataclass(frozen=True)
@@ -546,18 +578,28 @@ def _persist_records(base: str, records):
 
 
 def _load_records(base: str):
+    """Records persisted under ``base``, cutting off a torn final line.
+
+    A crash mid-append leaves a final line without its newline.  It is
+    dropped from the file: CURSOR moves only after records are persisted,
+    so the resumed run scans that candidate again and re-appends it.
+    """
     records = {}
     if not os.path.isdir(base):
         return records
     for fname in sorted(os.listdir(base)):
         if not fname.endswith(".ndjson"):
             continue
-        with open(os.path.join(base, fname), encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rec = EnumerationRecord.from_json_dict(json.loads(line))
-                    records[rec.canonical_code] = rec
+        with open(os.path.join(base, fname), "rb+") as fh:
+            data = fh.read()
+            complete = data.rfind(b"\n") + 1
+            if complete < len(data):
+                fh.truncate(complete)
+        for line in data[:complete].decode("utf-8").splitlines():
+            line = line.strip()
+            if line:
+                rec = EnumerationRecord.from_json_dict(json.loads(line))
+                records[rec.canonical_code] = rec
     return records
 
 
@@ -571,7 +613,12 @@ def find_critical(
     progress=None,
 ):
     """Every pushably 3-critical oriented graph on <= n_max vertices,
-    one record per push-isomorphism class."""
+    one record per push-isomorphism class.
+
+    ``wall_budget_s`` is checked between generated parents and between
+    scanned candidates; ``progress(n, i, total)`` is called after each
+    scanned candidate.
+    """
     if k != 3:
         raise ConfigError("the enumeration scan is specialised to k = 3")
     if not 3 <= n_max <= FIND_CRITICAL_VERTEX_LIMIT:
@@ -582,23 +629,30 @@ def find_critical(
     exception_codes = _exception_codes()
     merged: dict[str, EnumerationRecord] = {}
 
+    def records():
+        return sorted(merged.values(), key=lambda r: (r.n, r.canonical_code))
+
+    def check_budget() -> None:
+        if wall_budget_s is not None and time.monotonic() - started > wall_budget_s:
+            raise ResourceBudgetError("wall-time budget exhausted", partial=records())
+
     for n in range(3, n_max + 1):
-        candidates = list(enumerate_underlying(n, 2, forbid_k4=n >= 5))
+        candidates = list(
+            enumerate_underlying(n, 2, forbid_k4=n >= 5, tick=check_budget)
+        )
         base = _shard_paths(shard_dir, n) if shard_dir else None
         cursor_path = os.path.join(base, "CURSOR") if base else None
         start_at = 0
         if base and resume:
             for rec in _load_records(base).values():
                 merged.setdefault(rec.canonical_code, rec)
-            if cursor_path and os.path.exists(cursor_path):
+            if os.path.exists(cursor_path):
                 cursor = open(cursor_path, encoding="utf-8").read().strip()
-                from .canon import underlying_cert
-
                 for idx, ug in enumerate(candidates):
-                    if underlying_cert(OrientedGraph(n, ug.edges)).hex() == cursor:
+                    if _cursor(ug) == cursor:
                         start_at = idx + 1
                         break
-        todo = [(n, ug.edges) for ug in candidates[start_at:]]
+        todo = candidates[start_at:]
         if not todo:
             continue
 
@@ -615,35 +669,15 @@ def find_critical(
                 with open(cursor_path, "w", encoding="utf-8") as fh:
                     fh.write(ucert + "\n")
 
-        def out_of_time() -> bool:
-            return (
-                wall_budget_s is not None
-                and time.monotonic() - started > wall_budget_s
-            )
-
-        if jobs > 1:
-            with get_context("fork").Pool(jobs) as pool:
-                for i, (ucert, hits) in enumerate(
-                    pool.imap(_worker, todo, chunksize=4)
-                ):
-                    handle(ucert, hits)
-                    if progress:
-                        progress(n, i + 1, len(todo))
-                    if out_of_time():
-                        pool.terminate()
-                        raise ResourceBudgetError(
-                            "wall-time budget exhausted",
-                            partial=sorted(merged.values(), key=lambda r: (r.n, r.canonical_code)),
-                        )
-        else:
-            for i, args in enumerate(todo):
-                ucert, hits = _worker(args)
+        # leaving the pool's context terminates it, also on a budget error
+        with get_context("fork").Pool(jobs) if jobs > 1 else nullcontext() as pool:
+            if pool is None:
+                results = map(_worker, todo)
+            else:
+                results = pool.imap(_worker, todo, chunksize=4)
+            for i, (ucert, hits) in enumerate(results):
                 handle(ucert, hits)
                 if progress:
                     progress(n, i + 1, len(todo))
-                if out_of_time():
-                    raise ResourceBudgetError(
-                        "wall-time budget exhausted",
-                        partial=sorted(merged.values(), key=lambda r: (r.n, r.canonical_code)),
-                    )
-    return sorted(merged.values(), key=lambda r: (r.n, r.canonical_code))
+                check_budget()
+    return records()

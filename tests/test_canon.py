@@ -109,3 +109,41 @@ def test_underlying_cert_ignores_orientation(rng):
             g.vertex_count, tuple((h, t) for t, h in g.arcs)
         )
         assert pc.underlying_cert(g) == pc.underlying_cert(flipped)
+
+
+def _masks(n, edges):
+    out = [0] * n
+    for a, b in edges:
+        out[a] |= 1 << b
+        out[b] |= 1 << a
+    return tuple(out)
+
+
+def test_last_canonical_position_has_maximum_degree(rng):
+    # generation's max-degree pretest rests on this: refinement splits the
+    # unit cell by degree first, ascending, and never reorders cells
+    cycle7 = [(i, (i + 1) % 7) for i in range(7)]
+    petersen = (
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+    )
+    cube = [(a, a ^ 1 << i) for a in range(8) for i in range(3) if a < a ^ 1 << i]
+    shaped = [
+        _masks(7, cycle7),
+        _masks(10, petersen),
+        _masks(8, cube),
+        _masks(5, itertools.combinations(range(5), 2)),
+        _masks(6, ()),
+        # disconnected: a triangle, a star and an isolated vertex
+        _masks(9, [(0, 1), (1, 2), (0, 2), (3, 4), (3, 5), (3, 6), (3, 7)]),
+    ]
+    randoms = [
+        random_oriented_graph(rng, rng.randint(1, 10), p=rng.random()).adjacency_masks
+        for _ in range(80)
+    ]
+    for adj in shaped + randoms:
+        n = len(adj)
+        _, labeling, _ = canonical_data(adj)
+        degrees = [m.bit_count() for m in adj]
+        assert degrees[labeling.index(n - 1)] == max(degrees), adj

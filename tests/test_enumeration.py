@@ -6,16 +6,26 @@ from __future__ import annotations
 import itertools
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
 import pushcrit as pc
+from pushcrit import enumeration
+from pushcrit.canon import (
+    canonical_data,
+    encode_underlying_cert,
+    orbit_of,
+    underlying_cert,
+)
 from pushcrit.crit import VERDICT_CRITICAL
 from pushcrit.enumeration import (
     EnumerationRecord,
     UnderlyingGraph,
+    _adds_k4,
     _graphs_on,
     _orientation_survivors,
+    _subset_orbit_reps,
     enumerate_orientations_mod_push,
     enumerate_underlying,
     find_critical,
@@ -40,6 +50,38 @@ def test_generation_agrees_with_networkx_atlas():
 
     atlas = [g for g in graph_atlas_g() if g.number_of_nodes() == 6]
     assert len(atlas) == len(_graphs_on(6, False))
+
+
+def _levels_without_pretest(n_max, forbid_k4):
+    """Canonical augmentation as in _graphs_on, minus the max-degree pretest."""
+    levels = [[((0,), 0)]]
+    for n in range(2, n_max + 1):
+        level = []
+        for parent, _ in levels[-1]:
+            _, _, pgens = canonical_data(parent)
+            for smask in _subset_orbit_reps(n - 1, pgens):
+                if forbid_k4 and _adds_k4(parent, smask):
+                    continue
+                child = tuple(
+                    p | (smask >> v & 1) << (n - 1) for v, p in enumerate(parent)
+                ) + (smask,)
+                cert, labeling, cgens = canonical_data(child)
+                if n - 1 in orbit_of(labeling.index(n - 1), cgens, lambda g, v: g[v]):
+                    level.append((child, cert))
+        levels.append(level)
+    return levels
+
+
+@pytest.mark.parametrize("forbid_k4", [False, True])
+def test_pretest_keeps_every_accepted_child(forbid_k4):
+    for n, level in enumerate(_levels_without_pretest(7, forbid_k4), start=1):
+        assert _graphs_on(n, forbid_k4) == level
+
+
+def test_generated_cert_is_the_underlying_cert():
+    for ug in enumerate_underlying(6, 2, forbid_k4=True):
+        want = underlying_cert(pc.OrientedGraph(6, ug.edges))
+        assert encode_underlying_cert(6, ug.cert) == want
 
 
 def test_min_degree_two_examples():
@@ -243,6 +285,88 @@ def test_parallel_merge_is_deterministic():
     seq = find_critical(6, jobs=1)
     par = find_critical(6, jobs=2)
     assert [r.to_json_dict() for r in seq] == [r.to_json_dict() for r in par]
+
+
+def _cursor_hex(n: int, under: UnderlyingGraph) -> str:
+    return underlying_cert(pc.OrientedGraph(n, under.edges)).hex()
+
+
+class _Crash(Exception):
+    pass
+
+
+def test_resume_repairs_a_torn_shard_tail(tmp_path, monkeypatch):
+    # the third persisted batch (a 7-vertex class) is cut mid-line and the
+    # run dies before it moves CURSOR; resuming must give a fresh run's records
+    fresh = find_critical(7)
+    shard_dir = str(tmp_path / "shards")
+    real_persist, real_worker = enumeration._persist_records, enumeration._worker
+    persisted, scanned = [], []
+
+    def crashing_persist(base, records):
+        real_persist(base, records)
+        persisted.append(records)
+        if len(persisted) == 3:
+            path = os.path.join(base, records[-1].canonical_code[:2] + ".ndjson")
+            with open(path, "r+b") as fh:
+                fh.truncate(os.path.getsize(path) - 20)
+            raise _Crash
+
+    def recording_worker(under):
+        scanned.append(under)
+        return real_worker(under)
+
+    monkeypatch.setattr(enumeration, "_persist_records", crashing_persist)
+    monkeypatch.setattr(enumeration, "_worker", recording_worker)
+    with pytest.raises(_Crash):
+        find_critical(7, shard_dir=shard_dir)
+    monkeypatch.undo()
+    crashed, before = scanned[-1], scanned[-2]
+    assert crashed.vertex_count == before.vertex_count == 7
+    with open(os.path.join(shard_dir, "7", "CURSOR")) as fh:
+        assert fh.read().strip() == _cursor_hex(7, before)
+
+    resumed = find_critical(7, shard_dir=shard_dir, resume=True)
+    assert [r.to_json_dict() for r in resumed] == [r.to_json_dict() for r in fresh]
+    on_disk = []
+    for n in range(3, 8):
+        base = os.path.join(shard_dir, str(n))
+        for fname in sorted(os.listdir(base)):
+            if fname.endswith(".ndjson"):
+                with open(os.path.join(base, fname)) as fh:
+                    text = fh.read()
+                assert text.endswith("\n")
+                on_disk += [json.loads(line)["canonical_code"] for line in text.splitlines()]
+        last = list(enumerate_underlying(n, 2, forbid_k4=n >= 5))[-1]
+        with open(os.path.join(base, "CURSOR")) as fh:
+            assert fh.read().strip() == _cursor_hex(n, last)
+    assert sorted(on_disk) == sorted(r.canonical_code for r in fresh)
+
+
+def test_budget_is_checked_while_a_level_is_generated(monkeypatch):
+    # simulated clock: every canonical labeling in generation takes 1 ms,
+    # so the 1 s budget runs out inside a level, long before it is done
+    calls = [0]
+
+    def labeled(adj):
+        calls[0] += 1
+        return canonical_data(adj)
+
+    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+    monkeypatch.setattr(enumeration, "canonical_data", labeled)
+    monkeypatch.setattr(
+        enumeration, "time", SimpleNamespace(monotonic=lambda: calls[0] / 1000)
+    )
+    with pytest.raises(ResourceBudgetError) as info:
+        find_critical(8, wall_budget_s=1.0)
+    # stopped at the first parent boundary past the deadline: one parent on
+    # at most 7 vertices has at most 2^7 children
+    assert 1000 < calls[0] <= 1001 + 2**7
+    done = max(n for n, forbid in enumeration._LEVEL_CACHE if forbid)
+    assert done < 8
+    monkeypatch.undo()
+    partial = [r.to_json_dict() for r in info.value.partial]
+    assert partial == [r.to_json_dict() for r in find_critical(done)]
 
 
 @pytest.mark.skipif(

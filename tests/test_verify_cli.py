@@ -152,6 +152,39 @@ def test_cli_enumerate_and_bound(tmp_path, capsys):
     assert rc == cli.EXIT_OK and payload["ok"]
 
 
+def test_cli_progress_goes_to_stderr(capsys):
+    rc = cli.main(["--json", "verify-bound", "--max-n", "5"])
+    plain = capsys.readouterr()
+    assert rc == cli.EXIT_OK and plain.err == ""
+    rc = cli.main(["--json", "verify-bound", "--max-n", "5", "--progress"])
+    shown = capsys.readouterr()
+    assert rc == cli.EXIT_OK and shown.out == plain.out
+    lines = shown.err.splitlines()
+    # one "n done/total" line per scanned candidate, ending each size
+    assert lines[0] == "3 1/1" and lines[-1].startswith("5 ")
+    totals = {}
+    for line in lines:
+        n, frac = line.split()
+        done, total = map(int, frac.split("/"))
+        assert done == totals.get(n, 0) + 1 <= total
+        totals[n] = done
+    assert totals == {
+        str(n): len(list(pc.enumerate_underlying(n, 2, forbid_k4=n >= 5)))
+        for n in (3, 4, 5)
+    }
+    rc = cli.main(["enumerate", "--max-n", "4", "--progress"])
+    assert rc == cli.EXIT_OK and capsys.readouterr().err.splitlines()[-1] == "4 3/3"
+
+
+def test_cli_wall_budget_exhaustion(capsys):
+    for verb in ("enumerate", "verify-bound"):
+        rc = cli.main([verb, "--max-n", "6", "--budget-seconds", "1e-9"])
+        assert rc == cli.EXIT_BUDGET
+        assert "budget exhausted" in capsys.readouterr().err
+        rc = cli.main([verb, "--max-n", "6", "--budget-seconds", "0"])
+        assert rc == cli.EXIT_USAGE
+
+
 def test_cli_lpq(capsys):
     rc = cli.main(["--json", "lpq", "--p", "2", "--q", "1", "--variant", "oriented", "@at_c3"])
     payload = json.loads(capsys.readouterr().out)
