@@ -51,7 +51,6 @@ from .graph import (
     directed_cycle,
     directed_path,
     girth,
-    is_push_equivalent,
     parse_graph,
     potential,
     push_vertices,
@@ -71,6 +70,7 @@ from .hom import (
     tournaments,
 )
 from .lpq import LpqLabeling, at_c3_labeling, check_lpq_labeling, lpq_span_search
+from .orient import is_push_equivalent
 from .reconstruct import verify_fig6_coloring, verify_split_vertex_reconstructions
 from .verify import run_suites, verify_potential_table, write_report
 

@@ -9,11 +9,11 @@ canonical labelings).
 
 The oriented canonical form then minimizes, over that coset, an encoding
 of the orientation.  For the push-quotiented form the orientation is first
-normalized: a BFS forest of the canonical graph is forced to point from
-parent to child by pushing (which is always possible and unique up to
-pushing whole components, an identity), and only the co-forest direction
-bits remain.  Equal byte strings therefore mean exactly "isomorphic after
-pushing some set".
+normalized by ``orient``: the BFS forest of the canonical graph is forced
+to point from parent to child by pushing (which is always possible and
+unique up to pushing whole components, an identity), and only the
+co-forest direction bits remain.  Equal byte strings therefore mean
+exactly "isomorphic after pushing some set".
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from collections import deque
 
 from .errors import IncompatibleInputError
 from .graph import OrientedGraph
+from .orient import normalizing_pushes, spanning_forest
 
 _FORM_MAGIC_PUSH = b"P1"
 _FORM_MAGIC_ISO = b"O1"
@@ -184,32 +185,6 @@ def orbit_of(seed, gens, apply):
     return seen
 
 
-def _bfs_forest(n: int, adj: tuple[int, ...]):
-    """BFS forest from the lowest vertex of each component.
-
-    Returns (order, parent) with parent[root] = -1; neighbors are visited
-    in increasing index so the forest is reproducible.
-    """
-    parent = [-2] * n
-    order = []
-    for root in range(n):
-        if parent[root] != -2:
-            continue
-        parent[root] = -1
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            m = adj[v]
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                if parent[u] == -2:
-                    parent[u] = v
-                    queue.append(u)
-    return order, parent
-
-
 def _encode_form(magic: bytes, n: int, edges, bits: int, nbits: int) -> bytes:
     if n > 0xFFFF:
         raise IncompatibleInputError("graph too large for canonical encoding")
@@ -233,40 +208,20 @@ def _canonical_orientation_form(g: OrientedGraph, quotient_push: bool) -> bytes:
         (min(labeling[a], labeling[b]), max(labeling[a], labeling[b]))
         for a, b in g.edges
     )
-    canon_adj = [0] * n
-    for lo, hi in canon_edges:
-        canon_adj[lo] |= 1 << hi
-        canon_adj[hi] |= 1 << lo
-    order, parent = _bfs_forest(n, tuple(canon_adj))
-    tree_edges = {(min(v, parent[v]), max(v, parent[v])) for v in range(n) if parent[v] >= 0}
+    forest = spanning_forest(n, canon_edges, range(n))
+    tree_edges = {(p, v) if p < v else (v, p) for p, v in forest}
     cotree = [e for e in canon_edges if e not in tree_edges]
     enc_edges = cotree if quotient_push else canon_edges
 
+    unpushed = [0] * n
     best_bits = None
     for sigma in group:
-        pi = [0] * n
-        for v in range(n):
-            pi[v] = labeling[sigma[v]]
-        direction = {}
-        for t, h in g.arcs:
-            a, b = pi[t], pi[h]
-            direction[(a, b) if a < b else (b, a)] = 1 if a < b else 0
-        if quotient_push:
-            x = [0] * n
-            for v in order:
-                p = parent[v]
-                if p >= 0:
-                    lo, hi = (p, v) if p < v else (v, p)
-                    # want the tree arc to run parent -> child after pushing
-                    want = 1 if p < v else 0
-                    x[v] = x[p] ^ direction[(lo, hi)] ^ want
-            bits = 0
-            for lo, hi in cotree:
-                bits = bits << 1 | (direction[(lo, hi)] ^ x[lo] ^ x[hi])
-        else:
-            bits = 0
-            for lo, hi in canon_edges:
-                bits = bits << 1 | direction[(lo, hi)]
+        pi = [labeling[sigma[v]] for v in range(n)]
+        arcs = {(pi[t], pi[h]) for t, h in g.arcs}
+        x = normalizing_pushes(n, forest, arcs) if quotient_push else unpushed
+        bits = 0
+        for lo, hi in enc_edges:
+            bits = bits << 1 | (((lo, hi) in arcs) ^ x[lo] ^ x[hi])
         if best_bits is None or bits < best_bits:
             best_bits = bits
     magic = _FORM_MAGIC_PUSH if quotient_push else _FORM_MAGIC_ISO

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success / property holds; 1 property fails or no
-certificate; 2 usage or parse errors; 3 budget exhausted.  Graph
-arguments are file paths in the text format, or "@name" for a builtin
-fixture.
+certificate; 2 usage or parse errors; 3 budget exhausted; 4 internal
+error (any other exception, reported on one line, so a crash never
+reads as "property fails").  Graph arguments are file paths in the text
+format, or "@name" for a builtin fixture.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _load_graph(spec: str) -> OrientedGraph:
@@ -328,6 +330,9 @@ def main(argv=None) -> int:
     except (PushcritError, OSError) as exc:
         print(f"pushcrit: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"pushcrit: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

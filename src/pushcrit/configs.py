@@ -41,7 +41,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import ConfigError
-from .graph import OrientedGraph, forward_parity
+from .graph import OrientedGraph
 from .hom import (
     AT_C3,
     MappingSearcher,
@@ -49,7 +49,7 @@ from .hom import (
     extend_partial,
     target_index,
 )
-from .orient import push_class_representatives
+from .orient import push_class_count, push_class_representatives
 
 CONFIG_IDS = tuple(f"C{i}" for i in range(1, 17))
 
@@ -425,11 +425,13 @@ def _sweep_configuration(
     boundary = tuple(sorted(gadget.boundary))
     colorings = list(_boundary_colorings(boundary, reduce_rotation))
     at_index = target_index(AT_C3)
+    g = gadget.graph
     orientations = 0
     cases = 0
-    for oriented in orientation_representatives(gadget):
-        if any(forward_parity(oriented, c) != 0 for c in gadget.directed_cycles):
-            continue
+    for arcs in push_class_representatives(
+        g.vertex_count, g.edges, gadget.internal, even_cycles=gadget.directed_cycles
+    ):
+        oriented = OrientedGraph(g.vertex_count, arcs)
         orientations += 1
         template = [
             1 if v in gadget.boundary else 0b111111
@@ -465,15 +467,18 @@ def verify_configuration(
     A gadget of the tree shape (see the module docstring) that the tree DP
     proves reducible is decided without any search; every other gadget,
     and every irreducible one, goes through the exhaustive sweep.  The
-    counts are those of the sweep in both cases: for a DP-decided gadget
-    ``cases_checked`` is orientation classes times colorings, the cases
-    the DP decides jointly.
+    counts are those of the sweep in both cases.  For a DP-decided gadget
+    they are computed, not enumerated: the orientation classes come from
+    ``push_class_count``, the colorings are 3^|B| (3^(|B|-1) with the
+    first color pinned), and ``cases_checked`` is their product, the
+    cases the DP decides jointly.
     """
     if not _tree_reducible(gadget):
         return _sweep_configuration(gadget, reduce_rotation)
-    boundary = tuple(sorted(gadget.boundary))
-    colorings = sum(1 for _ in _boundary_colorings(boundary, reduce_rotation))
-    orientations = sum(1 for _ in orientation_representatives(gadget))
+    g = gadget.graph
+    orientations = push_class_count(g.vertex_count, g.edges, gadget.internal)
+    b = len(gadget.boundary)
+    colorings = 3 ** (b - 1) if reduce_rotation and b else 3**b
     return ConfigurationCheck(
         gadget,
         True,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import ChainDecomposition, classify_vertices
+from .chains import classify_vertices
 from .graph import (
     POTENTIAL_ARC_WEIGHT,
     POTENTIAL_VERTEX_WEIGHT,
@@ -90,13 +90,6 @@ class DischargingReport:
                 for c in self.lower_bound_checks
             ],
         }
-
-
-def _is_class(dec: ChainDecomposition, v: int, degree: int, total: int) -> bool:
-    for cls in dec.classes:
-        if cls.vertex == v:
-            return cls.degree == degree and cls.total == total
-    return False
 
 
 def discharging_audit(g: OrientedGraph) -> DischargingReport:

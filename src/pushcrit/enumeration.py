@@ -46,8 +46,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 
-import numpy as np
-
 from .canon import canonical_data, canonical_form, encode_underlying_cert, orbit_of
 from .chains import classify_vertices
 from .errors import ConfigError, ResourceBudgetError
@@ -345,19 +343,6 @@ def underlying_prune_verdict(under: UnderlyingGraph):
 
 # -- per-orientation scan ------------------------------------------------------
 
-_PARITY16 = None
-
-
-def _parity16():
-    global _PARITY16
-    if _PARITY16 is None:
-        table = np.zeros(1 << 16, dtype=np.uint8)
-        for i in range(1, 1 << 16):
-            table[i] = table[i >> 1] ^ (i & 1)
-        _PARITY16 = table
-    return _PARITY16
-
-
 def _four_cycles(n: int, masks):
     cycles = []
     for a in range(n):
@@ -375,75 +360,20 @@ def _four_cycles(n: int, masks):
     return cycles
 
 
-def _spanning_structure(under: UnderlyingGraph):
-    """BFS tree arcs (parent->child) from vertex 0 and the free co-tree edges."""
-    n = under.vertex_count
-    masks = under.masks
-    parent = [-2] * n
-    parent[0] = -1
-    queue = [0]
-    tree_dir = {}
-    while queue:
-        v = queue.pop(0)
-        m = masks[v]
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            if parent[u] == -2:
-                parent[u] = v
-                tree_dir[(min(u, v), max(u, v))] = (v, u)
-                queue.append(u)
-    free = [e for e in under.edges if e not in tree_dir]
-    return tree_dir, free
-
-
-def _orientation_survivors(under: UnderlyingGraph):
-    """Co-tree bit vectors whose orientations carry no odd 4-cycle.
-
-    The whole 4-cycle graph itself is exempt (nothing lies outside it).
-    """
-    n, m = under.vertex_count, len(under.edges)
-    tree_dir, free = _spanning_structure(under)
-    k = len(free)
-    vecs = np.arange(1 << k, dtype=np.uint32)
-    if m <= 4:
-        return tree_dir, free, vecs
-    free_idx = {e: i for i, e in enumerate(free)}
-    keep = np.ones(1 << k, dtype=bool)
-    table = _parity16()
-    for a, b, c, d in _four_cycles(n, under.masks):
-        # forward-arc parity along the cycle as const ^ parity(vec & mask)
-        const, mask = 0, 0
-        walk = (a, b, c, d, a)
-        for u, v in zip(walk, walk[1:]):
-            lo, hi = (u, v) if u < v else (v, u)
-            if (lo, hi) in tree_dir:
-                const ^= 1 if tree_dir[(lo, hi)] == (u, v) else 0
-            else:
-                mask ^= 1 << free_idx[(lo, hi)]
-                const ^= u != lo
-        masked = vecs & np.uint32(mask)
-        par = table[masked & 0xFFFF] ^ table[masked >> 16]
-        keep &= par == const  # keep only even forward parity
-    return tree_dir, free, vecs[keep]
-
-
 def _scan_underlying_for_critical(under: UnderlyingGraph):
     """All critical orientations of one underlying graph, as (code, graph)."""
     keep, _reason = underlying_prune_verdict(under)
     if not keep:
         return []
     n = under.vertex_count
-    tree_dir, free, vecs = _orientation_survivors(under)
-    tree_arcs = [tree_dir[e] for e in sorted(tree_dir)]
+    # the 4-cycle itself is exempt from the odd 4-cycle prune
+    even = _four_cycles(n, under.masks) if len(under.edges) > 4 else ()
     at_idx = target_index(AT_C3)
     found = {}
-    for vec in vecs:
-        vec = int(vec)
-        arcs = list(tree_arcs)
-        for i, (lo, hi) in enumerate(free):
-            arcs.append((lo, hi) if vec >> i & 1 else (hi, lo))
-        g = OrientedGraph(n, tuple(arcs))
+    for arcs in push_class_representatives(
+        n, under.edges, range(n), even_cycles=even
+    ):
+        g = OrientedGraph(n, arcs)
         if solve_mapping(g, at_idx)[0] is not None:
             continue
         minimal = True

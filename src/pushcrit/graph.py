@@ -6,8 +6,8 @@ up to one direction bit per edge.  Pushing a vertex set S reverses exactly
 the arcs with one endpoint in S.  Two orientations of the same labeled
 graph are push equivalent when some S carries one onto the other; the
 forward-arc parity of every cycle of the underlying graph is a complete
-invariant for this, which is what the GF(2) decision procedure below
-exploits.
+invariant for this.  Deciding it, and enumerating the classes, is the
+job of ``orient``.
 """
 
 from __future__ import annotations
@@ -203,47 +203,6 @@ def anti_twin(g: OrientedGraph) -> OrientedGraph:
     for t, h in g.arcs:
         arcs += [(t, h), (n + t, n + h), (n + h, t), (h, n + t)]
     return OrientedGraph(2 * n, tuple(arcs))
-
-
-def is_push_equivalent(g: OrientedGraph, h: OrientedGraph):
-    """Return a push set carrying ``g`` onto ``h``, or None.
-
-    Requires identical labeled underlying graphs.  Solves x(u) xor x(v) =
-    d(uv) over GF(2) by spanning-forest propagation, where d marks the
-    edges whose directions differ, then verifies the co-forest edges.
-    """
-    if g.vertex_count != h.vertex_count or g.edge_set != h.edge_set:
-        raise IncompatibleInputError("graphs must share vertices and underlying edges")
-    n = g.vertex_count
-    diff = {}
-    h_arcs = h.arc_set
-    for t, hd in g.arcs:
-        edge = (t, hd) if t < hd else (hd, t)
-        diff[edge] = 0 if (t, hd) in h_arcs else 1
-    x = [0] * n
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            m = g.adjacency_masks[v]
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                if not seen[u]:
-                    seen[u] = True
-                    edge = (v, u) if v < u else (u, v)
-                    x[u] = x[v] ^ diff[edge]
-                    queue.append(u)
-    for (lo, hi), d in diff.items():
-        if x[lo] ^ x[hi] != d:
-            return None
-    s = frozenset(v for v in range(n) if x[v])
-    assert push_vertices(g, s).arc_set == h.arc_set
-    return s
 
 
 def attach_path(

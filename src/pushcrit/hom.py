@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import ConfigError, IncompatibleInputError, ResourceBudgetError
 from .graph import OrientedGraph, anti_twin, directed_cycle, push_vertices
+from .orient import normalizing_pushes, spanning_forest
 
 C3 = directed_cycle(3).with_name("c3")
 AT_C3 = anti_twin(C3).with_name("at_c3")
@@ -338,18 +339,6 @@ def _apply_perm_to_orientation(perm, edges, edge_pos, vec: int) -> int:
     return out
 
 
-def _push_normalize_orientation(k, edges, edge_pos, vec: int) -> int:
-    # solve pushes making every star edge (0, i) point away from 0
-    x = [0] * k
-    for i in range(1, k):
-        d = vec >> edge_pos[(0, i)] & 1
-        x[i] = d ^ 1
-    out = 0
-    for idx, (lo, hi) in enumerate(edges):
-        out |= (vec >> idx & 1 ^ x[lo] ^ x[hi]) << idx
-    return out
-
-
 @lru_cache(maxsize=32)
 def tournaments(k: int, up_to: str = "push_iso") -> tuple[OrientedGraph, ...]:
     """All k-vertex tournaments, one per class under the chosen relation.
@@ -371,9 +360,15 @@ def tournaments(k: int, up_to: str = "push_iso") -> tuple[OrientedGraph, ...]:
     if k > 2:
         perm_gens.append(tuple(list(range(1, k)) + [0]))
 
+    star = spanning_forest(k, edges, range(k))
+
     def normalize(vec: int) -> int:
         if up_to == "push_iso":
-            return _push_normalize_orientation(k, edges, edge_pos, vec)
+            # the pushes read only the star's arcs, each (0, c) with 0 < c
+            arcs = {(p, c) if vec >> edge_pos[(p, c)] & 1 else (c, p) for p, c in star}
+            x = normalizing_pushes(k, star, arcs)
+            for idx, (lo, hi) in enumerate(edges):
+                vec ^= (x[lo] ^ x[hi]) << idx
         return vec
 
     reps = []

@@ -23,8 +23,8 @@ from pushcrit.enumeration import (
     EnumerationRecord,
     UnderlyingGraph,
     _adds_k4,
+    _four_cycles,
     _graphs_on,
-    _orientation_survivors,
     _subset_orbit_reps,
     enumerate_orientations_mod_push,
     enumerate_underlying,
@@ -34,6 +34,7 @@ from pushcrit.enumeration import (
 )
 from pushcrit.errors import ConfigError, ResourceBudgetError
 from pushcrit.graph import forward_parity
+from pushcrit.orient import push_class_representatives
 
 
 KNOWN_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -170,20 +171,24 @@ def test_orientation_dedup_iso_is_coarser():
     assert len(deduped) <= len(plain)
 
 
+def _scan_survivors(under):
+    """The scan's orientation classes: no odd 4-cycle (m > 4 here)."""
+    n = under.vertex_count
+    return list(
+        push_class_representatives(
+            n, under.edges, range(n), even_cycles=_four_cycles(n, under.masks)
+        )
+    )
+
+
 def test_survivor_filter_matches_direct_parity_check():
     under = UnderlyingGraph(5, ((0, 1), (1, 2), (2, 3), (0, 3), (2, 4), (3, 4)))
-    tree_dir, free, vecs = _orientation_survivors(under)
-    tree_arcs = [tree_dir[e] for e in sorted(tree_dir)]
-    all_cycles = [(0, 1, 2, 3), (2, 3, 4)]
-    survivors = set()
-    for vec in range(1 << len(free)):
-        arcs = list(tree_arcs)
-        for i, (lo, hi) in enumerate(free):
-            arcs.append((lo, hi) if vec >> i & 1 else (hi, lo))
-        g = pc.OrientedGraph(5, tuple(arcs))
+    survivors = []
+    for arcs in push_class_representatives(5, under.edges, range(5)):
+        g = pc.OrientedGraph(5, arcs)
         if forward_parity(g, (0, 1, 2, 3)) == 0:
-            survivors.add(vec)
-    assert survivors == {int(v) for v in vecs}
+            survivors.append(arcs)
+    assert survivors == _scan_survivors(under)
 
 
 def test_find_critical_complete_against_brute_force_at_5():
@@ -210,8 +215,6 @@ def test_find_critical_complete_against_brute_force_at_5():
 
 
 def test_push_class_representatives_hit_each_class_once(rng):
-    from pushcrit.orient import push_class_representatives
-
     edges = ((0, 1), (1, 2), (2, 3), (0, 3), (1, 3))
     movable = {1, 3}
     reps = list(push_class_representatives(4, edges, movable))
@@ -436,13 +439,12 @@ def test_prune_audit_stays_4_chromatic(rng):
 def test_prune_audit_odd_four_cycle(rng):
     # orientations rejected by the parity filter are never critical
     under = UnderlyingGraph(5, ((0, 1), (1, 2), (2, 3), (0, 3), (2, 4), (3, 4)))
-    _, free, vecs = _orientation_survivors(under)
-    kept = {int(v) for v in vecs}
-    rejected = [v for v in range(1 << len(free)) if v not in kept]
-    tree_dir, free2, _ = _orientation_survivors(under)
-    tree_arcs = [tree_dir[e] for e in sorted(tree_dir)]
-    for vec in rejected:
-        arcs = list(tree_arcs)
-        for i, (lo, hi) in enumerate(free2):
-            arcs.append((lo, hi) if vec >> i & 1 else (hi, lo))
-        _assert_not_critical(pc.OrientedGraph(5, tuple(arcs)))
+    kept = set(_scan_survivors(under))
+    rejected = [
+        arcs
+        for arcs in push_class_representatives(5, under.edges, range(5))
+        if arcs not in kept
+    ]
+    assert rejected
+    for arcs in rejected:
+        _assert_not_critical(pc.OrientedGraph(5, arcs))

@@ -132,6 +132,18 @@ def test_cli_unknown_fixture_is_usage(capsys):
         pc.fixture("nope")
 
 
+def test_cli_crash_is_an_internal_error(monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_info", crash)
+    rc = cli.main(["info", "@c3"])
+    assert rc == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["pushcrit: internal error: RuntimeError: boom"]
+    assert "Traceback" not in err
+
+
 def test_cli_discharge_unclassifiable(capsys):
     rc = cli.main(["discharge", "@c3"])
     assert rc == cli.EXIT_USAGE
