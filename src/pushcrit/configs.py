@@ -272,11 +272,12 @@ def negative_control_gadget() -> ConfigurationGadget:
 # -- orientation enumeration ---------------------------------------------------
 
 
-def orientation_representatives(gadget: ConfigurationGadget):
-    """All orientations of the gadget, one per pushing-X class."""
+def orientation_representatives(gadget: ConfigurationGadget, even_cycles=()):
+    """All orientations of the gadget, one per pushing-X class, in which
+    every closed walk of ``even_cycles`` has even forward parity."""
     g = gadget.graph
     for arcs in push_class_representatives(
-        g.vertex_count, g.edges, gadget.internal
+        g.vertex_count, g.edges, gadget.internal, even_cycles=even_cycles
     ):
         yield OrientedGraph(g.vertex_count, arcs)
 
@@ -425,13 +426,9 @@ def _sweep_configuration(
     boundary = tuple(sorted(gadget.boundary))
     colorings = list(_boundary_colorings(boundary, reduce_rotation))
     at_index = target_index(AT_C3)
-    g = gadget.graph
     orientations = 0
     cases = 0
-    for arcs in push_class_representatives(
-        g.vertex_count, g.edges, gadget.internal, even_cycles=gadget.directed_cycles
-    ):
-        oriented = OrientedGraph(g.vertex_count, arcs)
+    for oriented in orientation_representatives(gadget, gadget.directed_cycles):
         orientations += 1
         template = [
             1 if v in gadget.boundary else 0b111111

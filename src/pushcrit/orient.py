@@ -160,13 +160,7 @@ def push_class_representatives(
         )
 
 
-def push_class_count(
-    n: int,
-    edges: Sequence[Arc],
-    movable: Iterable[int],
-    fixed_arcs: Sequence[Arc] = (),
-    even_cycles: Iterable[Sequence[int]] = (),
-) -> int:
-    """How many arc tuples ``push_class_representatives`` yields."""
-    space = _class_space(n, edges, movable, fixed_arcs, even_cycles)
-    return 0 if space is None else 1 << len(space[3])
+def push_class_count(n: int, edges: Sequence[Arc], movable: Iterable[int]) -> int:
+    """How many arc tuples ``push_class_representatives`` yields without
+    fixed arcs or constraints: 2^(free edges)."""
+    return 1 << len(_class_space(n, edges, movable, (), ())[3])
