@@ -31,6 +31,31 @@ POTENTIAL_VERTEX_WEIGHT = 15
 POTENTIAL_ARC_WEIGHT = 13
 
 
+def _arc_violation(n: int, arcs: Sequence[Arc]) -> tuple[int | None, str] | None:
+    """The first reason ``arcs`` is not an oriented graph on ``0 .. n-1``.
+
+    Returns ``(index of the offending arc, message)``, with index None when
+    the vertex count itself is invalid, or None when the graph is valid.
+    """
+    if n < 0:
+        return None, "vertex_count must be nonnegative"
+    seen_edges = set()
+    seen_arcs = set()
+    for i, (tail, head) in enumerate(arcs):
+        if tail == head:
+            return i, f"loop at vertex {tail}"
+        if not (0 <= tail < n and 0 <= head < n):
+            return i, f"arc ({tail},{head}) out of range"
+        if (tail, head) in seen_arcs:
+            return i, f"parallel arc ({tail},{head})"
+        edge = (tail, head) if tail < head else (head, tail)
+        if edge in seen_edges:
+            return i, f"digon on edge {edge}"
+        seen_arcs.add((tail, head))
+        seen_edges.add(edge)
+    return None
+
+
 @dataclass(frozen=True)
 class OrientedGraph:
     """Immutable oriented graph on vertices ``0 .. vertex_count-1``."""
@@ -41,23 +66,9 @@ class OrientedGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "arcs", tuple((int(t), int(h)) for t, h in self.arcs))
-        n = self.vertex_count
-        if n < 0:
-            raise StructuralViolationError("vertex_count must be nonnegative")
-        seen_edges = set()
-        seen_arcs = set()
-        for tail, head in self.arcs:
-            if tail == head:
-                raise StructuralViolationError(f"loop at vertex {tail}")
-            if not (0 <= tail < n and 0 <= head < n):
-                raise StructuralViolationError(f"arc ({tail},{head}) out of range")
-            if (tail, head) in seen_arcs:
-                raise StructuralViolationError(f"parallel arc ({tail},{head})")
-            edge = (tail, head) if tail < head else (head, tail)
-            if edge in seen_edges:
-                raise StructuralViolationError(f"digon on edge {edge}")
-            seen_arcs.add((tail, head))
-            seen_edges.add(edge)
+        violation = _arc_violation(self.vertex_count, self.arcs)
+        if violation is not None:
+            raise StructuralViolationError(violation[1])
 
     # -- derived structure ------------------------------------------------
 
@@ -296,7 +307,7 @@ def serialize_graph(g: OrientedGraph) -> str:
 
 
 def parse_graph(text: str, name: str | None = None) -> OrientedGraph:
-    header = None
+    header = header_line = None
     arcs = []
     arc_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -315,17 +326,15 @@ def parse_graph(text: str, name: str | None = None) -> OrientedGraph:
                 header = (int(parts[2]), int(parts[3]))
             except ValueError:
                 raise GraphParseError("header counts must be integers", lineno)
+            header_line = lineno
             continue
         parts = line.split()
         if len(parts) != 2:
             raise GraphParseError(f"expected '<tail> <head>', got {line!r}", lineno)
         try:
-            arc = (int(parts[0]), int(parts[1]))
+            arcs.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise GraphParseError(f"non-integer endpoint in {line!r}", lineno)
-        if arc[0] < 0 or arc[1] < 0:
-            raise GraphParseError("negative vertex index", lineno)
-        arcs.append(arc)
         arc_lines.append(lineno)
     if header is not None:
         n, m = header
@@ -333,20 +342,11 @@ def parse_graph(text: str, name: str | None = None) -> OrientedGraph:
             raise GraphParseError(f"header promises {m} arcs, found {len(arcs)}")
     else:
         n = 1 + max((max(t, h) for t, h in arcs), default=-1)
-    seen_arcs = set()
-    seen_edges = set()
-    for (t, h), lineno in zip(arcs, arc_lines):
-        if t == h:
-            raise GraphParseError(f"loop at vertex {t}", lineno)
-        if header is not None and (t >= n or h >= n):
-            raise GraphParseError(f"vertex out of range in ({t},{h})", lineno)
-        if (t, h) in seen_arcs:
-            raise GraphParseError(f"duplicate arc ({t},{h})", lineno)
-        edge = (min(t, h), max(t, h))
-        if edge in seen_edges:
-            raise GraphParseError(f"digon on edge {edge}", lineno)
-        seen_arcs.add((t, h))
-        seen_edges.add(edge)
+    violation = _arc_violation(n, arcs)
+    if violation is not None:
+        index, message = violation
+        line = header_line if index is None else arc_lines[index]
+        raise GraphParseError(message, line)
     return OrientedGraph(n, tuple(arcs), name)
 
 

@@ -169,17 +169,19 @@ class MappingSearcher:
         if any(d != full for d in doms):
             if not _propagate(doms, g.arcs, tout, tin):
                 return None, 0
+        if not n:
+            return (), 0
         order, later = self.order, self.later
         assign = [-1] * n
         nodes = 0
-
-        def dfs(i: int) -> bool:
-            nonlocal nodes
-            if i == n:
-                return True
-            v = order[i]
-            cand = doms[v]
-            fwd = later[v]
+        # depth-first over ``order`` without recursion: ``stack`` holds, for
+        # each depth above the current one, its untried candidates and the
+        # trail of domain narrowings made by its current candidate
+        stack = []
+        i = 0
+        v = order[0]
+        cand, fwd = doms[v], later[v]
+        while True:
             while cand:
                 bit = cand & -cand
                 cand ^= bit
@@ -191,7 +193,6 @@ class MappingSearcher:
                     raise ResourceBudgetError("search cancelled", nodes=nodes)
                 assign[v] = a
                 trail = []
-                ok = True
                 for w, outgoing in fwd:
                     old = doms[w]
                     new = old & (tout[a] if outgoing else tin[a])
@@ -199,18 +200,25 @@ class MappingSearcher:
                         trail.append((w, old))
                         doms[w] = new
                         if not new:
-                            ok = False
                             break
-                if ok and dfs(i + 1):
-                    return True
+                else:
+                    i += 1
+                    if i == n:
+                        return tuple(assign), nodes
+                    stack.append((cand, trail))
+                    v = order[i]
+                    cand, fwd = doms[v], later[v]
+                    continue
                 for w, old in trail:
                     doms[w] = old
-            assign[v] = -1
-            return False
-
-        if dfs(0):
-            return tuple(assign), nodes
-        return None, nodes
+            if not stack:
+                return None, nodes
+            cand, trail = stack.pop()
+            for w, old in trail:
+                doms[w] = old
+            i -= 1
+            v = order[i]
+            fwd = later[v]
 
 
 def solve_mapping(

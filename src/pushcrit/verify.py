@@ -281,6 +281,23 @@ def random_classifiable_graph(rng: random.Random) -> OrientedGraph:
         return OrientedGraph(nxt, tuple(arcs))
 
 
+def _charge_identity(g: OrientedGraph, report) -> tuple[bool, bool]:
+    """The charge identity of a discharging audit, as (ok, two_zero).
+
+    two_zero: every 2-vertex ends at charge 0; ok: also, the initial total
+    is -2 * potential(g) and the final total equals it.
+    """
+    two_zero = all(
+        report.final[v] == 0 for v in range(g.vertex_count) if g.degree(v) == 2
+    )
+    ok = (
+        report.total_initial == -2 * potential(g)
+        and report.total_initial == report.total_final
+        and two_zero
+    )
+    return ok, two_zero
+
+
 def suite_discharge(samples: int = 100, seed: int = 20240917) -> list[ClaimResult]:
     out = []
     started = time.monotonic()
@@ -293,14 +310,7 @@ def suite_discharge(samples: int = 100, seed: int = 20240917) -> list[ClaimResul
         except UnclassifiableGraphError as exc:
             rows.append({"graph": name, "classifiable": False, "reason": str(exc)})
             continue
-        two_zero = all(
-            report.final[v] == 0 for v in range(g.vertex_count) if g.degree(v) == 2
-        )
-        ok = (
-            report.total_initial == -2 * potential(g)
-            and report.total_initial == report.total_final
-            and two_zero
-        )
+        ok, two_zero = _charge_identity(g, report)
         all_ok = all_ok and ok
         rows.append(
             {
@@ -321,15 +331,7 @@ def suite_discharge(samples: int = 100, seed: int = 20240917) -> list[ClaimResul
     failures = []
     while checked < samples:
         g = random_classifiable_graph(rng)
-        report = discharging_audit(g)
-        two_zero = all(
-            report.final[v] == 0 for v in range(g.vertex_count) if g.degree(v) == 2
-        )
-        ok = (
-            report.total_initial == -2 * potential(g)
-            and report.total_initial == report.total_final
-            and two_zero
-        )
+        ok, _ = _charge_identity(g, discharging_audit(g))
         if not ok:
             failures.append({"arcs": [list(a) for a in g.arcs]})
         checked += 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -281,17 +282,29 @@ def test_parse_fixture_file():
     assert (g.vertex_count, g.arc_count) == (4, 4)
 
 
-def test_shipped_fixture_files_match_builtins():
-    from pathlib import Path
+def test_fixture_files_are_the_builtin_names():
+    package_dir = Path(pc.__file__).parent / "fixtures"
+    assert sorted(p.stem for p in package_dir.glob("*.og")) == sorted(pc.builtin_graphs())
 
-    import pushcrit
 
-    package_dir = Path(pushcrit.__file__).parent / "fixtures"
-    repo_dir = Path(pushcrit.__file__).parents[2] / "fixtures"
-    for name, g in pc.builtin_graphs().items():
-        for where in (package_dir, repo_dir):
-            parsed = pc.parse_graph((where / f"{name}.og").read_text())
-            assert parsed.arc_set == g.arc_set and parsed.vertex_count == g.vertex_count
+# canonical forms of the named graphs; the package .og files are their only
+# copy, so an edit that changes a graph shows up here
+PINNED_FIXTURE_FORMS = {
+    "at_c3": "5031000600000c00000002000000030000000400000005000100020001000300010004000100050002000400020005000300040003000500",
+    "c3": "5031000300000300000001000000020001000200",
+    "c_minus4": "503100040000040000000200000003000100020001000301",
+    "e1": "5031000d00000f000000080000000c000100070001000c000200080002000b000300070003000a000400060004000b000500060005000a0009000a0009000b0009000c06",
+    "e2": "5031000d00000f0000000b0000000c0001000a0001000c0002000a0002000b000300080003000c000400070004000b000500060005000a00060009000700090008000902",
+    "e3": "5031000d00000f0000000a0000000c0001000a0001000b000200080002000c000300080003000b000400070004000c000500060005000b00060009000700090009000a05",
+    "f": "5031000c00000e000000080000000b000100070001000a0002000700020009000300060003000b000400050004000b0005000a00060009000800090008000a00",
+    "m3p": "5031000800000900000006000000070001000500010007000200050002000600030004000300070004000600",
+}
+
+
+def test_fixture_canonical_forms_are_pinned():
+    assert sorted(PINNED_FIXTURE_FORMS) == sorted(pc.builtin_graphs())
+    for name, form in PINNED_FIXTURE_FORMS.items():
+        assert pc.canonical_form(pc.fixture(name)).hex() == form, name
 
 
 def test_parse_errors_carry_line_numbers():
@@ -306,3 +319,9 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(GraphParseError) as err:
         pc.parse_graph("0 1\n0 1\n")
     assert err.value.line == 2
+    with pytest.raises(GraphParseError) as err:
+        pc.parse_graph("# comment\np og -1 0\n")
+    assert err.value.line == 2
+    with pytest.raises(GraphParseError) as err:
+        pc.parse_graph("p og 3 2\n0 1\n\n1 3\n")
+    assert err.value.line == 4

@@ -66,12 +66,21 @@ def test_certificate_and_report_schemas():
 
 
 def test_cli_color_c_minus4_no_certificate(tmp_path, capsys):
-    fixture_file = Path(__file__).parent.parent / "fixtures" / "c_minus4.og"
+    fixture_file = Path(pc.__file__).parent / "fixtures" / "c_minus4.og"
     rc = cli.main(["color", "--target", "c3", str(fixture_file)])
     out = capsys.readouterr().out
     payload = json.loads(out)
     assert rc == cli.EXIT_PROPERTY_FAILS
     assert payload["result"] == "none" and payload["nodes_explored"] > 0
+
+
+def test_cli_long_path_needs_no_recursion(tmp_path, capsys):
+    path_file = tmp_path / "path.og"
+    path_file.write_text(pc.serialize_graph(pc.directed_path(1500)))
+    assert cli.main(["color", str(path_file)]) == cli.EXIT_OK
+    assert "pushed" in json.loads(capsys.readouterr().out)
+    assert cli.main(["--json", "critical", str(path_file)]) == cli.EXIT_PROPERTY_FAILS
+    assert json.loads(capsys.readouterr().out)["verdict"] == "colorable"
 
 
 def test_cli_color_fixture_reference(capsys):
