@@ -4,9 +4,9 @@ Underlying simple graphs are generated one per isomorphism class by
 vertex augmentation with canonical-deletion acceptance: a child is kept
 exactly when its new vertex lies in the automorphism orbit of the vertex
 holding the highest canonical label, and attachment subsets range over
-orbit representatives of the parent's automorphism group.  Orientations
-of each underlying graph are walked one per push class (spanning-tree
-normalization), and the critical ones are reported with canonical codes.
+orbit representatives of the parent's automorphism group.  The push
+classes of each underlying graph are decided all at once (below), and the
+critical ones are reported with canonical codes.
 
 Before a child is canonically labeled it must pass an O(n) max-degree
 pretest (McKay's cheap-invariant pretest, "Isomorph-free exhaustive
@@ -20,21 +20,35 @@ certificate computed for each accepted child is carried along
 (``UnderlyingGraph.cert``), so the scan never labels a candidate again to
 name it in a shard cursor.
 
-The scan for pushably 3-critical graphs prunes hard, and every prune is
-backed by a verifier test elsewhere in the suite:
+Candidates are the connected underlying graphs with minimum degree 2: a
+pushably 3-critical graph has no isolated vertex (criticality is
+undefined then), no vertex of degree 1 (it always extends a coloring)
+and one component (components color independently).  From 5 vertices on,
+generation also drops graphs with a K4 subgraph: such a graph is not
+3-colorable, so it is critical only if it is K4 itself.
 
-  * minimum degree >= 2 and connectedness (a low-degree vertex always
-    extends a coloring; components color independently);
-  * no cut vertex (colorings of the two sides rotate to agree);
-  * no chain with 4 or more internal 2-vertices (such a chain never
-    blocks an extension, in either parity);
-  * no proper K4 subgraph (K4 maps into no 6-vertex doubled triangle, so
-    both the graph and some arc-deleted subgraph stay uncolorable);
-  * underlying graphs that stay 4-chromatic after deleting some edge
-    (a coloring after pushes induces a proper 3-coloring);
-  * per orientation, any 4-cycle with odd forward parity while more than
-    4 arcs exist (the 4-cycle alone is uncolorable, so some proper
-    subgraph is too).
+The scan decides every push class of a candidate G at once from its
+3-colorings, with no search per orientation.  A pushable 3-coloring is a
+homomorphism to AT(C3) = K_{2,2,2}.  Projected, it is a proper coloring
+c: V -> Z3 together with a push set that carries the orientation onto
+a(c), where u -> v iff c(v) = c(u) + 1.  So an orientation is colorable
+exactly when its class lies in the image Im of the classes of a(c) over
+the proper c with c(0) = 0 (shifting every color leaves a(c) as it is).
+Classes are co-forest bit vectors (``orient.ClassCoordinates``), and
+reversing an edge e changes a class by z_e.
+
+A class k is critical when it is not colorable but each arc deletion is.
+Deleting the arc on edge e leaves an orientation of G - e, and a coloring
+of it projects to a map c that is proper on G - e.  Either c is proper on
+G: the deletion pushes onto a(c) less e, so k or k xor z_e is in Im.  Or
+e is c's only monochromatic edge: then k or k xor z_e lies in Mono_e, the
+classes of a(c) with e's bit fixed.  Conversely each such c colors the
+deletion.  So k is critical iff k is not in Im and, for every edge e,
+k xor z_e is in Im, k is in Mono_e or k xor z_e is in Mono_e.  The test
+is exact, so the scan assumes none of the structural lemmas that
+``underlying_prune_verdict`` states.  The candidate classes are those the
+first edge admits.  Each later Mono_e is enumerated only when some
+remaining candidate needs it, as the maps with c(lo) = c(hi) forced.
 """
 
 from __future__ import annotations
@@ -52,11 +66,11 @@ from .errors import ConfigError, ResourceBudgetError
 from .graph import (
     POTENTIAL_ARC_WEIGHT,
     POTENTIAL_VERTEX_WEIGHT,
+    Arc,
     OrientedGraph,
     potential,
 )
-from .hom import AT_C3, solve_mapping, target_index
-from .orient import push_class_representatives
+from .orient import class_coordinates, push_class_representatives
 
 UNDERLYING_VERTEX_LIMIT = 12
 FIND_CRITICAL_VERTEX_LIMIT = 10
@@ -300,9 +314,14 @@ def _chromatic_at_most_3(n: int, masks) -> bool:
 
 
 def underlying_prune_verdict(under: UnderlyingGraph):
-    """(keep, reason): whether the scan must look at this underlying graph.
+    """(keep, reason): whether the structural lemmas allow a critical
+    orientation of this underlying graph.
 
-    Assumes connectivity and minimum degree were already enforced.
+    The coloring-image scan is exact and does not call this.  It stays as
+    the audited statement of the lemmas: the tests check every record of
+    ``find_critical(8)`` against it, the cyclomatic enumeration planned in
+    the ROADMAP needs its first two, and perfbench/tracing.py wraps it by
+    name.  Assumes connectivity and minimum degree were already enforced.
     """
     n = under.vertex_count
     masks = under.masks
@@ -341,51 +360,98 @@ def underlying_prune_verdict(under: UnderlyingGraph):
     return True, None
 
 
-# -- per-orientation scan ------------------------------------------------------
+# -- the coloring-image scan ----------------------------------------------------
 
-def _four_cycles(n: int, masks):
-    cycles = []
-    for a in range(n):
-        for c in range(a + 1, n):
-            common = masks[a] & masks[c] & ~((1 << (a + 1)) - 1)
-            lst = []
-            m = common
-            while m:
-                b = (m & -m).bit_length() - 1
-                m &= m - 1
-                lst.append(b)
-            for i in range(len(lst)):
-                for j in range(i + 1, len(lst)):
-                    cycles.append((a, lst[i], c, lst[j]))
-    return cycles
+
+_UNBANNED = tuple(tuple(x for x in range(3) if not banned >> x & 1) for banned in range(8))
+
+
+def _coloring_image(earlier, base: int, equal=None) -> set[int]:
+    """The classes of a(c) over the maps c: positions -> Z3 with c(0) = 0
+    that are proper on every listed edge.
+
+    ``earlier[i]`` lists (j, d, z) for each edge from position i back to a
+    position j < i: i may not take j's color, and taking color c(j) + d
+    points that edge lo -> hi, which adds z to the class (starting from
+    ``base``).  ``equal = (i, j)`` also forces position i to take j's
+    color; the edge between them is left out of the lists.
+    """
+    last = len(earlier) - 1
+    eq_i, eq_j = equal or (-1, -1)
+    image = set()
+    colors = [0] * len(earlier)
+    stack = [(0, 0, base)]
+    while stack:
+        i, color, acc = stack.pop()
+        colors[i] = color
+        i += 1
+        opts = [acc, acc, acc]
+        banned = 0
+        for j, d, z in earlier[i]:
+            cj = colors[j]
+            banned |= 1 << cj
+            opts[(cj + d) % 3] ^= z
+        if i == eq_i:
+            banned |= 7 ^ 1 << colors[eq_j]
+        for x in _UNBANNED[banned]:
+            if i == last:
+                image.add(opts[x])
+            else:
+                stack.append((i, x, opts[x]))
+    return image
+
+
+def _critical_orientations(n: int, edges) -> list[tuple[Arc, ...]]:
+    """The normalized orientations (``orient.ClassCoordinates.arcs``, all
+    vertices movable) of the pushably 3-critical classes of the connected
+    graph on ``edges``, n >= 2, in ascending order of the class bits.  See
+    the module docstring for why this is exact."""
+    coords = class_coordinates(n, edges, range(n))
+    masks = coords.masks
+    order = [0] + [child for _, child in coords.forest]
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    earlier = [[] for _ in range(n)]
+    for lo, hi in edges:
+        i, j = pos[lo], pos[hi]
+        # the edge points lo -> hi when c(hi) = c(lo) + 1
+        if i < j:
+            earlier[j].append((i, 1, masks[lo, hi]))
+        else:
+            earlier[i].append((j, 2, masks[lo, hi]))
+    image = _coloring_image(earlier, coords.base)
+    if len(image) == 1 << len(coords.free):
+        return []
+
+    def mono(e):
+        """Mono_e, with e's bit taking both values.  The maps proper on all
+        of G are left out (c(lo) = c(hi) is forced): they add only classes
+        whose e-reversal is in Im, which the caller tests first."""
+        i, j = sorted((pos[e[0]], pos[e[1]]), reverse=True)
+        lists = list(earlier)
+        lists[i] = [t for t in earlier[i] if t[0] != j]
+        found = _coloring_image(lists, coords.base, (i, j))
+        return found | {k ^ masks[e] for k in found}
+
+    first = edges[0]
+    candidates = ({k ^ masks[first] for k in image} | mono(first)) - image
+    for e in edges[1:]:
+        if not candidates:
+            break
+        pending = {k for k in candidates if k ^ masks[e] not in image}
+        if pending:
+            candidates -= pending - mono(e)
+    return [coords.arcs(k) for k in sorted(candidates)]
 
 
 def _scan_underlying_for_critical(under: UnderlyingGraph):
-    """All critical orientations of one underlying graph, as (code, graph)."""
-    keep, _reason = underlying_prune_verdict(under)
-    if not keep:
-        return []
-    n = under.vertex_count
-    # the 4-cycle itself is exempt from the odd 4-cycle prune
-    even = _four_cycles(n, under.masks) if len(under.edges) > 4 else ()
-    at_idx = target_index(AT_C3)
+    """All critical orientations of one underlying graph, as (code, graph):
+    per canonical code, the class with the smallest bits."""
     found = {}
-    for arcs in push_class_representatives(
-        n, under.edges, range(n), even_cycles=even
-    ):
-        g = OrientedGraph(n, arcs)
-        if solve_mapping(g, at_idx)[0] is not None:
-            continue
-        minimal = True
-        for arc in sorted(g.arcs):
-            if solve_mapping(g.delete_arc(arc), at_idx)[0] is None:
-                minimal = False
-                break
-        if not minimal:
-            continue
-        code = canonical_form(g)
-        if code not in found:
-            found[code] = g
+    for arcs in _critical_orientations(under.vertex_count, under.edges):
+        g = OrientedGraph(under.vertex_count, arcs)
+        found.setdefault(canonical_form(g), g)
     return sorted((code.hex(), g) for code, g in found.items())
 
 

@@ -70,6 +70,16 @@ class OrientedGraph:
         if violation is not None:
             raise StructuralViolationError(violation[1])
 
+    # equal graphs have equal arc sets; the arc order is kept as given,
+    # because searches visit vertices and arcs in that order
+    def __eq__(self, other):
+        if not isinstance(other, OrientedGraph):
+            return NotImplemented
+        return self.vertex_count == other.vertex_count and self.arc_set == other.arc_set
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.arc_set))
+
     # -- derived structure ------------------------------------------------
 
     @property
@@ -339,7 +349,9 @@ def parse_graph(text: str, name: str | None = None) -> OrientedGraph:
     if header is not None:
         n, m = header
         if m != len(arcs):
-            raise GraphParseError(f"header promises {m} arcs, found {len(arcs)}")
+            raise GraphParseError(
+                f"header promises {m} arcs, found {len(arcs)}", header_line
+            )
     else:
         n = 1 + max((max(t, h) for t, h in arcs), default=-1)
     violation = _arc_violation(n, arcs)

@@ -57,7 +57,7 @@ def _target_index(key) -> TargetIndex:
 
 
 def target_index(h: OrientedGraph) -> TargetIndex:
-    return _target_index((h.vertex_count, h.arcs))
+    return _target_index((h.vertex_count, tuple(sorted(h.arcs))))
 
 
 def _static_order(g: OrientedGraph, doms: Sequence[int]) -> list[int]:

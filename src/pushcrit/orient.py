@@ -8,6 +8,9 @@ in ascending order (on K_k, the star at 0).  Forcing each forest arc to
 point from parent to child fixes the pushes child by child, up to pushing
 whole all-movable components, which changes nothing; so each class holds
 one normalized orientation, named by its co-forest direction bits.
+Normalizing is linear too: reversing an edge e changes the class by a
+fixed vector z_e, so the class of any orientation is one base vector
+xor the z_e of its edges that point lo -> hi (``ClassCoordinates``).
 
 Each closed walk a caller requires to have even forward parity (a push
 invariant) is one GF(2) equation over the co-forest bits.  Gaussian
@@ -23,6 +26,8 @@ classes; otherwise there are 2^(free - rank).
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Collection, Iterable, Sequence
 
 from .errors import IncompatibleInputError
@@ -83,10 +88,60 @@ def is_push_equivalent(g: OrientedGraph, h: OrientedGraph):
     return s if push_vertices(g, s).arc_set == h.arc_set else None
 
 
-def _class_space(n, edges, movable, fixed_arcs, even_cycles):
-    """(determined arcs, free edges, start, columns), or None when the
-    constraints contradict.  Bit i of a class means free edge i points
-    lo -> hi; the classes are ``start`` xor each subset of ``columns``."""
+@dataclass(frozen=True)
+class ClassCoordinates:
+    """The coordinates of one labeled graph's push classes.
+
+    A class is a bit vector over ``free``, the co-forest edges (lo, hi) in
+    ascending order: bit i is 1 when free[i] points lo -> hi in the class's
+    normalized orientation, in which every ``forest`` arc points from
+    parent to child and every fixed arc is as given.
+    """
+
+    forest: tuple[Arc, ...]
+    determined: tuple[Arc, ...]  # fixed arcs, then forest arcs, by edge
+    free: tuple[Arc, ...]
+
+    def arcs(self, bits: int) -> tuple[Arc, ...]:
+        """The normalized orientation of class ``bits``."""
+        return self.determined + tuple(
+            e if bits >> i & 1 else e[::-1] for i, e in enumerate(self.free)
+        )
+
+    @cached_property
+    def masks(self) -> dict[Arc, int]:
+        """z_e for each non-fixed edge e = (lo, hi): the class change caused
+        by reversing e.  Bit i is set iff e is free[i] itself or a forest
+        edge on exactly one of the paths from free[i]'s ends to their roots
+        (on a tree, free[i]'s fundamental cycle)."""
+        up = {c: (p, (p, c) if p < c else (c, p)) for p, c in self.forest}
+        masks = dict.fromkeys((e for _, e in up.values()), 0)
+        for i, (lo, hi) in enumerate(self.free):
+            masks[lo, hi] = 1 << i
+            for v in (lo, hi):
+                while v in up:
+                    v, e = up[v]
+                    masks[e] ^= 1 << i
+        return masks
+
+    @cached_property
+    def base(self) -> int:
+        """The class of the orientation with every non-fixed edge hi -> lo.
+        An orientation's class is ``base`` xor the masks of its non-fixed
+        edges that point lo -> hi."""
+        base = 0
+        for p, c in self.forest:
+            if p < c:
+                base ^= self.masks[p, c]
+        return base
+
+
+def class_coordinates(
+    n: int, edges: Sequence[Arc], movable: Iterable[int], fixed_arcs: Sequence[Arc] = ()
+) -> ClassCoordinates:
+    """The class coordinates of the graph on underlying (lo, hi) ``edges``
+    under pushing ``movable``; ``fixed_arcs`` predetermine the direction of
+    some edges and must not touch movable vertices."""
     movable = set(movable)
     if any(v in movable for arc in fixed_arcs for v in arc):
         raise IncompatibleInputError("predetermined arcs must avoid movable vertices")
@@ -95,8 +150,16 @@ def _class_space(n, edges, movable, fixed_arcs, even_cycles):
     pivots = {(min(p, c), max(p, c)): (p, c) for p, c in forest}
     edge_set = {(min(t, h), max(t, h)) for t, h in edges}
     free = sorted(edge_set - fixed.keys() - pivots.keys())
-    index = {e: i for i, e in enumerate(free)}
-    known = {**fixed, **pivots}
+    determined = [fixed[e] for e in sorted(fixed)] + [pivots[e] for e in sorted(pivots)]
+    return ClassCoordinates(tuple(forest), tuple(determined), tuple(free))
+
+
+def _class_space(n, edges, movable, fixed_arcs, even_cycles):
+    """(coordinates, start, columns), or None when the constraints
+    contradict.  The classes are ``start`` xor each subset of ``columns``."""
+    coords = class_coordinates(n, edges, movable, fixed_arcs)
+    index = {e: i for i, e in enumerate(coords.free)}
+    known = {(min(t, h), max(t, h)): (t, h) for t, h in coords.determined}
     rows: dict[int, tuple[int, int]] = {}  # pivot -> (mask, parity), fully reduced
     for walk in even_cycles:
         mask = parity = 0
@@ -125,11 +188,10 @@ def _class_space(n, edges, movable, fixed_arcs, even_cycles):
     # setting free bit i flips it and every pivot whose row holds it
     columns = [
         (1 << i) | sum(1 << p for p, (m, _) in rows.items() if m >> i & 1)
-        for i in range(len(free))
+        for i in range(len(coords.free))
         if i not in rows
     ]
-    determined = [fixed[e] for e in sorted(fixed)] + [pivots[e] for e in sorted(pivots)]
-    return determined, free, start, columns
+    return coords, start, columns
 
 
 def push_class_representatives(
@@ -139,7 +201,9 @@ def push_class_representatives(
     fixed_arcs: Sequence[Arc] = (),
     even_cycles: Iterable[Sequence[int]] = (),
 ):
-    """Yield one arc tuple per orientation class under pushing ``movable``.
+    """Yield one arc tuple per orientation class under pushing ``movable``,
+    each the normalized orientation ``ClassCoordinates.arcs`` gives, in
+    ascending order of the class bits.
 
     ``edges`` are underlying (lo, hi) pairs; ``fixed_arcs`` predetermine
     the direction of some of them and must not touch movable vertices.
@@ -149,18 +213,16 @@ def push_class_representatives(
     space = _class_space(n, edges, movable, fixed_arcs, even_cycles)
     if space is None:
         return
-    determined, free, start, columns = space
+    coords, start, columns = space
     for t in range(1 << len(columns)):
         bits = start
         for j, column in enumerate(columns):
             if t >> j & 1:
                 bits ^= column
-        yield tuple(
-            determined + [e if bits >> i & 1 else e[::-1] for i, e in enumerate(free)]
-        )
+        yield coords.arcs(bits)
 
 
 def push_class_count(n: int, edges: Sequence[Arc], movable: Iterable[int]) -> int:
     """How many arc tuples ``push_class_representatives`` yields without
     fixed arcs or constraints: 2^(free edges)."""
-    return 1 << len(_class_space(n, edges, movable, (), ())[3])
+    return 1 << len(class_coordinates(n, edges, movable).free)

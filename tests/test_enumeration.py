@@ -1,5 +1,6 @@
-"""Underlying-graph generation, orientation classes, the critical scan,
-and soundness audits for every prune the scan relies on."""
+"""Underlying-graph generation, orientation classes, the coloring-image
+scan against search oracles, and soundness audits for the structural
+lemmas it no longer relies on."""
 
 from __future__ import annotations
 
@@ -23,8 +24,9 @@ from pushcrit.enumeration import (
     EnumerationRecord,
     UnderlyingGraph,
     _adds_k4,
-    _four_cycles,
+    _critical_orientations,
     _graphs_on,
+    _scan_underlying_for_critical,
     _subset_orbit_reps,
     enumerate_orientations_mod_push,
     enumerate_underlying,
@@ -34,7 +36,8 @@ from pushcrit.enumeration import (
 )
 from pushcrit.errors import ConfigError, ResourceBudgetError
 from pushcrit.graph import forward_parity
-from pushcrit.orient import push_class_representatives
+from pushcrit.hom import AT_C3, solve_mapping, target_index
+from pushcrit.orient import class_coordinates, push_class_representatives
 
 
 KNOWN_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -171,6 +174,18 @@ def test_orientation_dedup_iso_is_coarser():
     assert len(deduped) <= len(plain)
 
 
+def _four_cycles(n: int, masks):
+    cycles = []
+    for a in range(n):
+        for c in range(a + 1, n):
+            common = masks[a] & masks[c] & ~((1 << (a + 1)) - 1)
+            lst = [b for b in range(n) if common >> b & 1]
+            for i in range(len(lst)):
+                for j in range(i + 1, len(lst)):
+                    cycles.append((a, lst[i], c, lst[j]))
+    return cycles
+
+
 def _scan_survivors(under):
     """The scan's orientation classes: no odd 4-cycle (m > 4 here)."""
     n = under.vertex_count
@@ -189,6 +204,87 @@ def test_survivor_filter_matches_direct_parity_check():
         if forward_parity(g, (0, 1, 2, 3)) == 0:
             survivors.append(arcs)
     assert survivors == _scan_survivors(under)
+
+
+def _scan_by_search(under):
+    """The per-orientation scan the coloring image replaced: structural
+    prunes, the odd 4-cycle filter, then AT(C3) searches per class and per
+    deleted arc."""
+    if not underlying_prune_verdict(under)[0]:
+        return []
+    n = under.vertex_count
+    # the 4-cycle itself is exempt from the odd 4-cycle prune
+    even = _four_cycles(n, under.masks) if len(under.edges) > 4 else ()
+    at_idx = target_index(AT_C3)
+    found = {}
+    for arcs in push_class_representatives(n, under.edges, range(n), even_cycles=even):
+        g = pc.OrientedGraph(n, arcs)
+        if solve_mapping(g, at_idx)[0] is not None:
+            continue
+        if all(solve_mapping(g.delete_arc(a), at_idx)[0] is not None for a in sorted(g.arcs)):
+            found.setdefault(pc.canonical_form(g), g)
+    return sorted((code.hex(), g) for code, g in found.items())
+
+
+def test_coloring_image_scan_equals_the_search_scan():
+    for n in range(3, 8):
+        for under in enumerate_underlying(n, 2, forbid_k4=n >= 5):
+            got = [(code, g.arcs) for code, g in _scan_underlying_for_critical(under)]
+            want = [(code, g.arcs) for code, g in _scan_by_search(under)]
+            assert got == want, under
+
+
+def _random_min_degree_2_graph(rng, n):
+    while True:
+        p = rng.choice((0.4, 0.55, 0.7))
+        edges = tuple(
+            (a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p
+        )
+        under = UnderlyingGraph(n, edges)
+        if edges and under.min_degree() >= 2 and under.is_connected():
+            return under
+
+
+def test_critical_classes_agree_with_the_criticality_routine(rng):
+    # seeded random graphs, K4s allowed; and random relabelings of the
+    # critical graphs on <= 7 vertices, which have critical classes, each
+    # also with a random chord added as the first edge (0, 1), which makes
+    # those classes non-minimal
+    graphs = [_random_min_degree_2_graph(rng, rng.randint(3, 7)) for _ in range(24)]
+    records = find_critical(7)
+    for record in records:
+        n = record.n
+        edges = {(min(a), max(a)) for a in record.arcs}
+        a, b = rng.choice(sorted(set(itertools.combinations(range(n), 2)) - edges))
+        rest = rng.sample([v for v in range(n) if v not in (a, b)], n - 2)
+        label = {v: i for i, v in enumerate([a, b] + rest)}
+        edges = {tuple(sorted((label[u], label[v]))) for u, v in edges}
+        graphs.append(UnderlyingGraph(n, tuple(sorted(edges))))
+        graphs.append(UnderlyingGraph(n, tuple(sorted(edges | {(0, 1)}))))
+    critical = 0
+    for under in graphs:
+        n = under.vertex_count
+        coords = class_coordinates(n, under.edges, range(n))
+        found = _critical_orientations(n, under.edges)
+        classes = range(1 << len(coords.free))
+        sample = [coords.arcs(bits) for bits in rng.sample(classes, min(64, len(classes)))]
+        for arcs in sorted(set(sample) | set(found)):
+            verdict = pc.is_pushably_k_critical(pc.OrientedGraph(n, arcs), 3).verdict
+            assert (arcs in found) == (verdict == VERDICT_CRITICAL), (under, arcs)
+        critical += len(found)
+    assert critical >= len(records)
+
+
+def test_records_satisfy_the_structural_lemmas():
+    # the scan assumes none of them; the cyclomatic enumeration will need
+    # the first two (no cut vertex, no long chain)
+    for record in find_critical(8):
+        g = pc.OrientedGraph(record.n, record.arcs)
+        under = UnderlyingGraph(record.n, g.edges)
+        assert underlying_prune_verdict(under) == (True, None)
+        if record.m > 4:
+            for cycle in _four_cycles(record.n, under.masks):
+                assert forward_parity(g, cycle) == 0
 
 
 def test_find_critical_complete_against_brute_force_at_5():
@@ -374,11 +470,12 @@ def test_budget_is_checked_while_a_level_is_generated(monkeypatch):
 
 @pytest.mark.skipif(
     not os.environ.get("PUSHCRIT_STRETCH"),
-    reason="stretch run; set PUSHCRIT_STRETCH=1 to enable (~3 min)",
+    reason="stretch run; set PUSHCRIT_STRETCH=1 to enable (~1 min)",
 )
 def test_stretch_run_nine_vertices():
     assert len(_graphs_on(8, False)) == 12346  # full-depth generator check
     records = find_critical(9, jobs=2)
+    assert len(records) == 27
     report = verify_density_bound(records)
     assert report.ok and report.exceptions_found == ("c_minus4",)
 

@@ -38,6 +38,19 @@ def test_invariants_rejected():
         pc.OrientedGraph(2, ((0, 2),))
 
 
+def test_equality_ignores_arc_order_and_name():
+    from pushcrit.hom import AT_C3, target_index
+
+    at = pc.fixture("at_c3")
+    assert at.arcs != AT_C3.arcs
+    assert at == AT_C3 and hash(at) == hash(AT_C3)
+    assert target_index(at) is target_index(AT_C3)
+    g = pc.OrientedGraph(3, ((0, 1), (1, 2)), "p")
+    assert g == pc.OrientedGraph(3, ((1, 2), (0, 1)))
+    assert g != pc.OrientedGraph(4, ((0, 1), (1, 2)))
+    assert g != pc.OrientedGraph(3, ((0, 1), (2, 1)))
+
+
 def test_push_directed_triangle():
     c3 = pc.directed_cycle(3)
     pushed = pc.push_vertices(c3, {0})
@@ -311,8 +324,9 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(GraphParseError) as err:
         pc.parse_graph("0 1\n1 0\n")
     assert err.value.line == 2
-    with pytest.raises(GraphParseError):
+    with pytest.raises(GraphParseError) as err:
         pc.parse_graph("p og 2 5\n0 1\n")
+    assert err.value.line == 1
     with pytest.raises(GraphParseError) as err:
         pc.parse_graph("# comment\n\n0 0\n")
     assert err.value.line == 3

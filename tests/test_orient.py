@@ -11,6 +11,7 @@ import pushcrit as pc
 from pushcrit.errors import IncompatibleInputError
 from pushcrit.graph import forward_parity
 from pushcrit.orient import (
+    class_coordinates,
     normalizing_pushes,
     push_class_count,
     push_class_representatives,
@@ -146,3 +147,35 @@ def test_forest_roots_and_normalization(rng):
         pushed = pc.push_vertices(g, {v for v in range(n) if x[v]})
         assert all(arc in pushed.arc_set for arc in forest)
         assert not any(x[v] for v in range(n) if v not in {c for _, c in forest})
+
+
+def test_class_coordinates_name_the_normalized_class(rng):
+    # an orientation's class is the base xor the masks of its lo -> hi
+    # edges: the co-forest bits that normalizing pushes leave
+    for _ in range(80):
+        n = rng.randint(2, 8)
+        edges = _random_edges(rng, n, 0.5)
+        movable = {v for v in range(n) if rng.random() < 0.7}
+        fixed = [
+            (a, b) if rng.random() < 0.5 else (b, a)
+            for a, b in edges
+            if a not in movable and b not in movable and rng.random() < 0.5
+        ]
+        coords = class_coordinates(n, edges, movable, fixed)
+        classes = [coords.arcs(bits) for bits in range(1 << len(coords.free))]
+        assert list(push_class_representatives(n, edges, movable, fixed)) == classes
+        loose = [e for e in edges if e not in {(min(a), max(a)) for a in fixed}]
+        assert sorted(coords.masks) == sorted(loose)
+        for _ in range(4):
+            g = pc.OrientedGraph(n, tuple(fixed) + tuple(
+                e if rng.random() < 0.5 else e[::-1] for e in loose
+            ))
+            x = normalizing_pushes(n, coords.forest, g.arc_set)
+            pushed = pc.push_vertices(g, {v for v in range(n) if x[v]})
+            bits = sum(1 << i for i, e in enumerate(coords.free) if e in pushed.arc_set)
+            assert pushed.arc_set == frozenset(coords.arcs(bits))
+            k = coords.base
+            for e in loose:
+                if e in g.arc_set:
+                    k ^= coords.masks[e]
+            assert k == bits
