@@ -191,7 +191,7 @@ def _cmd_mad(args) -> int:
     _emit(
         args,
         {"numerator": value.numerator, "denominator": value.denominator},
-        f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator),
+        str(value),
     )
     return EXIT_OK
 

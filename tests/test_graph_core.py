@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pushcrit as pc
-from pushcrit.density import _mad_flow
 from pushcrit.errors import (
     GraphParseError,
     IncompatibleInputError,
@@ -217,12 +219,47 @@ def test_mad_matches_subset_oracle(rng):
             assert got >= Fraction(2 * g.arc_count, g.vertex_count)
 
 
-def test_mad_flow_route_agrees(rng):
-    for _ in range(8):
-        g = random_oriented_graph(rng, rng.randint(4, 11), p=0.45)
-        if g.arc_count == 0:
-            continue
-        assert _mad_flow(g) == pc.mad_exact(g)
+def test_mad_matches_subset_oracle_up_to_13_vertices(rng):
+    for n in range(9, 14):
+        for p in (0.2, 0.35, 0.6):
+            g = random_oriented_graph(rng, n, p=p)
+            assert pc.mad_exact(g) == brute_mad_numerator_denominator(g)
+
+
+def test_mad_closed_forms_above_20_vertices():
+    k_5_17 = pc.OrientedGraph(22, tuple((a, b) for a in range(5) for b in range(5, 22)))
+    assert pc.mad_exact(k_5_17) == Fraction(2 * 5 * 17, 22)
+    q5 = pc.OrientedGraph(
+        32, tuple((v, v | 1 << i) for v in range(32) for i in range(5) if not v >> i & 1)
+    )
+    assert pc.mad_exact(q5) == Fraction(5)
+    star = pc.OrientedGraph(26, tuple((0, v) for v in range(1, 26)))
+    assert pc.mad_exact(star) == Fraction(25, 13)
+    assert pc.mad_exact(pc.OrientedGraph(25, ())) == Fraction(0)
+    # the densest subgraph is a proper subset: K5 beside a 30-vertex path
+    k5_and_path = pc.OrientedGraph(
+        35,
+        tuple((a, b) for a in range(5) for b in range(a + 1, 5))
+        + tuple((v, v + 1) for v in range(5, 34)),
+    )
+    assert pc.mad_exact(k5_and_path) == Fraction(4)
+
+
+def test_mad_capacities_beyond_int32():
+    # m * b = 46341 * 46342 >= 2**31 in the flow network's first round
+    n = 46342
+    path = pc.OrientedGraph(n, tuple((v, v + 1) for v in range(n - 1)))
+    assert pc.mad_exact(path) == Fraction(2 * (n - 1), n)
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    package_root = os.path.dirname(os.path.dirname(pc.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    subprocess.run(
+        [sys.executable, "-c",
+         "import pushcrit, sys; assert not {'numpy', 'scipy'} & set(sys.modules)"],
+        env=env, check=True,
+    )
 
 
 def test_mad_empty_graph():
