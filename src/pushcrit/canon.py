@@ -4,16 +4,20 @@ The underlying simple graph is canonically labeled by equitable-partition
 refinement with individualization backtracking; leaves of the search are
 complete labelings, the lexicographically least adjacency bitstring wins,
 and pairs of leaves with equal certificates yield automorphism generators
-(used both to prune the search and, later, to enumerate the full coset of
-canonical labelings).
+(used to prune the search, and then to move the orientation).
 
-The oriented canonical form then minimizes, over that coset, an encoding
-of the orientation.  For the push-quotiented form the orientation is first
-normalized by ``orient``: the BFS forest of the canonical graph is forced
-to point from parent to child by pushing (which is always possible and
-unique up to pushing whole components, an identity), and only the
+The oriented canonical form then minimizes an encoding of the orientation
+over every canonical labeling.  For the push-quotiented form the encoding
+is the class of ``orient``: the BFS forest of the canonical graph is
+forced to point from parent to child by pushing (which is always possible
+and unique up to pushing whole components, an identity), and only the
 co-forest direction bits remain.  Equal byte strings therefore mean
-exactly "isomorphic after pushing some set".
+exactly "isomorphic after pushing some set".  The canonical labelings are
+one labeling composed with the automorphisms of the canonical graph, and
+relabeling commutes with pushing, so the encodings to minimize over are
+the orbit of one class under the conjugated generators, each applied as an
+affine map over GF(2).  The cost follows that orbit, at most
+min(|Aut|, 2^bits), and never the order of the group.
 """
 
 from __future__ import annotations
@@ -22,37 +26,55 @@ from collections import deque
 
 from .errors import IncompatibleInputError
 from .graph import OrientedGraph
-from .orient import normalizing_pushes, spanning_forest
+from .orient import class_coordinates
 
 _FORM_MAGIC_PUSH = b"P1"
 _FORM_MAGIC_ISO = b"O1"
 
 
 def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
-    """Equitable refinement: split cells by degree into each target cell."""
-    changed = True
-    while changed:
-        changed = False
-        for target in cells:
+    """Equitable refinement: take the target cells in order, split every
+    cell by its degree into the target, and after each target that splits
+    something start over from the first target.
+
+    Starting over skips the targets that cannot split anything: once the
+    partition is equitable to a target, every finer partition is too, so
+    a cell is done from its first use as a target until it is split.
+    The cells still come out in the same order."""
+    done = [False] * len(cells)
+    while True:
+        wide = [i for i, cell in enumerate(cells) if len(cell) > 1]
+        if not wide:
+            return cells
+        for t, target in enumerate(cells):
+            if done[t]:
+                continue
+            done[t] = True
             tmask = 0
             for v in target:
                 tmask |= 1 << v
-            newcells = []
-            for cell in cells:
-                if len(cell) == 1:
-                    newcells.append(cell)
-                    continue
-                groups: dict[int, list[int]] = {}
-                for v in cell:
-                    groups.setdefault((adj[v] & tmask).bit_count(), []).append(v)
-                if len(groups) > 1:
-                    changed = True
-                for key in sorted(groups):
-                    newcells.append(groups[key])
-            if changed:
-                cells = newcells
+            splits = {}
+            for i in wide:
+                degrees = [(adj[v] & tmask).bit_count() for v in cells[i]]
+                if degrees.count(degrees[0]) != len(degrees):
+                    splits[i] = degrees
+            if splits:
                 break
-    return cells
+        else:
+            return cells
+        newcells = []
+        newdone = []
+        for i, cell in enumerate(cells):
+            if i not in splits:
+                newcells.append(cell)
+                newdone.append(done[i])
+                continue
+            groups: dict[int, list[int]] = {}
+            for v, d in zip(cell, splits[i]):
+                groups.setdefault(d, []).append(v)
+            newcells += (groups[d] for d in sorted(groups))
+            newdone += [False] * len(groups)
+        cells, done = newcells, newdone
 
 
 def _leaf_cert(adj: tuple[int, ...], inv: list[int]) -> int:
@@ -153,7 +175,8 @@ def canonical_data(adj: tuple[int, ...]):
 
 
 def closure(n: int, gens: list[tuple[int, ...]], limit: int = 2_000_000):
-    """All elements generated by ``gens`` (BFS closure)."""
+    """All elements generated by ``gens`` (BFS closure): the oracle for
+    the order of an automorphism group.  No canonical form calls it."""
     ident = tuple(range(n))
     group = {ident}
     frontier = [ident]
@@ -197,35 +220,31 @@ def _encode_form(magic: bytes, n: int, edges, bits: int, nbits: int) -> bytes:
     return bytes(out)
 
 
+def _reversed_bits(bits: int, width: int) -> int:
+    return int(f"{bits:0{width}b}"[::-1], 2) if width else 0
+
+
 def _canonical_orientation_form(g: OrientedGraph, quotient_push: bool) -> bytes:
     n = g.vertex_count
-    adj = g.adjacency_masks
-    cert, labeling, gens = canonical_data(adj)
-    group = closure(n, gens)
-
-    # canonical underlying graph, shared by every labeling in the coset
+    _, labeling, gens = canonical_data(g.adjacency_masks)
     canon_edges = sorted(
-        (min(labeling[a], labeling[b]), max(labeling[a], labeling[b]))
-        for a, b in g.edges
+        (p, q) if p < q else (q, p)
+        for p, q in ((labeling[a], labeling[b]) for a, b in g.edges)
     )
-    forest = spanning_forest(n, canon_edges, range(n))
-    tree_edges = {(p, v) if p < v else (v, p) for p, v in forest}
-    cotree = [e for e in canon_edges if e not in tree_edges]
-    enc_edges = cotree if quotient_push else canon_edges
-
-    unpushed = [0] * n
-    best_bits = None
-    for sigma in group:
-        pi = [labeling[sigma[v]] for v in range(n)]
-        arcs = {(pi[t], pi[h]) for t, h in g.arcs}
-        x = normalizing_pushes(n, forest, arcs) if quotient_push else unpushed
-        bits = 0
-        for lo, hi in enc_edges:
-            bits = bits << 1 | (((lo, hi) in arcs) ^ x[lo] ^ x[hi])
-        if best_bits is None or bits < best_bits:
-            best_bits = bits
+    # P1 may push every vertex and O1 none; either way the encoded bits are
+    # the class bits over coords.free, the form's first edge the highest
+    coords = class_coordinates(n, canon_edges, range(n) if quotient_push else ())
+    seed = coords.class_of({(labeling[t], labeling[h]) for t, h in g.arcs})
+    # the generator s becomes labeling . s . labeling^-1 on the canonical graph
+    unlabel = [0] * n
+    for v, p in enumerate(labeling):
+        unlabel[p] = v
+    maps = [coords.relabel_map([labeling[s[v]] for v in unlabel]) for s in gens]
+    width = len(coords.free)
+    orbit = orbit_of(seed, maps, lambda f, bits: f(bits))
+    best = min(_reversed_bits(bits, width) for bits in orbit)
     magic = _FORM_MAGIC_PUSH if quotient_push else _FORM_MAGIC_ISO
-    return _encode_form(magic, n, canon_edges, best_bits or 0, len(enc_edges))
+    return _encode_form(magic, n, canon_edges, best, width)
 
 
 def canonical_form(g: OrientedGraph) -> bytes:

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import ConfigError, IncompatibleInputError, ResourceBudgetError
 from .graph import OrientedGraph, anti_twin, directed_cycle, push_vertices
-from .orient import normalizing_pushes, spanning_forest
+from .orient import class_coordinates, normalizing_pushes, spanning_forest
 
 C3 = directed_cycle(3).with_name("c3")
 AT_C3 = anti_twin(C3).with_name("at_c3")
@@ -335,18 +335,6 @@ def find_pushable_homomorphism(
 MAX_CHROMATIC_K = 6
 
 
-def _apply_perm_to_orientation(perm, edges, edge_pos, vec: int) -> int:
-    out = 0
-    for idx, (lo, hi) in enumerate(edges):
-        d = vec >> idx & 1
-        a, b = perm[lo], perm[hi]
-        if a > b:
-            a, b = b, a
-            d ^= 1
-        out |= d << edge_pos[(a, b)]
-    return out
-
-
 @lru_cache(maxsize=32)
 def tournaments(k: int, up_to: str = "push_iso") -> tuple[OrientedGraph, ...]:
     """All k-vertex tournaments, one per class under the chosen relation.
@@ -360,29 +348,33 @@ def tournaments(k: int, up_to: str = "push_iso") -> tuple[OrientedGraph, ...]:
     if k < 1:
         raise ConfigError("k must be positive")
     edges = list(combinations(range(k), 2))
-    edge_pos = {e: i for i, e in enumerate(edges)}
     m = len(edges)
     if k == 1:
         return (OrientedGraph(1, (), name="t1.0"),)
     perm_gens = [tuple([1, 0] + list(range(2, k)))]
     if k > 2:
         perm_gens.append(tuple(list(range(1, k)) + [0]))
+    # with nothing movable every edge is a free bit, in the order of edges,
+    # and a relabeling acts on the vector as a signed permutation
+    coords = class_coordinates(k, edges, ())
+    perm_maps = [coords.relabel_map(perm) for perm in perm_gens]
 
+    # the star edges (0, c) are the k - 1 lowest bits, and the pushes that
+    # normalize a vector read only them
     star = spanning_forest(k, edges, range(k))
-
-    def normalize(vec: int) -> int:
-        if up_to == "push_iso":
-            # the pushes read only the star's arcs, each (0, c) with 0 < c
-            arcs = {(p, c) if vec >> edge_pos[(p, c)] & 1 else (c, p) for p, c in star}
+    star_bits = (1 << (k - 1)) - 1
+    flips = [0] * (star_bits + 1)
+    if up_to == "push_iso":
+        for low in range(star_bits + 1):
+            arcs = {(p, c) if low >> (c - 1) & 1 else (c, p) for p, c in star}
             x = normalizing_pushes(k, star, arcs)
             for idx, (lo, hi) in enumerate(edges):
-                vec ^= (x[lo] ^ x[hi]) << idx
-        return vec
+                flips[low] ^= (x[lo] ^ x[hi]) << idx
 
     reps = []
     seen = set()
     for vec in range(1 << m):
-        key = normalize(vec)
+        key = vec ^ flips[vec & star_bits]
         if key in seen:
             continue
         reps.append(key)
@@ -390,8 +382,9 @@ def tournaments(k: int, up_to: str = "push_iso") -> tuple[OrientedGraph, ...]:
         stack = [key]
         while stack:
             cur = stack.pop()
-            for perm in perm_gens:
-                img = normalize(_apply_perm_to_orientation(perm, edges, edge_pos, cur))
+            for image in perm_maps:
+                img = image(cur)
+                img ^= flips[img & star_bits]
                 if img not in seen:
                     seen.add(img)
                     stack.append(img)

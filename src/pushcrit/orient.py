@@ -88,6 +88,30 @@ def is_push_equivalent(g: OrientedGraph, h: OrientedGraph):
     return s if push_vertices(g, s).arc_set == h.arc_set else None
 
 
+class AffineMap:
+    """x -> const ^ L(x) over GF(2), where L sends bit i to images[i].
+    L is applied one byte of x at a time, through per-byte lookup tables."""
+
+    __slots__ = ("const", "tables")
+
+    def __init__(self, const: int, images: Sequence[int]):
+        self.const = const
+        tables = []
+        for start in range(0, len(images), 8):
+            table = [0]
+            for image in images[start : start + 8]:
+                table += [t ^ image for t in table]
+            tables.append(table)
+        self.tables = tuple(tables)
+
+    def __call__(self, x: int) -> int:
+        out = self.const
+        for table in self.tables:
+            out ^= table[x & 255]
+            x >>= 8
+        return out
+
+
 @dataclass(frozen=True)
 class ClassCoordinates:
     """The coordinates of one labeled graph's push classes.
@@ -135,6 +159,28 @@ class ClassCoordinates:
                 base ^= self.masks[p, c]
         return base
 
+    def class_of(self, arcs: Collection[Arc]) -> int:
+        """The class of the orientation ``arcs``, which keeps every fixed
+        arc: its free bits once pushed as ``normalizing_pushes`` says."""
+        x = {}
+        for p, c in self.forest:
+            x[c] = x.get(p, 0) ^ ((p, c) not in arcs)
+        bits = 0
+        for i, (lo, hi) in enumerate(self.free):
+            bits |= (((lo, hi) in arcs) ^ x.get(lo, 0) ^ x.get(hi, 0)) << i
+        return bits
+
+    def relabel_map(self, perm: Sequence[int]) -> AffineMap:
+        """The action on classes of relabeling v -> perm[v], an automorphism
+        of the underlying graph that maps the fixed arcs onto themselves.
+        Relabeling commutes with pushing, so it carries whole classes;
+        flipping bit i reverses the image of free[i], which adds that
+        edge's z_e."""
+        const = self.class_of({(perm[t], perm[h]) for t, h in self.arcs(0)})
+        masks = self.masks
+        images = [masks[min(perm[a], perm[b]), max(perm[a], perm[b])] for a, b in self.free]
+        return AffineMap(const, images)
+
 
 def class_coordinates(
     n: int, edges: Sequence[Arc], movable: Iterable[int], fixed_arcs: Sequence[Arc] = ()
@@ -147,9 +193,8 @@ def class_coordinates(
         raise IncompatibleInputError("predetermined arcs must avoid movable vertices")
     fixed = {(min(t, h), max(t, h)): (t, h) for t, h in fixed_arcs}
     forest = spanning_forest(n, [e for e in edges if e not in fixed], movable)
-    pivots = {(min(p, c), max(p, c)): (p, c) for p, c in forest}
-    edge_set = {(min(t, h), max(t, h)) for t, h in edges}
-    free = sorted(edge_set - fixed.keys() - pivots.keys())
+    pivots = {(p, c) if p < c else (c, p): (p, c) for p, c in forest}
+    free = sorted(set(edges) - fixed.keys() - pivots.keys())
     determined = [fixed[e] for e in sorted(fixed)] + [pivots[e] for e in sorted(pivots)]
     return ClassCoordinates(tuple(forest), tuple(determined), tuple(free))
 

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
+
+import pytest
 
 import pushcrit as pc
-from pushcrit.canon import canonical_data, closure, oriented_canonical_form
+from pushcrit import canon
+from pushcrit.canon import _refine, canonical_data, closure, oriented_canonical_form
+from pushcrit.orient import normalizing_pushes, spanning_forest
 
 from conftest import brute_push_isomorphic, random_oriented_graph
 
@@ -147,3 +152,201 @@ def test_last_canonical_position_has_maximum_degree(rng):
         _, labeling, _ = canonical_data(adj)
         degrees = [m.bit_count() for m in adj]
         assert degrees[labeling.index(n - 1)] == max(degrees), adj
+
+
+def _plain_refine(adj, cells):
+    """Refinement as first written: every pass starts at the first target
+    and rebuilds every cell."""
+    changed = True
+    while changed:
+        changed = False
+        for target in cells:
+            tmask = sum(1 << v for v in target)
+            newcells = []
+            for cell in cells:
+                groups = {}
+                for v in cell:
+                    groups.setdefault((adj[v] & tmask).bit_count(), []).append(v)
+                changed |= len(groups) > 1
+                newcells += (groups[key] for key in sorted(groups))
+            if changed:
+                cells = newcells
+                break
+    return cells
+
+
+def test_refinement_matches_plain_restarts(rng):
+    # the skipped targets must be exactly those that split nothing, so
+    # the cells come out in the same order
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        g = random_oriented_graph(rng, n, p=rng.choice((0.15, 0.3, 0.5, 0.8)))
+        order = list(range(n))
+        rng.shuffle(order)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(3, n - 1))))
+        cells = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        adj = g.adjacency_masks
+        assert _refine(adj, [c[:] for c in cells]) == _plain_refine(adj, cells)
+
+
+def _closure_form(g, quotient_push):
+    """The form as first computed: normalize and encode the orientation
+    under every canonical labeling, labeling . sigma for each sigma in the
+    closed automorphism group, and keep the least bits."""
+    n = g.vertex_count
+    _, labeling, gens = canonical_data(g.adjacency_masks)
+    canon_edges = sorted(
+        (min(labeling[a], labeling[b]), max(labeling[a], labeling[b]))
+        for a, b in g.edges
+    )
+    forest = spanning_forest(n, canon_edges, range(n))
+    tree_edges = {(p, v) if p < v else (v, p) for p, v in forest}
+    enc_edges = [e for e in canon_edges if e not in tree_edges or not quotient_push]
+    best = None
+    for sigma in closure(n, gens):
+        pi = [labeling[sigma[v]] for v in range(n)]
+        arcs = {(pi[t], pi[h]) for t, h in g.arcs}
+        x = normalizing_pushes(n, forest, arcs) if quotient_push else [0] * n
+        bits = 0
+        for lo, hi in enc_edges:
+            bits = bits << 1 | (((lo, hi) in arcs) ^ x[lo] ^ x[hi])
+        if best is None or bits < best:
+            best = bits
+    out = bytearray(b"P1" if quotient_push else b"O1")
+    out += n.to_bytes(2, "big") + len(canon_edges).to_bytes(3, "big")
+    for lo, hi in canon_edges:
+        out += lo.to_bytes(2, "big") + hi.to_bytes(2, "big")
+    return bytes(out) + best.to_bytes((len(enc_edges) + 7) // 8 or 1, "big")
+
+
+def _assert_matches_closure_form(g):
+    assert pc.canonical_form(g) == _closure_form(g, True)
+    assert oriented_canonical_form(g) == _closure_form(g, False)
+
+
+def test_orbit_forms_match_closure_oracle_on_random_graphs():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randint(0, 9)
+        _assert_matches_closure_form(random_oriented_graph(rng, n, p=rng.uniform(0.3, 0.7)))
+
+
+def test_orbit_forms_match_closure_oracle_on_fixtures():
+    for g in pc.builtin_graphs().values():
+        _assert_matches_closure_form(g)
+
+
+def _oriented(rng, n, edges):
+    """A random orientation of the graph on ``edges`` under a random labeling."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return pc.OrientedGraph(
+        n,
+        tuple(
+            (perm[a], perm[b]) if rng.random() < 0.5 else (perm[b], perm[a])
+            for a, b in edges
+        ),
+    )
+
+
+def _cycle(length):
+    return length, [(i, (i + 1) % length) for i in range(length)]
+
+
+def _hypercube(dim):
+    return 1 << dim, [
+        (v, v | 1 << b) for v in range(1 << dim) for b in range(dim) if not v >> b & 1
+    ]
+
+
+def _spider(legs, length):
+    return legs * length + 1, [
+        (0 if i == 0 else leg * length + i, leg * length + i + 1)
+        for leg in range(legs)
+        for i in range(length)
+    ]
+
+
+def _copies(count, shape):
+    n, edges = shape
+    return count * n, [(c * n + a, c * n + b) for c in range(count) for a, b in edges]
+
+
+# the symmetric shapes of the benchmark's query stream, |Aut| from 200 to 31,104
+SYMMETRIC_SHAPES = {
+    "2xC5": _copies(2, _cycle(5)),
+    "3xC5": _copies(3, _cycle(5)),
+    "3xC6": _copies(3, _cycle(6)),
+    "4xC3": _copies(4, _cycle(3)),
+    "spider7x3": _spider(7, 3),
+    "2xQ3": _copies(2, _hypercube(3)),
+    "2xK3,3": _copies(2, (6, [(a, b) for a in range(3) for b in range(3, 6)])),
+    "Q4": _hypercube(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_SHAPES))
+def test_orbit_forms_match_closure_oracle_on_symmetric_shapes(name):
+    _assert_matches_closure_form(_oriented(random.Random(name), *SYMMETRIC_SHAPES[name]))
+
+
+# groups the closure could not afford: 10!, 10! and 6^5 * 5!
+LARGE_GROUPS = {
+    "K1,10": (11, [(0, leaf) for leaf in range(1, 11)]),
+    "10 isolated": (10, []),
+    "5xC3": _copies(5, _cycle(3)),
+}
+
+
+def _timed(form, g):
+    start = time.process_time()
+    code = form(g)
+    assert time.process_time() - start < 2.0
+    return code
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_GROUPS))
+def test_large_groups_are_fast_and_invariant(name):
+    rng = random.Random(name)
+    n, edges = LARGE_GROUPS[name]
+    g = _oriented(rng, n, edges)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pushed = pc.push_vertices(g, {v for v in range(n) if rng.random() < 0.5})
+    assert _timed(pc.canonical_form, g) == _timed(pc.canonical_form, pushed.relabel(perm))
+    assert _timed(oriented_canonical_form, g) == _timed(
+        oriented_canonical_form, g.relabel(perm)
+    )
+
+
+def test_five_triangles_and_five_four_cycles():
+    rng = random.Random(5)
+    n, edges = LARGE_GROUPS["5xC3"]
+    cyclic = pc.OrientedGraph(n, tuple(edges))
+    # reflecting one triangle flips its one co-forest bit, so every
+    # orientation of 5xC3 is one push class up to isomorphism ...
+    assert _timed(pc.canonical_form, _oriented(rng, n, edges)) == _timed(
+        pc.canonical_form, cyclic
+    )
+    # ... but a transitive triangle is no directed one
+    transitive = pc.OrientedGraph(n, ((1, 0),) + tuple(edges[1:]))
+    assert _timed(oriented_canonical_form, transitive) != _timed(
+        oriented_canonical_form, cyclic
+    )
+    # on even cycles the forward parity is a push invariant that reflection
+    # keeps, so reversing one arc of 5xC4 (|Aut| = 8^5 * 5!) changes the class
+    n, edges = _copies(5, _cycle(4))
+    directed = pc.OrientedGraph(n, tuple(edges))
+    one_reversed = pc.OrientedGraph(n, ((1, 0),) + tuple(edges[1:]))
+    assert _timed(pc.canonical_form, directed) != _timed(pc.canonical_form, one_reversed)
+
+
+def test_forms_never_close_the_group(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("closure called")
+
+    monkeypatch.setattr(canon, "closure", refuse)
+    n, edges = _copies(4, _cycle(3))
+    g = _oriented(random.Random(4), n, edges)
+    pc.canonical_form(g)
+    oriented_canonical_form(g)

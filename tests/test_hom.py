@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 import pushcrit as pc
@@ -109,6 +111,22 @@ def test_tournament_enumeration_counts():
     for k in range(2, 7):
         forms = {pc.canonical_form(t) for t in pc.tournaments(k, "push_iso")}
         assert len(forms) == len(pc.tournaments(k, "push_iso"))
+
+
+@pytest.mark.parametrize(
+    "up_to, digest",
+    [
+        ("push_iso", "45dcf88b46c38f28d2ac2e31bb3c375234144f4e6448f215fd63c1cf4f4c4586"),
+        ("iso", "383ced762e1a034149c82de1a0e6bb3e84f4c6b85becfa4e14fd4f85e0d52240"),
+    ],
+)
+def test_tournaments_pinned(up_to, digest):
+    # names and arcs, in order, of the walk with per-edge normalization and
+    # relabeling that the table-driven walk replaced
+    text = "".join(
+        f"{t.name} {t.arcs}\n" for k in range(1, 7) for t in pc.tournaments(k, up_to)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 PATH_TABLE = {

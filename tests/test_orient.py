@@ -8,9 +8,11 @@ from collections import deque
 import pytest
 
 import pushcrit as pc
+from pushcrit.canon import canonical_data
 from pushcrit.errors import IncompatibleInputError
 from pushcrit.graph import forward_parity
 from pushcrit.orient import (
+    AffineMap,
     class_coordinates,
     normalizing_pushes,
     push_class_count,
@@ -179,3 +181,35 @@ def test_class_coordinates_name_the_normalized_class(rng):
                 if e in g.arc_set:
                     k ^= coords.masks[e]
             assert k == bits
+            assert coords.class_of(g.arc_set) == bits
+
+
+def test_affine_map_tables_match_plain_xor(rng):
+    for width in (0, 1, 7, 8, 9, 17, 30):
+        images = [rng.getrandbits(width + 3) for _ in range(width)]
+        const = rng.getrandbits(width + 3)
+        f = AffineMap(const, images)
+        for _ in range(20):
+            x = rng.getrandbits(width)
+            plain = const
+            for i, image in enumerate(images):
+                if x >> i & 1:
+                    plain ^= image
+            assert f(x) == plain
+
+
+def test_relabel_map_carries_classes(rng):
+    # for an automorphism perm, class k goes to the class of the relabeled
+    # normalized orientation of k, whether every vertex or none is movable
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        edges = _random_edges(rng, n, rng.choice((0.3, 0.5, 0.8)))
+        _, _, gens = canonical_data(tuple(_masks(n, edges)))
+        for movable in (range(n), ()):
+            coords = class_coordinates(n, edges, movable)
+            for perm in gens:
+                image = coords.relabel_map(perm)
+                for _ in range(4):
+                    k = rng.getrandbits(len(coords.free))
+                    moved = {(perm[t], perm[h]) for t, h in coords.arcs(k)}
+                    assert image(k) == coords.class_of(moved)

@@ -123,6 +123,19 @@ def test_cli_canon_hex_lines(capsys):
     assert all(set(line) <= set("0123456789abcdef") for line in lines)
 
 
+def test_cli_canon_large_group(tmp_path, capsys):
+    # five disjoint directed triangles: |Aut| = 6^5 * 5!, which the form
+    # never enumerates
+    g = pc.OrientedGraph(
+        15, tuple((3 * c + i, 3 * c + (i + 1) % 3) for c in range(5) for i in range(3))
+    )
+    path = tmp_path / "five_triangles.og"
+    path.write_text(pc.serialize_graph(g))
+    rc = cli.main(["canon", str(path)])
+    assert rc == cli.EXIT_OK
+    assert capsys.readouterr().out == pc.canonical_form(g).hex() + "\n"
+
+
 def test_cli_parse_error_is_usage(tmp_path, capsys):
     bad = tmp_path / "bad.og"
     bad.write_text("0 1\n1 0\n")
