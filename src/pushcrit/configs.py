@@ -425,7 +425,6 @@ def _sweep_configuration(
     """One AT(C3) search per orientation class and boundary coloring."""
     boundary = tuple(sorted(gadget.boundary))
     colorings = list(_boundary_colorings(boundary, reduce_rotation))
-    at_index = target_index(AT_C3)
     orientations = 0
     cases = 0
     for oriented in orientation_representatives(gadget, gadget.directed_cycles):
@@ -434,7 +433,7 @@ def _sweep_configuration(
             1 if v in gadget.boundary else 0b111111
             for v in range(oriented.vertex_count)
         ]
-        searcher = MappingSearcher(oriented, at_index, template)
+        searcher = MappingSearcher(oriented, template)
         for coloring in colorings:
             cases += 1
             cert = extend_partial(

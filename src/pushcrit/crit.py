@@ -14,12 +14,7 @@ from typing import Callable
 
 from .errors import IncompatibleInputError
 from .graph import Arc, OrientedGraph
-from .hom import (
-    ColoringCertificate,
-    _check_k_range,
-    find_pushable_homomorphism,
-    tournaments,
-)
+from .hom import ColoringCertificate, tournament_coloring
 
 VERDICT_CRITICAL = "critical"
 VERDICT_COLORABLE = "colorable"
@@ -33,18 +28,7 @@ def is_pushably_k_colorable(
     cancel: Callable[[], bool] | None = None,
 ):
     """Certificate onto some k-vertex tournament, or None."""
-    _check_k_range(k)
-    if k == 1:
-        if g.arc_count == 0:
-            return ColoringCertificate(
-                frozenset(), (0,) * g.vertex_count, tournaments(1)[0], "t1.0"
-            )
-        return None
-    for t in tournaments(k, "push_iso"):
-        cert = find_pushable_homomorphism(g, t, budget=budget, cancel=cancel)
-        if cert is not None:
-            return cert
-    return None
+    return tournament_coloring(g, k, k, "push_iso", budget, cancel)
 
 
 @dataclass(frozen=True)
@@ -75,7 +59,6 @@ def is_pushably_k_critical(g: OrientedGraph, k: int = 3) -> CriticalityReport:
     Arcs are processed in serialization order, so reports are reproducible
     regardless of how the input graph was built.
     """
-    _check_k_range(k)
     if any(d == 0 for d in g.degrees):
         raise IncompatibleInputError(
             "criticality is undefined with isolated vertices present"
@@ -100,7 +83,6 @@ def extract_critical_subgraph(g: OrientedGraph, k: int = 3):
     keeps a graph colorable it stays colorable after further deletions,
     so one pass suffices and the result is pushably k-critical.
     """
-    _check_k_range(k)
     if is_pushably_k_colorable(g, k) is not None:
         return None
     current = g

@@ -5,7 +5,10 @@ bitmask domains over the target, forward checking, and a static variable
 order (maximum degree first among the unplaced vertices adjacent to the
 already-placed ones, ties by index).  It is exhaustive, hence a decision
 procedure; optional node budgets and a cancellation callback make long
-searches cooperative.
+searches cooperative.  The order depends on the source graph only, so
+one ``MappingSearcher`` serves every target: ``tournament_coloring``, the
+one walk over k-tournaments behind pushable k-colorability and both
+chromatic numbers, sets up one searcher per source graph.
 
 Pushable homomorphisms reduce to plain ones: g has a pushable
 homomorphism to h exactly when g maps into the anti-twin doubling of h,
@@ -121,28 +124,17 @@ def _propagate(doms: list[int], arcs, tout, tin) -> bool:
 
 
 class MappingSearcher:
-    """Reusable search state for one source graph and one target.
+    """Reusable search state for one source graph, into any target.
 
-    The static variable order and direction-split neighbor tables are
-    computed once; ``solve`` can then be called with many different
-    domain vectors (the hot path of the configuration verifier).
+    The static variable order (vertices the optional template pins to one
+    value first) and direction-split neighbor tables are computed once;
+    ``solve`` can then be called with many targets and domain vectors.
     """
 
-    def __init__(
-        self,
-        g: OrientedGraph,
-        target: TargetIndex,
-        domains_template: Sequence[int] | None = None,
-    ):
+    def __init__(self, g: OrientedGraph, domains_template: Sequence[int] | None = None):
         self.g = g
-        self.target = target
         n = g.vertex_count
-        template = (
-            list(domains_template)
-            if domains_template is not None
-            else [target.full_mask] * n
-        )
-        self.order = _static_order(g, template)
+        self.order = _static_order(g, domains_template or [0] * n)
         pos = {v: i for i, v in enumerate(self.order)}
         later: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
         for t, h in g.arcs:
@@ -154,12 +146,13 @@ class MappingSearcher:
 
     def solve(
         self,
+        target: TargetIndex,
         domains: Sequence[int] | None = None,
         budget: int | None = None,
         cancel: Callable[[], bool] | None = None,
     ):
         """Returns (mapping, nodes); mapping is None when no map exists."""
-        g, target = self.g, self.target
+        g = self.g
         n = g.vertex_count
         full = target.full_mask
         doms = list(domains) if domains is not None else [full] * n
@@ -229,8 +222,7 @@ def solve_mapping(
     cancel: Callable[[], bool] | None = None,
 ):
     """One-shot search for a map of g into the target respecting all arcs."""
-    searcher = MappingSearcher(g, target, domains)
-    return searcher.solve(domains, budget, cancel)
+    return MappingSearcher(g, domains).solve(target, domains, budget, cancel)
 
 
 def find_homomorphism(
@@ -301,24 +293,12 @@ def retarget_certificate(
     return out
 
 
-def find_pushable_homomorphism(
-    g: OrientedGraph,
-    h: OrientedGraph,
-    budget: int | None = None,
-    cancel: Callable[[], bool] | None = None,
-    stats: dict | None = None,
-):
-    """Certificate for a pushable homomorphism g -> h, or None.
+def _decode_certificate(g: OrientedGraph, h: OrientedGraph, mapping):
+    """The certificate of a map of g into anti_twin(h), or into h itself.
 
-    Searches g -> anti_twin(h); a source vertex landing in the second
-    copy (index >= |V(h)|) is pushed and its color is reduced mod |V(h)|.
+    A source vertex landing in the second copy (index >= |V(h)|) is
+    pushed and its color is reduced mod |V(h)|; a map into h pushes none.
     """
-    at = anti_twin(h)
-    mapping, nodes = solve_mapping(g, target_index(at), budget=budget, cancel=cancel)
-    if stats is not None:
-        stats["nodes"] = nodes
-    if mapping is None:
-        return None
     k = h.vertex_count
     cert = ColoringCertificate(
         push_set=frozenset(v for v, img in enumerate(mapping) if img >= k),
@@ -328,6 +308,24 @@ def find_pushable_homomorphism(
     )
     assert cert.verify(g)
     return cert
+
+
+def find_pushable_homomorphism(
+    g: OrientedGraph,
+    h: OrientedGraph,
+    budget: int | None = None,
+    cancel: Callable[[], bool] | None = None,
+    stats: dict | None = None,
+):
+    """Certificate for a pushable homomorphism g -> h, or None.
+
+    Searches g -> anti_twin(h).
+    """
+    at = anti_twin(h)
+    mapping, nodes = solve_mapping(g, target_index(at), budget=budget, cancel=cancel)
+    if stats is not None:
+        stats["nodes"] = nodes
+    return None if mapping is None else _decode_certificate(g, h, mapping)
 
 
 # -- tournaments and chromatic numbers ---------------------------------------
@@ -398,37 +396,57 @@ def tournaments(k: int, up_to: str = "push_iso") -> tuple[OrientedGraph, ...]:
     return tuple(graphs)
 
 
-def _check_k_range(k: int):
-    if not 1 <= k <= MAX_CHROMATIC_K:
-        raise ConfigError(f"k must be within 1..{MAX_CHROMATIC_K}, got {k}")
+@lru_cache(maxsize=32)
+def _tournament_targets(k: int, up_to: str):
+    """tournaments(k, up_to), each with its search target: AT(t) for push_iso."""
+    return tuple(
+        (t, target_index(anti_twin(t) if up_to == "push_iso" else t))
+        for t in tournaments(k, up_to)
+    )
+
+
+def tournament_coloring(
+    g: OrientedGraph,
+    k_min: int,
+    k_max: int,
+    up_to: str,
+    budget: int | None = None,
+    cancel: Callable[[], bool] | None = None,
+):
+    """Certificate onto the first tournament g maps onto, or None.
+
+    Tries k = k_min..k_max and, for each k, ``tournaments(k, up_to)`` in
+    order, all through one searcher for g.  Under "push_iso" the map is a
+    pushable homomorphism (a search into AT(t)); under "iso" it is a plain
+    one and the push set is empty.  The budget bounds each search.
+    """
+    for k in (k_min, k_max):
+        if not 1 <= k <= MAX_CHROMATIC_K:
+            raise ConfigError(f"k must be within 1..{MAX_CHROMATIC_K}, got {k}")
+    if k_min == 1:
+        # only an arcless graph maps onto the one-vertex tournament
+        if g.arc_count == 0:
+            return _decode_certificate(g, tournaments(1)[0], (0,) * g.vertex_count)
+        k_min = 2
+    searcher = MappingSearcher(g)
+    for k in range(k_min, k_max + 1):
+        for t, target in _tournament_targets(k, up_to):
+            mapping, _ = searcher.solve(target, budget=budget, cancel=cancel)
+            if mapping is not None:
+                return _decode_certificate(g, t, mapping)
+    return None
 
 
 def pushable_chromatic_number(g: OrientedGraph, k_max: int = MAX_CHROMATIC_K):
     """Least k <= k_max with a pushable homomorphism onto a k-tournament."""
-    _check_k_range(k_max)
-    for k in range(1, k_max + 1):
-        if k == 1:
-            if g.arc_count == 0:
-                return 1
-            continue
-        for t in tournaments(k, "push_iso"):
-            if find_pushable_homomorphism(g, t) is not None:
-                return k
-    return None
+    cert = tournament_coloring(g, 1, k_max, "push_iso")
+    return None if cert is None else cert.target.vertex_count
 
 
 def oriented_chromatic_number(g: OrientedGraph, k_max: int = MAX_CHROMATIC_K):
     """Least k <= k_max with a plain homomorphism onto a k-tournament."""
-    _check_k_range(k_max)
-    for k in range(1, k_max + 1):
-        if k == 1:
-            if g.arc_count == 0:
-                return 1
-            continue
-        for t in tournaments(k, "iso"):
-            if find_homomorphism(g, t) is not None:
-                return k
-    return None
+    cert = tournament_coloring(g, 1, k_max, "iso")
+    return None if cert is None else cert.target.vertex_count
 
 
 # -- partial colorings and extension -----------------------------------------
@@ -484,17 +502,12 @@ def extend_partial(
         for v in range(g.vertex_count)
     ]
     if searcher is None:
-        searcher = MappingSearcher(g, target_index(AT_C3), doms)
-    mapping, _ = searcher.solve(doms, budget, cancel)
+        searcher = MappingSearcher(g, doms)
+    mapping, _ = searcher.solve(target_index(AT_C3), doms, budget, cancel)
     if mapping is None:
         return None
-    cert = ColoringCertificate(
-        push_set=frozenset(v for v, img in enumerate(mapping) if img >= 3),
-        mapping=tuple(img % 3 for img in mapping),
-        target=C3,
-        target_name="c3",
-    )
-    assert cert.verify(g) and cert.push_set.isdisjoint(colors)
+    cert = _decode_certificate(g, C3, mapping)
+    assert cert.push_set.isdisjoint(colors)
     return cert
 
 

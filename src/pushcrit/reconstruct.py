@@ -21,6 +21,7 @@ from itertools import permutations
 
 from .canon import canonical_form
 from .crit import is_pushably_k_colorable
+from .errors import IncompatibleInputError
 from .fixtures import M3P_COLORING, M3P_PUSH_SET, fixture
 from .graph import OrientedGraph, potential
 from .hom import C3, ColoringCertificate
@@ -56,35 +57,33 @@ def _three_vertices(g: OrientedGraph) -> list[int]:
     return [v for v in range(g.vertex_count) if g.degree(v) == 3]
 
 
-def _glue_orientation_valid(base: OrientedGraph, split: int, dirs: dict[int, int]) -> bool:
-    """Does regluing the split vertex reproduce the source up to push iso?"""
-    n = base.vertex_count
-    keep = [v for v in range(n) if v != split]
-    index = {v: i for i, v in enumerate(keep)}
-    arcs = [(index[t], index[h]) for t, h in base.arcs if split not in (t, h)]
-    w = n - 1
-    for nbr, d in dirs.items():
-        arcs.append((w, index[nbr]) if d else (index[nbr], w))
-    glued = OrientedGraph(n, tuple(arcs))
-    return canonical_form(glued) == canonical_form(base)
-
-
 def reconstruction_cases(source_name: str, split: int):
-    """Yield every reconstructed graph for one source and split vertex."""
+    """Yield every reconstructed graph for one source and split vertex.
+
+    A direction pattern of the split vertex's three arcs is used when
+    regluing the vertex with it reproduces the source up to push iso.
+    """
     base = fixture(source_name)
     nbrs = sorted(base.neighbors(split))
     if len(nbrs) != 3:
-        raise ValueError("split vertex must have degree 3")
+        raise IncompatibleInputError(f"split vertex {split} has degree {len(nbrs)}")
     n = base.vertex_count
+    index = {v: i for i, v in enumerate(v for v in range(n) if v != split)}
+    kept = [(index[t], index[h]) for t, h in base.arcs if split not in (t, h)]
+
+    def arc(w, nbr, dirs):
+        return (w, index[nbr]) if dirs[nbr] else (index[nbr], w)
+
+    base_form = canonical_form(base)
     valid_dirs = []
     for bits in range(8):
         dirs = {nbr: bits >> i & 1 for i, nbr in enumerate(nbrs)}
-        if _glue_orientation_valid(base, split, dirs):
+        glued = kept + [arc(n - 1, nbr, dirs) for nbr in nbrs]
+        if canonical_form(OrientedGraph(n, tuple(glued))) == base_form:
             valid_dirs.append(dirs)
     # 12 retained vertices, then: one half of the split vertex at the end
     # of a fresh 2-chain, the degree-3 hub, a second 2-chain, a 1-chain,
     # and the other half of the split vertex (19 vertices, 22 arcs)
-    index = {v: i for i, v in enumerate(v for v in range(n) if v != split)}
     w_far, chain_a, hub = n - 1, n, n + 1
     chain_b1, chain_b2, link, w_new = n + 2, n + 3, n + 4, n + 5
     total = n + 6
@@ -97,10 +96,11 @@ def reconstruction_cases(source_name: str, split: int):
     for dirs in valid_dirs:
         for roles in permutations(nbrs):
             far_end, hub_target, extra = roles
-            fixed = [(index[t], index[h]) for t, h in base.arcs if split not in (t, h)]
-            fixed.append((w_far, index[far_end]) if dirs[far_end] else (index[far_end], w_far))
-            fixed.append((w_new, index[hub_target]) if dirs[hub_target] else (index[hub_target], w_new))
-            fixed.append((w_new, index[extra]) if dirs[extra] else (index[extra], w_new))
+            fixed = kept + [
+                arc(w_far, far_end, dirs),
+                arc(w_new, hub_target, dirs),
+                arc(w_new, extra, dirs),
+            ]
             hub_chain_edge = (min(chain_b2, index[hub_target]), max(chain_b2, index[hub_target]))
             edges = sorted(
                 set((min(t, h), max(t, h)) for t, h in fixed)

@@ -9,7 +9,14 @@ import pytest
 import pushcrit as pc
 from pushcrit.errors import ConfigError, ResourceBudgetError
 from pushcrit.graph import push_vertices
-from pushcrit.hom import AT_C3, C3, oriented_path
+from pushcrit.hom import (
+    AT_C3,
+    C3,
+    MappingSearcher,
+    oriented_path,
+    solve_mapping,
+    target_index,
+)
 
 from conftest import brute_pushable_colorable, random_oriented_graph
 
@@ -92,6 +99,9 @@ def test_chromatic_k_range():
         pc.pushable_chromatic_number(pc.directed_cycle(3), 7)
     with pytest.raises(ConfigError):
         pc.oriented_chromatic_number(pc.directed_cycle(3), 0)
+    for k in (0, 7):
+        with pytest.raises(ConfigError):
+            pc.is_pushably_k_colorable(pc.directed_cycle(3), k)
 
 
 def test_chromatic_sandwich(rng):
@@ -101,6 +111,68 @@ def test_chromatic_sandwich(rng):
         chi_o = pc.oriented_chromatic_number(g)
         assert chi_p is not None and chi_o is not None
         assert chi_p <= chi_o <= 2 * chi_p
+
+
+def _old_chromatic_number(g, k_max, up_to):
+    """The per-target loop the chromatic numbers ran before the shared walk."""
+    for k in range(1, k_max + 1):
+        if k == 1:
+            if g.arc_count == 0:
+                return 1
+            continue
+        for t in pc.tournaments(k, up_to):
+            if up_to == "push_iso":
+                found = pc.find_pushable_homomorphism(g, t)
+            else:
+                found = pc.find_homomorphism(g, t)
+            if found is not None:
+                return k
+    return None
+
+
+def _old_colorable(g, k):
+    """The per-target loop is_pushably_k_colorable ran before the shared walk."""
+    if k == 1:
+        if g.arc_count == 0:
+            t1 = pc.tournaments(1)[0]
+            return pc.ColoringCertificate(frozenset(), (0,) * g.vertex_count, t1, "t1.0")
+        return None
+    for t in pc.tournaments(k, "push_iso"):
+        cert = pc.find_pushable_homomorphism(g, t)
+        if cert is not None:
+            return cert
+    return None
+
+
+def test_one_searcher_serves_every_tournament_target(rng):
+    # the order and neighbor tables depend on the source only, so a searcher
+    # reused across targets must search exactly as a fresh one per target
+    for _ in range(12):
+        g = random_oriented_graph(rng, rng.randint(2, 8), p=rng.uniform(0.3, 0.7))
+        searcher = MappingSearcher(g)
+        for up_to in ("iso", "push_iso"):
+            for k in range(1, 7):
+                for t in pc.tournaments(k, up_to):
+                    target = target_index(pc.anti_twin(t) if up_to == "push_iso" else t)
+                    assert searcher.solve(target) == solve_mapping(g, target)
+
+
+def test_walk_matches_the_per_target_loops(rng):
+    for _ in range(25):
+        g = random_oriented_graph(rng, rng.randint(1, 8), p=rng.uniform(0.2, 0.7))
+        for k_max in (1, 3, 6):
+            assert pc.pushable_chromatic_number(g, k_max) == _old_chromatic_number(
+                g, k_max, "push_iso"
+            )
+            assert pc.oriented_chromatic_number(g, k_max) == _old_chromatic_number(
+                g, k_max, "iso"
+            )
+        for k in range(1, 5):
+            new = pc.is_pushably_k_colorable(g, k)
+            old = _old_colorable(g, k)
+            assert new == old
+            if new is not None:
+                assert new.target_name == old.target_name
 
 
 def test_tournament_enumeration_counts():

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
+
 import pushcrit as pc
+from pushcrit import reconstruct
+from pushcrit.errors import IncompatibleInputError
 from pushcrit.fixtures import M3P_COLORING, M3P_PUSH_SET
 from pushcrit.hom import C3
 from pushcrit.reconstruct import (
@@ -24,6 +28,27 @@ def test_reconstruction_shapes_for_one_split():
         dec = pc.classify_vertices(graph)
         hub = base.vertex_count + 1
         assert dec.class_of(hub).chain_internal_counts == (2, 2, 1)
+
+
+def test_split_vertex_of_wrong_degree_is_typed_error():
+    base = pc.fixture("e1")
+    other = next(v for v in range(base.vertex_count) if base.degree(v) != 3)
+    with pytest.raises(IncompatibleInputError):
+        next(reconstruction_cases("e1", other))
+
+
+def test_source_form_computed_once_per_split(monkeypatch):
+    calls = []
+    real = reconstruct.canonical_form
+
+    def counting(g):
+        calls.append(g.vertex_count)
+        return real(g)
+
+    monkeypatch.setattr(reconstruct, "canonical_form", counting)
+    list(reconstruction_cases("e1", 3))
+    # the source once, then one glued graph per direction pattern
+    assert len(calls) == 1 + 8
 
 
 def test_reconstruction_inventories_colorable():
