@@ -8,17 +8,41 @@ orbit representatives of the parent's automorphism group.  The push
 classes of each underlying graph are decided all at once (below), and the
 critical ones are reported with canonical codes.
 
-Before a child is canonically labeled it must pass an O(n) max-degree
-pretest (McKay's cheap-invariant pretest, "Isomorph-free exhaustive
-generation", J. Algorithms 1998): its new vertex must have maximum degree
-in the child.  The pretest is exact.  Canonical labeling first splits the
-unit cell by degree in ascending order, and later splits never reorder
-cells, so the highest canonical label always falls on a vertex of maximum
-degree, as does every vertex of its orbit; a child whose new vertex has
-lower degree than some other vertex would be rejected anyway.  The
-certificate computed for each accepted child is carried along
-(``UnderlyingGraph.cert``), so the scan never labels a candidate again to
-name it in a shard cursor.
+Only children that pass a max-degree pretest are labeled (McKay's
+cheap-invariant pretest, "Isomorph-free exhaustive generation",
+J. Algorithms 1998): the new vertex must have maximum degree in the child.
+The pretest is exact.  Canonical labeling first splits the unit cell by
+degree in ascending order, and later splits never reorder cells, so the
+highest canonical label always falls on a vertex of maximum degree, as
+does every vertex of its orbit; a child whose new vertex has lower degree
+than some other vertex would be rejected anyway.
+
+Feasible-subset lemma: the pretest holds exactly when the attachment set
+S has |S| >= deg(v) + [v in S] for every old vertex v, that is when S is,
+for some size k >= the parent's maximum degree, a k-subset of the
+vertices of degree < k.  Generation forms only those subsets.  The
+condition is invariant under the parent's automorphisms, so every orbit
+of subsets lies wholly inside the walk or wholly outside it; visited in
+ascending order, the first set of each orbit is still its least mask.
+So each level holds the same graphs, with the same certificates and in
+the same order, as the walk over all 2^(n-1) subsets, and is complete.
+
+Top-level cover lemma: the child is connected with minimum degree 2
+exactly when the parent has no isolated vertex, S holds every vertex of
+degree 1, |S| >= 2 and S meets every component of the parent (old
+degrees grow by [v in S], the new vertex has degree |S| and joins
+exactly the components S meets).  On the last level ``find_critical``
+asks for, generation also applies this test.  It drops only children
+that are no candidate, and it is a property of the child, so the kept
+ones are exactly the level's candidates, in the level's order.  Such a
+top level is cached apart and never extended: a parent it dropped may
+have candidate children.  So every lower level stays complete.
+
+Each accepted child carries the certificate and the automorphism
+generators its labeling returned: the certificate names the candidate
+(``UnderlyingGraph.cert``), so the scan never labels it again for a shard
+cursor, and the generators are the parent's group when the next level
+extends it.
 
 Candidates are the connected underlying graphs with minimum degree 2: a
 pushably 3-critical graph has no isolated vertex (criticality is
@@ -58,6 +82,7 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import combinations
 from multiprocessing import get_context
 
 from .canon import canonical_data, canonical_form, encode_underlying_cert, orbit_of
@@ -106,10 +131,15 @@ class UnderlyingGraph:
         return min(bin(m).count("1") for m in self.masks)
 
     def is_connected(self) -> bool:
-        n = self.vertex_count
-        masks = self.masks
-        seen = 1
-        frontier = 1
+        return len(_components(self.masks)) <= 1
+
+
+def _components(masks) -> list[int]:
+    """The vertex sets of the components of the graph on ``masks``."""
+    comps = []
+    rest = (1 << len(masks)) - 1
+    while rest:
+        seen = frontier = rest & -rest
         while frontier:
             nxt = 0
             m = frontier
@@ -119,7 +149,9 @@ class UnderlyingGraph:
                 nxt |= masks[v]
             frontier = nxt & ~seen
             seen |= nxt
-        return seen == (1 << n) - 1 if n else True
+        comps.append(seen)
+        rest &= ~seen
+    return comps
 
 
 def _masks_to_edges(masks) -> tuple[tuple[int, int], ...]:
@@ -138,23 +170,54 @@ def _permute_mask(mask: int, perm) -> int:
     return out
 
 
-def _subset_orbit_reps(nbits: int, gens) -> list[int]:
+def _attachment_sets(masks, gens, cover: bool = False) -> list[int]:
+    """The neighborhoods S of a new vertex worth labeling, ascending, one
+    per orbit of the parent's automorphism group (``gens``): the least mask
+    of each.
+
+    S passes the max-degree pretest, |S| >= deg(v) + [v in S] for every old
+    vertex v; with ``cover``, also the top-level cover test (see the module
+    docstring).  Both are invariant under the group, so each orbit lies
+    wholly inside the walk or wholly outside it.
+    """
+    degrees = [m.bit_count() for m in masks]
+    smallest = max(degrees, default=0)
+    forced = 0
+    comps = ()
+    if cover:
+        if 0 in degrees:
+            return []
+        smallest = max(smallest, 2)
+        forced = sum(1 << v for v, d in enumerate(degrees) if d == 1)
+        comps = _components(masks)
+    feasible = []
+    for size in range(smallest, len(masks) + 1):
+        # a vertex of degree `size` would outgrow the new vertex if joined
+        free = [
+            1 << v for v, d in enumerate(degrees) if d < size and not forced >> v & 1
+        ]
+        need = size - forced.bit_count()
+        if need >= 0:
+            feasible.extend(forced + sum(c) for c in combinations(free, need))
+    if len(comps) > 1:
+        feasible = [s for s in feasible if all(s & c for c in comps)]
+    feasible.sort()
     if not gens:
-        return list(range(1 << nbits))
-    seen = bytearray(1 << nbits)
+        return feasible
+    seen = set()
     reps = []
-    for mask in range(1 << nbits):
-        if seen[mask]:
+    for mask in feasible:
+        if mask in seen:
             continue
         reps.append(mask)
-        seen[mask] = 1
+        seen.add(mask)
         stack = [mask]
         while stack:
             cur = stack.pop()
             for g in gens:
                 img = _permute_mask(cur, g)
-                if not seen[img]:
-                    seen[img] = 1
+                if img not in seen:
+                    seen.add(img)
                     stack.append(img)
     return reps
 
@@ -176,52 +239,61 @@ def _adds_k4(masks, new_mask: int) -> bool:
 
 
 _Level = list[tuple[tuple[int, ...], int]]
-_LEVEL_CACHE: dict[tuple[int, bool], _Level] = {}
+# (n, forbid_k4, top) -> (level, the automorphism generators of each graph
+# in it); a top level keeps none, since no level is ever built on it
+_LEVEL_CACHE: dict[tuple[int, bool, bool], tuple[_Level, list | None]] = {}
 
 
-def _graphs_on(n: int, forbid_k4: bool, tick=None) -> _Level:
+def _graphs_on(n: int, forbid_k4: bool, tick=None, top: bool = False) -> _Level:
     """(adjacency masks, canonical cert) pairs, one per isomorphism class
-    on n vertices.
+    on n vertices.  A ``top`` level holds only the connected graphs with
+    minimum degree 2, in the same order, by the top-level cover test.
 
     ``tick`` is called before each parent is extended; it may raise to
     abandon the level, which is then not cached.
     """
-    key = (n, forbid_k4)
+    key = (n, forbid_k4, top)
     if key in _LEVEL_CACHE:
-        return _LEVEL_CACHE[key]
+        return _LEVEL_CACHE[key][0]
     if n == 1:
-        level = [((0,), 0)]
+        level, gens = ([] if top else [((0,), 0)]), [[]]
     else:
-        level = []
-        for parent, _ in _graphs_on(n - 1, forbid_k4, tick):
+        level, gens = [], []
+        parents = _graphs_on(n - 1, forbid_k4, tick)
+        parent_gens = _LEVEL_CACHE[(n - 1, forbid_k4, False)][1]
+        for (parent, _), pgens in zip(parents, parent_gens):
             if tick is not None:
                 tick()
-            _, _, pgens = canonical_data(parent)
-            for smask in _subset_orbit_reps(n - 1, pgens):
+            for smask in _attachment_sets(parent, pgens, top):
+                if forbid_k4 and _adds_k4(parent, smask):
+                    continue
                 child = tuple(
                     parent[v] | ((smask >> v & 1) << (n - 1)) for v in range(n - 1)
                 ) + (smask,)
-                # the max-degree pretest (see the module docstring)
-                degree = smask.bit_count()
-                if any(m.bit_count() > degree for m in child):
-                    continue
-                if forbid_k4 and _adds_k4(parent, smask):
-                    continue
                 cert, labeling, cgens = canonical_data(child)
                 deleted = labeling.index(n - 1)
                 if n - 1 in orbit_of(deleted, cgens, lambda g, v: g[v]):
                     level.append((child, cert))
-    _LEVEL_CACHE[key] = level
+                    gens.append(cgens)
+    _LEVEL_CACHE[key] = (level, None if top else gens)
     return level
 
 
 def enumerate_underlying(
-    n: int, min_degree: int = 2, forbid_k4: bool = False, tick=None
+    n: int,
+    min_degree: int = 2,
+    forbid_k4: bool = False,
+    tick=None,
+    *,
+    _last_level: bool = False,
 ):
     """All connected simple graphs on n vertices with the degree floor,
     one per isomorphism class, each carrying its canonical ``cert``.
 
     ``tick`` is called between parents while a level is generated.
+    ``find_critical`` sets ``_last_level`` on the last n it asks for: unless
+    the complete level is at hand, that level is then generated with the
+    top-level cover test, as no later level extends it.
     """
     if not 1 <= n <= UNDERLYING_VERTEX_LIMIT:
         raise ConfigError(
@@ -229,7 +301,8 @@ def enumerate_underlying(
         )
     if min_degree not in (0, 1, 2):
         raise ConfigError("min_degree must be 0, 1 or 2")
-    for masks, cert in _graphs_on(n, forbid_k4, tick):
+    top = _last_level and min_degree == 2 and (n, forbid_k4, False) not in _LEVEL_CACHE
+    for masks, cert in _graphs_on(n, forbid_k4, tick, top):
         ug = UnderlyingGraph(n, _masks_to_edges(masks), cert)
         if ug.min_degree() >= min_degree and ug.is_connected():
             yield ug
@@ -634,7 +707,9 @@ def find_critical(
 
     for n in range(3, n_max + 1):
         candidates = list(
-            enumerate_underlying(n, 2, forbid_k4=n >= 5, tick=check_budget)
+            enumerate_underlying(
+                n, 2, forbid_k4=n >= 5, tick=check_budget, _last_level=n == n_max
+            )
         )
         base = _shard_paths(shard_dir, n) if shard_dir else None
         cursor_path = os.path.join(base, "CURSOR") if base else None

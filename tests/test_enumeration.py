@@ -24,10 +24,11 @@ from pushcrit.enumeration import (
     EnumerationRecord,
     UnderlyingGraph,
     _adds_k4,
+    _attachment_sets,
     _critical_orientations,
     _graphs_on,
+    _permute_mask,
     _scan_underlying_for_critical,
-    _subset_orbit_reps,
     enumerate_orientations_mod_push,
     enumerate_underlying,
     find_critical,
@@ -40,7 +41,7 @@ from pushcrit.hom import AT_C3, solve_mapping, target_index
 from pushcrit.orient import class_coordinates, push_class_representatives
 
 
-KNOWN_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+KNOWN_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 
 def test_isomorphism_class_counts():
@@ -54,6 +55,29 @@ def test_generation_agrees_with_networkx_atlas():
 
     atlas = [g for g in graph_atlas_g() if g.number_of_nodes() == 6]
     assert len(atlas) == len(_graphs_on(6, False))
+
+
+def _subset_orbit_reps(nbits: int, gens) -> list[int]:
+    """The least mask of every orbit of the group on all 2^nbits subsets,
+    formed one by one: the oracle for generation's feasible-subset walk."""
+    if not gens:
+        return list(range(1 << nbits))
+    seen = bytearray(1 << nbits)
+    reps = []
+    for mask in range(1 << nbits):
+        if seen[mask]:
+            continue
+        reps.append(mask)
+        seen[mask] = 1
+        stack = [mask]
+        while stack:
+            cur = stack.pop()
+            for g in gens:
+                img = _permute_mask(cur, g)
+                if not seen[img]:
+                    seen[img] = 1
+                    stack.append(img)
+    return reps
 
 
 def _levels_without_pretest(n_max, forbid_k4):
@@ -80,6 +104,73 @@ def _levels_without_pretest(n_max, forbid_k4):
 def test_pretest_keeps_every_accepted_child(forbid_k4):
     for n, level in enumerate(_levels_without_pretest(7, forbid_k4), start=1):
         assert _graphs_on(n, forbid_k4) == level
+
+
+def _child(parent, smask):
+    n = len(parent)
+    return tuple(p | (smask >> v & 1) << n for v, p in enumerate(parent)) + (smask,)
+
+
+def _is_candidate(masks):
+    """Minimum degree 2 and connected, by a plain search from vertex 0."""
+    if min(m.bit_count() for m in masks) < 2:
+        return False
+    reached, stack = {0}, [0]
+    while stack:
+        v = stack.pop()
+        for u in range(len(masks)):
+            if masks[v] >> u & 1 and u not in reached:
+                reached.add(u)
+                stack.append(u)
+    return len(reached) == len(masks)
+
+
+@pytest.mark.parametrize("forbid_k4", [False, True])
+def test_feasible_subsets_are_the_pretest_survivors(forbid_k4):
+    # the walk over every subset, filtered by the max-degree pretest on the
+    # child; with cover, also by the child being a candidate
+    for n in range(1, 8):
+        for parent, _ in _graphs_on(n, forbid_k4):
+            _, _, gens = canonical_data(parent)
+            passing = [
+                s
+                for s in _subset_orbit_reps(n, gens)
+                if max(m.bit_count() for m in _child(parent, s)) == s.bit_count()
+            ]
+            assert _attachment_sets(parent, gens) == passing
+            covered = [s for s in passing if _is_candidate(_child(parent, s))]
+            assert _attachment_sets(parent, gens, cover=True) == covered
+
+
+def test_top_level_is_the_filtered_full_level(monkeypatch):
+    calls = [0]
+
+    def labeled(adj):
+        calls[0] += 1
+        return canonical_data(adj)
+
+    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+    monkeypatch.setattr(enumeration, "canonical_data", labeled)
+    for forbid_k4, n_max in ((False, 7), (True, 8)):
+        for n in range(1, n_max + 1):
+            calls[0] = 0
+            top = _graphs_on(n, forbid_k4, top=True)
+            top_labelings = calls[0]
+            full = _graphs_on(n, forbid_k4)
+            full_labelings = calls[0] - top_labelings
+            assert top == [(m, cert) for m, cert in full if _is_candidate(m)]
+    # K4-free on 8 vertices: the 3,328 candidates among the 6,431 graphs
+    # take 5,183 labelings instead of 9,788
+    assert (len(top), len(full)) == (3328, 6431)
+    assert (top_labelings, full_labelings) == (5183, 9788)
+
+
+def test_a_top_level_never_becomes_a_parent(monkeypatch):
+    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+    find_critical(7)
+    after_seven = [r.to_json_dict() for r in find_critical(8)]
+    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+    assert after_seven == [r.to_json_dict() for r in find_critical(8)]
 
 
 def test_generated_cert_is_the_underlying_cert():
@@ -461,7 +552,7 @@ def test_budget_is_checked_while_a_level_is_generated(monkeypatch):
     # stopped at the first parent boundary past the deadline: one parent on
     # at most 7 vertices has at most 2^7 children
     assert 1000 < calls[0] <= 1001 + 2**7
-    done = max(n for n, forbid in enumeration._LEVEL_CACHE if forbid)
+    done = max(n for n, forbid, top in enumeration._LEVEL_CACHE if forbid and not top)
     assert done < 8
     monkeypatch.undo()
     partial = [r.to_json_dict() for r in info.value.partial]
