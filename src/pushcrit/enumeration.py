@@ -745,7 +745,11 @@ def find_critical(
             if pool is None:
                 results = map(_worker, todo)
             else:
-                results = pool.imap(_worker, todo, chunksize=4)
+                # each task costs the parent a pickle round trip, which
+                # outweighs the scan of a few candidates: give every worker
+                # about sixteen chunks of the level
+                chunk = max(4, len(todo) // (16 * jobs))
+                results = pool.imap(_worker, todo, chunksize=chunk)
             for i, (ucert, hits) in enumerate(results):
                 handle(ucert, hits)
                 if progress:

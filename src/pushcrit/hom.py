@@ -10,6 +10,30 @@ one ``MappingSearcher`` serves every target: ``tournament_coloring``, the
 one walk over k-tournaments behind pushable k-colorability and both
 chromatic numbers, sets up one searcher per source graph.
 
+A search without pinned domains starts each component of the source on
+fewer values.  The target's start mask holds the vertices a that no
+endomorphism of the target maps below a, and the first vertex of each
+component in the order ranges over the mask only.  The first mapping
+found does not change.  Composing with an endomorphism e turns a map of
+a component C into another one, so the values of C's first vertex u
+under the maps of C form a set closed under every e.  The search tries
+values in ascending order and the components share no arcs, so it gives
+u the least value of that set, and no e maps that value below itself:
+it lies in the mask.  Any endomorphism serves here, bijective or not,
+so the mask needs no automorphism group: plain searches of the target
+into itself decide it.  Where every endomorphism is a bijection (a
+tournament, or AT(t) of a tournament t on two or more vertices) it is
+the set of least members of the automorphism orbits.  The argument
+needs every vertex of C to range over the whole target, so pinned
+domains (``extend_partial``, the configuration sweep, any call that
+passes ``domains``) keep them all.  The mask comes from one search of
+the target into itself per vertex a, for a map that sends a below a; a
+search that takes more than ``START_TEST_NODES`` nodes keeps a, which
+only weakens the mask, so a large target cannot make it exponential.
+It never draws on a caller's budget or cancellation callback, and the
+index caches it.  Node counts can only fall: every node the masked
+search visits, the unmasked one visits before its first mapping too.
+
 Pushable homomorphisms reduce to plain ones: g has a pushable
 homomorphism to h exactly when g maps into the anti-twin doubling of h,
 and a map into the second (pushed) copy of h marks the source vertex as
@@ -36,7 +60,7 @@ AT_C3 = anti_twin(C3).with_name("at_c3")
 class TargetIndex:
     """Per-target bitmask tables for the search kernel."""
 
-    __slots__ = ("graph", "size", "out_masks", "in_masks", "full_mask")
+    __slots__ = ("graph", "size", "out_masks", "in_masks", "full_mask", "_start_mask")
 
     def __init__(self, graph: OrientedGraph):
         if graph.vertex_count > 60:
@@ -51,6 +75,14 @@ class TargetIndex:
         self.out_masks = tuple(out)
         self.in_masks = tuple(inn)
         self.full_mask = (1 << self.size) - 1
+        self._start_mask = None
+
+    @property
+    def start_mask(self) -> int:
+        """The values a component's first vertex needs: see the module docstring."""
+        if self._start_mask is None:
+            self._start_mask = _start_mask(self)
+        return self._start_mask
 
 
 @lru_cache(maxsize=512)
@@ -63,29 +95,91 @@ def target_index(h: OrientedGraph) -> TargetIndex:
     return _target_index((h.vertex_count, tuple(sorted(h.arcs))))
 
 
-def _static_order(g: OrientedGraph, doms: Sequence[int]) -> list[int]:
+# nodes each self-test of ``_start_mask`` may take before it keeps its vertex
+START_TEST_NODES = 1000
+
+
+def _start_mask(target: TargetIndex) -> int:
+    """The vertices a of the target that no endomorphism maps below a.
+
+    One search per vertex a for an endomorphism f with f(a) < a.  Every f
+    found also rules out each v with f(v) < v.  A search that takes more
+    than ``START_TEST_NODES`` nodes keeps a, which only weakens the mask.
+    """
+    g = target.graph
+    n, full = target.size, target.full_mask
+    tout, tin = target.out_masks, target.in_masks
+    below = 0
+    for a in range(1, n):
+        if below >> a & 1:
+            continue
+        pin = [0] * n
+        pin[a] = 1 << a  # a template pin puts a first in the order
+        order, _ = _static_order(g, pin)
+        doms = [full] * n
+        doms[a] = (1 << a) - 1
+        try:
+            f, _ = _dfs(order, _later_neighbors(g, order), doms, tout, tin, START_TEST_NODES)
+        except ResourceBudgetError:
+            continue
+        if f is not None:
+            for v, image in enumerate(f):
+                if image < v:
+                    below |= 1 << v
+    return full & ~below
+
+
+def _static_order(g: OrientedGraph, doms: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The search order, and the vertices in it that start a component.
+
+    The vertices ``doms`` pins to one value come first, by index.  Then
+    each step takes the first vertex in (-degree, index) rank that touches
+    the placed ones, or the first in rank when none does; such a vertex
+    shares a component with no placed vertex.
+    """
     n = g.vertex_count
     degs = g.degrees
-    placed = [v for v in range(n) if doms[v].bit_count() == 1]
-    placed_set = set(placed)
-    adj = g.adjacency_masks
+    rank = sorted(range(n), key=lambda v: (-degs[v], v))
+    at = [0] * n
+    for i, v in enumerate(rank):
+        at[v] = i
+    # adjacency, the frontier and the unplaced vertices as masks over rank positions
+    near = [0] * n
+    for t, h in g.arcs:
+        near[t] |= 1 << at[h]
+        near[h] |= 1 << at[t]
+    order = [v for v in range(n) if doms[v].bit_count() == 1]
+    unplaced = (1 << n) - 1
     frontier = 0
-    for v in placed:
-        frontier |= adj[v]
-    while len(placed) < n:
-        best = None
-        for v in range(n):
-            if v in placed_set:
-                continue
-            touches = bool(frontier >> v & 1)
-            key = (touches, degs[v], -v)
-            if best is None or key > best[0]:
-                best = (key, v)
-        v = best[1]
-        placed.append(v)
-        placed_set.add(v)
-        frontier |= adj[v]
-    return placed
+    for v in order:
+        unplaced ^= 1 << at[v]
+        frontier |= near[v]
+    starts = []
+    while unplaced:
+        touching = frontier & unplaced
+        pick = touching or unplaced
+        low = pick & -pick
+        v = rank[low.bit_length() - 1]
+        if not touching:
+            starts.append(v)
+        order.append(v)
+        unplaced ^= low
+        frontier |= near[v]
+    return order, starts
+
+
+def _later_neighbors(g: OrientedGraph, order: Sequence[int]):
+    """Per vertex, its neighbors later in ``order``, each with the arc's direction."""
+    pos = [0] * g.vertex_count
+    for i, v in enumerate(order):
+        pos[v] = i
+    later: list[list[tuple[int, bool]]] = [[] for _ in range(g.vertex_count)]
+    for t, h in g.arcs:
+        if pos[t] < pos[h]:
+            later[t].append((h, True))
+        else:
+            later[h].append((t, False))
+    return later
 
 
 def _propagate(doms: list[int], arcs, tout, tin) -> bool:
@@ -127,22 +221,15 @@ class MappingSearcher:
     """Reusable search state for one source graph, into any target.
 
     The static variable order (vertices the optional template pins to one
-    value first) and direction-split neighbor tables are computed once;
-    ``solve`` can then be called with many targets and domain vectors.
+    value first), its component starts and the direction-split neighbor
+    tables are computed once; ``solve`` can then be called with many
+    targets and domain vectors.
     """
 
     def __init__(self, g: OrientedGraph, domains_template: Sequence[int] | None = None):
         self.g = g
-        n = g.vertex_count
-        self.order = _static_order(g, domains_template or [0] * n)
-        pos = {v: i for i, v in enumerate(self.order)}
-        later: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
-        for t, h in g.arcs:
-            if pos[t] < pos[h]:
-                later[t].append((h, True))
-            else:
-                later[h].append((t, False))
-        self.later = later
+        self.order, self.starts = _static_order(g, domains_template or [0] * g.vertex_count)
+        self.later = _later_neighbors(g, self.order)
 
     def solve(
         self,
@@ -151,7 +238,11 @@ class MappingSearcher:
         budget: int | None = None,
         cancel: Callable[[], bool] | None = None,
     ):
-        """Returns (mapping, nodes); mapping is None when no map exists."""
+        """Returns (mapping, nodes); mapping is None when no map exists.
+
+        Without ``domains`` each component's first vertex ranges over the
+        target's start mask only, which leaves the mapping unchanged.
+        """
         g = self.g
         n = g.vertex_count
         full = target.full_mask
@@ -162,56 +253,77 @@ class MappingSearcher:
         if any(d != full for d in doms):
             if not _propagate(doms, g.arcs, tout, tin):
                 return None, 0
-        if not n:
-            return (), 0
-        order, later = self.order, self.later
-        assign = [-1] * n
-        nodes = 0
-        # depth-first over ``order`` without recursion: ``stack`` holds, for
-        # each depth above the current one, its untried candidates and the
-        # trail of domain narrowings made by its current candidate
-        stack = []
-        i = 0
-        v = order[0]
-        cand, fwd = doms[v], later[v]
-        while True:
-            while cand:
-                bit = cand & -cand
-                cand ^= bit
-                a = bit.bit_length() - 1
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    raise ResourceBudgetError("node budget exhausted", nodes=nodes)
-                if cancel is not None and cancel():
-                    raise ResourceBudgetError("search cancelled", nodes=nodes)
-                assign[v] = a
-                trail = []
-                for w, outgoing in fwd:
-                    old = doms[w]
-                    new = old & (tout[a] if outgoing else tin[a])
-                    if new != old:
-                        trail.append((w, old))
-                        doms[w] = new
-                        if not new:
-                            break
-                else:
-                    i += 1
-                    if i == n:
-                        return tuple(assign), nodes
-                    stack.append((cand, trail))
-                    v = order[i]
-                    cand, fwd = doms[v], later[v]
-                    continue
-                for w, old in trail:
-                    doms[w] = old
-            if not stack:
-                return None, nodes
-            cand, trail = stack.pop()
+        elif domains is None and self.starts:
+            start = target.start_mask
+            for v in self.starts:
+                doms[v] = start
+        return _dfs(self.order, self.later, doms, tout, tin, budget, cancel)
+
+
+def _dfs(
+    order: Sequence[int],
+    later,
+    doms: list[int],
+    tout,
+    tin,
+    budget: int | None = None,
+    cancel: Callable[[], bool] | None = None,
+):
+    """Depth-first search over ``order`` with forward checking on ``doms``.
+
+    Values are tried in ascending order, so the mapping returned is the
+    least complete one in the order of ``order``.  Returns (mapping, nodes).
+    """
+    n = len(order)
+    if not n:
+        return (), 0
+    assign = [-1] * n
+    nodes = 0
+    # depth-first over ``order`` without recursion: ``stack`` holds, for
+    # each depth above the current one, its untried candidates and the
+    # trail of domain narrowings made by its current candidate
+    stack = []
+    i = 0
+    v = order[0]
+    cand, fwd = doms[v], later[v]
+    while True:
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            a = bit.bit_length() - 1
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise ResourceBudgetError("node budget exhausted", nodes=nodes)
+            if cancel is not None and cancel():
+                raise ResourceBudgetError("search cancelled", nodes=nodes)
+            assign[v] = a
+            trail = []
+            for w, outgoing in fwd:
+                old = doms[w]
+                new = old & (tout[a] if outgoing else tin[a])
+                if new != old:
+                    trail.append((w, old))
+                    doms[w] = new
+                    if not new:
+                        break
+            else:
+                i += 1
+                if i == n:
+                    return tuple(assign), nodes
+                stack.append((cand, trail))
+                v = order[i]
+                cand, fwd = doms[v], later[v]
+                continue
             for w, old in trail:
                 doms[w] = old
-            i -= 1
-            v = order[i]
-            fwd = later[v]
+        if not stack:
+            return None, nodes
+        cand, trail = stack.pop()
+        for w, old in trail:
+            doms[w] = old
+        i -= 1
+        v = order[i]
+        fwd = later[v]
 
 
 def solve_mapping(

@@ -7,12 +7,16 @@ import hashlib
 import pytest
 
 import pushcrit as pc
+from pushcrit.configs import CONFIG_IDS, gadgets_for
 from pushcrit.errors import ConfigError, ResourceBudgetError
 from pushcrit.graph import push_vertices
 from pushcrit.hom import (
     AT_C3,
     C3,
     MappingSearcher,
+    TargetIndex,
+    _static_order,
+    _tournament_targets,
     oriented_path,
     solve_mapping,
     target_index,
@@ -82,6 +86,199 @@ def test_certificate_transfer_to_pushed_target(rng):
         moved = pc.retarget_certificate(g, cert, t_push)
         assert moved.target.arc_set == push_vertices(C3, t_push).arc_set
         assert moved.verify(g)
+
+
+def _old_static_order(g, doms):
+    """The order before the rank scan: a (touches, degree, -v) tuple per step."""
+    n = g.vertex_count
+    degs = g.degrees
+    placed = [v for v in range(n) if doms[v].bit_count() == 1]
+    placed_set = set(placed)
+    adj = g.adjacency_masks
+    frontier = 0
+    for v in placed:
+        frontier |= adj[v]
+    while len(placed) < n:
+        best = None
+        for v in range(n):
+            if v in placed_set:
+                continue
+            touches = bool(frontier >> v & 1)
+            key = (touches, degs[v], -v)
+            if best is None or key > best[0]:
+                best = (key, v)
+        v = best[1]
+        placed.append(v)
+        placed_set.add(v)
+        frontier |= adj[v]
+    return placed
+
+
+def _oracle_solve(g, target):
+    """The kernel without a start mask: every vertex ranges over the target."""
+    n = g.vertex_count
+    order = _old_static_order(g, [0] * n)
+    pos = {v: i for i, v in enumerate(order)}
+    later = [[] for _ in range(n)]
+    for t, h in g.arcs:
+        if pos[t] < pos[h]:
+            later[t].append((h, True))
+        else:
+            later[h].append((t, False))
+    doms = [target.full_mask] * n
+    if not n:
+        return (), 0
+    tout, tin = target.out_masks, target.in_masks
+    assign = [-1] * n
+    nodes = 0
+
+    def place(i):
+        nonlocal nodes
+        if i == n:
+            return True
+        v = order[i]
+        cand = doms[v]
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            a = bit.bit_length() - 1
+            nodes += 1
+            assign[v] = a
+            trail = []
+            ok = True
+            for w, outgoing in later[v]:
+                old = doms[w]
+                new = old & (tout[a] if outgoing else tin[a])
+                if new != old:
+                    trail.append((w, old))
+                    doms[w] = new
+                    if not new:
+                        ok = False
+                        break
+            if ok and place(i + 1):
+                return True
+            for w, old in trail:
+                doms[w] = old
+        return False
+
+    return (tuple(assign) if place(0) else None), nodes
+
+
+def _kernel_sources(rng, count):
+    """Random graphs on <= 12 vertices; every third is two disjoint parts."""
+    for i in range(count):
+        if i % 3 == 2:
+            a = random_oriented_graph(rng, rng.randint(1, 6), p=rng.uniform(0.3, 0.8))
+            b = random_oriented_graph(rng, rng.randint(1, 6), p=rng.uniform(0.3, 0.8))
+            shift = a.vertex_count
+            arcs = a.arcs + tuple((t + shift, h + shift) for t, h in b.arcs)
+            perm = list(range(shift + b.vertex_count))
+            rng.shuffle(perm)
+            yield pc.OrientedGraph(len(perm), arcs).relabel(perm)
+        else:
+            yield random_oriented_graph(rng, rng.randint(1, 12), p=rng.uniform(0.2, 0.6))
+
+
+def test_start_mask_keeps_the_first_mapping(rng):
+    targets = [target_index(AT_C3)] + [
+        target
+        for up_to in ("iso", "push_iso")
+        for k in range(1, 6)
+        for _, target in _tournament_targets(k, up_to)
+    ]
+    for g in _kernel_sources(rng, 120):
+        searcher = MappingSearcher(g)
+        for target in targets:
+            mapping, nodes = searcher.solve(target)
+            want, want_nodes = _oracle_solve(g, target)
+            assert mapping == want
+            assert nodes <= want_nodes
+
+
+def _least_orbit_members(h):
+    """Least member of each orbit of the arc-preserving permutations of h.
+
+    On a tournament, and on AT(t) of one with at least two vertices, any
+    two vertices but the twins of AT(t) are adjacent, so every endomorphism
+    is injective; these least members are then the start mask.
+    """
+    n = h.vertex_count
+    arcs = h.arc_set
+    images = [set() for _ in range(n)]
+    assign = []
+
+    def extend():
+        v = len(assign)
+        if v == n:
+            for u, image in enumerate(assign):
+                images[u].add(image)
+            return
+        for c in range(n):
+            if c in assign:
+                continue
+            assign.append(c)
+            if all(
+                (assign[t], assign[w]) in arcs
+                for t, w in arcs
+                if max(t, w) <= v
+            ):
+                extend()
+            assign.pop()
+
+    extend()
+    return sum(1 << v for v in range(n) if min(images[v]) == v)
+
+
+def test_start_mask_is_the_least_of_each_orbit():
+    assert target_index(AT_C3).start_mask == 0b1
+    for k in range(1, 6):
+        for t in pc.tournaments(k, "iso"):
+            for h in (t, pc.anti_twin(t)):
+                assert TargetIndex(h).start_mask == _least_orbit_members(h)
+
+
+def test_start_mask_spends_nothing_of_the_caller():
+    g = pc.fixture("c_minus4")
+    h = AT_C3
+    _, nodes = MappingSearcher(g).solve(target_index(h))
+    calls = []
+
+    def cancel():
+        calls.append(1)
+        return False
+
+    # a fresh index computes its mask inside this solve
+    fresh = TargetIndex(h)
+    assert MappingSearcher(g).solve(fresh, budget=nodes, cancel=cancel) == (None, nodes)
+    assert len(calls) == nodes
+    with pytest.raises(ResourceBudgetError):
+        MappingSearcher(g).solve(TargetIndex(h), budget=nodes - 1)
+
+
+def test_static_order_matches_the_tuple_scan(rng):
+    templates = []
+    for cid in CONFIG_IDS:
+        for gadget in gadgets_for(cid):
+            g = gadget.graph
+            pins = [1 if v in gadget.boundary else 0b111111 for v in range(g.vertex_count)]
+            templates.append((g, pins))
+    for g in _kernel_sources(rng, 60):
+        templates.append((g, [0] * g.vertex_count))
+        pins = [1 << rng.randrange(6) if rng.random() < 0.3 else 0b111111 for _ in range(g.vertex_count)]
+        templates.append((g, pins))
+    for g, pins in templates:
+        order, starts = _static_order(g, pins)
+        assert order == _old_static_order(g, pins)
+        # a start is the first of its component in the order, and no
+        # pinned vertex shares its component
+        pinned = {v for v in range(g.vertex_count) if pins[v].bit_count() == 1}
+        pos = {v: i for i, v in enumerate(order)}
+        want = [
+            min(comp, key=pos.get)
+            for comp in g.components
+            if pinned.isdisjoint(comp)
+        ]
+        assert starts == sorted(want, key=pos.get)
 
 
 def test_chromatic_numbers_examples():
