@@ -20,6 +20,7 @@ from pushcrit.hom import (
     oriented_path,
     solve_mapping,
     target_index,
+    tournament_coloring,
 )
 
 from conftest import brute_pushable_colorable, random_oriented_graph
@@ -182,9 +183,9 @@ def _kernel_sources(rng, count):
 def test_start_mask_keeps_the_first_mapping(rng):
     targets = [target_index(AT_C3)] + [
         target
-        for up_to in ("iso", "push_iso")
         for k in range(1, 6)
-        for _, target in _tournament_targets(k, up_to)
+        for target in [target_index(t) for t in pc.tournaments(k, "iso")]
+        + [target for _, target in _tournament_targets(k)]
     ]
     for g in _kernel_sources(rng, 120):
         searcher = MappingSearcher(g)
@@ -372,6 +373,51 @@ def test_walk_matches_the_per_target_loops(rng):
                 assert new.target_name == old.target_name
 
 
+def _assert_tournament_certificate(g, cert, k):
+    assert cert.verify(g) and not cert.push_set
+    t = cert.target
+    assert t.vertex_count == k
+    assert sorted((min(a, b), max(a, b)) for a, b in t.arcs) == [
+        (a, b) for a in range(k) for b in range(a + 1, k)
+    ]
+
+
+def test_iso_search_matches_the_per_target_loop(rng):
+    # one search over every labeled k-tournament against one search per
+    # iso-tournament; every third source has two differently oriented parts
+    for g in _kernel_sources(rng, 60):
+        for k_max in range(1, 7):
+            want = _old_chromatic_number(g, k_max, "iso")
+            cert = tournament_coloring(g, 1, k_max, "iso")
+            assert (cert and cert.target.vertex_count) == want
+            if cert is not None:
+                _assert_tournament_certificate(g, cert, want)
+            assert pc.oriented_chromatic_number(g, k_max) == want
+
+
+def test_iso_search_certificates_for_every_k(rng):
+    # a search for exactly k colors finds a map whenever chi_o <= k
+    for g in _kernel_sources(rng, 30):
+        chi = pc.oriented_chromatic_number(g)
+        for k in range(max(chi or 7, 2), 7):
+            _assert_tournament_certificate(g, tournament_coloring(g, k, k, "iso"), k)
+
+
+def test_iso_search_budget_and_cancellation():
+    g = pc.fixture("e1")
+    with pytest.raises(ResourceBudgetError):
+        tournament_coloring(g, 1, 6, "iso", budget=2)
+    calls = []
+
+    def cancel():
+        calls.append(1)
+        return len(calls) > 5
+
+    with pytest.raises(ResourceBudgetError):
+        tournament_coloring(g, 1, 6, "iso", cancel=cancel)
+    assert len(calls) == 6
+
+
 def test_tournament_enumeration_counts():
     assert [len(pc.tournaments(k, "iso")) for k in range(1, 7)] == [1, 1, 2, 4, 12, 56]
     push_counts = [len(pc.tournaments(k, "push_iso")) for k in range(1, 7)]
@@ -534,6 +580,19 @@ def test_search_budget_and_cancellation():
 
     with pytest.raises(ResourceBudgetError):
         pc.find_pushable_homomorphism(e1, C3, cancel=cancel)
+
+
+def test_search_backjumps_over_components():
+    # e1 fails into AT(C3) whatever the star before it in the order does;
+    # without the backjump each leaf's two values doubled the count
+    e1 = pc.fixture("e1")
+    alone = {}
+    assert pc.find_pushable_homomorphism(e1, C3, stats=alone) is None
+    c = e1.vertex_count
+    g = pc.OrientedGraph(c + 17, e1.arcs + tuple((c, c + 1 + i) for i in range(16)))
+    stats = {}
+    assert pc.find_pushable_homomorphism(g, C3, stats=stats) is None
+    assert stats["nodes"] <= alone["nodes"] + 17
 
 
 def test_oriented_path_parities():

@@ -113,6 +113,15 @@ def test_cli_chromatic(capsys):
     rc = cli.main(["--json", "chromatic", "--kind", "push", "@c_minus4"])
     assert rc == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["value"] == 4
+    rc = cli.main(["chromatic", "--kind", "oriented", "@c_minus4"])
+    assert rc == cli.EXIT_OK
+    assert capsys.readouterr().out.strip() == "4"
+    rc = cli.main(["--json", "chromatic", "--kind", "oriented", "--k", "3", "@c_minus4"])
+    assert rc == cli.EXIT_PROPERTY_FAILS
+    assert json.loads(capsys.readouterr().out)["value"] is None
+    rc = cli.main(["chromatic", "--kind", "oriented", "--k", "3", "@c_minus4"])
+    assert rc == cli.EXIT_PROPERTY_FAILS
+    assert capsys.readouterr().out.strip() == "none"
 
 
 def test_cli_canon_hex_lines(capsys):
