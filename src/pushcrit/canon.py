@@ -18,6 +18,14 @@ relabeling commutes with pushing, so the encodings to minimize over are
 the orbit of one class under the conjugated generators, each applied as an
 affine map over GF(2).  The cost follows that orbit, at most
 min(|Aut|, 2^bits), and never the order of the group.
+
+The labeling depends only on the underlying graph, so the form is split
+in two stages: a ``CanonicalLabeling`` holds everything that does not see
+the orientation (the labeling, the canonical edges, and per mode the class
+coordinates and the generators as class maps), and its ``form`` turns one
+orientation into bytes.  ``canonical_form`` and ``oriented_canonical_form``
+build one for a single graph; a caller with many orientations of one
+labeled graph builds it once.
 """
 
 from __future__ import annotations
@@ -208,53 +216,85 @@ def orbit_of(seed, gens, apply):
     return seen
 
 
-def _encode_form(magic: bytes, n: int, edges, bits: int, nbits: int) -> bytes:
-    if n > 0xFFFF:
-        raise IncompatibleInputError("graph too large for canonical encoding")
-    out = bytearray(magic)
-    out += n.to_bytes(2, "big")
-    out += len(edges).to_bytes(3, "big")
-    for lo, hi in edges:
-        out += lo.to_bytes(2, "big") + hi.to_bytes(2, "big")
-    out += bits.to_bytes((nbits + 7) // 8 or 1, "big")
-    return bytes(out)
-
-
 def _reversed_bits(bits: int, width: int) -> int:
     return int(f"{bits:0{width}b}"[::-1], 2) if width else 0
 
 
-def _canonical_orientation_form(g: OrientedGraph, quotient_push: bool) -> bytes:
-    n = g.vertex_count
-    _, labeling, gens = canonical_data(g.adjacency_masks)
-    canon_edges = sorted(
-        (p, q) if p < q else (q, p)
-        for p, q in ((labeling[a], labeling[b]) for a, b in g.edges)
-    )
-    # P1 may push every vertex and O1 none; either way the encoded bits are
-    # the class bits over coords.free, the form's first edge the highest
-    coords = class_coordinates(n, canon_edges, range(n) if quotient_push else ())
-    seed = coords.class_of({(labeling[t], labeling[h]) for t, h in g.arcs})
-    # the generator s becomes labeling . s . labeling^-1 on the canonical graph
-    unlabel = [0] * n
-    for v, p in enumerate(labeling):
-        unlabel[p] = v
-    maps = [coords.relabel_map([labeling[s[v]] for v in unlabel]) for s in gens]
-    width = len(coords.free)
-    orbit = orbit_of(seed, maps, lambda f, bits: f(bits))
-    best = min(_reversed_bits(bits, width) for bits in orbit)
-    magic = _FORM_MAGIC_PUSH if quotient_push else _FORM_MAGIC_ISO
-    return _encode_form(magic, n, canon_edges, best, width)
+class CanonicalLabeling:
+    """The orientation-free half of the canonical forms of one labeled
+    underlying graph, given as adjacency bitmasks: its canonical labeling
+    and canonical edges, and per mode (P1 may push every vertex, O1 none)
+    the class coordinates of the canonical graph and the generators acting
+    on its classes.  ``form`` then costs one class and one orbit per
+    orientation, so one object serves every orientation of the graph."""
+
+    __slots__ = ("adj", "labeling", "edges", "_gens", "_header", "_modes")
+
+    def __init__(self, adj: tuple[int, ...]):
+        n = len(adj)
+        if n > 0xFFFF:
+            raise IncompatibleInputError("graph too large for canonical encoding")
+        _, labeling, gens = canonical_data(adj)
+        self.adj = adj
+        self.labeling = labeling
+        edges = []
+        for a, row in enumerate(adj):
+            row &= -2 << a  # the neighbors above a
+            while row:
+                b = (row & -row).bit_length() - 1
+                row &= row - 1
+                p, q = labeling[a], labeling[b]
+                edges.append((p, q) if p < q else (q, p))
+        self.edges = tuple(sorted(edges))
+        self._gens = gens
+        header = bytearray(n.to_bytes(2, "big") + len(self.edges).to_bytes(3, "big"))
+        for lo, hi in self.edges:
+            header += lo.to_bytes(2, "big") + hi.to_bytes(2, "big")
+        self._header = bytes(header)
+        self._modes: dict = {}
+
+    def _mode(self, quotient_push: bool):
+        """(class coordinates, generator maps) of one mode, built once."""
+        mode = self._modes.get(quotient_push)
+        if mode is None:
+            n, labeling = len(self.adj), self.labeling
+            # either way the encoded bits are the class bits over
+            # coords.free, the form's first edge the highest
+            coords = class_coordinates(n, self.edges, range(n) if quotient_push else ())
+            # the generator s becomes labeling . s . labeling^-1 on the
+            # canonical graph
+            unlabel = [0] * n
+            for v, p in enumerate(labeling):
+                unlabel[p] = v
+            maps = [
+                coords.relabel_map([labeling[s[v]] for v in unlabel]) for s in self._gens
+            ]
+            mode = self._modes[quotient_push] = (coords, maps)
+        return mode
+
+    def form(self, g: OrientedGraph, quotient_push: bool = True) -> bytes:
+        """The canonical form of ``g``, an orientation of this graph: the
+        push form (P1) or, without ``quotient_push``, the digraph form (O1)."""
+        if g.adjacency_masks != self.adj:
+            raise IncompatibleInputError("the graph is no orientation of this labeling")
+        coords, maps = self._mode(quotient_push)
+        labeling = self.labeling
+        seed = coords.class_of({(labeling[t], labeling[h]) for t, h in g.arcs})
+        width = len(coords.free)
+        orbit = orbit_of(seed, maps, lambda f, bits: f(bits))
+        best = min(_reversed_bits(bits, width) for bits in orbit)
+        magic = _FORM_MAGIC_PUSH if quotient_push else _FORM_MAGIC_ISO
+        return magic + self._header + best.to_bytes((width + 7) // 8 or 1, "big")
 
 
 def canonical_form(g: OrientedGraph) -> bytes:
     """Byte string equal for two graphs iff they are pushably isomorphic."""
-    return _canonical_orientation_form(g, quotient_push=True)
+    return CanonicalLabeling(g.adjacency_masks).form(g, quotient_push=True)
 
 
 def oriented_canonical_form(g: OrientedGraph) -> bytes:
     """Byte string equal for two graphs iff they are isomorphic digraphs."""
-    return _canonical_orientation_form(g, quotient_push=False)
+    return CanonicalLabeling(g.adjacency_masks).form(g, quotient_push=False)
 
 
 def are_pushably_isomorphic(g: OrientedGraph, h: OrientedGraph) -> bool:

@@ -85,7 +85,13 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from multiprocessing import get_context
 
-from .canon import canonical_data, canonical_form, encode_underlying_cert, orbit_of
+from .canon import (
+    CanonicalLabeling,
+    canonical_data,
+    canonical_form,
+    encode_underlying_cert,
+    orbit_of,
+)
 from .chains import classify_vertices
 from .errors import ConfigError, ResourceBudgetError
 from .graph import (
@@ -310,6 +316,7 @@ def enumerate_underlying(
 
 def enumerate_orientations_mod_push(under: UnderlyingGraph, dedup_iso: bool = False):
     """One orientation per push class; optionally also quotient by iso."""
+    labeling = CanonicalLabeling(under.masks) if dedup_iso else None
     seen = set()
     out = []
     for arcs in push_class_representatives(
@@ -317,7 +324,7 @@ def enumerate_orientations_mod_push(under: UnderlyingGraph, dedup_iso: bool = Fa
     ):
         g = OrientedGraph(under.vertex_count, arcs)
         if dedup_iso:
-            code = canonical_form(g)
+            code = labeling.form(g)
             if code in seen:
                 continue
             seen.add(code)
@@ -520,11 +527,16 @@ def _critical_orientations(n: int, edges) -> list[tuple[Arc, ...]]:
 
 def _scan_underlying_for_critical(under: UnderlyingGraph):
     """All critical orientations of one underlying graph, as (code, graph):
-    per canonical code, the class with the smallest bits."""
+    per canonical code, the class with the smallest bits.  The graph is
+    labeled once, and only when it has a critical class."""
+    critical = _critical_orientations(under.vertex_count, under.edges)
+    if not critical:
+        return []
+    labeling = CanonicalLabeling(under.masks)
     found = {}
-    for arcs in _critical_orientations(under.vertex_count, under.edges):
+    for arcs in critical:
         g = OrientedGraph(under.vertex_count, arcs)
-        found.setdefault(canonical_form(g), g)
+        found.setdefault(labeling.form(g), g)
     return sorted((code.hex(), g) for code, g in found.items())
 
 

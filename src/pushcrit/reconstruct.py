@@ -10,6 +10,12 @@ together must reproduce the exceptional graph up to push isomorphism;
 every reconstruction passing that gate must admit a 3-coloring after
 pushes, and the checker confirms exactly that, case by case.
 
+The canonical labeling depends only on the underlying graph, and the 8
+glued graphs of a split share one, as do the reconstructions of one role
+triple; each such group is labeled once (``canon.CanonicalLabeling``) and
+only the orientation is formed per graph.  Colorability is still decided
+by one search per reconstruction.
+
 ``verify_fig6_coloring`` replays the drawn push set and vertex colors of
 the 8-vertex witness and re-decides its colorability from scratch.
 """
@@ -19,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .canon import canonical_form
+from .canon import CanonicalLabeling, canonical_form
 from .crit import is_pushably_k_colorable
 from .errors import IncompatibleInputError
 from .fixtures import M3P_COLORING, M3P_PUSH_SET, fixture
@@ -75,12 +81,14 @@ def reconstruction_cases(source_name: str, split: int):
         return (w, index[nbr]) if dirs[nbr] else (index[nbr], w)
 
     base_form = canonical_form(base)
-    valid_dirs = []
+    gluings = []
     for bits in range(8):
         dirs = {nbr: bits >> i & 1 for i, nbr in enumerate(nbrs)}
         glued = kept + [arc(n - 1, nbr, dirs) for nbr in nbrs]
-        if canonical_form(OrientedGraph(n, tuple(glued))) == base_form:
-            valid_dirs.append(dirs)
+        gluings.append((dirs, OrientedGraph(n, tuple(glued))))
+    # the gluings differ only in orientation: one labeling serves all 8
+    labeling = CanonicalLabeling(gluings[0][1].adjacency_masks)
+    valid_dirs = [dirs for dirs, glued in gluings if labeling.form(glued) == base_form]
     # 12 retained vertices, then: one half of the split vertex at the end
     # of a fresh 2-chain, the degree-3 hub, a second 2-chain, a 1-chain,
     # and the other half of the split vertex (19 vertices, 22 arcs)
@@ -122,10 +130,15 @@ def verify_split_vertex_reconstructions(sources=("e1", "e2", "e3")):
             colorable = 0
             valid = set()
             forms = set()
-            for dirs, _roles, graph in reconstruction_cases(name, split):
+            # the role triple fixes the underlying graph
+            labelings: dict[tuple[int, ...], CanonicalLabeling] = {}
+            for dirs, roles, graph in reconstruction_cases(name, split):
                 valid.add(tuple(sorted(dirs.items())))
                 checked += 1
-                forms.add(canonical_form(graph))
+                labeling = labelings.get(roles)
+                if labeling is None:
+                    labeling = labelings[roles] = CanonicalLabeling(graph.adjacency_masks)
+                forms.add(labeling.form(graph))
                 if is_pushably_k_colorable(graph, 3) is not None:
                     colorable += 1
             inventories.append(

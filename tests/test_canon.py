@@ -10,8 +10,15 @@ import pytest
 
 import pushcrit as pc
 from pushcrit import canon
-from pushcrit.canon import _refine, canonical_data, closure, oriented_canonical_form
-from pushcrit.orient import normalizing_pushes, spanning_forest
+from pushcrit.canon import (
+    CanonicalLabeling,
+    _refine,
+    canonical_data,
+    closure,
+    oriented_canonical_form,
+)
+from pushcrit.errors import IncompatibleInputError
+from pushcrit.orient import normalizing_pushes, push_class_representatives, spanning_forest
 
 from conftest import brute_push_isomorphic, random_oriented_graph
 
@@ -234,6 +241,41 @@ def test_orbit_forms_match_closure_oracle_on_random_graphs():
 def test_orbit_forms_match_closure_oracle_on_fixtures():
     for g in pc.builtin_graphs().values():
         _assert_matches_closure_form(g)
+
+
+def test_shared_labeling_matches_closure_oracle_on_every_orientation():
+    # one object serves every orientation of its labeled graph, in both
+    # modes and in any order; at most 8 edges keeps the 2^m orientations
+    # that the fixed-vertex walk yields few, and |Aut| <= 64 the oracle's
+    # closures small
+    rng = random.Random(1418)
+    tried = 0
+    while tried < 40:
+        n = rng.randint(1, 9)
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = sorted(rng.sample(pairs, rng.randint(0, min(len(pairs), 8))))
+        adj = _masks(n, edges)
+        try:
+            closure(n, canonical_data(adj)[2], limit=64)
+        except IncompatibleInputError:
+            continue
+        tried += 1
+        labeling = CanonicalLabeling(adj)
+        for movable in (range(n), ()):
+            for arcs in push_class_representatives(n, edges, movable):
+                g = pc.OrientedGraph(n, arcs)
+                assert labeling.form(g, quotient_push=True) == _closure_form(g, True)
+                assert labeling.form(g, quotient_push=False) == _closure_form(g, False)
+        # an orientation of any other labeled graph is refused
+        others = [p for p in pairs if p not in edges]
+        if others:
+            extra = pc.OrientedGraph(n, g.arcs + (rng.choice(others),))
+            with pytest.raises(IncompatibleInputError):
+                labeling.form(extra)
+        if edges:
+            fewer = pc.OrientedGraph(n, g.arcs[1:])
+            with pytest.raises(IncompatibleInputError):
+                labeling.form(fewer, quotient_push=False)
 
 
 def _oriented(rng, n, edges):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import pushcrit as pc
-from pushcrit import reconstruct
+from pushcrit import canon
 from pushcrit.errors import IncompatibleInputError
 from pushcrit.fixtures import M3P_COLORING, M3P_PUSH_SET
 from pushcrit.hom import C3
@@ -37,18 +37,45 @@ def test_split_vertex_of_wrong_degree_is_typed_error():
         next(reconstruction_cases("e1", other))
 
 
-def test_source_form_computed_once_per_split(monkeypatch):
+def test_one_labeling_per_underlying_graph(monkeypatch):
     calls = []
-    real = reconstruct.canonical_form
+    real = canon.canonical_data
 
-    def counting(g):
-        calls.append(g.vertex_count)
-        return real(g)
+    def counting(adj):
+        calls.append(len(adj))
+        return real(adj)
 
-    monkeypatch.setattr(reconstruct, "canonical_form", counting)
+    monkeypatch.setattr(canon, "canonical_data", counting)
     list(reconstruction_cases("e1", 3))
-    # the source once, then one glued graph per direction pattern
-    assert len(calls) == 1 + 8
+    # the source, then one labeling for all 8 glued graphs
+    assert calls == [13, 13]
+    # plus one per role triple: 8 per split, 4 splits per source
+    calls.clear()
+    verify_split_vertex_reconstructions(("e1",))
+    assert len(calls) == 32
+    calls.clear()
+    verify_split_vertex_reconstructions()
+    assert len(calls) == 96
+
+
+# (source, split vertex) -> distinct graphs; every split glues back in 2
+# ways, and every one of its 48 reconstructions is colorable
+PINNED_DISTINCT_GRAPHS = {
+    ("e1", 0): 12, ("e1", 1): 12, ("e1", 2): 12, ("e1", 3): 4,
+    ("e2", 0): 12, ("e2", 1): 12, ("e2", 2): 12, ("e2", 3): 4,
+    ("e3", 0): 24, ("e3", 1): 24, ("e3", 2): 12, ("e3", 3): 12,
+}
+
+
+def test_reconstruction_inventories_pinned():
+    inventories = verify_split_vertex_reconstructions()
+    assert {
+        (inv.source, inv.split_vertex): inv.distinct_graphs for inv in inventories
+    } == PINNED_DISTINCT_GRAPHS
+    for inv in inventories:
+        assert inv.valid_glue_orientations == 2
+        assert inv.graphs_checked == 48
+        assert inv.colorable == 48
 
 
 def test_reconstruction_inventories_colorable():
