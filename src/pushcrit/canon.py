@@ -31,10 +31,11 @@ labeled graph builds it once.
 from __future__ import annotations
 
 from collections import deque
+from operator import getitem
 
 from .errors import IncompatibleInputError
 from .graph import OrientedGraph
-from .orient import class_coordinates
+from .orient import AffineMap, class_coordinates
 
 _FORM_MAGIC_PUSH = b"P1"
 _FORM_MAGIC_ISO = b"O1"
@@ -110,26 +111,6 @@ def canonical_data(adj: tuple[int, ...]):
     first: dict = {"cert": None, "perm": None}
     gens: list[tuple[int, ...]] = []
 
-    def stabilizer_orbits(prefix: list[int]):
-        # Union-find over vertices, built from the generators that fix the
-        # whole individualization prefix pointwise (a subgroup of the true
-        # stabilizer, so pruning with it is conservative).
-        parent = list(range(n))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for g in gens:
-            if all(g[p] == p for p in prefix):
-                for v in range(n):
-                    a, b = find(v), find(g[v])
-                    if a != b:
-                        parent[a] = b
-        return find
-
     def recurse(cells: list[list[int]], prefix: list[int]):
         cells = _refine(adj, cells)
         target_idx = -1
@@ -160,10 +141,13 @@ def canonical_data(adj: tuple[int, ...]):
                 best["perm"] = inv[:]
             return
         cell = cells[target_idx]
-        find = stabilizer_orbits(prefix)
+        # skip the vertices of an orbit already tried, under the generators
+        # found so far that fix the prefix pointwise (a subgroup of the true
+        # stabilizer, so pruning with it is conservative)
         tried: list[int] = []
+        seen: set[int] = set()
         for v in sorted(cell):
-            if any(find(v) == find(u) for u in tried):
+            if v in seen:
                 continue
             tried.append(v)
             newcells = (
@@ -172,7 +156,8 @@ def canonical_data(adj: tuple[int, ...]):
                 + cells[target_idx + 1 :]
             )
             recurse(newcells, prefix + [v])
-            find = stabilizer_orbits(prefix)
+            stab = [g for g in gens if all(g[p] == p for p in prefix)]
+            seen = set().union(*(orbit_of(u, stab, getitem) for u in tried))
 
     recurse([list(range(n))], [])
     inv = best["perm"]
@@ -281,7 +266,7 @@ class CanonicalLabeling:
         labeling = self.labeling
         seed = coords.class_of({(labeling[t], labeling[h]) for t, h in g.arcs})
         width = len(coords.free)
-        orbit = orbit_of(seed, maps, lambda f, bits: f(bits))
+        orbit = orbit_of(seed, maps, AffineMap.__call__)
         best = min(_reversed_bits(bits, width) for bits in orbit)
         magic = _FORM_MAGIC_PUSH if quotient_push else _FORM_MAGIC_ISO
         return magic + self._header + best.to_bytes((width + 7) // 8 or 1, "big")

@@ -84,6 +84,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import combinations
 from multiprocessing import get_context
+from operator import getitem
 
 from .canon import (
     CanonicalLabeling,
@@ -99,6 +100,7 @@ from .graph import (
     POTENTIAL_VERTEX_WEIGHT,
     Arc,
     OrientedGraph,
+    _components,
     potential,
 )
 from .orient import class_coordinates, push_class_representatives
@@ -138,26 +140,6 @@ class UnderlyingGraph:
 
     def is_connected(self) -> bool:
         return len(_components(self.masks)) <= 1
-
-
-def _components(masks) -> list[int]:
-    """The vertex sets of the components of the graph on ``masks``."""
-    comps = []
-    rest = (1 << len(masks)) - 1
-    while rest:
-        seen = frontier = rest & -rest
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                nxt |= masks[v]
-            frontier = nxt & ~seen
-            seen |= nxt
-        comps.append(seen)
-        rest &= ~seen
-    return comps
 
 
 def _masks_to_edges(masks) -> tuple[tuple[int, int], ...]:
@@ -213,18 +195,9 @@ def _attachment_sets(masks, gens, cover: bool = False) -> list[int]:
     seen = set()
     reps = []
     for mask in feasible:
-        if mask in seen:
-            continue
-        reps.append(mask)
-        seen.add(mask)
-        stack = [mask]
-        while stack:
-            cur = stack.pop()
-            for g in gens:
-                img = _permute_mask(cur, g)
-                if img not in seen:
-                    seen.add(img)
-                    stack.append(img)
+        if mask not in seen:
+            reps.append(mask)
+            seen |= orbit_of(mask, gens, lambda g, m: _permute_mask(m, g))
     return reps
 
 
@@ -278,7 +251,7 @@ def _graphs_on(n: int, forbid_k4: bool, tick=None, top: bool = False) -> _Level:
                 ) + (smask,)
                 cert, labeling, cgens = canonical_data(child)
                 deleted = labeling.index(n - 1)
-                if n - 1 in orbit_of(deleted, cgens, lambda g, v: g[v]):
+                if n - 1 in orbit_of(deleted, cgens, getitem):
                     level.append((child, cert))
                     gens.append(cgens)
     _LEVEL_CACHE[key] = (level, None if top else gens)
@@ -706,6 +679,8 @@ def find_critical(
         raise ConfigError(
             f"n_max must be within 3..{FIND_CRITICAL_VERTEX_LIMIT}"
         )
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     started = time.monotonic()
     exception_codes = _exception_codes()
     merged: dict[str, EnumerationRecord] = {}
@@ -730,7 +705,8 @@ def find_critical(
             for rec in _load_records(base).values():
                 merged.setdefault(rec.canonical_code, rec)
             if os.path.exists(cursor_path):
-                cursor = open(cursor_path, encoding="utf-8").read().strip()
+                with open(cursor_path, encoding="utf-8") as fh:
+                    cursor = fh.read().strip()
                 for idx, ug in enumerate(candidates):
                     if _cursor(ug) == cursor:
                         start_at = idx + 1

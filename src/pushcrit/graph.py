@@ -56,6 +56,27 @@ def _arc_violation(n: int, arcs: Sequence[Arc]) -> tuple[int | None, str] | None
     return None
 
 
+def _components(masks: Sequence[int]) -> list[int]:
+    """The vertex sets of the components of the graph on adjacency
+    ``masks``, as bitmasks, by least vertex."""
+    comps = []
+    rest = (1 << len(masks)) - 1
+    while rest:
+        seen = frontier = rest & -rest
+        while frontier:
+            nxt = 0
+            m = frontier
+            while m:
+                v = (m & -m).bit_length() - 1
+                m &= m - 1
+                nxt |= masks[v]
+            frontier = nxt & ~seen
+            seen |= nxt
+        comps.append(seen)
+        rest &= ~seen
+    return comps
+
+
 @dataclass(frozen=True)
 class OrientedGraph:
     """Immutable oriented graph on vertices ``0 .. vertex_count-1``."""
@@ -167,25 +188,15 @@ class OrientedGraph:
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        seen = [False] * self.vertex_count
+        """The vertex sets of the components, each sorted, by least vertex."""
         comps = []
-        for root in range(self.vertex_count):
-            if seen[root]:
-                continue
+        for mask in _components(self.adjacency_masks):
             comp = []
-            queue = deque([root])
-            seen[root] = True
-            while queue:
-                v = queue.popleft()
-                comp.append(v)
-                m = self.adjacency_masks[v]
-                while m:
-                    u = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    if not seen[u]:
-                        seen[u] = True
-                        queue.append(u)
-            comps.append(tuple(sorted(comp)))
+            while mask:
+                low = mask & -mask
+                comp.append(low.bit_length() - 1)
+                mask ^= low
+            comps.append(tuple(comp))
         return tuple(comps)
 
     def is_connected(self) -> bool:

@@ -70,12 +70,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import xor
 from typing import Callable, Iterable, Sequence
 
+from .canon import orbit_of
 from .errors import ConfigError, IncompatibleInputError, ResourceBudgetError
 from .graph import OrientedGraph, anti_twin, directed_cycle, push_vertices
-from .orient import class_coordinates, normalizing_pushes, spanning_forest
+from .orient import AffineMap, class_coordinates
 
 C3 = directed_cycle(3).with_name("c3")
 AT_C3 = anti_twin(C3).with_name("at_c3")
@@ -479,62 +481,44 @@ def tournaments(k: int, up_to: str = "push_iso") -> tuple[OrientedGraph, ...]:
     """All k-vertex tournaments, one per class under the chosen relation.
 
     ``up_to`` is "push_iso" (isomorphism after pushing) or "iso".  The
-    orientation space of K_k is walked with orbit marking under the
-    symmetric group (and push normalization for the quotiented variant).
+    orientation vectors of K_k are walked in ascending order, each taken
+    to its ``orient`` class (every vertex movable under "push_iso", none
+    under "iso"), and a class not yet seen is kept and its orbit under
+    the symmetric group marked; the walk ends once every class is marked.
+    Each tournament is its class's normalized orientation, named in the
+    order found.
     """
     if up_to not in ("push_iso", "iso"):
         raise ConfigError(f"unknown dedup relation {up_to!r}")
     if k < 1:
         raise ConfigError("k must be positive")
-    edges = list(combinations(range(k), 2))
-    m = len(edges)
     if k == 1:
         return (OrientedGraph(1, (), name="t1.0"),)
+    edges = list(combinations(range(k), 2))
     perm_gens = [tuple([1, 0] + list(range(2, k)))]
     if k > 2:
         perm_gens.append(tuple(list(range(1, k)) + [0]))
-    # with nothing movable every edge is a free bit, in the order of edges,
-    # and a relabeling acts on the vector as a signed permutation
-    coords = class_coordinates(k, edges, ())
+    coords = class_coordinates(k, edges, range(k) if up_to == "push_iso" else ())
     perm_maps = [coords.relabel_map(perm) for perm in perm_gens]
-
-    # the star edges (0, c) are the k - 1 lowest bits, and the pushes that
-    # normalize a vector read only them
-    star = spanning_forest(k, edges, range(k))
-    star_bits = (1 << (k - 1)) - 1
-    flips = [0] * (star_bits + 1)
-    if up_to == "push_iso":
-        for low in range(star_bits + 1):
-            arcs = {(p, c) if low >> (c - 1) & 1 else (c, p) for p, c in star}
-            x = normalizing_pushes(k, star, arcs)
-            for idx, (lo, hi) in enumerate(edges):
-                flips[low] ^= (x[lo] ^ x[hi]) << idx
-
+    # bit i of a vector says edges[i] points lo -> hi, so its class is
+    # coords.base xor the masks of its set bits; vec - 1 -> vec flips the
+    # bits up to vec's lowest set bit, whose masks xor to one prefix
+    prefix = list(accumulate((coords.masks[e] for e in edges), xor))
+    cls = coords.base
     reps = []
     seen = set()
-    for vec in range(1 << m):
-        key = vec ^ flips[vec & star_bits]
-        if key in seen:
-            continue
-        reps.append(key)
-        seen.add(key)
-        stack = [key]
-        while stack:
-            cur = stack.pop()
-            for image in perm_maps:
-                img = image(cur)
-                img ^= flips[img & star_bits]
-                if img not in seen:
-                    seen.add(img)
-                    stack.append(img)
-    graphs = []
-    for i, vec in enumerate(reps):
-        arcs = tuple(
-            (lo, hi) if vec >> idx & 1 else (hi, lo)
-            for idx, (lo, hi) in enumerate(edges)
-        )
-        graphs.append(OrientedGraph(k, arcs, name=f"t{k}.{i}"))
-    return tuple(graphs)
+    for vec in range(1 << len(edges)):
+        if vec:
+            cls ^= prefix[(vec & -vec).bit_length() - 1]
+        if cls not in seen:
+            reps.append(cls)
+            seen |= orbit_of(cls, perm_maps, AffineMap.__call__)
+            if len(seen) == 1 << len(coords.free):
+                break  # every class is marked
+    return tuple(
+        OrientedGraph(k, coords.arcs(bits), name=f"t{k}.{i}")
+        for i, bits in enumerate(reps)
+    )
 
 
 @lru_cache(maxsize=32)
@@ -687,6 +671,8 @@ def tournament_coloring(
     for k in (k_min, k_max):
         if not 1 <= k <= MAX_CHROMATIC_K:
             raise ConfigError(f"k must be within 1..{MAX_CHROMATIC_K}, got {k}")
+    if k_min > k_max:
+        raise ConfigError(f"empty k range {k_min}..{k_max}")
     if up_to not in ("push_iso", "iso"):
         raise ConfigError(f"unknown dedup relation {up_to!r}")
     if k_min == 1:

@@ -7,6 +7,8 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -443,6 +445,12 @@ def test_find_critical_rejects_other_k():
         find_critical(5, k=4)
 
 
+def test_find_critical_rejects_nonpositive_jobs():
+    for jobs in (0, -5):
+        with pytest.raises(ConfigError):
+            find_critical(4, jobs=jobs)
+
+
 def test_density_bound_report():
     records = find_critical(5)
     report = verify_density_bound(records)
@@ -469,6 +477,22 @@ def test_shards_and_resume(tmp_path):
                 with open(os.path.join(shard_dir, sub, fname)) as fh:
                     for line in fh:
                         EnumerationRecord.from_json_dict(json.loads(line))
+
+
+def test_resume_closes_the_cursor_file(tmp_path):
+    shard_dir = str(tmp_path / "shards")
+    find_critical(5, shard_dir=shard_dir)
+    package_root = os.path.dirname(os.path.dirname(pc.__file__))
+    script = (
+        "import sys; from pushcrit.enumeration import find_critical; "
+        "find_critical(5, shard_dir=sys.argv[1], resume=True)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "always", "-c", script, shard_dir],
+        env=dict(os.environ, PYTHONPATH=package_root),
+        capture_output=True, text=True, check=True,
+    )
+    assert "ResourceWarning" not in done.stderr
 
 
 def test_parallel_merge_is_deterministic():

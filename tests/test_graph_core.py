@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pushcrit as pc
+from pushcrit.enumeration import UnderlyingGraph
 from pushcrit.errors import (
     GraphParseError,
     IncompatibleInputError,
@@ -260,6 +261,21 @@ def test_import_loads_neither_numpy_nor_scipy():
          "import pushcrit, sys; assert not {'numpy', 'scipy'} & set(sys.modules)"],
         env=env, check=True,
     )
+
+
+def test_components_match_networkx(rng):
+    networkx = pytest.importorskip("networkx")
+    for _ in range(200):
+        n = rng.randrange(0, 14)
+        g = random_oriented_graph(rng, n, p=rng.choice((0.05, 0.15, 0.3)))
+        nxg = networkx.Graph()
+        nxg.add_nodes_from(range(n))
+        nxg.add_edges_from(g.arcs)
+        expected = sorted(tuple(sorted(c)) for c in networkx.connected_components(nxg))
+        assert g.components == tuple(expected)
+        assert g.is_connected() == (len(expected) <= 1)
+        under = UnderlyingGraph(n, g.edges)
+        assert under.is_connected() == g.is_connected()
 
 
 def test_mad_empty_graph():

@@ -302,6 +302,12 @@ def test_chromatic_k_range():
             pc.is_pushably_k_colorable(pc.directed_cycle(3), k)
 
 
+def test_tournament_coloring_rejects_an_empty_k_range():
+    for up_to in ("push_iso", "iso"):
+        with pytest.raises(ConfigError):
+            tournament_coloring(pc.fixture("c_minus4"), 5, 3, up_to)
+
+
 def test_chromatic_sandwich(rng):
     for _ in range(20):
         g = random_oriented_graph(rng, rng.randint(1, 6), p=0.35)

@@ -286,6 +286,14 @@ def test_cli_verify_paper_reports_identical_across_jobs(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_nonpositive_jobs_are_config_errors(capsys):
+    for jobs in (0, -5):
+        with pytest.raises(pc.ConfigError):
+            run_suites(("potentials",), jobs=jobs)
+    rc = cli.main(["verify-bound", "--max-n", "4", "--jobs", "0"])
+    assert rc == cli.EXIT_USAGE and "PASS" not in capsys.readouterr().out
+
+
 def test_cli_nonpositive_budget_is_usage_error(capsys):
     rc = cli.main(["color", "--target", "c3", "--budget-nodes", "0", "@c3"])
     assert rc == cli.EXIT_USAGE
