@@ -42,6 +42,7 @@ from .errors import (
     UnclassifiableGraphError,
     UndefinedInputError,
     UnknownFixtureError,
+    UnknownSuiteError,
 )
 from .fixtures import builtin_graphs, fixture
 from .graph import (

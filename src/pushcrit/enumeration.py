@@ -52,27 +52,12 @@ generation also drops graphs with a K4 subgraph: such a graph is not
 3-colorable, so it is critical only if it is K4 itself.
 
 The scan decides every push class of a candidate G at once from its
-3-colorings, with no search per orientation.  A pushable 3-coloring is a
-homomorphism to AT(C3) = K_{2,2,2}.  Projected, it is a proper coloring
-c: V -> Z3 together with a push set that carries the orientation onto
-a(c), where u -> v iff c(v) = c(u) + 1.  So an orientation is colorable
-exactly when its class lies in the image Im of the classes of a(c) over
-the proper c with c(0) = 0 (shifting every color leaves a(c) as it is).
-Classes are co-forest bit vectors (``orient.ClassCoordinates``), and
-reversing an edge e changes a class by z_e.
-
-A class k is critical when it is not colorable but each arc deletion is.
-Deleting the arc on edge e leaves an orientation of G - e, and a coloring
-of it projects to a map c that is proper on G - e.  Either c is proper on
-G: the deletion pushes onto a(c) less e, so k or k xor z_e is in Im.  Or
-e is c's only monochromatic edge: then k or k xor z_e lies in Mono_e, the
-classes of a(c) with e's bit fixed.  Conversely each such c colors the
-deletion.  So k is critical iff k is not in Im and, for every edge e,
-k xor z_e is in Im, k is in Mono_e or k xor z_e is in Mono_e.  The test
-is exact, so the scan assumes none of the structural lemmas that
-``underlying_prune_verdict`` states.  The candidate classes are those the
-first edge admits.  Each later Mono_e is enumerated only when some
-remaining candidate needs it, as the maps with c(lo) = c(hi) forced.
+3-colorings, with no search per orientation: ``transfer.ChainGraph``
+keeps every vertex of G, enumerates the proper 3-colorings, and returns
+the image Im of colorable classes and the critical classes (see the
+``transfer`` docstring for why the test is exact).  Each edge is then its
+own chain.  The scan assumes none of the structural lemmas that
+``underlying_prune_verdict`` states.
 """
 
 from __future__ import annotations
@@ -103,7 +88,8 @@ from .graph import (
     _components,
     potential,
 )
-from .orient import class_coordinates, push_class_representatives
+from .orient import push_class_representatives
+from .transfer import ChainGraph
 
 UNDERLYING_VERTEX_LIMIT = 12
 FIND_CRITICAL_VERTEX_LIMIT = 10
@@ -416,86 +402,13 @@ def underlying_prune_verdict(under: UnderlyingGraph):
 # -- the coloring-image scan ----------------------------------------------------
 
 
-_UNBANNED = tuple(tuple(x for x in range(3) if not banned >> x & 1) for banned in range(8))
-
-
-def _coloring_image(earlier, base: int, equal=None) -> set[int]:
-    """The classes of a(c) over the maps c: positions -> Z3 with c(0) = 0
-    that are proper on every listed edge.
-
-    ``earlier[i]`` lists (j, d, z) for each edge from position i back to a
-    position j < i: i may not take j's color, and taking color c(j) + d
-    points that edge lo -> hi, which adds z to the class (starting from
-    ``base``).  ``equal = (i, j)`` also forces position i to take j's
-    color; the edge between them is left out of the lists.
-    """
-    last = len(earlier) - 1
-    eq_i, eq_j = equal or (-1, -1)
-    image = set()
-    colors = [0] * len(earlier)
-    stack = [(0, 0, base)]
-    while stack:
-        i, color, acc = stack.pop()
-        colors[i] = color
-        i += 1
-        opts = [acc, acc, acc]
-        banned = 0
-        for j, d, z in earlier[i]:
-            cj = colors[j]
-            banned |= 1 << cj
-            opts[(cj + d) % 3] ^= z
-        if i == eq_i:
-            banned |= 7 ^ 1 << colors[eq_j]
-        for x in _UNBANNED[banned]:
-            if i == last:
-                image.add(opts[x])
-            else:
-                stack.append((i, x, opts[x]))
-    return image
-
-
 def _critical_orientations(n: int, edges) -> list[tuple[Arc, ...]]:
     """The normalized orientations (``orient.ClassCoordinates.arcs``, all
     vertices movable) of the pushably 3-critical classes of the connected
-    graph on ``edges``, n >= 2, in ascending order of the class bits.  See
-    the module docstring for why this is exact."""
-    coords = class_coordinates(n, edges, range(n))
-    masks = coords.masks
-    order = [0] + [child for _, child in coords.forest]
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    earlier = [[] for _ in range(n)]
-    for lo, hi in edges:
-        i, j = pos[lo], pos[hi]
-        # the edge points lo -> hi when c(hi) = c(lo) + 1
-        if i < j:
-            earlier[j].append((i, 1, masks[lo, hi]))
-        else:
-            earlier[i].append((j, 2, masks[lo, hi]))
-    image = _coloring_image(earlier, coords.base)
-    if len(image) == 1 << len(coords.free):
-        return []
-
-    def mono(e):
-        """Mono_e, with e's bit taking both values.  The maps proper on all
-        of G are left out (c(lo) = c(hi) is forced): they add only classes
-        whose e-reversal is in Im, which the caller tests first."""
-        i, j = sorted((pos[e[0]], pos[e[1]]), reverse=True)
-        lists = list(earlier)
-        lists[i] = [t for t in earlier[i] if t[0] != j]
-        found = _coloring_image(lists, coords.base, (i, j))
-        return found | {k ^ masks[e] for k in found}
-
-    first = edges[0]
-    candidates = ({k ^ masks[first] for k in image} | mono(first)) - image
-    for e in edges[1:]:
-        if not candidates:
-            break
-        pending = {k for k in candidates if k ^ masks[e] not in image}
-        if pending:
-            candidates -= pending - mono(e)
-    return [coords.arcs(k) for k in sorted(candidates)]
+    graph on ``edges``, n >= 2, in ascending order of the class bits.  Every
+    vertex is kept, so each edge is its own chain (``transfer``)."""
+    graph = ChainGraph(n, edges, range(n))
+    return [graph.coords.arcs(k) for k in graph.critical_classes()]
 
 
 def _scan_underlying_for_critical(under: UnderlyingGraph):
@@ -681,6 +594,8 @@ def find_critical(
         )
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    if resume and not shard_dir:
+        raise ConfigError("resume needs a shard directory")
     started = time.monotonic()
     exception_codes = _exception_codes()
     merged: dict[str, EnumerationRecord] = {}

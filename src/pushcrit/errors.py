@@ -55,6 +55,12 @@ class UnknownFixtureError(PushcritError, KeyError):
     __str__ = PushcritError.__str__  # the message, not KeyError's repr of it
 
 
+class UnknownSuiteError(PushcritError, KeyError):
+    """A verify-paper suite name outside the known set; still a KeyError."""
+
+    __str__ = PushcritError.__str__
+
+
 class ResourceBudgetError(PushcritError):
     """A search or enumeration ran out of its node / wall-time budget.
 

@@ -13,8 +13,12 @@ pushes, and the checker confirms exactly that, case by case.
 The canonical labeling depends only on the underlying graph, and the 8
 glued graphs of a split share one, as do the reconstructions of one role
 triple; each such group is labeled once (``canon.CanonicalLabeling``) and
-only the orientation is formed per graph.  Colorability is still decided
-by one search per reconstruction.
+only the orientation is formed per graph.  Colorability too is decided
+once per role triple: the reconstructions have cyclomatic number 4 and at
+most 6 vertices of degree >= 3, so ``transfer.ChainGraph`` colors only
+those and transfers the colors along the chains between them.  Its image
+holds every colorable push class, and a reconstruction is colorable
+exactly when its class lies in it.  No search runs per reconstruction.
 
 ``verify_fig6_coloring`` replays the drawn push set and vertex colors of
 the 8-vertex witness and re-decides its colorability from scratch.
@@ -32,6 +36,7 @@ from .fixtures import M3P_COLORING, M3P_PUSH_SET, fixture
 from .graph import OrientedGraph, potential
 from .hom import C3, ColoringCertificate
 from .orient import push_class_representatives
+from .transfer import ChainGraph
 
 
 @dataclass(frozen=True)
@@ -131,15 +136,20 @@ def verify_split_vertex_reconstructions(sources=("e1", "e2", "e3")):
             valid = set()
             forms = set()
             # the role triple fixes the underlying graph
-            labelings: dict[tuple[int, ...], CanonicalLabeling] = {}
+            groups: dict[tuple[int, ...], tuple[CanonicalLabeling, ChainGraph]] = {}
             for dirs, roles, graph in reconstruction_cases(name, split):
                 valid.add(tuple(sorted(dirs.items())))
                 checked += 1
-                labeling = labelings.get(roles)
-                if labeling is None:
-                    labeling = labelings[roles] = CanonicalLabeling(graph.adjacency_masks)
+                group = groups.get(roles)
+                if group is None:
+                    kept = [v for v, d in enumerate(graph.degrees) if d >= 3]
+                    group = groups[roles] = (
+                        CanonicalLabeling(graph.adjacency_masks),
+                        ChainGraph(graph.vertex_count, graph.edges, kept),
+                    )
+                labeling, chains = group
                 forms.add(labeling.form(graph))
-                if is_pushably_k_colorable(graph, 3) is not None:
+                if chains.colorable(graph.arc_set):
                     colorable += 1
             inventories.append(
                 ReconstructionInventory(

@@ -22,7 +22,7 @@ from .configs import (
 from .crit import VERDICT_CRITICAL, is_pushably_k_critical
 from .density import mad_exact
 from .discharge import discharging_audit
-from .errors import ConfigError, UnclassifiableGraphError
+from .errors import ConfigError, UnclassifiableGraphError, UnknownSuiteError
 from .fixtures import builtin_graphs, fixture
 from .graph import OrientedGraph, directed_path, girth, potential
 from .lpq import (
@@ -357,7 +357,7 @@ def run_suites(names=("all",), jobs: int = 1) -> list[ClaimResult]:
     wanted = list(SUITE_NAMES) if "all" in names else list(names)
     for name in wanted:
         if name not in _SUITE_RUNNERS:
-            raise KeyError(f"unknown suite {name!r}; have {SUITE_NAMES}")
+            raise UnknownSuiteError(f"unknown suite {name!r}; have {SUITE_NAMES}")
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1 and len(wanted) > 1:

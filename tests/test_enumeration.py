@@ -479,6 +479,12 @@ def test_shards_and_resume(tmp_path):
                         EnumerationRecord.from_json_dict(json.loads(line))
 
 
+def test_resume_needs_a_shard_directory():
+    for shard_dir in (None, ""):
+        with pytest.raises(ConfigError, match="shard directory"):
+            find_critical(4, shard_dir=shard_dir, resume=True)
+
+
 def test_resume_closes_the_cursor_file(tmp_path):
     shard_dir = str(tmp_path / "shards")
     find_critical(5, shard_dir=shard_dir)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import pushcrit as pc
-from pushcrit import canon
+from pushcrit import canon, reconstruct, transfer
 from pushcrit.errors import IncompatibleInputError
 from pushcrit.fixtures import M3P_COLORING, M3P_PUSH_SET
 from pushcrit.hom import C3
@@ -56,6 +56,50 @@ def test_one_labeling_per_underlying_graph(monkeypatch):
     calls.clear()
     verify_split_vertex_reconstructions()
     assert len(calls) == 96
+
+
+def test_one_image_per_role_triple_and_no_search(monkeypatch):
+    images = []
+    real_image = transfer._coloring_image
+
+    def counting_image(*args, **kwargs):
+        images.append(args[2])
+        return real_image(*args, **kwargs)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a reconstruction was searched")
+
+    monkeypatch.setattr(transfer, "_coloring_image", counting_image)
+    monkeypatch.setattr(reconstruct, "is_pushably_k_colorable", no_search)
+    inventories = verify_split_vertex_reconstructions()
+    # 6 role triples per split (the orders of its three neighbors), 4
+    # splits per source, 3 sources
+    assert len(images) == 72
+    assert sum(inv.colorable for inv in inventories) == 576
+
+
+def test_image_verdicts_equal_the_search():
+    # every reconstruction, and every other push class of its underlying
+    # graph: all 16 classes of each of the 72 are colorable
+    cases = 0
+    for name in ("e1", "e2", "e3"):
+        for split in range(4):
+            chains = {}
+            for _, roles, graph in reconstruction_cases(name, split):
+                cases += 1
+                want = pc.is_pushably_k_colorable(graph, 3) is not None
+                if roles not in chains:
+                    kept = [v for v, d in enumerate(graph.degrees) if d >= 3]
+                    image = chains[roles] = transfer.ChainGraph(
+                        graph.vertex_count, graph.edges, kept
+                    )
+                    for bits in range(1 << image.width):
+                        g = pc.OrientedGraph(graph.vertex_count, image.coords.arcs(bits))
+                        colorable = pc.is_pushably_k_colorable(g, 3) is not None
+                        assert (bits in image.image) == colorable
+                    assert len(image.image) == 16
+                assert chains[roles].colorable(graph.arc_set) == want, graph.arcs
+    assert cases == 576 and len(chains) == 6
 
 
 # (source, split vertex) -> distinct graphs; every split glues back in 2

@@ -37,6 +37,8 @@ def test_fig6_suite_passes():
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         run_suites(("nonsense",))
+    with pytest.raises(pc.PushcritError, match="unknown suite 'nonsense'"):
+        run_suites(("nonsense",))
 
 
 def test_report_writing_and_schema(tmp_path):
@@ -262,6 +264,15 @@ def test_cli_shards_env(tmp_path, capsys, monkeypatch):
     rc = cli.main(["--json", "enumerate", "--max-n", "4"])
     assert rc == cli.EXIT_OK
     assert (tmp_path / "sh" / "4" / "CURSOR").exists()
+
+
+def test_cli_resume_without_shards_is_usage_error(capsys, monkeypatch):
+    monkeypatch.delenv("PUSHCRIT_SHARDS", raising=False)
+    for verb in ("enumerate", "verify-bound"):
+        rc = cli.main([verb, "--max-n", "4", "--resume"])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE and "PASS" not in captured.out
+        assert "shard directory" in captured.err
 
 
 def test_cli_text_and_json_verdicts_agree(capsys):
