@@ -23,9 +23,12 @@ The labeling depends only on the underlying graph, so the form is split
 in two stages: a ``CanonicalLabeling`` holds everything that does not see
 the orientation (the labeling, the canonical edges, and per mode the class
 coordinates and the generators as class maps), and its ``form`` turns one
-orientation into bytes.  ``canonical_form`` and ``oriented_canonical_form``
-build one for a single graph; a caller with many orientations of one
-labeled graph builds it once.
+orientation into bytes: ``class_of`` names its class in canonical
+coordinates and ``encode`` walks that class's orbit.  ``canonical_form``
+and ``oriented_canonical_form`` build one for a single graph; a caller
+with many orientations of one labeled graph builds it once, and a caller
+that holds classes already maps them in (``class_map``) and encodes them
+without building arcs.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from operator import getitem
 
 from .errors import IncompatibleInputError
 from .graph import OrientedGraph
-from .orient import AffineMap, class_coordinates
+from .orient import AffineMap, ClassCoordinates, class_coordinates
 
 _FORM_MAGIC_PUSH = b"P1"
 _FORM_MAGIC_ISO = b"O1"
@@ -262,9 +265,25 @@ class CanonicalLabeling:
         push form (P1) or, without ``quotient_push``, the digraph form (O1)."""
         if g.adjacency_masks != self.adj:
             raise IncompatibleInputError("the graph is no orientation of this labeling")
-        coords, maps = self._mode(quotient_push)
+        return self.encode(self.class_of(g.arcs, quotient_push), quotient_push)
+
+    def class_of(self, arcs, quotient_push: bool = True) -> int:
+        """The class, in canonical coordinates, of the orientation ``arcs``
+        of this graph (not checked)."""
         labeling = self.labeling
-        seed = coords.class_of({(labeling[t], labeling[h]) for t, h in g.arcs})
+        return self._mode(quotient_push)[0].class_of(
+            {(labeling[t], labeling[h]) for t, h in arcs}
+        )
+
+    def class_map(self, coords: ClassCoordinates) -> AffineMap:
+        """Push classes in ``coords``, the coordinates of this labeled graph
+        under pushing some vertices, to their canonical (P1) classes."""
+        return coords.relabel_map(self.labeling, self._mode(True)[0])
+
+    def encode(self, seed: int, quotient_push: bool = True) -> bytes:
+        """The form of the class ``seed`` in canonical coordinates: the
+        least encoding over its orbit under the automorphisms."""
+        coords, maps = self._mode(quotient_push)
         width = len(coords.free)
         orbit = orbit_of(seed, maps, AffineMap.__call__)
         best = min(_reversed_bits(bits, width) for bits in orbit)

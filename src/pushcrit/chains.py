@@ -11,6 +11,7 @@ descending, so a degree-3 vertex with chains of 3, 3 and 0 internal
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import UnclassifiableGraphError
 from .graph import OrientedGraph
@@ -45,11 +46,12 @@ class ChainDecomposition:
     chains: tuple[Chain, ...]
     classes: tuple[VertexClass, ...]
 
+    @cached_property
+    def _by_vertex(self) -> dict[int, VertexClass]:
+        return {c.vertex: c for c in self.classes}
+
     def class_of(self, v: int) -> VertexClass:
-        for c in self.classes:
-            if c.vertex == v:
-                return c
-        raise KeyError(v)
+        return self._by_vertex[v]
 
 
 def classify_vertices(g: OrientedGraph) -> ChainDecomposition:
@@ -59,6 +61,10 @@ def classify_vertices(g: OrientedGraph) -> ChainDecomposition:
     a chain between two distinct 3+-vertices; a 2-regular component or a
     chain closing back on its own endpoint has no classification and is
     reported as unclassifiable.
+
+    Each chain is walked from both ends and kept from its lower one, which
+    the scan in vertex order reaches first; every kept chain fills one
+    slot at each end.  The work is linear in the size of g.
     """
     n = g.vertex_count
     deg = g.degrees
@@ -72,48 +78,36 @@ def classify_vertices(g: OrientedGraph) -> ChainDecomposition:
             raise UnclassifiableGraphError(
                 f"component {comp} is a cycle of 2-vertices", comp
             )
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for t, h in g.arcs:
+        nbrs[t].append(h)
+        nbrs[h].append(t)
 
     chains: list[Chain] = []
-    seen_keys = set()
-    for v in range(n):
-        if deg[v] < 3:
-            continue
-        for w in g.neighbors(v):
+    slots: dict[int, list[int]] = {v: [] for v in range(n) if deg[v] >= 3}
+    for v in slots:
+        for w in sorted(nbrs[v]):
             internal = []
             prev, cur = v, w
             while deg[cur] == 2:
                 internal.append(cur)
-                nxts = [u for u in g.neighbors(cur) if u != prev]
-                prev, cur = cur, nxts[0]
-            end = cur
-            if end == v:
+                a, b = nbrs[cur]
+                prev, cur = cur, b if a == prev else a
+            if cur == v:
                 raise UnclassifiableGraphError(
                     f"chain at vertex {v} closes back on itself", (v,)
                 )
-            if v <= end:
-                key = (v, end, tuple(internal))
-            else:
-                key = (end, v, tuple(reversed(internal)))
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
-            chains.append(Chain((key[0], key[1]), key[2]))
+            if v < cur:
+                chains.append(Chain((v, cur), tuple(internal)))
+                slots[v].append(len(internal))
+                slots[cur].append(len(internal))
 
     classes = []
-    for v in range(n):
-        if deg[v] < 3:
-            continue
-        counts = []
-        for chain in chains:
-            a, b = chain.endpoints
-            if a == v:
-                counts.append(chain.internal_count)
-            if b == v:
-                counts.append(chain.internal_count)
-        counts.sort(reverse=True)
+    for v, counts in slots.items():
         if len(counts) != deg[v]:
             raise UnclassifiableGraphError(
                 f"vertex {v}: {len(counts)} chain slots for degree {deg[v]}", (v,)
             )
+        counts.sort(reverse=True)
         classes.append(VertexClass(v, deg[v], tuple(counts), sum(counts)))
     return ChainDecomposition(tuple(chains), tuple(classes))

@@ -104,34 +104,32 @@ def discharging_audit(g: OrientedGraph) -> DischargingReport:
          unless v itself is a 3-vertex with 5 of them.
     """
     dec = classify_vertices(g)
-    n = g.vertex_count
     charge = [initial_charge(d) for d in g.degrees]
     initial = tuple(charge)
     class_by_vertex = {c.vertex: c for c in dec.classes}
+    # every chain, at each of its ends
+    at_end: dict[int, list] = {v: [] for v in class_by_vertex}
+    for chain in dec.chains:
+        for end in chain.endpoints:
+            at_end[end].append(chain)
 
-    for donor in sorted(class_by_vertex):
-        donor_cls = class_by_vertex[donor]
+    for donor, donor_cls in class_by_vertex.items():
         # rule 1: chain-incident 2-vertices
-        for chain in dec.chains:
-            ends = chain.endpoints
-            if donor in ends:
-                for u in chain.internal:
-                    charge[donor] -= 2
-                    charge[u] += 2
-        # rules 2/3: adjacent (0-chain) recipients; rules 4/5: 1-chain ones
+        for chain in at_end[donor]:
+            for u in chain.internal:
+                charge[donor] -= 2
+                charge[u] += 2
+        # rules 2/3: adjacent (0-chain) recipients; rules 4/5: 1-chain ones;
+        # two chains to one neighbor give once per rule
         for dist, bonus6, bonus5 in ((0, 3, 1), (1, 3, 1)):
             recipients = set()
-            for chain in dec.chains:
-                if chain.internal_count != dist:
-                    continue
-                a, b = chain.endpoints
-                if donor == a:
-                    recipients.add(b)
-                elif donor == b:
-                    recipients.add(a)
+            for chain in at_end[donor]:
+                if chain.internal_count == dist:
+                    a, b = chain.endpoints
+                    recipients.add(b if donor == a else a)
             for u in sorted(recipients):
-                u_cls = class_by_vertex.get(u)
-                if u_cls is None or u_cls.degree != 3:
+                u_cls = class_by_vertex[u]
+                if u_cls.degree != 3:
                     continue
                 if u_cls.total == 6:
                     charge[donor] -= bonus6
@@ -143,9 +141,8 @@ def discharging_audit(g: OrientedGraph) -> DischargingReport:
                     charge[u] += bonus5
 
     checks = []
-    for v in range(n):
+    for v, degree in enumerate(g.degrees):
         cls = class_by_vertex.get(v)
-        degree = g.degree(v)
         total = cls.total if cls is not None else 0
         bound = updated_charge_lower_bound(degree, total)
         if bound is not None:

@@ -65,7 +65,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import combinations
 from multiprocessing import get_context
@@ -487,7 +487,7 @@ def make_record(code_hex: str, g: OrientedGraph, exception_codes) -> Enumeration
 
 
 def _cursor(under: UnderlyingGraph) -> str:
-    """The shard CURSOR naming a generated candidate: its underlying_cert."""
+    """The CURSOR line naming a generated candidate: its underlying_cert."""
     return encode_underlying_cert(under.vertex_count, under.cert).hex()
 
 
@@ -570,6 +570,24 @@ def _load_records(base: str):
     return records
 
 
+def _read_cursor(path: str) -> str | None:
+    """The last complete line of the CURSOR log at ``path``, or None.
+
+    Each scanned candidate appends its cursor as one line, after its
+    records are persisted.  A torn final line is cut off, as
+    ``_load_records`` does, so the next append starts a line of its own.
+    """
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        complete = data.rfind(b"\n") + 1
+        if complete < len(data):
+            fh.truncate(complete)
+    lines = data[:complete].decode("utf-8").splitlines()
+    return lines[-1] if lines else None
+
+
 def find_critical(
     n_max: int,
     k: int = 3,
@@ -619,42 +637,44 @@ def find_critical(
         if base and resume:
             for rec in _load_records(base).values():
                 merged.setdefault(rec.canonical_code, rec)
-            if os.path.exists(cursor_path):
-                with open(cursor_path, encoding="utf-8") as fh:
-                    cursor = fh.read().strip()
-                for idx, ug in enumerate(candidates):
-                    if _cursor(ug) == cursor:
-                        start_at = idx + 1
-                        break
+            cursor = _read_cursor(cursor_path)
+            for idx, ug in enumerate(candidates):
+                if _cursor(ug) == cursor:
+                    start_at = idx + 1
+                    break
         todo = candidates[start_at:]
         if not todo:
             continue
 
-        def handle(ucert: str, hits):
-            new_records = []
-            for code, gn, arcs in hits:
-                if code not in merged:
-                    rec = make_record(code, OrientedGraph(gn, arcs), exception_codes)
-                    merged[code] = rec
-                    new_records.append(rec)
+        # leaving the contexts closes the cursor log and terminates the
+        # pool, also on a budget error
+        with ExitStack() as stack:
             if base:
-                if new_records:
-                    _persist_records(base, new_records)
-                with open(cursor_path, "w", encoding="utf-8") as fh:
-                    fh.write(ucert + "\n")
-
-        # leaving the pool's context terminates it, also on a budget error
-        with get_context("fork").Pool(jobs) if jobs > 1 else nullcontext() as pool:
-            if pool is None:
-                results = map(_worker, todo)
-            else:
+                # a fresh level starts an empty log: one truncation per level
+                log = stack.enter_context(
+                    open(cursor_path, "a" if resume else "w", encoding="utf-8")
+                )
+            if jobs > 1:
+                pool = stack.enter_context(get_context("fork").Pool(jobs))
                 # each task costs the parent a pickle round trip, which
                 # outweighs the scan of a few candidates: give every worker
                 # about sixteen chunks of the level
                 chunk = max(4, len(todo) // (16 * jobs))
                 results = pool.imap(_worker, todo, chunksize=chunk)
+            else:
+                results = map(_worker, todo)
             for i, (ucert, hits) in enumerate(results):
-                handle(ucert, hits)
+                new_records = []
+                for code, gn, arcs in hits:
+                    if code not in merged:
+                        rec = make_record(code, OrientedGraph(gn, arcs), exception_codes)
+                        merged[code] = rec
+                        new_records.append(rec)
+                if base:
+                    if new_records:
+                        _persist_records(base, new_records)
+                    log.write(ucert + "\n")
+                    log.flush()
                 if progress:
                     progress(n, i + 1, len(todo))
                 check_budget()

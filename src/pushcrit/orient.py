@@ -170,14 +170,21 @@ class ClassCoordinates:
             bits |= (((lo, hi) in arcs) ^ x.get(lo, 0) ^ x.get(hi, 0)) << i
         return bits
 
-    def relabel_map(self, perm: Sequence[int]) -> AffineMap:
+    def relabel_map(
+        self, perm: Sequence[int], target: ClassCoordinates | None = None
+    ) -> AffineMap:
         """The action on classes of relabeling v -> perm[v], an automorphism
         of the underlying graph that maps the fixed arcs onto themselves.
         Relabeling commutes with pushing, so it carries whole classes;
         flipping bit i reverses the image of free[i], which adds that
-        edge's z_e."""
-        const = self.class_of({(perm[t], perm[h]) for t, h in self.arcs(0)})
-        masks = self.masks
+        edge's z_e.
+
+        Given ``target``, the coordinates of the graph that ``perm``
+        carries this one onto, which push every vertex these push and fix
+        only arcs these fix, the classes land in ``target``'s instead."""
+        target = self if target is None else target
+        const = target.class_of({(perm[t], perm[h]) for t, h in self.arcs(0)})
+        masks = target.masks
         images = [masks[min(perm[a], perm[b]), max(perm[a], perm[b])] for a, b in self.free]
         return AffineMap(const, images)
 
@@ -199,7 +206,7 @@ def class_coordinates(
     return ClassCoordinates(tuple(forest), tuple(determined), tuple(free))
 
 
-def _class_space(n, edges, movable, fixed_arcs, even_cycles):
+def class_space(n, edges, movable, fixed_arcs, even_cycles):
     """(coordinates, start, columns), or None when the constraints
     contradict.  The classes are ``start`` xor each subset of ``columns``."""
     coords = class_coordinates(n, edges, movable, fixed_arcs)
@@ -255,7 +262,7 @@ def push_class_representatives(
     Only classes in which every closed walk of ``even_cycles`` has even
     forward parity are yielded.
     """
-    space = _class_space(n, edges, movable, fixed_arcs, even_cycles)
+    space = class_space(n, edges, movable, fixed_arcs, even_cycles)
     if space is None:
         return
     coords, start, columns = space

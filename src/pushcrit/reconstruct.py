@@ -10,15 +10,25 @@ together must reproduce the exceptional graph up to push isomorphism;
 every reconstruction passing that gate must admit a 3-coloring after
 pushes, and the checker confirms exactly that, case by case.
 
-The canonical labeling depends only on the underlying graph, and the 8
-glued graphs of a split share one, as do the reconstructions of one role
-triple; each such group is labeled once (``canon.CanonicalLabeling``) and
-only the orientation is formed per graph.  Colorability too is decided
-once per role triple: the reconstructions have cyclomatic number 4 and at
-most 6 vertices of degree >= 3, so ``transfer.ChainGraph`` colors only
-those and transfers the colors along the chains between them.  Its image
-holds every colorable push class, and a reconstruction is colorable
-exactly when its class lies in it.  No search runs per reconstruction.
+Every glued graph is the source with the split vertex renumbered, so one
+``canon.CanonicalLabeling`` of the source decides the 8 gluings of all
+its splits: each is formed in the source's own labels and compared with
+the source's form.  The reconstructions of one role triple share their
+underlying graph, which is labeled once, and ``transfer.ChainGraph``
+decides the colorability of all its push classes at once: they have
+cyclomatic number 4 and at most 6 vertices of degree >= 3, so it colors
+only those and transfers the colors along the chains between them.
+
+The cases are classes, never arc tuples: for one glue orientation and
+role triple the reconstructions are the class space that
+``orient.class_space`` returns, a start and columns over GF(2).  The
+start and each column are mapped once into the canonical coordinates of
+the triple's labeling and once into those of its ``ChainGraph``; both
+maps are affine.  Each case then costs xors, one orbit walk for its form
+(``CanonicalLabeling.encode``) and one lookup in the image for its
+verdict.  ``reconstruction_cases`` builds the same cases as
+``OrientedGraph``s and decides the gluings with a labeling of its own;
+the tests form and search those graphs and hold the two paths equal.
 
 ``verify_fig6_coloring`` replays the drawn push set and vertex colors of
 the 8-vertex witness and re-decides its colorability from scratch.
@@ -35,7 +45,7 @@ from .errors import IncompatibleInputError
 from .fixtures import M3P_COLORING, M3P_PUSH_SET, fixture
 from .graph import OrientedGraph, potential
 from .hom import C3, ColoringCertificate
-from .orient import push_class_representatives
+from .orient import class_space, push_class_representatives
 from .transfer import ChainGraph
 
 
@@ -68,6 +78,52 @@ def _three_vertices(g: OrientedGraph) -> list[int]:
     return [v for v in range(g.vertex_count) if g.degree(v) == 3]
 
 
+def _split(base: OrientedGraph, split: int):
+    """(neighbors, index, kept) of splitting ``split`` off ``base``: its
+    three neighbors ascending, the renumbering of every other vertex to
+    0 .. n-2 in order, and the arcs among those, renumbered."""
+    n = base.vertex_count
+    if split not in range(n):
+        raise IncompatibleInputError(f"split vertex {split} is not in 0..{n - 1}")
+    nbrs = sorted(base.neighbors(split))
+    if len(nbrs) != 3:
+        raise IncompatibleInputError(f"split vertex {split} has degree {len(nbrs)}")
+    index = {v: i for i, v in enumerate(v for v in range(n) if v != split)}
+    kept = [(index[t], index[h]) for t, h in base.arcs if split not in (t, h)]
+    return nbrs, index, kept
+
+
+def _glue_directions(nbrs):
+    """The 8 direction patterns of the split vertex's arcs: nbr -> 1 when
+    the arc points from the split vertex to nbr."""
+    return [{nbr: bits >> i & 1 for i, nbr in enumerate(nbrs)} for bits in range(8)]
+
+
+def _gadget(index, kept, dirs, roles):
+    """One reconstruction's (vertex count, underlying edges, movable
+    vertices, fixed arcs): the 12 retained vertices, then one half of the
+    split vertex at the end of a fresh 2-chain, the degree-3 hub, a second
+    2-chain, a 1-chain, and the other half of the split vertex (19
+    vertices, 22 arcs).  ``roles`` names the original neighbors of the
+    far half, of the second 2-chain's end, and of the fresh 3-vertex."""
+    n = len(index) + 1
+    w_far, chain_a, hub = n - 1, n, n + 1
+    chain_b1, chain_b2, link, w_new = n + 2, n + 3, n + 4, n + 5
+    far_end, hub_target, extra = roles
+
+    def arc(w, nbr):
+        return (w, index[nbr]) if dirs[nbr] else (index[nbr], w)
+
+    fixed = kept + [arc(w_far, far_end), arc(w_new, hub_target), arc(w_new, extra)]
+    paths = [
+        (w_far, chain_a), (chain_a, hub),
+        (hub, chain_b1), (chain_b1, chain_b2), (chain_b2, index[hub_target]),
+        (hub, link), (link, w_new),
+    ]
+    edges = sorted({(min(e), max(e)) for e in fixed + paths})
+    return n + 6, edges, (chain_a, hub, chain_b1, chain_b2, link), fixed
+
+
 def reconstruction_cases(source_name: str, split: int):
     """Yield every reconstructed graph for one source and split vertex.
 
@@ -75,54 +131,70 @@ def reconstruction_cases(source_name: str, split: int):
     regluing the vertex with it reproduces the source up to push iso.
     """
     base = fixture(source_name)
-    nbrs = sorted(base.neighbors(split))
-    if len(nbrs) != 3:
-        raise IncompatibleInputError(f"split vertex {split} has degree {len(nbrs)}")
+    nbrs, index, kept = _split(base, split)
     n = base.vertex_count
-    index = {v: i for i, v in enumerate(v for v in range(n) if v != split)}
-    kept = [(index[t], index[h]) for t, h in base.arcs if split not in (t, h)]
-
-    def arc(w, nbr, dirs):
-        return (w, index[nbr]) if dirs[nbr] else (index[nbr], w)
-
     base_form = canonical_form(base)
     gluings = []
-    for bits in range(8):
-        dirs = {nbr: bits >> i & 1 for i, nbr in enumerate(nbrs)}
-        glued = kept + [arc(n - 1, nbr, dirs) for nbr in nbrs]
+    for dirs in _glue_directions(nbrs):
+        glued = kept + [
+            (n - 1, index[nbr]) if dirs[nbr] else (index[nbr], n - 1) for nbr in nbrs
+        ]
         gluings.append((dirs, OrientedGraph(n, tuple(glued))))
     # the gluings differ only in orientation: one labeling serves all 8
     labeling = CanonicalLabeling(gluings[0][1].adjacency_masks)
     valid_dirs = [dirs for dirs, glued in gluings if labeling.form(glued) == base_form]
-    # 12 retained vertices, then: one half of the split vertex at the end
-    # of a fresh 2-chain, the degree-3 hub, a second 2-chain, a 1-chain,
-    # and the other half of the split vertex (19 vertices, 22 arcs)
-    w_far, chain_a, hub = n - 1, n, n + 1
-    chain_b1, chain_b2, link, w_new = n + 2, n + 3, n + 4, n + 5
-    total = n + 6
-    chain_edges = [
-        (w_far, chain_a), (chain_a, hub),
-        (hub, chain_b1), (chain_b1, chain_b2),
-        (hub, link), (link, w_new),
-    ]
-    chain_edges = [(min(e), max(e)) for e in chain_edges]
     for dirs in valid_dirs:
         for roles in permutations(nbrs):
-            far_end, hub_target, extra = roles
-            fixed = kept + [
-                arc(w_far, far_end, dirs),
-                arc(w_new, hub_target, dirs),
-                arc(w_new, extra, dirs),
-            ]
-            hub_chain_edge = (min(chain_b2, index[hub_target]), max(chain_b2, index[hub_target]))
-            edges = sorted(
-                set((min(t, h), max(t, h)) for t, h in fixed)
-                | set(chain_edges)
-                | {hub_chain_edge}
-            )
-            movable = (chain_a, hub, chain_b1, chain_b2, link)
+            total, edges, movable, fixed = _gadget(index, kept, dirs, roles)
             for arcs in push_class_representatives(total, edges, movable, fixed):
                 yield dirs, roles, OrientedGraph(total, arcs)
+
+
+def _role_graph(total: int, edges) -> tuple[CanonicalLabeling, ChainGraph]:
+    """The labeling and the coloring image of one role triple's graph."""
+    adj = [0] * total
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    kept = [v for v, mask in enumerate(adj) if mask.bit_count() >= 3]
+    return CanonicalLabeling(tuple(adj)), ChainGraph(total, edges, kept)
+
+
+def _split_verdicts(base: OrientedGraph, source: CanonicalLabeling, split: int):
+    """The glue orientations that reproduce ``base`` for one split, and
+    (push form, colorable) per reconstruction.  ``source`` labels
+    ``base``."""
+    nbrs, index, kept = _split(base, split)
+    base_form = source.form(base)
+    others = [arc for arc in base.arcs if split not in arc]
+    valid_dirs = [
+        dirs
+        for dirs in _glue_directions(nbrs)
+        if source.encode(source.class_of(
+            others + [(split, v) if dirs[v] else (v, split) for v in nbrs]
+        )) == base_form
+    ]
+    verdicts = []
+    # the role triple fixes the underlying graph
+    groups: dict[tuple[int, ...], tuple[CanonicalLabeling, ChainGraph]] = {}
+    for dirs in valid_dirs:
+        for roles in permutations(nbrs):
+            total, edges, movable, fixed = _gadget(index, kept, dirs, roles)
+            coords, start, columns = class_space(total, edges, movable, fixed, ())
+            group = groups.get(roles)
+            if group is None:
+                group = groups[roles] = _role_graph(total, edges)
+            labeling, chains = group
+            to_form = labeling.class_map(coords)
+            to_image = coords.relabel_map(range(total), chains.coords)
+            # (canonical class, image class) of every case
+            cases = [(to_form(start), to_image(start))]
+            for column in columns:
+                df = to_form(column) ^ to_form.const
+                di = to_image(column) ^ to_image.const
+                cases += [(f ^ df, i ^ di) for f, i in cases]
+            verdicts += ((labeling.encode(f), i in chains.image) for f, i in cases)
+    return valid_dirs, verdicts
 
 
 def verify_split_vertex_reconstructions(sources=("e1", "e2", "e3")):
@@ -130,30 +202,18 @@ def verify_split_vertex_reconstructions(sources=("e1", "e2", "e3")):
     inventories = []
     for name in sources:
         base = fixture(name)
+        # every glued graph of every split is an orientation of base
+        source = CanonicalLabeling(base.adjacency_masks)
         for split in _three_vertices(base):
-            checked = 0
-            colorable = 0
-            valid = set()
-            forms = set()
-            # the role triple fixes the underlying graph
-            groups: dict[tuple[int, ...], tuple[CanonicalLabeling, ChainGraph]] = {}
-            for dirs, roles, graph in reconstruction_cases(name, split):
-                valid.add(tuple(sorted(dirs.items())))
-                checked += 1
-                group = groups.get(roles)
-                if group is None:
-                    kept = [v for v, d in enumerate(graph.degrees) if d >= 3]
-                    group = groups[roles] = (
-                        CanonicalLabeling(graph.adjacency_masks),
-                        ChainGraph(graph.vertex_count, graph.edges, kept),
-                    )
-                labeling, chains = group
-                forms.add(labeling.form(graph))
-                if chains.colorable(graph.arc_set):
-                    colorable += 1
+            valid_dirs, verdicts = _split_verdicts(base, source, split)
             inventories.append(
                 ReconstructionInventory(
-                    name, split, len(valid), checked, len(forms), colorable
+                    name,
+                    split,
+                    len(valid_dirs),
+                    len(verdicts),
+                    len({form for form, _ in verdicts}),
+                    sum(colorable for _, colorable in verdicts),
                 )
             )
     return inventories

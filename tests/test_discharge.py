@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import pushcrit as pc
-from pushcrit.discharge import initial_charge, updated_charge_lower_bound
+from pushcrit.chains import Chain, ChainDecomposition, VertexClass
+from pushcrit.discharge import (
+    BoundCheck,
+    DischargingReport,
+    initial_charge,
+    updated_charge_lower_bound,
+)
 from pushcrit.errors import UnclassifiableGraphError
+from pushcrit.graph import potential
 from pushcrit.verify import random_classifiable_graph
 
 
@@ -94,3 +103,164 @@ def test_conservation_on_random_graphs(rng):
 def test_unclassifiable_inputs_error():
     with pytest.raises(UnclassifiableGraphError):
         pc.discharging_audit(pc.directed_cycle(4))
+
+
+# -- the direct quadratic implementation, as an oracle ------------------------
+
+
+def _slow_classify(g):
+    """Every chain walked from each 3+-vertex by neighbor scans, and each
+    vertex's slots counted over every chain."""
+    n = g.vertex_count
+    deg = g.degrees
+    for v in range(n):
+        if deg[v] < 2:
+            raise UnclassifiableGraphError(f"vertex {v} has degree {deg[v]} < 2", (v,))
+    for comp in g.components:
+        if all(deg[v] == 2 for v in comp):
+            raise UnclassifiableGraphError(
+                f"component {comp} is a cycle of 2-vertices", comp
+            )
+    chains = []
+    seen_keys = set()
+    for v in range(n):
+        if deg[v] < 3:
+            continue
+        for w in g.neighbors(v):
+            internal = []
+            prev, cur = v, w
+            while deg[cur] == 2:
+                internal.append(cur)
+                nxts = [u for u in g.neighbors(cur) if u != prev]
+                prev, cur = cur, nxts[0]
+            if cur == v:
+                raise UnclassifiableGraphError(
+                    f"chain at vertex {v} closes back on itself", (v,)
+                )
+            if v <= cur:
+                key = (v, cur, tuple(internal))
+            else:
+                key = (cur, v, tuple(reversed(internal)))
+            if key not in seen_keys:
+                seen_keys.add(key)
+                chains.append(Chain((key[0], key[1]), key[2]))
+    classes = []
+    for v in range(n):
+        if deg[v] < 3:
+            continue
+        counts = []
+        for chain in chains:
+            counts += [chain.internal_count] * chain.endpoints.count(v)
+        counts.sort(reverse=True)
+        classes.append(VertexClass(v, deg[v], tuple(counts), sum(counts)))
+    return ChainDecomposition(tuple(chains), tuple(classes))
+
+
+def _slow_audit(g):
+    """The five rules, each donor scanning every chain."""
+    dec = _slow_classify(g)
+    charge = [initial_charge(d) for d in g.degrees]
+    initial = tuple(charge)
+    classes = {c.vertex: c for c in dec.classes}
+    for donor, donor_cls in classes.items():
+        for chain in dec.chains:
+            if donor in chain.endpoints:
+                for u in chain.internal:
+                    charge[donor] -= 2
+                    charge[u] += 2
+        for dist in (0, 1):
+            recipients = set()
+            for chain in dec.chains:
+                a, b = chain.endpoints
+                if chain.internal_count == dist and donor in (a, b):
+                    recipients.add(b if donor == a else a)
+            for u in recipients:
+                u_cls = classes[u]
+                if u_cls.degree != 3:
+                    continue
+                if u_cls.total == 6:
+                    give = 3
+                elif u_cls.total == 5:
+                    guarded = dist == 1 and donor_cls.degree == 3 and donor_cls.total == 5
+                    give = 0 if guarded else 1
+                else:
+                    give = 0
+                charge[donor] -= give
+                charge[u] += give
+    checks = []
+    for v in range(g.vertex_count):
+        total = classes[v].total if v in classes else 0
+        bound = updated_charge_lower_bound(g.degree(v), total)
+        if bound is not None:
+            final = charge[v]
+            checks.append(BoundCheck(v, g.degree(v), total, bound, final, final >= bound))
+    return DischargingReport(initial, tuple(charge), sum(initial), sum(charge), tuple(checks))
+
+
+def _graph_of_chains(chains):
+    """The graph of the given chains (u, v, internal count), numbering the
+    internal vertices after every endpoint, in order."""
+    nxt = 1 + max(max(u, v) for u, v, _ in chains)
+    arcs = []
+    for u, v, internals in chains:
+        stops = [u] + list(range(nxt, nxt + internals)) + [v]
+        nxt += internals
+        arcs += zip(stops, stops[1:])
+    return pc.OrientedGraph(nxt, tuple(arcs))
+
+
+def _rule5_guard_graph():
+    return _graph_of_chains([(0, 1, 1), (0, 1, 2), (0, 1, 2)])
+
+
+def _twin_chain_graph():
+    # two 1-chains from vertex 0 to the 3-vertex 1, whose third chain has 3
+    # internal vertices: 1 carries 5 chain-incident 2-vertices
+    return _graph_of_chains(
+        [(0, 1, 1), (0, 1, 1), (0, 1, 3), (0, 2, 0), (0, 3, 1), (2, 3, 0), (2, 3, 1)]
+    )
+
+
+def test_two_chains_to_one_neighbor_give_once():
+    g = _twin_chain_graph()
+    dec = pc.classify_vertices(g)
+    assert dec.class_of(0).degree == 5
+    assert dec.class_of(1).chain_internal_counts == (3, 1, 1)
+    with pytest.raises(KeyError):
+        dec.class_of(4)  # a 2-vertex has no class
+    # vertex 1 gives 2 per internal vertex and takes rule 5 once from 0
+    assert pc.discharging_audit(g).final[1] == initial_charge(3) - 10 + 1
+
+
+def test_linear_audit_equals_the_quadratic_one():
+    graphs = [pc.fixture(name) for name in ("at_c3", "e1", "e2", "e3", "f", "m3p")]
+    graphs += [_rule5_guard_graph(), _twin_chain_graph()]
+    rng = random.Random(20240917)
+    graphs += [random_classifiable_graph(rng) for _ in range(200)]
+    for g in graphs:
+        assert pc.classify_vertices(g) == _slow_classify(g)
+        report = pc.discharging_audit(g)
+        assert report == _slow_audit(g)
+        assert report.total_final == -2 * potential(g)
+
+
+def test_unclassifiable_errors_equal_the_quadratic_ones():
+    graphs = [
+        pc.directed_cycle(4),
+        pc.directed_path(4),
+        pc.fixture("c_minus4"),
+        # a 3-vertex whose chain closes back on it
+        _graph_of_chains([(0, 0, 2), (0, 1, 0), (1, 2, 0), (1, 3, 0), (2, 3, 0)]),
+    ]
+    # a classifiable block beside a cycle of 2-vertices
+    block = _rule5_guard_graph()
+    n = block.vertex_count
+    triangle = ((n, n + 1), (n + 1, n + 2), (n + 2, n))
+    graphs.append(pc.OrientedGraph(n + 3, block.arcs + triangle))
+    for g in graphs:
+        with pytest.raises(UnclassifiableGraphError) as fast:
+            pc.discharging_audit(g)
+        with pytest.raises(UnclassifiableGraphError) as slow:
+            _slow_audit(g)
+        assert str(fast.value) == str(slow.value)
+        assert fast.value.vertices == slow.value.vertices

@@ -511,6 +511,13 @@ def _cursor_hex(n: int, under: UnderlyingGraph) -> str:
     return underlying_cert(pc.OrientedGraph(n, under.edges)).hex()
 
 
+def _last_cursor(base: str) -> str:
+    with open(os.path.join(base, "CURSOR")) as fh:
+        text = fh.read()
+    assert text.endswith("\n")
+    return text.splitlines()[-1]
+
+
 class _Crash(Exception):
     pass
 
@@ -543,8 +550,8 @@ def test_resume_repairs_a_torn_shard_tail(tmp_path, monkeypatch):
     monkeypatch.undo()
     crashed, before = scanned[-1], scanned[-2]
     assert crashed.vertex_count == before.vertex_count == 7
-    with open(os.path.join(shard_dir, "7", "CURSOR")) as fh:
-        assert fh.read().strip() == _cursor_hex(7, before)
+    # the log's last line names the last candidate whose records persisted
+    assert _last_cursor(os.path.join(shard_dir, "7")) == _cursor_hex(7, before)
 
     resumed = find_critical(7, shard_dir=shard_dir, resume=True)
     assert [r.to_json_dict() for r in resumed] == [r.to_json_dict() for r in fresh]
@@ -557,10 +564,51 @@ def test_resume_repairs_a_torn_shard_tail(tmp_path, monkeypatch):
                     text = fh.read()
                 assert text.endswith("\n")
                 on_disk += [json.loads(line)["canonical_code"] for line in text.splitlines()]
-        last = list(enumerate_underlying(n, 2, forbid_k4=n >= 5))[-1]
-        with open(os.path.join(base, "CURSOR")) as fh:
-            assert fh.read().strip() == _cursor_hex(n, last)
+        level = list(enumerate_underlying(n, 2, forbid_k4=n >= 5))
+        assert _last_cursor(base) == _cursor_hex(n, level[-1])
     assert sorted(on_disk) == sorted(r.canonical_code for r in fresh)
+
+
+def test_cursor_log_is_truncated_once_per_level(tmp_path, monkeypatch):
+    opened = []
+
+    def recording_open(path, mode="r", *args, **kwargs):
+        opened.append((path, mode))
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "open", recording_open, raising=False)
+    sharded = find_critical(7, shard_dir=str(tmp_path))
+    monkeypatch.undo()
+    cursor_opens = [
+        (os.path.basename(os.path.dirname(path)), mode)
+        for path, mode in opened
+        if os.path.basename(path) == "CURSOR"
+    ]
+    # one open per level, never one per candidate
+    assert sorted(cursor_opens) == [(str(n), "w") for n in range(3, 8)]
+    assert [r.to_json_dict() for r in sharded] == [
+        r.to_json_dict() for r in find_critical(7)
+    ]
+    # the log holds one line per scanned candidate, in scan order
+    for n in range(3, 8):
+        level = list(enumerate_underlying(n, 2, forbid_k4=n >= 5))
+        with open(tmp_path / str(n) / "CURSOR") as fh:
+            assert fh.read().splitlines() == [_cursor_hex(n, ug) for ug in level]
+
+
+def test_resume_cuts_a_torn_cursor_line(tmp_path):
+    shard_dir = str(tmp_path)
+    fresh = find_critical(6, shard_dir=shard_dir)
+    path = os.path.join(shard_dir, "6", "CURSOR")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    # a crash mid-append: ten complete lines, then half of the next
+    with open(path, "w") as fh:
+        fh.write("".join(line + "\n" for line in lines[:10]) + lines[10][:5])
+    resumed = find_critical(6, shard_dir=shard_dir, resume=True)
+    assert [r.to_json_dict() for r in resumed] == [r.to_json_dict() for r in fresh]
+    with open(path) as fh:
+        assert fh.read().splitlines() == lines
 
 
 def test_budget_is_checked_while_a_level_is_generated(monkeypatch):

@@ -213,3 +213,27 @@ def test_relabel_map_carries_classes(rng):
                     k = rng.getrandbits(len(coords.free))
                     moved = {(perm[t], perm[h]) for t, h in coords.arcs(k)}
                     assert image(k) == coords.class_of(moved)
+
+
+def test_relabel_map_into_other_coordinates(rng):
+    # with a target, class k of coordinates that push some vertices and
+    # fix arcs away from them goes to the target class (every vertex
+    # movable, nothing fixed) of its relabeled normalized orientation
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        edges = _random_edges(rng, n, rng.choice((0.3, 0.5, 0.8)))
+        movable = [v for v in range(n) if rng.random() < 0.5]
+        fixed = [
+            (a, b) if rng.random() < 0.5 else (b, a)
+            for a, b in edges
+            if a not in movable and b not in movable and rng.random() < 0.5
+        ]
+        coords = class_coordinates(n, edges, movable, fixed)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moved_edges = sorted((min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in edges)
+        target = class_coordinates(n, moved_edges, range(n))
+        image = coords.relabel_map(perm, target)
+        for k in range(min(1 << len(coords.free), 16)):
+            moved = {(perm[t], perm[h]) for t, h in coords.arcs(k)}
+            assert image(k) == target.class_of(moved)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 import pushcrit as pc
-from pushcrit import canon, reconstruct, transfer
+from pushcrit import canon, graph, reconstruct, transfer
 from pushcrit.errors import IncompatibleInputError
 from pushcrit.fixtures import M3P_COLORING, M3P_PUSH_SET
 from pushcrit.hom import C3
@@ -37,6 +39,13 @@ def test_split_vertex_of_wrong_degree_is_typed_error():
         next(reconstruction_cases("e1", other))
 
 
+def test_split_vertex_outside_the_graph_is_typed_error():
+    # -1 must not read vertex 12 through negative indexing
+    for split in (99, -1, 13):
+        with pytest.raises(IncompatibleInputError, match="not in 0..12"):
+            next(reconstruction_cases("e1", split))
+
+
 def test_one_labeling_per_underlying_graph(monkeypatch):
     calls = []
     real = canon.canonical_data
@@ -49,13 +58,54 @@ def test_one_labeling_per_underlying_graph(monkeypatch):
     list(reconstruction_cases("e1", 3))
     # the source, then one labeling for all 8 glued graphs
     assert calls == [13, 13]
-    # plus one per role triple: 8 per split, 4 splits per source
+    # the fast path labels each source once, for the gluings of all its
+    # splits, and each role triple once: 6 per split, 4 splits per source
     calls.clear()
     verify_split_vertex_reconstructions(("e1",))
-    assert len(calls) == 32
+    assert calls == [13] + [19] * 24
     calls.clear()
     verify_split_vertex_reconstructions()
-    assert len(calls) == 96
+    assert len(calls) == 75
+
+
+def test_no_graph_is_built_per_case(monkeypatch):
+    verify_split_vertex_reconstructions()  # loads the fixtures
+    built = []
+    real = graph._arc_violation
+
+    def counting(n, arcs):
+        built.append(n)
+        return real(n, arcs)
+
+    monkeypatch.setattr(graph, "_arc_violation", counting)
+    inventories = verify_split_vertex_reconstructions()
+    assert sum(inv.graphs_checked for inv in inventories) == 576
+    assert built == []
+    # the count sees graphs: the slow path builds its 8 gluings and 48 cases
+    list(reconstruction_cases("e1", 3))
+    assert built.count(13) == 8 and built.count(19) == 48
+
+
+def test_fast_path_equals_the_graphs_and_the_search():
+    # per split, the multiset of (push form, colorable) over the cases
+    # equals the one of reconstruction_cases, canonical_form and the search
+    cases = 0
+    for name in ("e1", "e2", "e3"):
+        base = pc.fixture(name)
+        source = canon.CanonicalLabeling(base.adjacency_masks)
+        for split in range(4):
+            valid, fast = reconstruct._split_verdicts(base, source, split)
+            slow = []
+            glue = set()
+            for dirs, _, g in reconstruction_cases(name, split):
+                glue.add(tuple(sorted(dirs.items())))
+                slow.append(
+                    (canon.canonical_form(g), pc.is_pushably_k_colorable(g, 3) is not None)
+                )
+            assert Counter(fast) == Counter(slow)
+            assert sorted(tuple(sorted(d.items())) for d in valid) == sorted(glue)
+            cases += len(fast)
+    assert cases == 576
 
 
 def test_one_image_per_role_triple_and_no_search(monkeypatch):
