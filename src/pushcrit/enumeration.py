@@ -17,6 +17,17 @@ highest canonical label always falls on a vertex of maximum degree, as
 does every vertex of its orbit; a child whose new vertex has lower degree
 than some other vertex would be rejected anyway.
 
+Root-cell lemma: the highest canonical label falls in the last cell of
+the root partition, the equitable refinement ``canon._refine`` of the
+unit cell, and so does its whole orbit.  Leaves refine the root partition
+without reordering it, and each root cell is a union of automorphism
+orbits.  So on the top level, where a child needs no generators, the
+partition often decides acceptance without a labeling: a new vertex of
+unique maximum degree is accepted (the first split by degree leaves it
+alone in the last cell, with no refinement run), one outside the last
+root cell is rejected, and one alone in it is accepted.  Only the rest
+are labeled.
+
 Feasible-subset lemma: the pretest holds exactly when the attachment set
 S has |S| >= deg(v) + [v in S] for every old vertex v, that is when S is,
 for some size k >= the parent's maximum degree, a k-subset of the
@@ -38,11 +49,14 @@ ones are exactly the level's candidates, in the level's order.  Such a
 top level is cached apart and never extended: a parent it dropped may
 have candidate children.  So every lower level stays complete.
 
-Each accepted child carries the certificate and the automorphism
-generators its labeling returned: the certificate names the candidate
-(``UnderlyingGraph.cert``), so the scan never labels it again for a shard
-cursor, and the generators are the parent's group when the next level
-extends it.
+Each accepted child on a lower level carries the certificate and the
+automorphism generators its labeling returned: the generators are the
+parent's group when the next level extends it, and the certificate names
+the candidate (``UnderlyingGraph.cert``) in a shard cursor.  A top-level
+child accepted by its root partition carries no certificate; a run that
+writes shards labels it for its cursor in the scan's worker, and
+``resume`` labels candidates to find its position.  A run without shards
+labels it never.
 
 Candidates are the connected underlying graphs with minimum degree 2: a
 pushably 3-critical graph has no isolated vertex (criticality is
@@ -67,12 +81,14 @@ import os
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from multiprocessing import get_context
 from operator import getitem
 
 from .canon import (
     CanonicalLabeling,
+    _refine,
     canonical_data,
     canonical_form,
     encode_underlying_cert,
@@ -108,7 +124,8 @@ def satisfies_density_bound(n: int, m: int) -> bool:
 class UnderlyingGraph:
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
-    # the canonical certificate from ``canonical_data``, set by generation
+    # the canonical certificate from ``canonical_data``, set by generation;
+    # None on a top-level candidate accepted without a labeling
     cert: int | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -203,7 +220,22 @@ def _adds_k4(masks, new_mask: int) -> bool:
     return False
 
 
-_Level = list[tuple[tuple[int, ...], int]]
+def _root_cell_verdict(child) -> bool | None:
+    """Canonical-deletion acceptance of a child whose new vertex, the last,
+    has maximum degree, where the root partition decides it (the root-cell
+    lemma of the module docstring): True or False, or None when only a
+    labeling can tell."""
+    new = len(child) - 1
+    size = child[new].bit_count()
+    if all(child[v].bit_count() < size for v in range(new)):
+        return True
+    last = _refine(child, [list(range(len(child)))])[-1]
+    if new not in last:
+        return False
+    return True if len(last) == 1 else None
+
+
+_Level = list[tuple[tuple[int, ...], int | None]]
 # (n, forbid_k4, top) -> (level, the automorphism generators of each graph
 # in it); a top level keeps none, since no level is ever built on it
 _LEVEL_CACHE: dict[tuple[int, bool, bool], tuple[_Level, list | None]] = {}
@@ -212,7 +244,8 @@ _LEVEL_CACHE: dict[tuple[int, bool, bool], tuple[_Level, list | None]] = {}
 def _graphs_on(n: int, forbid_k4: bool, tick=None, top: bool = False) -> _Level:
     """(adjacency masks, canonical cert) pairs, one per isomorphism class
     on n vertices.  A ``top`` level holds only the connected graphs with
-    minimum degree 2, in the same order, by the top-level cover test.
+    minimum degree 2, in the same order, by the top-level cover test; the
+    cert is None where the root-cell lemma accepted the graph.
 
     ``tick`` is called before each parent is extended; it may raise to
     abandon the level, which is then not cached.
@@ -235,6 +268,12 @@ def _graphs_on(n: int, forbid_k4: bool, tick=None, top: bool = False) -> _Level:
                 child = tuple(
                     parent[v] | ((smask >> v & 1) << (n - 1)) for v in range(n - 1)
                 ) + (smask,)
+                if top:
+                    verdict = _root_cell_verdict(child)
+                    if verdict is not None:
+                        if verdict:
+                            level.append((child, None))
+                        continue
                 cert, labeling, cgens = canonical_data(child)
                 deleted = labeling.index(n - 1)
                 if n - 1 in orbit_of(deleted, cgens, getitem):
@@ -258,7 +297,8 @@ def enumerate_underlying(
     ``tick`` is called between parents while a level is generated.
     ``find_critical`` sets ``_last_level`` on the last n it asks for: unless
     the complete level is at hand, that level is then generated with the
-    top-level cover test, as no later level extends it.
+    top-level cover test, as no later level extends it, and its candidates
+    accepted without a labeling carry ``cert`` None.
     """
     if not 1 <= n <= UNDERLYING_VERTEX_LIMIT:
         raise ConfigError(
@@ -487,16 +527,22 @@ def make_record(code_hex: str, g: OrientedGraph, exception_codes) -> Enumeration
 
 
 def _cursor(under: UnderlyingGraph) -> str:
-    """The CURSOR line naming a generated candidate: its underlying_cert."""
-    return encode_underlying_cert(under.vertex_count, under.cert).hex()
+    """The CURSOR line naming a generated candidate: its underlying_cert,
+    labeled here if generation accepted it without a labeling."""
+    cert = under.cert
+    if cert is None:
+        cert = canonical_data(under.masks)[0]
+    return encode_underlying_cert(under.vertex_count, cert).hex()
 
 
-def _worker(under: UnderlyingGraph):
+def _worker(under: UnderlyingGraph, sharded: bool = True):
+    """The scan's hits on one candidate, after its CURSOR line if the run
+    writes shards (else None)."""
     hits = [
         (code, g.vertex_count, tuple(g.arcs))
         for code, g in _scan_underlying_for_critical(under)
     ]
-    return _cursor(under), hits
+    return (_cursor(under) if sharded else None), hits
 
 
 @dataclass(frozen=True)
@@ -588,6 +634,17 @@ def _read_cursor(path: str) -> str | None:
     return lines[-1] if lines else None
 
 
+def _resume_position(n: int, candidates, cursor: str) -> int:
+    """The index after the candidate that the CURSOR line ``cursor`` names;
+    a line naming none of the level's candidates is a ConfigError."""
+    for idx, ug in enumerate(candidates):
+        if _cursor(ug) == cursor:
+            return idx + 1
+    raise ConfigError(
+        f"the CURSOR of level {n} names no candidate on {n} vertices"
+    )
+
+
 def find_critical(
     n_max: int,
     k: int = 3,
@@ -638,10 +695,8 @@ def find_critical(
             for rec in _load_records(base).values():
                 merged.setdefault(rec.canonical_code, rec)
             cursor = _read_cursor(cursor_path)
-            for idx, ug in enumerate(candidates):
-                if _cursor(ug) == cursor:
-                    start_at = idx + 1
-                    break
+            if cursor is not None:
+                start_at = _resume_position(n, candidates, cursor)
         todo = candidates[start_at:]
         if not todo:
             continue
@@ -650,19 +705,25 @@ def find_critical(
         # pool, also on a budget error
         with ExitStack() as stack:
             if base:
-                # a fresh level starts an empty log: one truncation per level
+                if not resume:
+                    # a fresh level starts empty record files and an empty
+                    # log: one truncation per level
+                    for fname in os.listdir(base):
+                        if fname.endswith(".ndjson"):
+                            os.remove(os.path.join(base, fname))
                 log = stack.enter_context(
                     open(cursor_path, "a" if resume else "w", encoding="utf-8")
                 )
+            worker = _worker if base else partial(_worker, sharded=False)
             if jobs > 1:
                 pool = stack.enter_context(get_context("fork").Pool(jobs))
                 # each task costs the parent a pickle round trip, which
                 # outweighs the scan of a few candidates: give every worker
                 # about sixteen chunks of the level
                 chunk = max(4, len(todo) // (16 * jobs))
-                results = pool.imap(_worker, todo, chunksize=chunk)
+                results = pool.imap(worker, todo, chunksize=chunk)
             else:
-                results = map(_worker, todo)
+                results = map(worker, todo)
             for i, (ucert, hits) in enumerate(results):
                 new_records = []
                 for code, gn, arcs in hits:

@@ -15,6 +15,7 @@ from pushcrit.canon import (
     _refine,
     canonical_data,
     closure,
+    orbit_of,
     oriented_canonical_form,
 )
 from pushcrit.errors import IncompatibleInputError
@@ -136,9 +137,9 @@ def _masks(n, edges):
     return tuple(out)
 
 
-def test_last_canonical_position_has_maximum_degree(rng):
-    # generation's max-degree pretest rests on this: refinement splits the
-    # unit cell by degree first, ascending, and never reorders cells
+def _shaped_and_random(rng):
+    """Adjacency masks of shaped graphs (vertex-transitive, complete, empty,
+    disconnected) and of 80 random ones on 1..10 vertices."""
     cycle7 = [(i, (i + 1) % 7) for i in range(7)]
     petersen = (
         [(i, (i + 1) % 5) for i in range(5)]
@@ -159,11 +160,28 @@ def test_last_canonical_position_has_maximum_degree(rng):
         random_oriented_graph(rng, rng.randint(1, 10), p=rng.random()).adjacency_masks
         for _ in range(80)
     ]
-    for adj in shaped + randoms:
+    return shaped + randoms
+
+
+def test_last_canonical_position_has_maximum_degree(rng):
+    # generation's max-degree pretest rests on this: refinement splits the
+    # unit cell by degree first, ascending, and never reorders cells
+    for adj in _shaped_and_random(rng):
         n = len(adj)
         _, labeling, _ = canonical_data(adj)
         degrees = [m.bit_count() for m in adj]
         assert degrees[labeling.index(n - 1)] == max(degrees), adj
+
+
+def test_last_canonical_position_lies_in_the_last_root_cell(rng):
+    # generation's root-cell lemma: leaves refine the root partition
+    # without reordering it, and root cells are unions of orbits
+    for adj in _shaped_and_random(rng):
+        n = len(adj)
+        _, labeling, gens = canonical_data(adj)
+        last = set(_refine(adj, [list(range(n))])[-1])
+        orbit = orbit_of(labeling.index(n - 1), gens, lambda g, v: g[v])
+        assert orbit <= last, adj
 
 
 def _plain_refine(adj, cells):

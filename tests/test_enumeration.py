@@ -4,6 +4,7 @@ lemmas it no longer relies on."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -14,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 import pushcrit as pc
-from pushcrit import enumeration
+from pushcrit import cli, enumeration
 from pushcrit.canon import (
     canonical_data,
     encode_underlying_cert,
@@ -30,6 +31,7 @@ from pushcrit.enumeration import (
     _critical_orientations,
     _graphs_on,
     _permute_mask,
+    _root_cell_verdict,
     _scan_underlying_for_critical,
     enumerate_orientations_mod_push,
     enumerate_underlying,
@@ -160,11 +162,46 @@ def test_top_level_is_the_filtered_full_level(monkeypatch):
             top_labelings = calls[0]
             full = _graphs_on(n, forbid_k4)
             full_labelings = calls[0] - top_labelings
-            assert top == [(m, cert) for m, cert in full if _is_candidate(m)]
+            kept = [(m, cert) for m, cert in full if _is_candidate(m)]
+            assert [m for m, _ in top] == [m for m, _ in kept]
+            # a top-level graph labeled by generation has the full level's cert
+            for (_, cert), (_, want) in zip(top, kept):
+                assert cert in (None, want)
     # K4-free on 8 vertices: the 3,328 candidates among the 6,431 graphs
-    # take 5,183 labelings instead of 9,788
+    # take 642 labelings instead of 9,788
     assert (len(top), len(full)) == (3328, 6431)
-    assert (top_labelings, full_labelings) == (5183, 9788)
+    assert (top_labelings, full_labelings) == (642, 9788)
+
+
+@pytest.mark.parametrize(
+    "forbid_k4, n_max, top_verdicts",
+    [
+        (False, 7, {True: 317, False: 179, None: 191}),
+        # the K4-free top level on 8 vertices: 5,183 children, 642 labeled
+        (True, 8, {True: 2705, False: 1836, None: 642}),
+    ],
+)
+def test_root_cell_verdicts_agree_with_labeling(forbid_k4, n_max, top_verdicts):
+    # every child the top level could meet, with and without the cover test:
+    # a decided verdict is canonical-deletion acceptance by a labeling
+    for n in range(2, n_max + 1):
+        verdicts = {True: 0, False: 0, None: 0}
+        for cover in (False, True):
+            for parent, _ in _graphs_on(n - 1, forbid_k4):
+                _, _, gens = canonical_data(parent)
+                for smask in _attachment_sets(parent, gens, cover):
+                    if forbid_k4 and _adds_k4(parent, smask):
+                        continue
+                    child = _child(parent, smask)
+                    _, labeling, cgens = canonical_data(child)
+                    accepted = n - 1 in orbit_of(
+                        labeling.index(n - 1), cgens, lambda g, v: g[v]
+                    )
+                    verdict = _root_cell_verdict(child)
+                    assert verdict in (None, accepted), child
+                    if cover:
+                        verdicts[verdict] += 1
+    assert verdicts == top_verdicts
 
 
 def test_a_top_level_never_becomes_a_parent(monkeypatch):
@@ -609,6 +646,84 @@ def test_resume_cuts_a_torn_cursor_line(tmp_path):
     assert [r.to_json_dict() for r in resumed] == [r.to_json_dict() for r in fresh]
     with open(path) as fh:
         assert fh.read().splitlines() == lines
+
+
+def test_a_fresh_run_starts_empty_record_files(tmp_path):
+    shard_dir = str(tmp_path)
+    once = find_critical(6, shard_dir=shard_dir)
+    again = find_critical(6, shard_dir=shard_dir)
+    assert [r.to_json_dict() for r in again] == [r.to_json_dict() for r in once]
+    lines = []
+    for n in range(3, 7):
+        base = os.path.join(shard_dir, str(n))
+        for fname in os.listdir(base):
+            if fname.endswith(".ndjson"):
+                with open(os.path.join(base, fname)) as fh:
+                    lines += fh.read().splitlines()
+    codes = [json.loads(line)["canonical_code"] for line in lines]
+    assert sorted(codes) == sorted(r.canonical_code for r in once)
+
+
+def test_resume_rejects_a_cursor_naming_no_candidate(tmp_path, capsys):
+    shard_dir = str(tmp_path)
+    fresh = find_critical(6, shard_dir=shard_dir)
+    path = os.path.join(shard_dir, "5", "CURSOR")
+    # a 6-vertex cert names no candidate on 5 vertices
+    with open(os.path.join(shard_dir, "6", "CURSOR")) as fh:
+        foreign = fh.readline()
+    with open(path, "w") as fh:
+        fh.write(foreign)
+    with pytest.raises(ConfigError, match="level 5"):
+        find_critical(6, shard_dir=shard_dir, resume=True)
+    rc = cli.main(["enumerate", "--max-n", "6", "--shards", shard_dir, "--resume"])
+    assert rc == cli.EXIT_USAGE and "level 5" in capsys.readouterr().err
+    # an empty log, like an absent one, starts the level from its first
+    # candidate
+    open(path, "w").close()
+    resumed = find_critical(6, shard_dir=shard_dir, resume=True)
+    assert [r.to_json_dict() for r in resumed] == [r.to_json_dict() for r in fresh]
+    level = list(enumerate_underlying(5, 2, forbid_k4=True))
+    with open(path) as fh:
+        assert fh.read().splitlines() == [_cursor_hex(5, ug) for ug in level]
+
+
+def _tree_digest(root) -> str:
+    digest = hashlib.sha256()
+    for dirpath, _, files in sorted(os.walk(root)):
+        for fname in sorted(files):
+            path = os.path.join(dirpath, fname)
+            digest.update(os.path.relpath(path, root).encode() + b"\0")
+            with open(path, "rb") as fh:
+                digest.update(fh.read() + b"\0")
+    return digest.hexdigest()
+
+
+def test_shard_files_are_pinned_across_jobs(tmp_path, capsys):
+    # record files and CURSOR logs of every level to 8 vertices, byte for
+    # byte as written when every candidate carried its certificate
+    for jobs in ("1", "2"):
+        shard_dir = str(tmp_path / jobs)
+        rc = cli.main(["enumerate", "--max-n", "8", "--shards", shard_dir, "--jobs", jobs])
+        capsys.readouterr()
+        assert rc == cli.EXIT_OK
+        assert _tree_digest(shard_dir) == (
+            "2b6ae5ae0c9fbeeeba3669ee68d071c9631dc15e17b8d55c42b36f2678790437"
+        )
+
+
+def test_a_run_without_shards_labels_no_cursor(monkeypatch):
+    calls = [0]
+
+    def labeled(adj):
+        calls[0] += 1
+        return canonical_data(adj)
+
+    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+    monkeypatch.setattr(enumeration, "canonical_data", labeled)
+    find_critical(8)
+    # generation only: the full levels to 7 vertices and the 642 top-level
+    # children that the root partition leaves undecided
+    assert calls[0] == 1795
 
 
 def test_budget_is_checked_while_a_level_is_generated(monkeypatch):
