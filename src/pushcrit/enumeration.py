@@ -70,8 +70,13 @@ The scan decides every push class of a candidate G at once from its
 keeps every vertex of G, enumerates the proper 3-colorings, and returns
 the image Im of colorable classes and the critical classes (see the
 ``transfer`` docstring for why the test is exact).  Each edge is then its
-own chain.  The scan assumes none of the structural lemmas that
-``underlying_prune_verdict`` states.
+own chain, and the walk order is the BFS order of the class forest.  One
+walk, which skips the negations of the colorings it takes (the negation
+lemma), gives Im together with the Mono classes of the edges that end at
+the last two vertices of that order (the tail-Mono lemma); any other
+edge's Mono takes a walk of its own, only when a remaining candidate
+class needs it.  The scan assumes
+none of the structural lemmas that ``underlying_prune_verdict`` states.
 """
 
 from __future__ import annotations
@@ -682,61 +687,65 @@ def find_critical(
         if wall_budget_s is not None and time.monotonic() - started > wall_budget_s:
             raise ResourceBudgetError("wall-time budget exhausted", partial=records())
 
-    for n in range(3, n_max + 1):
-        candidates = list(
-            enumerate_underlying(
-                n, 2, forbid_k4=n >= 5, tick=check_budget, _last_level=n == n_max
-            )
-        )
-        base = _shard_paths(shard_dir, n) if shard_dir else None
-        cursor_path = os.path.join(base, "CURSOR") if base else None
-        start_at = 0
-        if base and resume:
-            for rec in _load_records(base).values():
-                merged.setdefault(rec.canonical_code, rec)
-            cursor = _read_cursor(cursor_path)
-            if cursor is not None:
-                start_at = _resume_position(n, candidates, cursor)
-        todo = candidates[start_at:]
-        if not todo:
-            continue
-
-        # leaving the contexts closes the cursor log and terminates the
-        # pool, also on a budget error
-        with ExitStack() as stack:
-            if base:
-                if not resume:
-                    # a fresh level starts empty record files and an empty
-                    # log: one truncation per level
-                    for fname in os.listdir(base):
-                        if fname.endswith(".ndjson"):
-                            os.remove(os.path.join(base, fname))
-                log = stack.enter_context(
-                    open(cursor_path, "a" if resume else "w", encoding="utf-8")
+    # leaving the run's context terminates the pool, opened once on the
+    # first level with work, also on a budget error
+    with ExitStack() as run:
+        pool = None
+        for n in range(3, n_max + 1):
+            candidates = list(
+                enumerate_underlying(
+                    n, 2, forbid_k4=n >= 5, tick=check_budget, _last_level=n == n_max
                 )
-            worker = _worker if base else partial(_worker, sharded=False)
-            if jobs > 1:
-                pool = stack.enter_context(get_context("fork").Pool(jobs))
-                # each task costs the parent a pickle round trip, which
-                # outweighs the scan of a few candidates: give every worker
-                # about sixteen chunks of the level
-                chunk = max(4, len(todo) // (16 * jobs))
-                results = pool.imap(worker, todo, chunksize=chunk)
-            else:
-                results = map(worker, todo)
-            for i, (ucert, hits) in enumerate(results):
-                new_records = []
-                for code, gn, arcs in hits:
-                    if code not in merged:
-                        rec = make_record(code, OrientedGraph(gn, arcs), exception_codes)
-                        merged[code] = rec
-                        new_records.append(rec)
+            )
+            base = _shard_paths(shard_dir, n) if shard_dir else None
+            cursor_path = os.path.join(base, "CURSOR") if base else None
+            start_at = 0
+            if base and resume:
+                for rec in _load_records(base).values():
+                    merged.setdefault(rec.canonical_code, rec)
+                cursor = _read_cursor(cursor_path)
+                if cursor is not None:
+                    start_at = _resume_position(n, candidates, cursor)
+            todo = candidates[start_at:]
+            if not todo:
+                continue
+
+            # leaving the level's context closes its cursor log
+            with ExitStack() as stack:
                 if base:
-                    if new_records:
-                        _persist_records(base, new_records)
-                    log.write(ucert + "\n")
-                    log.flush()
-                if progress:
-                    progress(n, i + 1, len(todo))
-                check_budget()
+                    if not resume:
+                        # a fresh level starts empty record files and an
+                        # empty log: one truncation per level
+                        for fname in os.listdir(base):
+                            if fname.endswith(".ndjson"):
+                                os.remove(os.path.join(base, fname))
+                    log = stack.enter_context(
+                        open(cursor_path, "a" if resume else "w", encoding="utf-8")
+                    )
+                worker = _worker if base else partial(_worker, sharded=False)
+                if jobs > 1:
+                    if pool is None:
+                        pool = run.enter_context(get_context("fork").Pool(jobs))
+                    # each task costs the parent a pickle round trip, which
+                    # outweighs the scan of a few candidates: give every
+                    # worker about sixteen chunks of the level
+                    chunk = max(4, len(todo) // (16 * jobs))
+                    results = pool.imap(worker, todo, chunksize=chunk)
+                else:
+                    results = map(worker, todo)
+                for i, (ucert, hits) in enumerate(results):
+                    new_records = []
+                    for code, gn, arcs in hits:
+                        if code not in merged:
+                            rec = make_record(code, OrientedGraph(gn, arcs), exception_codes)
+                            merged[code] = rec
+                            new_records.append(rec)
+                    if base:
+                        if new_records:
+                            _persist_records(base, new_records)
+                        log.write(ucert + "\n")
+                        log.flush()
+                    if progress:
+                        progress(n, i + 1, len(todo))
+                    check_budget()
     return records()

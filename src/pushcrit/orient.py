@@ -25,7 +25,6 @@ classes; otherwise there are 2^(free - rank).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Sequence
@@ -42,13 +41,12 @@ def spanning_forest(n: int, edges: Iterable[Arc], movable: Iterable[int]):
     for a, b in edges:
         masks[a] |= 1 << b
         masks[b] |= 1 << a
-    roots = sorted(set(range(n)).difference(movable))
-    seen = sum(1 << v for v in roots)
-    queue = deque(roots)
+    queue = sorted(set(range(n)).difference(movable))
+    seen = sum(1 << v for v in queue)
+    everyone = (1 << n) - 1
     forest: list[Arc] = []
-    for anchor in range(n + 1):
-        while queue:
-            u = queue.popleft()
+    while True:
+        for u in queue:  # the queue grows while it is walked
             new = masks[u] & ~seen
             seen |= new
             while new:
@@ -56,10 +54,12 @@ def spanning_forest(n: int, edges: Iterable[Arc], movable: Iterable[int]):
                 new &= new - 1
                 forest.append((u, w))
                 queue.append(w)
-        if anchor < n and not seen >> anchor & 1:
-            seen |= 1 << anchor
-            queue.append(anchor)
-    return forest
+        unseen = everyone & ~seen
+        if not unseen:
+            return forest
+        anchor = unseen & -unseen
+        seen |= anchor
+        queue = [anchor.bit_length() - 1]
 
 
 def normalizing_pushes(n: int, forest: Sequence[Arc], arcs: Collection[Arc]):
@@ -119,12 +119,20 @@ class ClassCoordinates:
     A class is a bit vector over ``free``, the co-forest edges (lo, hi) in
     ascending order: bit i is 1 when free[i] points lo -> hi in the class's
     normalized orientation, in which every ``forest`` arc points from
-    parent to child and every fixed arc is as given.
+    parent to child and every ``fixed`` arc (in the order of their edges)
+    is as given.  The graph's vertices are 0..n-1.
     """
 
+    n: int
     forest: tuple[Arc, ...]
-    determined: tuple[Arc, ...]  # fixed arcs, then forest arcs, by edge
     free: tuple[Arc, ...]
+    fixed: tuple[Arc, ...] = ()
+
+    @cached_property
+    def determined(self) -> tuple[Arc, ...]:
+        """The fixed arcs, then the forest arcs, each in the order of their
+        edges."""
+        return self.fixed + tuple(sorted(self.forest, key=lambda a: (min(a), max(a))))
 
     def arcs(self, bits: int) -> tuple[Arc, ...]:
         """The normalized orientation of class ``bits``."""
@@ -136,16 +144,22 @@ class ClassCoordinates:
     def masks(self) -> dict[Arc, int]:
         """z_e for each non-fixed edge e = (lo, hi): the class change caused
         by reversing e.  Bit i is set iff e is free[i] itself or a forest
-        edge on exactly one of the paths from free[i]'s ends to their roots
-        (on a tree, free[i]'s fundamental cycle)."""
-        up = {c: (p, (p, c) if p < c else (c, p)) for p, c in self.forest}
-        masks = dict.fromkeys((e for _, e in up.values()), 0)
-        for i, (lo, hi) in enumerate(self.free):
-            masks[lo, hi] = 1 << i
-            for v in (lo, hi):
-                while v in up:
-                    v, e = up[v]
-                    masks[e] ^= 1 << i
+        edge with exactly one end of free[i] below it (on a tree,
+        free[i]'s fundamental cycle).  So a forest edge's z is the xor,
+        over the subtree below it, of the free bits at each vertex: one
+        pass from the leaves up."""
+        masks = {}
+        below = [0] * self.n
+        bit = 1
+        for e in self.free:
+            masks[e] = bit
+            below[e[0]] ^= bit
+            below[e[1]] ^= bit
+            bit <<= 1
+        for p, c in reversed(self.forest):
+            z = below[c]
+            masks[(p, c) if p < c else (c, p)] = z
+            below[p] ^= z
         return masks
 
     @cached_property
@@ -153,10 +167,11 @@ class ClassCoordinates:
         """The class of the orientation with every non-fixed edge hi -> lo.
         An orientation's class is ``base`` xor the masks of its non-fixed
         edges that point lo -> hi."""
+        masks = self.masks
         base = 0
         for p, c in self.forest:
             if p < c:
-                base ^= self.masks[p, c]
+                base ^= masks[p, c]
         return base
 
     def class_of(self, arcs: Collection[Arc]) -> int:
@@ -196,14 +211,16 @@ def class_coordinates(
     under pushing ``movable``; ``fixed_arcs`` predetermine the direction of
     some edges and must not touch movable vertices."""
     movable = set(movable)
-    if any(v in movable for arc in fixed_arcs for v in arc):
-        raise IncompatibleInputError("predetermined arcs must avoid movable vertices")
-    fixed = {(min(t, h), max(t, h)): (t, h) for t, h in fixed_arcs}
-    forest = spanning_forest(n, [e for e in edges if e not in fixed], movable)
-    pivots = {(p, c) if p < c else (c, p): (p, c) for p, c in forest}
-    free = sorted(set(edges) - fixed.keys() - pivots.keys())
-    determined = [fixed[e] for e in sorted(fixed)] + [pivots[e] for e in sorted(pivots)]
-    return ClassCoordinates(tuple(forest), tuple(determined), tuple(free))
+    fixed = {}
+    for t, h in fixed_arcs:
+        if t in movable or h in movable:
+            raise IncompatibleInputError("predetermined arcs must avoid movable vertices")
+        fixed[min(t, h), max(t, h)] = (t, h)
+    loose = [e for e in edges if e not in fixed] if fixed else edges
+    forest = spanning_forest(n, loose, movable)
+    tree = {(p, c) if p < c else (c, p) for p, c in forest}
+    free = sorted(set(loose).difference(tree))
+    return ClassCoordinates(n, tuple(forest), tuple(free), tuple(fixed[e] for e in sorted(fixed)))
 
 
 def class_space(n, edges, movable, fixed_arcs, even_cycles):

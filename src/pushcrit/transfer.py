@@ -41,16 +41,39 @@ deletion is.  A coloring of the deletion on edge e is either proper on G,
 so k or k xor z_e is in Im, or monochromatic on e alone, so k lies in
 Mono_e.  So k is critical iff k is not in Im and, for every chain, k xor
 z_chain is in Im or k is in Mono_chain.  The candidate classes are those
-the first chain admits; each later Mono is enumerated only when some
-remaining candidate needs it.
+the first chain asked admits; each later Mono is enumerated only when
+some remaining candidate needs it.
+
+Negation lemma.  c -> -c keeps a map proper (and a Mono map a Mono map of
+the same chain) and keeps c(0) = 0.  It reverses every edge of a(c), which
+adds every edge's z: F, the xor of z_chain over the chains of odd length.
+So Im and every Mono are closed under xor F.  Among the maps whose first
+nonzero position is i, those with c(i) = 2 are the negations of those with
+c(i) = 1; so along the all-zero prefix a position that may take 1 (and
+then also 2) takes only 1, and the result is closed under F afterwards.
+
+Tail-Mono lemma.  A chain's table enters the walk only at its later end,
+and a Mono map of a chain of one edge colors both ends alike: exactly the
+color that the chain's own table bans.  So that table puts the chain's
+free bit on the color it bans.  On the last two positions the walk also
+takes a color that one chain alone bans, unless the option already
+carries such a bit; the option then carries the chain's bit, and every
+leaf below it (the last position takes every chain's own table) is a
+Mono leaf of that chain with its bit free.  A longer chain bans no color
+on its own table (``transfer_parities`` is never empty for L >= 2), so
+one walk gives Im and the Mono of every one-edge chain that ends on the
+last two positions.  The Mono of a longer chain, or of a chain ending
+earlier, takes a walk of its own, and the criticality test asks the tail
+chains first.
 
 One depth-first walk computes every image.  It colors the kept vertices
-in the order of the class forest's BFS.  A chain of one edge bans the
-earlier end's color and adds z to one option, as a plain edge does.  A
-longer chain may ban colors, add a fixed z, or set the chain's free bit:
-each walk state is then a coset, the accumulated class together with a
-set of free chains, packed into one int above the class bits, and the
-cosets are expanded at the end.
+in the order of the class forest's BFS.  Each chain is a table over the
+earlier end's color: the colors it bans at the later end and what each
+color there adds, a fixed z or the chain's free bit (a chain of one edge
+bans the earlier end's color, adds z to one option, as a plain edge does,
+and its free bit to the banned one).  A walk state is then a coset, the
+accumulated class together with a set of free chains, packed into one int
+above the class bits, and the cosets are expanded at the end.
 """
 
 from __future__ import annotations
@@ -78,58 +101,76 @@ def transfer_parities(length: int, delta: int) -> frozenset[int]:
 _PARITIES = tuple(tuple(transfer_parities(L, d) for d in range(3)) for L in range(6))
 
 
-def _coloring_image(earlier, chained, start: int, equal=None) -> set[int]:
+def _coloring_image(lists, start: int, flip: int, marks: int = 0) -> set[int]:
     """The packed cosets of a(c) over the maps c: positions -> Z3 with
-    c(0) = 0 that satisfy every listed entry.
+    c(0) = 0 that satisfy every listed table, closed under xor ``flip``
+    (the negation lemma).
 
-    ``earlier[i]`` lists (j, d, z) for each one-edge chain from position i
-    back to a position j < i: i may not take j's color, and taking color
-    c(j) + d points that edge lo -> hi, which adds z to the class.
-    ``chained[i]`` lists (j, effects) for each longer chain between i and
-    j < i: ``effects[c(j)]`` is (banned colors, the int each color of i
-    adds).  The walk starts from ``start``.  ``equal = (i, j)`` also forces
-    position i to take j's color; the edge between them is left out of the
-    lists.
+    ``lists[i]`` holds (j, table) for each chain between position i and an
+    earlier position j: ``table[c(j)]`` is (the colors i may not take, then
+    what each color of i adds).  The walk starts from ``start``.
+
+    ``marks`` holds the free bits of the tail chains, each on the color its
+    chain bans: on the last two positions a color that one chain alone
+    bans is taken too, once per leaf (the tail-Mono lemma).
     """
-    last = len(earlier) - 1
+    size = len(lists)
+    last = size - 1
     if last == 0:
         return {start}
-    eq_i, eq_j = equal or (-1, -1)
-    image = set()
-    colors = [0] * len(earlier)
-    stack = [(0, 0, start)]
+    tail_from = size - 2 if marks else size
+    colors = [0] * size
+    stack = []
+    # the pre-walk along the all-zero prefix, halved by negation
+    acc = start
+    stop = max(1, min(tail_from, last))
+    for i in range(1, stop):
+        banned = 0
+        o0 = o1 = acc
+        for _, table in lists[i]:
+            ban, a0, a1, _ = table[0]
+            banned |= ban
+            o0 ^= a0
+            o1 ^= a1
+        if not banned & 2:
+            stack.append((i, 1, o1))
+        if banned & 1:
+            break
+        acc = o0
+    else:
+        stack.append((stop - 1, 0, acc))
+    found = set()
     while stack:
         i, color, acc = stack.pop()
         colors[i] = color
         i += 1
-        opts = [acc, acc, acc]
-        banned = 0
-        for j, d, z in earlier[i]:
-            cj = colors[j]
-            banned |= 1 << cj
-            opts[(cj + d) % 3] ^= z
-        if chained is not None:
-            for j, effects in chained[i]:
-                ban, adds = effects[colors[j]]
-                banned |= ban
-                opts[0] ^= adds[0]
-                opts[1] ^= adds[1]
-                opts[2] ^= adds[2]
-        if i == eq_i:
-            banned |= 7 ^ 1 << colors[eq_j]
-        for x in _UNBANNED[banned]:
-            if i == last:
-                image.add(opts[x])
-            else:
+        o0 = o1 = o2 = acc
+        banned = twice = 0
+        for j, table in lists[i]:
+            ban, a0, a1, a2 = table[colors[j]]
+            twice |= banned & ban
+            banned |= ban
+            o0 ^= a0
+            o1 ^= a1
+            o2 ^= a2
+        if i >= tail_from and not acc & marks:
+            banned = twice
+        opts = (o0, o1, o2)
+        if i == last:
+            for x in _UNBANNED[banned]:
+                found.add(opts[x])
+        else:
+            for x in _UNBANNED[banned]:
                 stack.append((i, x, opts[x]))
-    return image
+    return found | {v ^ flip for v in found}
 
 
 class ChainGraph:
     """A connected graph on vertices 0..n-1 and underlying (lo, hi)
-    ``edges``, seen as its ``kept`` vertices joined by chains.  Every
-    vertex outside ``kept`` must have degree 2; as the graph is connected,
-    every walk through such vertices then ends at a kept one.
+    ``edges``, lo < hi and none repeated, seen as its ``kept`` vertices
+    joined by chains.  Every vertex outside ``kept`` must have degree 2; as
+    the graph is connected, every walk through such vertices then ends at a
+    kept one.
 
     ``coords`` names the push classes (every vertex movable), ``image``
     holds the colorable ones and ``critical_classes`` the critical ones.
@@ -140,14 +181,24 @@ class ChainGraph:
     """
 
     def __init__(self, n: int, edges: Sequence[Arc], kept: Iterable[int]):
-        self.coords = coords = class_coordinates(n, edges, range(n))
+        for lo, hi in edges:
+            if not 0 <= lo < hi < n:
+                raise IncompatibleInputError(
+                    f"({lo}, {hi}) is no edge (lo, hi) of a graph on 0..{n - 1}"
+                )
+        if len(set(edges)) != len(edges):
+            raise IncompatibleInputError("an edge is repeated")
+        vertices = set(range(n))
+        kept = set(kept)
+        if not kept <= vertices:
+            raise IncompatibleInputError(f"kept vertices must lie in 0..{n - 1}")
+        self.coords = coords = class_coordinates(n, edges, vertices)
         if len(coords.forest) != n - 1:
             raise IncompatibleInputError("the graph must be connected")
-        self.width = len(coords.free)
+        self.width = width = len(coords.free)
         masks = coords.masks
         order = [0] + [c for _, c in coords.forest]
-        kept = set(kept)
-        if len(kept) == n:
+        if kept == vertices:
             # every edge is its own chain
             self.chains = [(lo, hi, 1, masks[lo, hi], 0) for lo, hi in edges]
             self.long = False
@@ -161,20 +212,33 @@ class ChainGraph:
         self.pos = pos = [-1] * n
         for i, v in enumerate(order):
             pos[v] = i
-        self._lists = lists = self._walk_lists()
-        if lists is None:
-            self.image = set()
-        else:
-            image = _coloring_image(*lists)
-            self.image = self._expand(image) if self.long else image
+        # the free bits of the tail chains, and tail chain t -> the leaves
+        # of its Mono, both from the image walk
+        self._marks = 0
+        self._tails: dict[int, set[int]] = {}
+        image = set()
+        walk = self._walk_lists()
+        if walk is not None:
+            self._marks = marks = walk[3]
+            for v in _coloring_image(*walk):
+                mark = v & marks
+                if mark:
+                    self._tails.setdefault(mark.bit_length() - 1 - width, set()).add(v)
+                else:
+                    image.add(v)
+        self.image = self._expand(image) if self.long else image
 
-    def _effects(self, t: int, mono: bool):
-        """Per color of chain t's earlier end: (banned colors, what each
-        color of its later end adds).  With ``mono``, the Mono table of
-        the other L - 1 edges, whose allowed cases set the free bit."""
+    def _table(self, t: int, mono: bool):
+        """Per color of chain t's earlier end: (banned colors, then what
+        each color of its later end adds), for a longer chain or, with
+        ``mono``, any chain.  With ``mono``, the Mono table of the other
+        L - 1 edges, whose allowed cases set the free bit."""
         u, w, length, z, s = self.chains[t]
         free = 1 << (self.width + t)
         forward = self.pos[u] <= self.pos[w]
+        if length == 1:
+            # a Mono map colors both ends alike, its bit free
+            return ((6, free, 0, 0), (5, 0, free, 0), (3, 0, 0, free))
         out = []
         for cj in range(3):
             ban = 0
@@ -189,35 +253,46 @@ class ChainGraph:
                     adds.append(free)
                 else:
                     adds.append(0 if s in parities else z)
-            out.append((ban, tuple(adds)))
-        return out
+            out.append((ban, *adds))
+        return tuple(out)
 
     def _walk_lists(self, mono_chain: int = -1):
-        """(earlier, chained, start) for ``_coloring_image``, with chain
+        """(lists, start, flip, marks) for ``_coloring_image``, with chain
         ``mono_chain`` on its Mono table; None when a loop admits no
-        coloring.  ``chained`` is None when every chain is one edge."""
+        coloring."""
         pos = self.pos
-        earlier = [[] for _ in range(self.size)]
-        chained = [[] for _ in range(self.size)] if self.long else None
+        tail_from = self.size - 2
+        first_free = 1 << self.width
+        lists = [[] for _ in range(self.size)]
         start = self.coords.base
+        flip = marks = 0
         for t, (u, w, length, z, _) in enumerate(self.chains):
             i, j = pos[u], pos[w]
-            if length == 1:
-                # u = lo and w = hi; the edge points lo -> hi when
-                # c(hi) = c(lo) + 1
+            free = first_free << t
+            if length & 1:
+                flip ^= z
+            if length == 1 and t != mono_chain:
+                # the edge (lo, hi) points lo -> hi when c(hi) = c(lo) + 1;
+                # its free bit sits on the color it bans
                 if i < j:
-                    earlier[j].append((i, 1, z))
+                    table = ((1, free, z, 0), (2, 0, free, z), (4, z, 0, free))
                 else:
-                    earlier[i].append((j, 2, z))
-            elif i == j:
-                # a loop: Delta = 0 whatever the colors
-                ban, adds = self._effects(t, t == mono_chain)[0]
-                if ban & 1:
-                    return None
-                start ^= adds[0]
+                    table = ((1, free, 0, z), (2, z, free, 0), (4, 0, z, free))
             else:
-                chained[max(i, j)].append((min(i, j), self._effects(t, t == mono_chain)))
-        return earlier, chained, start
+                table = self._table(t, t == mono_chain)
+                if i == j:
+                    # a loop: Delta = 0 whatever the colors
+                    ban, add, _, _ = table[0]
+                    if ban & 1:
+                        return None
+                    start ^= add
+                    continue
+            if i < j:
+                i, j = j, i
+            lists[i].append((j, table))
+            if length == 1 and i >= tail_from:
+                marks |= free
+        return lists, start, flip, marks
 
     def _expand(self, packed: set[int]) -> set[int]:
         """The classes of the packed cosets."""
@@ -242,21 +317,17 @@ class ChainGraph:
         """Mono of chain t, its bit taking both values.  The maps proper
         on all of G are left out: they add only classes whose z-reversal
         is in Im, which the criticality test looks at first."""
-        u, w, length, z, _ = self.chains[t]
-        if length > 1:
-            lists = self._walk_lists(t)
-            return set() if lists is None else self._expand(_coloring_image(*lists))
-        if self._lists is None:
-            return set()
-        earlier, chained, start = self._lists
-        i, j = self.pos[u], self.pos[w]
-        if i < j:
-            i, j = j, i
-        lists = list(earlier)
-        lists[i] = [entry for entry in earlier[i] if entry[0] != j]
-        found = _coloring_image(lists, chained, start, (i, j))
+        if self._marks >> (self.width + t) & 1:
+            found = self._tails.get(t, set())
+        else:
+            walk = self._walk_lists(t)
+            found = set() if walk is None else _coloring_image(*walk[:3])
         if self.long:
-            found = self._expand(found)
+            return self._expand(found)
+        # every leaf carries chain t's free bit, which takes both values
+        z = self.chains[t][3]
+        low = (1 << self.width) - 1
+        found = {v & low for v in found}
         return found | {k ^ z for k in found}
 
     def colorable(self, arcs: Collection[Arc]) -> bool:
@@ -268,9 +339,11 @@ class ChainGraph:
         image = self.image
         if len(image) == 1 << self.width:
             return []
-        z = self.chains[0][3]
-        candidates = ({k ^ z for k in image} | self.mono(0)) - image
-        for t in range(1, len(self.chains)):
+        marks = self._marks >> self.width
+        first, *rest = sorted(range(len(self.chains)), key=lambda t: not marks >> t & 1)
+        z = self.chains[first][3]
+        candidates = ({k ^ z for k in image} | self.mono(first)) - image
+        for t in rest:
             if not candidates:
                 break
             z = self.chains[t][3]

@@ -544,6 +544,27 @@ def test_parallel_merge_is_deterministic():
     assert [r.to_json_dict() for r in seq] == [r.to_json_dict() for r in par]
 
 
+def test_a_parallel_run_opens_one_pool(monkeypatch):
+    pools = []
+    real = enumeration.get_context
+
+    class CountingContext:
+        def __init__(self, method):
+            self.context = real(method)
+
+        def Pool(self, *args, **kwargs):
+            pools.append(args)
+            return self.context.Pool(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "get_context", CountingContext)
+    seq = find_critical(6, jobs=1)
+    assert pools == []
+    par = find_critical(6, jobs=2)
+    # four levels with work, one pool
+    assert pools == [(2,)]
+    assert [r.to_json_dict() for r in seq] == [r.to_json_dict() for r in par]
+
+
 def _cursor_hex(n: int, under: UnderlyingGraph) -> str:
     return underlying_cert(pc.OrientedGraph(n, under.edges)).hex()
 

@@ -1,12 +1,15 @@
-"""Chain transfer: the table against the path search, the image over kept
-vertices against the image over every vertex, and colorability against
-the AT(C3) search."""
+"""Chain transfer: the table against the path search, the image and every
+Mono against a sweep over all maps, the image over kept vertices against
+the image over every vertex, and colorability against the AT(C3) search."""
 
 from __future__ import annotations
+
+from itertools import product
 
 import pytest
 
 import pushcrit as pc
+from pushcrit import transfer
 from pushcrit.enumeration import find_critical
 from pushcrit.errors import IncompatibleInputError
 from pushcrit.hom import path_color_sets
@@ -34,6 +37,10 @@ def test_chain_lemma():
     # shorter chains always forbid something
     for length in range(1, 5):
         assert any(len(transfer_parities(length, d)) < 2 for d in range(3))
+    # but from two edges on, no chain bans a color difference: on the image
+    # walk only one-edge chains ban (the tail-Mono lemma)
+    for length in range(2, 5):
+        assert all(transfer_parities(length, d) for d in range(3))
 
 
 def _subdivide(kernel_n, kernel_edges, lengths):
@@ -195,3 +202,118 @@ def test_inputs_outside_the_chain_shape_are_rejected():
     for kept in ([0], range(6)):
         with pytest.raises(IncompatibleInputError, match="connected"):
             ChainGraph(6, edges, kept)
+
+
+def test_malformed_inputs_are_rejected():
+    triangle = [(0, 1), (0, 2), (1, 2)]
+    for edges in (
+        [(1, 0), (1, 2), (0, 2)],  # an edge not written (lo, hi)
+        [(0, 1), (0, 2), (1, 2), (1, 1)],  # a loop
+        [(0, 1), (0, 2), (1, 2), (0, 1)],  # a repeated edge
+        [(0, 1), (0, 2), (1, 2), (2, 3)],  # a vertex outside 0..n-1
+        [(-1, 0), (0, 1), (0, 2), (1, 2)],  # a negative vertex
+    ):
+        with pytest.raises(IncompatibleInputError):
+            ChainGraph(3, edges, range(3))
+    # as many kept vertices as vertices, but not all of them
+    for kept in ([0, 1, 2, 99], [-1, 0, 1, 2], [0, 1, 2, 3, 99]):
+        with pytest.raises(IncompatibleInputError):
+            ChainGraph(4, triangle + [(2, 3)], kept)
+    # the triangle has one free edge; both directed triangles map onto C3,
+    # and every orientation is push equivalent to one of them
+    graph = ChainGraph(3, triangle, range(3))
+    assert graph.width == 1
+    assert graph.image == {0, 1}
+    for bits in range(8):
+        g = pc.OrientedGraph(3, tuple(e if bits >> i & 1 else e[::-1] for i, e in enumerate(triangle)))
+        assert graph.colorable(g.arc_set) == (pc.is_pushably_k_colorable(g, 3) is not None)
+
+
+def _random_connected(rng, n):
+    """Sorted edges of a random connected simple graph on n vertices."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4}
+    return sorted(edges)
+
+
+def _sweep(n, edges, coords):
+    """Im and Mono_e of every edge e, by trying every map c with c(0) = 0:
+    the classes of a(c) over the proper maps, and over the maps proper but
+    on e with e's direction either way."""
+    image = set()
+    mono = {e: set() for e in edges}
+    for rest in product(range(3), repeat=n - 1):
+        c = (0,) + rest
+        flat = [(a, b) for a, b in edges if c[a] == c[b]]
+        if len(flat) > 1:
+            continue
+        arcs = {(a, b) if c[b] == (c[a] + 1) % 3 else (b, a) for a, b in edges if c[a] != c[b]}
+        if not flat:
+            image.add(coords.class_of(arcs))
+        else:
+            e = flat[0]
+            mono[e] |= {coords.class_of(arcs | {e}), coords.class_of(arcs | {e[::-1]})}
+    return image, mono
+
+
+def _assert_sweep_agrees(n, edges, kept):
+    graph = ChainGraph(n, edges, kept)
+    image, mono = _sweep(n, edges, graph.coords)
+    assert graph.image == image, edges
+    flip = 0
+    for _, _, length, z, _ in graph.chains:
+        if length % 2:
+            flip ^= z
+    assert {k ^ flip for k in image} == image
+    tails = 0
+    for t, group in enumerate(_chain_edges(n, edges, kept)):
+        u, w, length, z, _ = graph.chains[t]
+        found = graph.mono(t)
+        for e in group:
+            assert found == mono[e], (edges, kept, e)
+        assert {k ^ flip for k in found} == found
+        tails += length == 1 and max(graph.pos[u], graph.pos[w]) >= graph.size - 2
+    return tails, len(graph.chains) - tails
+
+
+def test_image_and_mono_match_the_sweep(rng):
+    tails = others = 0
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        edges = _random_connected(rng, n)
+        a, b = _assert_sweep_agrees(n, edges, range(n))
+        tails, others = tails + a, others + b
+    kernels = 0
+    while kernels < 40:
+        kernel_n, _, n, edges = _random_kernel(rng, max_n=10)
+        if kernel_n < n:
+            a, b = _assert_sweep_agrees(n, edges, range(kernel_n))
+            tails, others = tails + a, others + b
+            kernels += 1
+    # Monos from the image walk and from walks of their own
+    assert tails and others
+
+
+def test_the_scan_walks_once_per_candidate(monkeypatch):
+    walks = {"image": 0, "mono": 0}
+    phase = ["image"]
+    walk = transfer._coloring_image
+    mono = ChainGraph.mono
+
+    def counting_walk(*args):
+        walks[phase[0]] += 1
+        return walk(*args)
+
+    def separate_mono(self, t):
+        phase[0] = "mono"
+        try:
+            return mono(self, t)
+        finally:
+            phase[0] = "image"
+
+    monkeypatch.setattr(transfer, "_coloring_image", counting_walk)
+    monkeypatch.setattr(ChainGraph, "mono", separate_mono)
+    assert len(find_critical(8)) == 16
+    # one image walk per candidate; Monos of chains off the last two
+    # positions walk on their own, when a candidate class needs them
+    assert walks == {"image": 3663, "mono": 163}
