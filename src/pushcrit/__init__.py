@@ -38,6 +38,7 @@ from .errors import (
     InvalidPushSetError,
     PushcritError,
     ResourceBudgetError,
+    SelfCheckError,
     StructuralViolationError,
     UnclassifiableGraphError,
     UndefinedInputError,

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success / property holds; 1 property fails or no
 certificate; 2 usage or parse errors; 3 budget exhausted; 4 internal
-error (any other exception, reported on one line, so a crash never
-reads as "property fails").  Graph arguments are file paths in the text
+error (a failed self-check, ``SelfCheckError``, or any exception that
+is no ``PushcritError``, reported on one line, so a crash never reads as
+"property fails").  Graph arguments are file paths in the text
 format, or "@name" for a builtin fixture.
 """
 
@@ -23,7 +24,7 @@ from .crit import (
 )
 from .density import mad_exact
 from .discharge import discharging_audit
-from .errors import PushcritError, ResourceBudgetError
+from .errors import PushcritError, ResourceBudgetError, SelfCheckError
 from .fixtures import fixture
 from .graph import (
     OrientedGraph,
@@ -327,6 +328,10 @@ def main(argv=None) -> int:
     except ResourceBudgetError as exc:
         print(f"pushcrit: budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except SelfCheckError as exc:
+        # a failed self-check is a fault of the library, not of the input
+        print(f"pushcrit: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (PushcritError, OSError) as exc:
         print(f"pushcrit: {exc}", file=sys.stderr)
         return EXIT_USAGE

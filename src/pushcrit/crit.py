@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import IncompatibleInputError
+from .errors import IncompatibleInputError, SelfCheckError
 from .graph import Arc, OrientedGraph
 from .hom import ColoringCertificate, tournament_coloring
 
@@ -92,5 +92,6 @@ def extract_critical_subgraph(g: OrientedGraph, k: int = 3):
             current = smaller
     result = current.strip_isolated()
     report = is_pushably_k_critical(result, k)
-    assert report.verdict == VERDICT_CRITICAL
+    if report.verdict != VERDICT_CRITICAL:
+        raise SelfCheckError(f"the extracted subgraph is {report.verdict}, not critical")
     return result

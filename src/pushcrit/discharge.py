@@ -3,7 +3,8 @@
 Every vertex starts with charge 13*deg(x) - 30, so the total is twice the
 arc weight minus the vertex weight of the potential, i.e. -2 * potential.
 Five local rules then move charge around; rules only ever transfer, so
-the total is conserved and the audit checks that identity on every run.
+the total is conserved and the audit checks that identity on every run,
+raising ``SelfCheckError`` if it fails.
 The per-class lower bounds from the corresponding table are evaluated
 informatively: they are guarantees about a hypothetical minimal graph,
 not about arbitrary inputs, so the report records pass/fail without
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chains import classify_vertices
+from .errors import SelfCheckError
 from .graph import (
     POTENTIAL_ARC_WEIGHT,
     POTENTIAL_VERTEX_WEIGHT,
@@ -156,6 +158,8 @@ def discharging_audit(g: OrientedGraph) -> DischargingReport:
         total_final=sum(charge),
         lower_bound_checks=tuple(checks),
     )
-    assert report.total_initial == report.total_final
-    assert report.total_initial == -2 * potential(g)
+    if report.total_final != report.total_initial:
+        raise SelfCheckError("discharging changed the total charge")
+    if report.total_initial != -2 * potential(g):
+        raise SelfCheckError("the initial charge is not -2 times the potential")
     return report

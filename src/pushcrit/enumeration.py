@@ -70,13 +70,18 @@ The scan decides every push class of a candidate G at once from its
 keeps every vertex of G, enumerates the proper 3-colorings, and returns
 the image Im of colorable classes and the critical classes (see the
 ``transfer`` docstring for why the test is exact).  Each edge is then its
-own chain, and the walk order is the BFS order of the class forest.  One
-walk, which skips the negations of the colorings it takes (the negation
-lemma), gives Im together with the Mono classes of the edges that end at
-the last two vertices of that order (the tail-Mono lemma); any other
-edge's Mono takes a walk of its own, only when a remaining candidate
-class needs it.  The scan assumes
-none of the structural lemmas that ``underlying_prune_verdict`` states.
+own chain, and the walk order is the BFS order of the class forest.  The
+walk is built in one pass: one BFS over the adjacency masks gives the
+order and the forest, one subtree pass from the leaves every edge's z
+and the base class, and each edge's table goes straight into the walk's
+lists; the class coordinates (``orient.ClassCoordinates``) are built only
+for a candidate with a critical class, to name its arcs.  One walk, which
+skips the negations of the colorings it takes (the negation lemma), gives
+Im together with the Mono classes of the edges that end at the last two
+vertices of that order (the tail-Mono lemma); any other edge's Mono takes
+a walk of its own, only when a remaining candidate class needs it.  The
+scan assumes none of the structural lemmas that
+``underlying_prune_verdict`` states.
 """
 
 from __future__ import annotations
@@ -107,6 +112,7 @@ from .graph import (
     Arc,
     OrientedGraph,
     _components,
+    adjacency,
     potential,
 )
 from .orient import push_class_representatives
@@ -132,29 +138,35 @@ class UnderlyingGraph:
     # the canonical certificate from ``canonical_data``, set by generation;
     # None on a top-level candidate accepted without a labeling
     cert: int | None = field(default=None, compare=False, repr=False)
+    # the adjacency masks, as generation holds them; built from ``edges``
+    # when not given
+    masks: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
-    @property
-    def masks(self) -> tuple[int, ...]:
-        out = [0] * self.vertex_count
-        for lo, hi in self.edges:
-            out[lo] |= 1 << hi
-            out[hi] |= 1 << lo
-        return tuple(out)
+    def __post_init__(self):
+        if self.masks is None:
+            object.__setattr__(self, "masks", tuple(adjacency(self.vertex_count, self.edges)))
 
     def min_degree(self) -> int:
-        if self.vertex_count == 0:
-            return 0
-        return min(bin(m).count("1") for m in self.masks)
+        return _min_degree(self.masks)
 
     def is_connected(self) -> bool:
         return len(_components(self.masks)) <= 1
 
 
+def _min_degree(masks) -> int:
+    return min((m.bit_count() for m in masks), default=0)
+
+
 def _masks_to_edges(masks) -> tuple[tuple[int, int], ...]:
-    n = len(masks)
-    return tuple(
-        (lo, hi) for lo in range(n) for hi in range(lo + 1, n) if masks[lo] >> hi & 1
-    )
+    """The (lo, hi) edges of the adjacency ``masks``, ascending."""
+    edges = []
+    for lo, m in enumerate(masks):
+        m &= -2 << lo  # the neighbors above lo
+        while m:
+            low = m & -m
+            m ^= low
+            edges.append((lo, low.bit_length() - 1))
+    return tuple(edges)
 
 
 def _permute_mask(mask: int, perm) -> int:
@@ -313,9 +325,8 @@ def enumerate_underlying(
         raise ConfigError("min_degree must be 0, 1 or 2")
     top = _last_level and min_degree == 2 and (n, forbid_k4, False) not in _LEVEL_CACHE
     for masks, cert in _graphs_on(n, forbid_k4, tick, top):
-        ug = UnderlyingGraph(n, _masks_to_edges(masks), cert)
-        if ug.min_degree() >= min_degree and ug.is_connected():
-            yield ug
+        if _min_degree(masks) >= min_degree and len(_components(masks)) <= 1:
+            yield UnderlyingGraph(n, _masks_to_edges(masks), cert, masks)
 
 
 def enumerate_orientations_mod_push(under: UnderlyingGraph, dedup_iso: bool = False):

@@ -61,6 +61,11 @@ class UnknownSuiteError(PushcritError, KeyError):
     __str__ = PushcritError.__str__
 
 
+class SelfCheckError(PushcritError):
+    """A result failed the library's own check before it was returned: a
+    fault in the library, not in its input."""
+
+
 class ResourceBudgetError(PushcritError):
     """A search or enumeration ran out of its node / wall-time budget.
 

@@ -56,6 +56,16 @@ def _arc_violation(n: int, arcs: Sequence[Arc]) -> tuple[int | None, str] | None
     return None
 
 
+def adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """One bitmask of underlying neighbors per vertex 0..n-1 of the graph
+    on ``pairs``, edges or arcs."""
+    masks = [0] * n
+    for a, b in pairs:
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    return masks
+
+
 def _components(masks: Sequence[int]) -> list[int]:
     """The vertex sets of the components of the graph on adjacency
     ``masks``, as bitmasks, by least vertex."""
@@ -123,11 +133,7 @@ class OrientedGraph:
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
         """Underlying adjacency as one bitmask per vertex."""
-        masks = [0] * self.vertex_count
-        for t, h in self.arcs:
-            masks[t] |= 1 << h
-            masks[h] |= 1 << t
-        return tuple(masks)
+        return tuple(adjacency(self.vertex_count, self.arcs))
 
     @cached_property
     def out_neighbors(self) -> tuple[tuple[int, ...], ...]:

@@ -75,7 +75,7 @@ from operator import xor
 from typing import Callable, Iterable, Sequence
 
 from .canon import orbit_of
-from .errors import ConfigError, IncompatibleInputError, ResourceBudgetError
+from .errors import ConfigError, IncompatibleInputError, ResourceBudgetError, SelfCheckError
 from .graph import OrientedGraph, anti_twin, directed_cycle, push_vertices
 from .orient import AffineMap, class_coordinates
 
@@ -432,7 +432,8 @@ def retarget_certificate(
         if image in t_set:
             s.symmetric_difference_update([v])
     out = ColoringCertificate(frozenset(s), cert.mapping, new_target)
-    assert out.verify(g)
+    if not out.verify(g):
+        raise SelfCheckError("a rebased certificate does not verify")
     return out
 
 
@@ -449,7 +450,8 @@ def _decode_certificate(g: OrientedGraph, h: OrientedGraph, mapping):
         target=h,
         target_name=h.name,
     )
-    assert cert.verify(g)
+    if not cert.verify(g):
+        raise SelfCheckError("a decoded certificate does not verify")
     return cert
 
 
@@ -768,7 +770,8 @@ def extend_partial(
     if mapping is None:
         return None
     cert = _decode_certificate(g, C3, mapping)
-    assert cert.push_set.isdisjoint(colors)
+    if not cert.push_set.isdisjoint(colors):
+        raise SelfCheckError("an extension pushes a precolored vertex")
     return cert
 
 
@@ -791,7 +794,8 @@ def extend_partial_bruteforce(g: OrientedGraph, pc: PartialColoring):
             mapping, _ = solve_mapping(g2, c3, doms)
             if mapping is not None:
                 cert = ColoringCertificate(frozenset(pushed), mapping, C3, "c3")
-                assert cert.verify(g)
+                if not cert.verify(g):
+                    raise SelfCheckError("a brute-force certificate does not verify")
                 return cert
     return None
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, SelfCheckError
 from .fixtures import fixture
 from .graph import OrientedGraph
 
@@ -195,5 +195,6 @@ def at_c3_labeling(p: int, q: int) -> LpqLabeling:
     labels = (0, p + q, 2 * p + 2 * q, q, p + 2 * q, 2 * p + 3 * q)
     labeling = LpqLabeling(p, q, labels, VARIANT_ORIENTED)
     check = check_lpq_labeling(fixture("at_c3"), labeling)
-    assert check.ok, f"builtin labeling failed: {check.violation}"
+    if not check.ok:
+        raise SelfCheckError(f"builtin labeling failed: {check.violation}")
     return labeling

@@ -30,36 +30,81 @@ from functools import cached_property
 from typing import Collection, Iterable, Sequence
 
 from .errors import IncompatibleInputError
-from .graph import Arc, OrientedGraph, push_vertices
+from .graph import Arc, OrientedGraph, adjacency, push_vertices
 
 
-def spanning_forest(n: int, edges: Iterable[Arc], movable: Iterable[int]):
-    """Forest arcs (parent, child) of the graph on ``edges``, in BFS order
-    from the non-movable vertices, then from each remaining component's
-    lowest vertex."""
-    masks = [0] * n
-    for a, b in edges:
-        masks[a] |= 1 << b
-        masks[b] |= 1 << a
-    queue = sorted(set(range(n)).difference(movable))
+def bfs_forest(adj: Sequence[int], roots: Iterable[int] = ()) -> tuple[list[int], list[int]]:
+    """(order, parent): the spanning forest of the graph on adjacency masks
+    ``adj``, by BFS from the ``roots`` at once, then from each remaining
+    component's lowest vertex, neighbors in ascending order.  ``order``
+    lists the vertices as they are reached; ``parent[v]`` is -1 on a root."""
+    n = len(adj)
+    parent = [-1] * n
+    queue = sorted(roots)
     seen = sum(1 << v for v in queue)
     everyone = (1 << n) - 1
-    forest: list[Arc] = []
+    order: list[int] = []
     while True:
         for u in queue:  # the queue grows while it is walked
-            new = masks[u] & ~seen
+            new = adj[u] & ~seen
             seen |= new
             while new:
-                w = (new & -new).bit_length() - 1
-                new &= new - 1
-                forest.append((u, w))
+                low = new & -new
+                new ^= low
+                w = low.bit_length() - 1
+                parent[w] = u
                 queue.append(w)
+        order += queue
         unseen = everyone & ~seen
         if not unseen:
-            return forest
+            return order, parent
         anchor = unseen & -unseen
         seen |= anchor
         queue = [anchor.bit_length() - 1]
+
+
+def co_forest(edges: Iterable[Arc], parent: Sequence[int]) -> list[Arc]:
+    """The (lo, hi) ``edges`` off the forest that ``parent`` names, ascending."""
+    return sorted(e for e in edges if parent[e[1]] != e[0] and parent[e[0]] != e[1])
+
+
+def subtree_masks(
+    children: Sequence[int], parent: Sequence[int], free: Sequence[Arc]
+) -> tuple[list[int], int]:
+    """(z, base) of a forest and its co-forest edges ``free``, free[i] on
+    class bit i; ``children`` are the forest's non-root vertices in BFS
+    order.
+
+    Reversing an edge e changes the class by z_e.  A free edge's z is its
+    own bit.  A forest edge's z holds bit i iff exactly one end of free[i]
+    lies below it (on a tree, free[i]'s fundamental cycle): the xor, over
+    the subtree below it, of the free bits at each vertex, so one pass
+    from the leaves up gives ``z[c]``, the z of the forest edge above c.
+    ``base`` is the class of the orientation with every edge hi -> lo:
+    the xor of z over the forest edges whose parent is the lower end.
+    """
+    z = [0] * len(parent)
+    bit = 1
+    for lo, hi in free:
+        z[lo] ^= bit
+        z[hi] ^= bit
+        bit <<= 1
+    base = 0
+    for c in reversed(children):
+        p = parent[c]
+        zc = z[c]
+        z[p] ^= zc
+        if p < c:
+            base ^= zc
+    return z, base
+
+
+def spanning_forest(n: int, edges: Iterable[Arc], movable: Iterable[int]) -> list[Arc]:
+    """Forest arcs (parent, child) of the graph on ``edges``, in BFS order
+    from the non-movable vertices, then from each remaining component's
+    lowest vertex (``bfs_forest``)."""
+    order, parent = bfs_forest(adjacency(n, edges), set(range(n)).difference(movable))
+    return [(parent[v], v) for v in order if parent[v] >= 0]
 
 
 def normalizing_pushes(n: int, forest: Sequence[Arc], arcs: Collection[Arc]):
@@ -141,38 +186,28 @@ class ClassCoordinates:
         )
 
     @cached_property
-    def masks(self) -> dict[Arc, int]:
-        """z_e for each non-fixed edge e = (lo, hi): the class change caused
-        by reversing e.  Bit i is set iff e is free[i] itself or a forest
-        edge with exactly one end of free[i] below it (on a tree,
-        free[i]'s fundamental cycle).  So a forest edge's z is the xor,
-        over the subtree below it, of the free bits at each vertex: one
-        pass from the leaves up."""
-        masks = {}
-        below = [0] * self.n
-        bit = 1
-        for e in self.free:
-            masks[e] = bit
-            below[e[0]] ^= bit
-            below[e[1]] ^= bit
-            bit <<= 1
-        for p, c in reversed(self.forest):
-            z = below[c]
-            masks[(p, c) if p < c else (c, p)] = z
-            below[p] ^= z
-        return masks
+    def _subtree(self) -> tuple[list[int], int]:
+        parent = [-1] * self.n
+        for p, c in self.forest:
+            parent[c] = p
+        return subtree_masks([c for _, c in self.forest], parent, self.free)
 
     @cached_property
+    def masks(self) -> dict[Arc, int]:
+        """z_e for each non-fixed edge e = (lo, hi): the class change caused
+        by reversing e (``subtree_masks``)."""
+        z = self._subtree[0]
+        masks = {e: 1 << i for i, e in enumerate(self.free)}
+        for p, c in self.forest:
+            masks[(p, c) if p < c else (c, p)] = z[c]
+        return masks
+
+    @property
     def base(self) -> int:
         """The class of the orientation with every non-fixed edge hi -> lo.
         An orientation's class is ``base`` xor the masks of its non-fixed
         edges that point lo -> hi."""
-        masks = self.masks
-        base = 0
-        for p, c in self.forest:
-            if p < c:
-                base ^= masks[p, c]
-        return base
+        return self._subtree[1]
 
     def class_of(self, arcs: Collection[Arc]) -> int:
         """The class of the orientation ``arcs``, which keeps every fixed
@@ -217,10 +252,10 @@ def class_coordinates(
             raise IncompatibleInputError("predetermined arcs must avoid movable vertices")
         fixed[min(t, h), max(t, h)] = (t, h)
     loose = [e for e in edges if e not in fixed] if fixed else edges
-    forest = spanning_forest(n, loose, movable)
-    tree = {(p, c) if p < c else (c, p) for p, c in forest}
-    free = sorted(set(loose).difference(tree))
-    return ClassCoordinates(n, tuple(forest), tuple(free), tuple(fixed[e] for e in sorted(fixed)))
+    order, parent = bfs_forest(adjacency(n, loose), set(range(n)).difference(movable))
+    forest = tuple((parent[v], v) for v in order if parent[v] >= 0)
+    free = tuple(co_forest(loose, parent))
+    return ClassCoordinates(n, forest, free, tuple(fixed[e] for e in sorted(fixed)))
 
 
 def class_space(n, edges, movable, fixed_arcs, even_cycles):

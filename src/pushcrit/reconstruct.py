@@ -43,7 +43,7 @@ from .canon import CanonicalLabeling, canonical_form
 from .crit import is_pushably_k_colorable
 from .errors import IncompatibleInputError
 from .fixtures import M3P_COLORING, M3P_PUSH_SET, fixture
-from .graph import OrientedGraph, potential
+from .graph import OrientedGraph, adjacency, potential
 from .hom import C3, ColoringCertificate
 from .orient import class_space, push_class_representatives
 from .transfer import ChainGraph
@@ -152,10 +152,7 @@ def reconstruction_cases(source_name: str, split: int):
 
 def _role_graph(total: int, edges) -> tuple[CanonicalLabeling, ChainGraph]:
     """The labeling and the coloring image of one role triple's graph."""
-    adj = [0] * total
-    for a, b in edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
+    adj = adjacency(total, edges)
     kept = [v for v, mask in enumerate(adj) if mask.bit_count() >= 3]
     return CanonicalLabeling(tuple(adj)), ChainGraph(total, edges, kept)
 

@@ -78,11 +78,12 @@ above the class bits, and the cosets are expanded at the end.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Collection, Iterable, Sequence
 
 from .errors import IncompatibleInputError
 from .graph import Arc
-from .orient import class_coordinates
+from .orient import ClassCoordinates, bfs_forest, class_coordinates, co_forest, subtree_masks
 
 _UNBANNED = tuple(tuple(x for x in range(3) if not banned >> x & 1) for banned in range(8))
 
@@ -165,6 +166,16 @@ def _coloring_image(lists, start: int, flip: int, marks: int = 0) -> set[int]:
     return found | {v ^ flip for v in found}
 
 
+def _edge_table(z: int, free: int, forward: bool):
+    """The table of a chain of one edge, walked from its earlier end
+    (``forward``: its lo end) to its later one.  The edge (lo, hi) points
+    lo -> hi when c(hi) = c(lo) + 1; its free bit sits on the color it
+    bans."""
+    if forward:
+        return ((1, free, z, 0), (2, 0, free, z), (4, z, 0, free))
+    return ((1, free, 0, z), (2, z, free, 0), (4, 0, z, free))
+
+
 class ChainGraph:
     """A connected graph on vertices 0..n-1 and underlying (lo, hi)
     ``edges``, lo < hi and none repeated, seen as its ``kept`` vertices
@@ -178,48 +189,43 @@ class ChainGraph:
     ``edges``: walked from u to w it has L edges, and a coloring adds z to
     the class when its forward-edge count has parity 1 ^ s.  A chain of
     one edge is (lo, hi, 1, z_e, 0).
+
+    When every vertex is kept, ``coords`` is built only when it is read
+    (``colorable``, or naming a class's arcs): the walk takes its order,
+    every edge's z and the base from one BFS over the adjacency masks and
+    one subtree pass (``orient.bfs_forest``, ``orient.subtree_masks``),
+    the same forest and the same class bits as ``coords``.
     """
 
     def __init__(self, n: int, edges: Sequence[Arc], kept: Iterable[int]):
+        # kept as a tuple: the coordinates may read the edges later
+        self.edges = edges = tuple(edges)
+        adj = [0] * n
         for lo, hi in edges:
             if not 0 <= lo < hi < n:
                 raise IncompatibleInputError(
                     f"({lo}, {hi}) is no edge (lo, hi) of a graph on 0..{n - 1}"
                 )
-        if len(set(edges)) != len(edges):
-            raise IncompatibleInputError("an edge is repeated")
-        vertices = set(range(n))
+            if adj[lo] >> hi & 1:
+                raise IncompatibleInputError("an edge is repeated")
+            adj[lo] |= 1 << hi
+            adj[hi] |= 1 << lo
+        self.n = n
         kept = set(kept)
-        if not kept <= vertices:
+        if not kept <= set(range(n)):
             raise IncompatibleInputError(f"kept vertices must lie in 0..{n - 1}")
-        self.coords = coords = class_coordinates(n, edges, vertices)
-        if len(coords.forest) != n - 1:
-            raise IncompatibleInputError("the graph must be connected")
-        self.width = width = len(coords.free)
-        masks = coords.masks
-        order = [0] + [c for _, c in coords.forest]
-        if kept == vertices:
-            # every edge is its own chain
-            self.chains = [(lo, hi, 1, masks[lo, hi], 0) for lo, hi in edges]
-            self.long = False
+        if len(kept) == n:
+            walk = self._every_edge_a_chain(adj)
         else:
-            order = [v for v in order if v in kept]
-            if not order:
-                raise IncompatibleInputError("no vertex is kept")
-            self.chains = _chains(n, edges, kept, masks)
-            self.long = any(chain[2] > 1 for chain in self.chains)
-        self.size = len(order)
-        self.pos = pos = [-1] * n
-        for i, v in enumerate(order):
-            pos[v] = i
+            walk = self._chains_between(kept)
         # the free bits of the tail chains, and tail chain t -> the leaves
         # of its Mono, both from the image walk
         self._marks = 0
         self._tails: dict[int, set[int]] = {}
         image = set()
-        walk = self._walk_lists()
         if walk is not None:
             self._marks = marks = walk[3]
+            width = self.width
             for v in _coloring_image(*walk):
                 mark = v & marks
                 if mark:
@@ -227,6 +233,74 @@ class ChainGraph:
                 else:
                     image.add(v)
         self.image = self._expand(image) if self.long else image
+
+    @cached_property
+    def coords(self) -> ClassCoordinates:
+        return class_coordinates(self.n, self.edges, range(self.n))
+
+    def _every_edge_a_chain(self, adj: list[int]):
+        """Every vertex kept, every edge its own chain: the walk lists
+        straight from the BFS, the subtree pass and one pass over the
+        edges."""
+        n = self.n
+        order, parent = bfs_forest(adj)
+        if parent.count(-1) != 1:
+            raise IncompatibleInputError("the graph must be connected")
+        free = co_forest(self.edges, parent)
+        z, base = subtree_masks(order[1:], parent, free)
+        self.width = width = len(free)
+        self.long = False
+        self.size = n
+        self.pos = pos = [0] * n
+        for i, v in enumerate(order):
+            pos[v] = i
+        self._base = base
+        tail_from = n - 2
+        first_free = 1 << width
+        lists: list[list] = [[] for _ in range(n)]
+        chains = []
+        bits = {e: 1 << i for i, e in enumerate(free)}
+        flip = marks = 0
+        for t, e in enumerate(self.edges):
+            lo, hi = e
+            if parent[hi] == lo:
+                ze = z[hi]
+            elif parent[lo] == hi:
+                ze = z[lo]
+            else:
+                ze = bits[e]
+            chains.append((lo, hi, 1, ze, 0))
+            flip ^= ze
+            free_t = first_free << t
+            i, j = pos[lo], pos[hi]
+            table = _edge_table(ze, free_t, i < j)
+            if i < j:
+                i, j = j, i
+            lists[i].append((j, table))
+            if i >= tail_from:
+                marks |= free_t
+        self.chains = chains
+        return lists, base, flip, marks
+
+    def _chains_between(self, kept: set[int]):
+        """The chains between the kept vertices, walked in the order of the
+        class forest's BFS; the walk lists, or None when a loop admits no
+        coloring."""
+        coords = self.coords
+        if len(coords.forest) != self.n - 1:
+            raise IncompatibleInputError("the graph must be connected")
+        self.width = len(coords.free)
+        order = [v for v in [0] + [c for _, c in coords.forest] if v in kept]
+        if not order:
+            raise IncompatibleInputError("no vertex is kept")
+        self.chains = _chains(self.n, self.edges, kept, coords.masks)
+        self.long = any(chain[2] > 1 for chain in self.chains)
+        self.size = len(order)
+        self.pos = pos = [-1] * self.n
+        for i, v in enumerate(order):
+            pos[v] = i
+        self._base = coords.base
+        return self._walk_lists()
 
     def _table(self, t: int, mono: bool):
         """Per color of chain t's earlier end: (banned colors, then what
@@ -264,7 +338,7 @@ class ChainGraph:
         tail_from = self.size - 2
         first_free = 1 << self.width
         lists = [[] for _ in range(self.size)]
-        start = self.coords.base
+        start = self._base
         flip = marks = 0
         for t, (u, w, length, z, _) in enumerate(self.chains):
             i, j = pos[u], pos[w]
@@ -272,12 +346,7 @@ class ChainGraph:
             if length & 1:
                 flip ^= z
             if length == 1 and t != mono_chain:
-                # the edge (lo, hi) points lo -> hi when c(hi) = c(lo) + 1;
-                # its free bit sits on the color it bans
-                if i < j:
-                    table = ((1, free, z, 0), (2, 0, free, z), (4, z, 0, free))
-                else:
-                    table = ((1, free, 0, z), (2, z, free, 0), (4, 0, z, free))
+                table = _edge_table(z, free, i < j)
             else:
                 table = self._table(t, t == mono_chain)
                 if i == j:

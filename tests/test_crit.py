@@ -5,12 +5,14 @@ from __future__ import annotations
 import pytest
 
 import pushcrit as pc
+from pushcrit import crit
 from pushcrit.crit import (
     VERDICT_COLORABLE,
     VERDICT_CRITICAL,
     VERDICT_NON_MINIMAL,
+    CriticalityReport,
 )
-from pushcrit.errors import IncompatibleInputError
+from pushcrit.errors import IncompatibleInputError, SelfCheckError
 
 from conftest import brute_pushable_colorable, random_oriented_graph
 
@@ -81,6 +83,16 @@ def test_extract_from_decorated_e1():
 
 def test_extract_from_colorable_is_none():
     assert pc.extract_critical_subgraph(pc.directed_cycle(6), 3) is None
+
+
+def test_extraction_checks_its_result(monkeypatch):
+    # the extraction re-decides criticality of what it returns; a result
+    # that fails is a fault of the library, raised even under python -O
+    monkeypatch.setattr(
+        crit, "is_pushably_k_critical", lambda g, k: CriticalityReport(VERDICT_NON_MINIMAL, k)
+    )
+    with pytest.raises(SelfCheckError, match="not critical"):
+        pc.extract_critical_subgraph(pc.fixture("c_minus4"), 3)
 
 
 def test_extract_from_disjoint_union():

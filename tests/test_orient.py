@@ -13,11 +13,14 @@ from pushcrit.errors import IncompatibleInputError
 from pushcrit.graph import forward_parity
 from pushcrit.orient import (
     AffineMap,
+    bfs_forest,
     class_coordinates,
+    co_forest,
     normalizing_pushes,
     push_class_count,
     push_class_representatives,
     spanning_forest,
+    subtree_masks,
 )
 
 
@@ -182,6 +185,84 @@ def test_class_coordinates_name_the_normalized_class(rng):
                     k ^= coords.masks[e]
             assert k == bits
             assert coords.class_of(g.arc_set) == bits
+
+
+def _reference_coordinates(n, edges, movable, fixed_arcs):
+    """(forest, free, z masks, base) as class_coordinates and
+    ClassCoordinates.masks/base computed them before they shared
+    bfs_forest and subtree_masks: a BFS over a queue per component, the
+    co-forest by set difference, and the subtree-xor pass over the forest
+    arcs."""
+    fixed = {(min(a), max(a)) for a in fixed_arcs}
+    loose = [e for e in edges if e not in fixed]
+    masks = _masks(n, loose)
+    queue = sorted(set(range(n)).difference(movable))
+    seen = sum(1 << v for v in queue)
+    forest = []
+    while True:
+        for u in queue:
+            new = masks[u] & ~seen
+            seen |= new
+            while new:
+                w = (new & -new).bit_length() - 1
+                new &= new - 1
+                forest.append((u, w))
+                queue.append(w)
+        unseen = ((1 << n) - 1) & ~seen
+        if not unseen:
+            break
+        anchor = unseen & -unseen
+        seen |= anchor
+        queue = [anchor.bit_length() - 1]
+    tree = {(min(a), max(a)) for a in forest}
+    free = sorted(set(loose).difference(tree))
+    z = {}
+    below = [0] * n
+    for i, e in enumerate(free):
+        z[e] = 1 << i
+        below[e[0]] ^= 1 << i
+        below[e[1]] ^= 1 << i
+    for p, c in reversed(forest):
+        z[min(p, c), max(p, c)] = below[c]
+        below[p] ^= below[c]
+    base = 0
+    for p, c in forest:
+        if p < c:
+            base ^= z[p, c]
+    return forest, free, z, base
+
+
+def test_one_pass_coordinates_match_the_reference(rng):
+    disconnected = 0
+    for trial in range(200):
+        n = rng.randint(1, 10)
+        edges = _random_edges(rng, n, rng.choice((0.15, 0.3, 0.6)))
+        movable = set(range(n)) if trial % 3 == 0 else {
+            v for v in range(n) if rng.random() < 0.7
+        }
+        fixed = [
+            (a, b) if rng.random() < 0.5 else (b, a)
+            for a, b in edges
+            if a not in movable and b not in movable and rng.random() < 0.5
+        ]
+        forest, free, z, base = _reference_coordinates(n, edges, movable, fixed)
+        fixed_edges = {(min(a), max(a)) for a in fixed}
+        loose = [e for e in edges if e not in fixed_edges]
+        order, parent = bfs_forest(_masks(n, loose), set(range(n)).difference(movable))
+        assert sorted(order) == list(range(n))
+        assert [(parent[v], v) for v in order if parent[v] >= 0] == forest
+        assert co_forest(loose, parent) == free
+        zs, got_base = subtree_masks([c for _, c in forest], parent, free)
+        assert got_base == base
+        assert {(min(p, c), max(p, c)): zs[c] for p, c in forest} == {
+            e: m for e, m in z.items() if e not in free
+        }
+        coords = class_coordinates(n, edges, movable, fixed)
+        assert (list(coords.forest), list(coords.free)) == (forest, free)
+        assert coords.masks == z and coords.base == base
+        assert spanning_forest(n, loose, movable) == forest
+        disconnected += not pc.OrientedGraph(n, edges).is_connected()
+    assert disconnected >= 50
 
 
 def test_affine_map_tables_match_plain_xor(rng):

@@ -13,6 +13,7 @@ from pushcrit import transfer
 from pushcrit.enumeration import find_critical
 from pushcrit.errors import IncompatibleInputError
 from pushcrit.hom import path_color_sets
+from pushcrit.orient import class_coordinates
 from pushcrit.transfer import ChainGraph, transfer_parities
 
 PARITIES = ((0, "even"), (1, "odd"))
@@ -276,6 +277,55 @@ def _assert_sweep_agrees(n, edges, kept):
     return tails, len(graph.chains) - tails
 
 
+def _walk_from_coordinates(n, edges):
+    """The image walk's (lists, start, flip, marks) when every vertex is
+    kept, derived from class_coordinates: the positions in the order of
+    its forest, every edge's z from its masks and the start at its base."""
+    coords = class_coordinates(n, edges, range(n))
+    pos = [0] * n
+    for i, (_, c) in enumerate(coords.forest, 1):
+        pos[c] = i
+    first_free = 1 << len(coords.free)
+    lists = [[] for _ in range(n)]
+    flip = marks = 0
+    for t, (lo, hi) in enumerate(edges):
+        z = coords.masks[lo, hi]
+        free = first_free << t
+        flip ^= z
+        if pos[lo] < pos[hi]:
+            later, table = hi, ((1, free, z, 0), (2, 0, free, z), (4, z, 0, free))
+        else:
+            later, table = lo, ((1, free, 0, z), (2, z, free, 0), (4, 0, z, free))
+        lists[pos[later]].append((pos[lo] + pos[hi] - pos[later], table))
+        if pos[later] >= n - 2:
+            marks |= free
+    return lists, coords.base, flip, marks
+
+
+def test_one_pass_walk_matches_the_class_coordinates(rng, monkeypatch):
+    walks = []
+    walk = transfer._coloring_image
+
+    def recording_walk(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(transfer, "_coloring_image", recording_walk)
+    for trial in range(120):
+        n = rng.randint(1, 9)
+        edges = _random_connected(rng, n)
+        if trial % 2:
+            rng.shuffle(edges)  # the free bits still follow (lo, hi) order
+        walks.clear()
+        graph = ChainGraph(n, edges, range(n))
+        # nothing so far has read the class coordinates
+        assert "coords" not in vars(graph)
+        assert walks == [_walk_from_coordinates(n, edges)], edges
+        coords = graph.coords
+        assert graph.width == len(coords.free)
+        assert [z for _, _, _, z, _ in graph.chains] == [coords.masks[e] for e in edges]
+
+
 def test_image_and_mono_match_the_sweep(rng):
     tails = others = 0
     for _ in range(40):
@@ -299,6 +349,11 @@ def test_the_scan_walks_once_per_candidate(monkeypatch):
     phase = ["image"]
     walk = transfer._coloring_image
     mono = ChainGraph.mono
+    coordinates = []
+
+    def counting_coordinates(*args):
+        coordinates.append(args)
+        return class_coordinates(*args)
 
     def counting_walk(*args):
         walks[phase[0]] += 1
@@ -313,7 +368,11 @@ def test_the_scan_walks_once_per_candidate(monkeypatch):
 
     monkeypatch.setattr(transfer, "_coloring_image", counting_walk)
     monkeypatch.setattr(ChainGraph, "mono", separate_mono)
+    monkeypatch.setattr(transfer, "class_coordinates", counting_coordinates)
     assert len(find_critical(8)) == 16
     # one image walk per candidate; Monos of chains off the last two
     # positions walk on their own, when a candidate class needs them
     assert walks == {"image": 3663, "mono": 163}
+    # the class coordinates are built only to name the arcs of a critical
+    # class: for the 13 candidates that have one
+    assert len(coordinates) == 13

@@ -252,6 +252,18 @@ def test_cli_extract_critical(capsys):
     assert rc == cli.EXIT_PROPERTY_FAILS
 
 
+def test_cli_failed_self_check_is_an_internal_error(capsys, monkeypatch):
+    # SelfCheckError is a PushcritError, but not a usage error (exit 2)
+    monkeypatch.setattr(
+        pc.crit,
+        "is_pushably_k_critical",
+        lambda g, k: pc.crit.CriticalityReport(pc.crit.VERDICT_NON_MINIMAL, k),
+    )
+    rc = cli.main(["extract-critical", "@c_minus4"])
+    assert rc == cli.EXIT_INTERNAL
+    assert "internal error" in capsys.readouterr().err
+
+
 def test_cli_info(capsys):
     rc = cli.main(["info", "@f"])
     payload = json.loads(capsys.readouterr().out)
