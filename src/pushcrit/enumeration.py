@@ -70,12 +70,11 @@ The scan decides every push class of a candidate G at once from its
 keeps every vertex of G, enumerates the proper 3-colorings, and returns
 the image Im of colorable classes and the critical classes (see the
 ``transfer`` docstring for why the test is exact).  Each edge is then its
-own chain, and the walk order is the BFS order of the class forest.  The
-walk is built in one pass: one BFS over the adjacency masks gives the
-order and the forest, one subtree pass from the leaves every edge's z
-and the base class, and each edge's table goes straight into the walk's
-lists; the class coordinates (``orient.ClassCoordinates``) are built only
-for a candidate with a critical class, to name its arcs.  One walk, which
+own chain, and the walk order is the BFS order of the class forest.  One
+BFS over the adjacency masks gives the order and the forest, and one
+subtree pass from the leaves every edge's z and the base class; the
+class coordinates (``orient.ClassCoordinates``) are built only for a
+candidate with a critical class, to name its arcs.  One walk, which
 skips the negations of the colorings it takes (the negation lemma), gives
 Im together with the Mono classes of the edges that end at the last two
 vertices of that order (the tail-Mono lemma); any other edge's Mono takes
@@ -91,7 +90,7 @@ import os
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations
 from multiprocessing import get_context
 from operator import getitem
@@ -138,19 +137,26 @@ class UnderlyingGraph:
     # the canonical certificate from ``canonical_data``, set by generation;
     # None on a top-level candidate accepted without a labeling
     cert: int | None = field(default=None, compare=False, repr=False)
-    # the adjacency masks, as generation holds them; built from ``edges``
-    # when not given
-    masks: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.masks is None:
-            object.__setattr__(self, "masks", tuple(adjacency(self.vertex_count, self.edges)))
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """The adjacency masks; generation sets them to the masks it built
+        the edges from (``_from_masks``)."""
+        return tuple(adjacency(self.vertex_count, self.edges))
 
     def min_degree(self) -> int:
         return _min_degree(self.masks)
 
     def is_connected(self) -> bool:
         return len(_components(self.masks)) <= 1
+
+
+def _from_masks(masks, cert: int | None) -> UnderlyingGraph:
+    """The underlying graph of the adjacency ``masks``, carrying them."""
+    under = UnderlyingGraph(len(masks), _masks_to_edges(masks), cert)
+    # an instance attribute, which the cached property then never computes
+    object.__setattr__(under, "masks", masks)
+    return under
 
 
 def _min_degree(masks) -> int:
@@ -326,7 +332,7 @@ def enumerate_underlying(
     top = _last_level and min_degree == 2 and (n, forbid_k4, False) not in _LEVEL_CACHE
     for masks, cert in _graphs_on(n, forbid_k4, tick, top):
         if _min_degree(masks) >= min_degree and len(_components(masks)) <= 1:
-            yield UnderlyingGraph(n, _masks_to_edges(masks), cert, masks)
+            yield _from_masks(masks, cert)
 
 
 def enumerate_orientations_mod_push(under: UnderlyingGraph, dedup_iso: bool = False):

@@ -166,16 +166,6 @@ def _coloring_image(lists, start: int, flip: int, marks: int = 0) -> set[int]:
     return found | {v ^ flip for v in found}
 
 
-def _edge_table(z: int, free: int, forward: bool):
-    """The table of a chain of one edge, walked from its earlier end
-    (``forward``: its lo end) to its later one.  The edge (lo, hi) points
-    lo -> hi when c(hi) = c(lo) + 1; its free bit sits on the color it
-    bans."""
-    if forward:
-        return ((1, free, z, 0), (2, 0, free, z), (4, z, 0, free))
-    return ((1, free, 0, z), (2, z, free, 0), (4, 0, z, free))
-
-
 class ChainGraph:
     """A connected graph on vertices 0..n-1 and underlying (lo, hi)
     ``edges``, lo < hi and none repeated, seen as its ``kept`` vertices
@@ -215,9 +205,14 @@ class ChainGraph:
         if not kept <= set(range(n)):
             raise IncompatibleInputError(f"kept vertices must lie in 0..{n - 1}")
         if len(kept) == n:
-            walk = self._every_edge_a_chain(adj)
+            order = self._every_edge_a_chain(adj)
         else:
-            walk = self._chains_between(kept)
+            order = self._chains_between(kept)
+        self.size = len(order)
+        self.pos = pos = [-1] * n
+        for i, v in enumerate(order):
+            pos[v] = i
+        walk = self._walk_lists()
         # the free bits of the tail chains, and tail chain t -> the leaves
         # of its Mono, both from the image walk
         self._marks = 0
@@ -238,54 +233,33 @@ class ChainGraph:
     def coords(self) -> ClassCoordinates:
         return class_coordinates(self.n, self.edges, range(self.n))
 
-    def _every_edge_a_chain(self, adj: list[int]):
-        """Every vertex kept, every edge its own chain: the walk lists
-        straight from the BFS, the subtree pass and one pass over the
-        edges."""
-        n = self.n
+    def _every_edge_a_chain(self, adj: list[int]) -> list[int]:
+        """Every vertex kept, every edge its own chain: the walk order from
+        one BFS over the adjacency masks, every edge's z and the start from
+        one subtree pass."""
         order, parent = bfs_forest(adj)
         if parent.count(-1) != 1:
             raise IncompatibleInputError("the graph must be connected")
         free = co_forest(self.edges, parent)
-        z, base = subtree_masks(order[1:], parent, free)
-        self.width = width = len(free)
+        z, self._base = subtree_masks(order[1:], parent, free)
+        self.width = len(free)
         self.long = False
-        self.size = n
-        self.pos = pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = i
-        self._base = base
-        tail_from = n - 2
-        first_free = 1 << width
-        lists: list[list] = [[] for _ in range(n)]
-        chains = []
         bits = {e: 1 << i for i, e in enumerate(free)}
-        flip = marks = 0
-        for t, e in enumerate(self.edges):
-            lo, hi = e
+        chains = []
+        for lo, hi in self.edges:
+            # a forest edge's z sits on its child end
             if parent[hi] == lo:
-                ze = z[hi]
+                chains.append((lo, hi, 1, z[hi], 0))
             elif parent[lo] == hi:
-                ze = z[lo]
+                chains.append((lo, hi, 1, z[lo], 0))
             else:
-                ze = bits[e]
-            chains.append((lo, hi, 1, ze, 0))
-            flip ^= ze
-            free_t = first_free << t
-            i, j = pos[lo], pos[hi]
-            table = _edge_table(ze, free_t, i < j)
-            if i < j:
-                i, j = j, i
-            lists[i].append((j, table))
-            if i >= tail_from:
-                marks |= free_t
+                chains.append((lo, hi, 1, bits[lo, hi], 0))
         self.chains = chains
-        return lists, base, flip, marks
+        return order
 
-    def _chains_between(self, kept: set[int]):
-        """The chains between the kept vertices, walked in the order of the
-        class forest's BFS; the walk lists, or None when a loop admits no
-        coloring."""
+    def _chains_between(self, kept: set[int]) -> list[int]:
+        """The chains between the kept vertices; the walk order is that of
+        the class forest's BFS."""
         coords = self.coords
         if len(coords.forest) != self.n - 1:
             raise IncompatibleInputError("the graph must be connected")
@@ -295,12 +269,8 @@ class ChainGraph:
             raise IncompatibleInputError("no vertex is kept")
         self.chains = _chains(self.n, self.edges, kept, coords.masks)
         self.long = any(chain[2] > 1 for chain in self.chains)
-        self.size = len(order)
-        self.pos = pos = [-1] * self.n
-        for i, v in enumerate(order):
-            pos[v] = i
         self._base = coords.base
-        return self._walk_lists()
+        return order
 
     def _table(self, t: int, mono: bool):
         """Per color of chain t's earlier end: (banned colors, then what
@@ -346,7 +316,12 @@ class ChainGraph:
             if length & 1:
                 flip ^= z
             if length == 1 and t != mono_chain:
-                table = _edge_table(z, free, i < j)
+                # the edge (lo, hi) points lo -> hi when c(hi) = c(lo) + 1;
+                # its free bit sits on the color it bans
+                if i < j:
+                    table = ((1, free, z, 0), (2, 0, free, z), (4, z, 0, free))
+                else:
+                    table = ((1, free, 0, z), (2, z, free, 0), (4, 0, z, free))
             else:
                 table = self._table(t, t == mono_chain)
                 if i == j:

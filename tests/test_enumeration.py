@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -40,7 +41,7 @@ from pushcrit.enumeration import (
     verify_density_bound,
 )
 from pushcrit.errors import ConfigError, ResourceBudgetError
-from pushcrit.graph import forward_parity
+from pushcrit.graph import adjacency, forward_parity
 from pushcrit.hom import AT_C3, solve_mapping, target_index
 from pushcrit.orient import class_coordinates, push_class_representatives
 
@@ -254,6 +255,18 @@ def test_n5_count_matches_brute_force():
             seen.add(canon)
             count += 1
     assert count == len(list(enumerate_underlying(5, 2)))
+
+
+def test_generated_masks_are_the_edges_masks():
+    # generation hands its candidates the masks it built their edges from;
+    # they must be the masks an UnderlyingGraph builds from its edges, also
+    # after a round trip through a pool worker's pickle
+    for n in range(1, 7):
+        for degree in (0, 2):
+            for ug in enumerate_underlying(n, degree):
+                built = UnderlyingGraph(n, ug.edges)
+                assert ug.masks == built.masks == tuple(adjacency(n, ug.edges))
+                assert pickle.loads(pickle.dumps(ug)).masks == built.masks
 
 
 def test_orientation_classes_of_c4():

@@ -4,6 +4,7 @@ the image over every vertex, and colorability against the AT(C3) search."""
 
 from __future__ import annotations
 
+import copy
 from itertools import product
 
 import pytest
@@ -277,32 +278,10 @@ def _assert_sweep_agrees(n, edges, kept):
     return tails, len(graph.chains) - tails
 
 
-def _walk_from_coordinates(n, edges):
-    """The image walk's (lists, start, flip, marks) when every vertex is
-    kept, derived from class_coordinates: the positions in the order of
-    its forest, every edge's z from its masks and the start at its base."""
-    coords = class_coordinates(n, edges, range(n))
-    pos = [0] * n
-    for i, (_, c) in enumerate(coords.forest, 1):
-        pos[c] = i
-    first_free = 1 << len(coords.free)
-    lists = [[] for _ in range(n)]
-    flip = marks = 0
-    for t, (lo, hi) in enumerate(edges):
-        z = coords.masks[lo, hi]
-        free = first_free << t
-        flip ^= z
-        if pos[lo] < pos[hi]:
-            later, table = hi, ((1, free, z, 0), (2, 0, free, z), (4, z, 0, free))
-        else:
-            later, table = lo, ((1, free, 0, z), (2, z, free, 0), (4, 0, z, free))
-        lists[pos[later]].append((pos[lo] + pos[hi] - pos[later], table))
-        if pos[later] >= n - 2:
-            marks |= free
-    return lists, coords.base, flip, marks
-
-
 def test_one_pass_walk_matches_the_class_coordinates(rng, monkeypatch):
+    # the all-kept walk takes its order, z and start from one BFS and one
+    # subtree pass; the walk lists must equal those built from the chains,
+    # order and base of class_coordinates
     walks = []
     walk = transfer._coloring_image
 
@@ -320,10 +299,17 @@ def test_one_pass_walk_matches_the_class_coordinates(rng, monkeypatch):
         graph = ChainGraph(n, edges, range(n))
         # nothing so far has read the class coordinates
         assert "coords" not in vars(graph)
-        assert walks == [_walk_from_coordinates(n, edges)], edges
-        coords = graph.coords
-        assert graph.width == len(coords.free)
-        assert [z for _, _, _, z, _ in graph.chains] == [coords.masks[e] for e in edges]
+        coords = class_coordinates(n, edges, range(n))
+        reference = copy.copy(graph)
+        reference.width = len(coords.free)
+        reference.chains = [(lo, hi, 1, coords.masks[lo, hi], 0) for lo, hi in edges]
+        reference.pos = [0] * n
+        for i, (_, c) in enumerate(coords.forest, 1):
+            reference.pos[c] = i
+        reference._base = coords.base
+        assert walks == [reference._walk_lists()], edges
+        assert graph.chains == reference.chains
+        assert graph.coords == coords
 
 
 def test_image_and_mono_match_the_sweep(rng):
