@@ -212,12 +212,10 @@ class ClassCoordinates:
     def class_of(self, arcs: Collection[Arc]) -> int:
         """The class of the orientation ``arcs``, which keeps every fixed
         arc: its free bits once pushed as ``normalizing_pushes`` says."""
-        x = {}
-        for p, c in self.forest:
-            x[c] = x.get(p, 0) ^ ((p, c) not in arcs)
+        x = normalizing_pushes(self.n, self.forest, arcs)
         bits = 0
         for i, (lo, hi) in enumerate(self.free):
-            bits |= (((lo, hi) in arcs) ^ x.get(lo, 0) ^ x.get(hi, 0)) << i
+            bits |= (((lo, hi) in arcs) ^ x[lo] ^ x[hi]) << i
         return bits
 
     def relabel_map(

@@ -180,11 +180,12 @@ class ChainGraph:
     the class when its forward-edge count has parity 1 ^ s.  A chain of
     one edge is (lo, hi, 1, z_e, 0).
 
-    When every vertex is kept, ``coords`` is built only when it is read
-    (``colorable``, or naming a class's arcs): the walk takes its order,
-    every edge's z and the base from one BFS over the adjacency masks and
-    one subtree pass (``orient.bfs_forest``, ``orient.subtree_masks``),
-    the same forest and the same class bits as ``coords``.
+    ``coords`` is built only when it is read (``colorable``, or naming a
+    class's arcs).  The walk takes its order (the BFS order, restricted to
+    the kept vertices), every edge's z and the base from one BFS over the
+    adjacency masks and one subtree pass (``orient.bfs_forest``,
+    ``orient.subtree_masks``): the same forest and the same class bits as
+    ``coords``.
     """
 
     def __init__(self, n: int, edges: Sequence[Arc], kept: Iterable[int]):
@@ -204,10 +205,25 @@ class ChainGraph:
         kept = set(kept)
         if not kept <= set(range(n)):
             raise IncompatibleInputError(f"kept vertices must lie in 0..{n - 1}")
-        if len(kept) == n:
-            order = self._every_edge_a_chain(adj)
-        else:
-            order = self._chains_between(kept)
+        order, parent = bfs_forest(adj)
+        if parent.count(-1) != 1:
+            raise IncompatibleInputError("the graph must be connected")
+        if not kept:
+            raise IncompatibleInputError("no vertex is kept")
+        free = co_forest(edges, parent)
+        z, self._base = subtree_masks(order[1:], parent, free)
+        self.width = len(free)
+        bits = {e: 1 << i for i, e in enumerate(free)}
+        # a forest edge's z sits on its child end
+        zs = [
+            z[hi] if parent[hi] == lo else z[lo] if parent[lo] == hi else bits[lo, hi]
+            for lo, hi in edges
+        ]
+        self.chains = _chains(n, edges, kept, zs)
+        # a vertex that is not kept lies inside a chain of two or more edges
+        self.long = len(kept) < n
+        if self.long:
+            order = [v for v in order if v in kept]
         self.size = len(order)
         self.pos = pos = [-1] * n
         for i, v in enumerate(order):
@@ -232,45 +248,6 @@ class ChainGraph:
     @cached_property
     def coords(self) -> ClassCoordinates:
         return class_coordinates(self.n, self.edges, range(self.n))
-
-    def _every_edge_a_chain(self, adj: list[int]) -> list[int]:
-        """Every vertex kept, every edge its own chain: the walk order from
-        one BFS over the adjacency masks, every edge's z and the start from
-        one subtree pass."""
-        order, parent = bfs_forest(adj)
-        if parent.count(-1) != 1:
-            raise IncompatibleInputError("the graph must be connected")
-        free = co_forest(self.edges, parent)
-        z, self._base = subtree_masks(order[1:], parent, free)
-        self.width = len(free)
-        self.long = False
-        bits = {e: 1 << i for i, e in enumerate(free)}
-        chains = []
-        for lo, hi in self.edges:
-            # a forest edge's z sits on its child end
-            if parent[hi] == lo:
-                chains.append((lo, hi, 1, z[hi], 0))
-            elif parent[lo] == hi:
-                chains.append((lo, hi, 1, z[lo], 0))
-            else:
-                chains.append((lo, hi, 1, bits[lo, hi], 0))
-        self.chains = chains
-        return order
-
-    def _chains_between(self, kept: set[int]) -> list[int]:
-        """The chains between the kept vertices; the walk order is that of
-        the class forest's BFS."""
-        coords = self.coords
-        if len(coords.forest) != self.n - 1:
-            raise IncompatibleInputError("the graph must be connected")
-        self.width = len(coords.free)
-        order = [v for v in [0] + [c for _, c in coords.forest] if v in kept]
-        if not order:
-            raise IncompatibleInputError("no vertex is kept")
-        self.chains = _chains(self.n, self.edges, kept, coords.masks)
-        self.long = any(chain[2] > 1 for chain in self.chains)
-        self._base = coords.base
-        return order
 
     def _table(self, t: int, mono: bool):
         """Per color of chain t's earlier end: (banned colors, then what
@@ -408,9 +385,11 @@ def _walk(prev: int, v: int, kept, nbrs) -> list[int]:
     return path
 
 
-def _chains(n: int, edges, kept, masks) -> list[tuple[int, int, int, int, int]]:
+def _chains(n: int, edges, kept, zs) -> list[tuple[int, int, int, int, int]]:
     """The chains between the ``kept`` vertices, in the order of their
-    first edge; ``masks`` are the edges' z."""
+    first edge; ``zs`` are the edges' z, one z for every edge of a chain."""
+    if len(kept) == n:  # every edge its own chain
+        return [(lo, hi, 1, z, 0) for (lo, hi), z in zip(edges, zs)]
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for lo, hi in edges:
         nbrs[lo].append(hi)
@@ -419,15 +398,14 @@ def _chains(n: int, edges, kept, masks) -> list[tuple[int, int, int, int, int]]:
         raise IncompatibleInputError("every vertex that is not kept needs degree 2")
     chains = []
     seen = set()
-    for lo, hi in edges:
+    for (lo, hi), z in zip(edges, zs):
         if lo in kept and hi in kept:
-            chains.append((lo, hi, 1, masks[lo, hi], 0))
+            chains.append((lo, hi, 1, z, 0))
         elif (lo, hi) not in seen:
             path = _walk(hi, lo, kept, nbrs)[::-1] + _walk(lo, hi, kept, nbrs)
             steps = list(zip(path, path[1:]))
             seen.update((min(a, b), max(a, b)) for a, b in steps)
             length = len(steps)
             lo_hi = sum(a < b for a, b in steps)
-            z = masks[min(path[:2]), max(path[:2])]
             chains.append((path[0], path[-1], length, z, (length + lo_hi) % 2))
     return chains

@@ -4,7 +4,6 @@ the image over every vertex, and colorability against the AT(C3) search."""
 
 from __future__ import annotations
 
-import copy
 from itertools import product
 
 import pytest
@@ -204,6 +203,10 @@ def test_inputs_outside_the_chain_shape_are_rejected():
     for kept in ([0], range(6)):
         with pytest.raises(IncompatibleInputError, match="connected"):
             ChainGraph(6, edges, kept)
+    # a plain cycle and no kept vertex: a chain walk along it would not end
+    cycle = [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+    with pytest.raises(IncompatibleInputError, match="no vertex is kept"):
+        ChainGraph(5, cycle, [])
 
 
 def test_malformed_inputs_are_rejected():
@@ -278,38 +281,39 @@ def _assert_sweep_agrees(n, edges, kept):
     return tails, len(graph.chains) - tails
 
 
-def test_one_pass_walk_matches_the_class_coordinates(rng, monkeypatch):
-    # the all-kept walk takes its order, z and start from one BFS and one
-    # subtree pass; the walk lists must equal those built from the chains,
-    # order and base of class_coordinates
-    walks = []
-    walk = transfer._coloring_image
-
-    def recording_walk(*args):
-        walks.append(args)
-        return walk(*args)
-
-    monkeypatch.setattr(transfer, "_coloring_image", recording_walk)
-    for trial in range(120):
+def test_one_pass_walk_matches_the_class_coordinates(rng):
+    # the walk takes its order, z and start from one BFS and one subtree
+    # pass, with every vertex kept or only the kernel vertices; they must
+    # equal the forest order, masks and base of class_coordinates
+    cases = []
+    for _ in range(120):
         n = rng.randint(1, 9)
-        edges = _random_connected(rng, n)
+        cases.append((n, _random_connected(rng, n), range(n)))
+    for _ in range(80):
+        kernel_n, _, n, edges = _random_kernel(rng)
+        cases.append((n, edges, range(kernel_n)))
+    subsets = 0
+    for trial, (n, edges, kept) in enumerate(cases):
         if trial % 2:
             rng.shuffle(edges)  # the free bits still follow (lo, hi) order
-        walks.clear()
-        graph = ChainGraph(n, edges, range(n))
+        graph = ChainGraph(n, edges, kept)
         # nothing so far has read the class coordinates
         assert "coords" not in vars(graph)
         coords = class_coordinates(n, edges, range(n))
-        reference = copy.copy(graph)
-        reference.width = len(coords.free)
-        reference.chains = [(lo, hi, 1, coords.masks[lo, hi], 0) for lo, hi in edges]
-        reference.pos = [0] * n
-        for i, (_, c) in enumerate(coords.forest, 1):
-            reference.pos[c] = i
-        reference._base = coords.base
-        assert walks == [reference._walk_lists()], edges
-        assert graph.chains == reference.chains
+        # each chain's z is that of its first edge, and of all its edges
+        groups = _chain_edges(n, edges, kept)
+        assert [{coords.masks[e] for e in group} for group in groups] == [
+            {z} for _, _, _, z, _ in graph.chains
+        ], edges
+        order = [v for v in [0] + [c for _, c in coords.forest] if v in kept]
+        assert graph.pos == [order.index(v) if v in order else -1 for v in range(n)]
+        assert graph._base == coords.base
+        assert graph.width == len(coords.free)
+        if len(kept) == n:
+            assert graph.chains == [(lo, hi, 1, coords.masks[lo, hi], 0) for lo, hi in edges]
+        subsets += len(kept) < n
         assert graph.coords == coords
+    assert subsets > 40
 
 
 def test_image_and_mono_match_the_sweep(rng):
