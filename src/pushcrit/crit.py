@@ -10,7 +10,6 @@ coloring witness per arc.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import IncompatibleInputError, SelfCheckError
 from .graph import Arc, OrientedGraph
@@ -21,14 +20,9 @@ VERDICT_COLORABLE = "colorable"
 VERDICT_NON_MINIMAL = "non_minimal"
 
 
-def is_pushably_k_colorable(
-    g: OrientedGraph,
-    k: int,
-    budget: int | None = None,
-    cancel: Callable[[], bool] | None = None,
-):
+def is_pushably_k_colorable(g: OrientedGraph, k: int):
     """Certificate onto some k-vertex tournament, or None."""
-    return tournament_coloring(g, k, k, "push_iso", budget, cancel)
+    return tournament_coloring(g, k, k, "push_iso")
 
 
 @dataclass(frozen=True)

@@ -612,25 +612,31 @@ def _persist_records(base: str, records):
                 fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
 
 
-def _load_records(base: str):
-    """Records persisted under ``base``, cutting off a torn final line.
+def _complete_lines(path: str) -> list[str]:
+    """The complete lines of the append-only log at ``path``.
 
-    A crash mid-append leaves a final line without its newline.  It is
-    dropped from the file: CURSOR moves only after records are persisted,
-    so the resumed run scans that candidate again and re-appends it.
+    A crash mid-append leaves a final line without its newline.  It is cut
+    off the file, so the next append starts a line of its own.  Nothing is
+    lost: CURSOR moves only after a candidate's records are persisted, so
+    the resumed run scans that candidate again and re-appends them.
     """
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        complete = data.rfind(b"\n") + 1
+        if complete < len(data):
+            fh.truncate(complete)
+    return data[:complete].decode("utf-8").splitlines()
+
+
+def _load_records(base: str):
+    """Records persisted under ``base``, less a torn final line."""
     records = {}
     if not os.path.isdir(base):
         return records
     for fname in sorted(os.listdir(base)):
         if not fname.endswith(".ndjson"):
             continue
-        with open(os.path.join(base, fname), "rb+") as fh:
-            data = fh.read()
-            complete = data.rfind(b"\n") + 1
-            if complete < len(data):
-                fh.truncate(complete)
-        for line in data[:complete].decode("utf-8").splitlines():
+        for line in _complete_lines(os.path.join(base, fname)):
             line = line.strip()
             if line:
                 rec = EnumerationRecord.from_json_dict(json.loads(line))
@@ -642,17 +648,11 @@ def _read_cursor(path: str) -> str | None:
     """The last complete line of the CURSOR log at ``path``, or None.
 
     Each scanned candidate appends its cursor as one line, after its
-    records are persisted.  A torn final line is cut off, as
-    ``_load_records`` does, so the next append starts a line of its own.
+    records are persisted.
     """
     if not os.path.exists(path):
         return None
-    with open(path, "rb+") as fh:
-        data = fh.read()
-        complete = data.rfind(b"\n") + 1
-        if complete < len(data):
-            fh.truncate(complete)
-    lines = data[:complete].decode("utf-8").splitlines()
+    lines = _complete_lines(path)
     return lines[-1] if lines else None
 
 
@@ -669,7 +669,6 @@ def _resume_position(n: int, candidates, cursor: str) -> int:
 
 def find_critical(
     n_max: int,
-    k: int = 3,
     jobs: int = 1,
     shard_dir: str | None = None,
     resume: bool = False,
@@ -677,14 +676,14 @@ def find_critical(
     progress=None,
 ):
     """Every pushably 3-critical oriented graph on <= n_max vertices,
-    one record per push-isomorphism class.
+    one record per push-isomorphism class.  The number of colors is fixed
+    at 3: the scan decides colorability from ``transfer``'s images of the
+    proper colorings into Z3.
 
     ``wall_budget_s`` is checked between generated parents and between
     scanned candidates; ``progress(n, i, total)`` is called after each
     scanned candidate.
     """
-    if k != 3:
-        raise ConfigError("the enumeration scan is specialised to k = 3")
     if not 3 <= n_max <= FIND_CRITICAL_VERTEX_LIMIT:
         raise ConfigError(
             f"n_max must be within 3..{FIND_CRITICAL_VERTEX_LIMIT}"

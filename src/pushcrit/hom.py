@@ -4,11 +4,25 @@ The kernel is a backtracking search for an arc-preserving vertex map with
 bitmask domains over the target, forward checking, and a static variable
 order (maximum degree first among the unplaced vertices adjacent to the
 already-placed ones, ties by index).  It is exhaustive, hence a decision
-procedure; optional node budgets and a cancellation callback make long
-searches cooperative.  The order depends on the source graph only, so
-one ``MappingSearcher`` serves every target: ``tournament_coloring``, the
-one walk over k-tournaments behind pushable k-colorability and both
-chromatic numbers, sets up one searcher per source graph.
+procedure; ``MappingSearcher.solve`` takes an optional node budget (the
+CLI's ``color --budget-nodes``).  The order depends on the source graph
+only, so one ``MappingSearcher`` serves every target:
+``tournament_coloring``, the one walk over k-tournaments behind pushable
+k-colorability and both chromatic numbers, sets up one searcher per
+source graph.
+
+Pinned domains get forward checking and nothing more.  The pinned
+vertices come first in the order, so forward checking from them narrows
+their neighbors before anything else is tried.  An arc-consistency pass
+before the search would only remove values that no mapping uses, so the
+first mapping found, the least in the order, is the same without it;
+only node counts and time move.  Without the pass the verification
+suites ran a little faster (perfbench verify-paper, medians of 20 pairs:
+0.189 -> 0.181 reference s), and so did the configuration sweep over
+two-center gadgets with up to five leaves (25-27 -> 22-24 s); on six
+leaves with chains of three internal vertices, which only a stretch
+test sweeps, the search thrashes along the chains and ran 1.8 times
+slower (process time, 2-vCPU Xeon).
 
 Components share no arcs, and forward checking narrows only the later
 neighbors of a placed vertex, so the values a component's first vertex
@@ -38,9 +52,9 @@ passes ``domains``) keep them all.  The mask comes from one search of
 the target into itself per vertex a, for a map that sends a below a; a
 search that takes more than ``START_TEST_NODES`` nodes keeps a, which
 only weakens the mask, so a large target cannot make it exponential.
-It never draws on a caller's budget or cancellation callback, and the
-index caches it.  Node counts can only fall: every node the masked
-search visits, the unmasked one visits before its first mapping too.
+It never draws on a caller's budget, and the index caches it.  Node
+counts can only fall: every node the masked search visits, the unmasked
+one visits before its first mapping too.
 
 The oriented chromatic number asks for a map into some k-tournament,
 and ``tournament_coloring`` answers it with one search per k over all
@@ -80,7 +94,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import xor
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .canon import orbit_of
 from .errors import ConfigError, IncompatibleInputError, ResourceBudgetError, SelfCheckError
@@ -217,41 +231,6 @@ def _later_neighbors(g: OrientedGraph, order: Sequence[int]):
     return later
 
 
-def _propagate(doms: list[int], arcs, tout, tin) -> bool:
-    """Arc-consistency passes until stable; False if a domain empties."""
-    changed = True
-    while changed:
-        changed = False
-        for t, h in arcs:
-            dt, dh = doms[t], doms[h]
-            new = 0
-            m = dt
-            while m:
-                b = m & -m
-                m ^= b
-                if tout[b.bit_length() - 1] & dh:
-                    new |= b
-            if new != dt:
-                if not new:
-                    return False
-                doms[t] = new
-                dt = new
-                changed = True
-            new = 0
-            m = dh
-            while m:
-                b = m & -m
-                m ^= b
-                if tin[b.bit_length() - 1] & dt:
-                    new |= b
-            if new != dh:
-                if not new:
-                    return False
-                doms[h] = new
-                changed = True
-    return True
-
-
 class MappingSearcher:
     """Reusable search state for one source graph, into any target.
 
@@ -272,28 +251,24 @@ class MappingSearcher:
         target: TargetIndex,
         domains: Sequence[int] | None = None,
         budget: int | None = None,
-        cancel: Callable[[], bool] | None = None,
     ):
         """Returns (mapping, nodes); mapping is None when no map exists.
 
         Without ``domains`` each component's first vertex ranges over the
         target's start mask only, which leaves the mapping unchanged.
         """
-        g = self.g
-        n = g.vertex_count
-        full = target.full_mask
-        doms = list(domains) if domains is not None else [full] * n
+        if domains is None:
+            doms = [target.full_mask] * self.g.vertex_count
+            for v in self.starts:
+                doms[v] = target.start_mask
+        else:
+            doms = list(domains)
         if any(d == 0 for d in doms):
             return None, 0
-        tout, tin = target.out_masks, target.in_masks
-        if any(d != full for d in doms):
-            if not _propagate(doms, g.arcs, tout, tin):
-                return None, 0
-        elif domains is None and self.starts:
-            start = target.start_mask
-            for v in self.starts:
-                doms[v] = start
-        return _dfs(self.order, self.later, self.start_bits, doms, tout, tin, budget, cancel)
+        return _dfs(
+            self.order, self.later, self.start_bits, doms,
+            target.out_masks, target.in_masks, budget,
+        )
 
 
 def _dfs(
@@ -304,7 +279,6 @@ def _dfs(
     tout,
     tin,
     budget: int | None = None,
-    cancel: Callable[[], bool] | None = None,
 ):
     """Depth-first search over ``order`` with forward checking on ``doms``.
 
@@ -333,8 +307,6 @@ def _dfs(
             nodes += 1
             if budget is not None and nodes > budget:
                 raise ResourceBudgetError("node budget exhausted", nodes=nodes)
-            if cancel is not None and cancel():
-                raise ResourceBudgetError("search cancelled", nodes=nodes)
             assign[v] = a
             trail = []
             for w, outgoing in fwd:
@@ -370,24 +342,14 @@ def solve_mapping(
     target: TargetIndex,
     domains: Sequence[int] | None = None,
     budget: int | None = None,
-    cancel: Callable[[], bool] | None = None,
 ):
     """One-shot search for a map of g into the target respecting all arcs."""
-    return MappingSearcher(g, domains).solve(target, domains, budget, cancel)
+    return MappingSearcher(g, domains).solve(target, domains, budget)
 
 
-def find_homomorphism(
-    g: OrientedGraph,
-    h: OrientedGraph,
-    budget: int | None = None,
-    cancel: Callable[[], bool] | None = None,
-    stats: dict | None = None,
-):
+def find_homomorphism(g: OrientedGraph, h: OrientedGraph):
     """Arc-preserving vertex map g -> h, or None if none exists."""
-    mapping, nodes = solve_mapping(g, target_index(h), budget=budget, cancel=cancel)
-    if stats is not None:
-        stats["nodes"] = nodes
-    return mapping
+    return solve_mapping(g, target_index(h))[0]
 
 
 # -- certificates ------------------------------------------------------------
@@ -467,15 +429,14 @@ def find_pushable_homomorphism(
     g: OrientedGraph,
     h: OrientedGraph,
     budget: int | None = None,
-    cancel: Callable[[], bool] | None = None,
     stats: dict | None = None,
 ):
     """Certificate for a pushable homomorphism g -> h, or None.
 
-    Searches g -> anti_twin(h).
+    Searches g -> anti_twin(h); ``stats["nodes"]`` receives the search's
+    node count.
     """
-    at = anti_twin(h)
-    mapping, nodes = solve_mapping(g, target_index(at), budget=budget, cancel=cancel)
+    mapping, nodes = solve_mapping(g, target_index(anti_twin(h)), budget=budget)
     if stats is not None:
         stats["nodes"] = nodes
     return None if mapping is None else _decode_certificate(g, h, mapping)
@@ -551,8 +512,6 @@ def _tournament_dfs(
     later,
     earlier,
     k: int,
-    budget: int | None = None,
-    cancel: Callable[[], bool] | None = None,
 ):
     """Depth-first search for a map into some labeled k-tournament.
 
@@ -586,10 +545,6 @@ def _tournament_dfs(
             cand ^= bit
             a = bit.bit_length() - 1
             nodes += 1
-            if budget is not None and nodes > budget:
-                raise ResourceBudgetError("node budget exhausted", nodes=nodes)
-            if cancel is not None and cancel():
-                raise ResourceBudgetError("search cancelled", nodes=nodes)
             fixed = []
             for u, into_v in earlier[v]:
                 b = color[u]
@@ -664,8 +619,6 @@ def tournament_coloring(
     k_min: int,
     k_max: int,
     up_to: str,
-    budget: int | None = None,
-    cancel: Callable[[], bool] | None = None,
 ):
     """Certificate onto the first tournament g maps onto, or None.
 
@@ -675,8 +628,7 @@ def tournament_coloring(
     plain one, the push set is empty, and each k is one search over
     every labeled k-tournament at once (see the module docstring); the
     certificate's target is the tournament that search fixed, its free
-    pairs pointing from the lower color to the higher.  The budget
-    bounds each search.
+    pairs pointing from the lower color to the higher.
     """
     for k in (k_min, k_max):
         if not 1 <= k <= MAX_CHROMATIC_K:
@@ -694,15 +646,13 @@ def tournament_coloring(
     if up_to == "iso":
         earlier = _earlier_neighbors(searcher.order, searcher.later)
         for k in range(k_min, k_max + 1):
-            mapping, out, _ = _tournament_dfs(
-                searcher.order, searcher.later, earlier, k, budget, cancel
-            )
+            mapping, out, _ = _tournament_dfs(searcher.order, searcher.later, earlier, k)
             if mapping is not None:
                 return _decode_certificate(g, _fixed_tournament(k, out), mapping)
         return None
     for k in range(k_min, k_max + 1):
         for t, target in _tournament_targets(k):
-            mapping, _ = searcher.solve(target, budget=budget, cancel=cancel)
+            mapping, _ = searcher.solve(target)
             if mapping is not None:
                 return _decode_certificate(g, t, mapping)
     return None
@@ -755,8 +705,6 @@ class PartialColoring:
 def extend_partial(
     g: OrientedGraph,
     pc: PartialColoring,
-    budget: int | None = None,
-    cancel: Callable[[], bool] | None = None,
     searcher: MappingSearcher | None = None,
 ):
     """Extend a partial coloring by pushing only uncolored vertices.
@@ -774,7 +722,7 @@ def extend_partial(
     ]
     if searcher is None:
         searcher = MappingSearcher(g, doms)
-    mapping, _ = searcher.solve(target_index(AT_C3), doms, budget, cancel)
+    mapping, _ = searcher.solve(target_index(AT_C3), doms)
     if mapping is None:
         return None
     cert = _decode_certificate(g, C3, mapping)

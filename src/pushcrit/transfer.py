@@ -376,13 +376,17 @@ class ChainGraph:
 
 def _walk(prev: int, v: int, kept, nbrs) -> list[int]:
     """The vertices from v onwards, away from prev, up to a kept vertex;
-    every vertex on the way has degree 2."""
+    every vertex on the way has degree 2.  A walk that meets no kept
+    vertex within n steps has gone round a cycle of vertices that are not
+    kept: an IncompatibleInputError."""
     path = [v]
-    while v not in kept:
+    for _ in nbrs:
+        if v in kept:
+            return path
         a, b = nbrs[v]
         prev, v = v, b if a == prev else a
         path.append(v)
-    return path
+    raise IncompatibleInputError("a cycle of the graph meets no kept vertex")
 
 
 def _chains(n: int, edges, kept, zs) -> list[tuple[int, int, int, int, int]]:

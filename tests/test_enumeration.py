@@ -490,11 +490,6 @@ def test_find_critical_small():
         assert record.satisfies_bound == (13 * record.m >= 15 * record.n + 2)
 
 
-def test_find_critical_rejects_other_k():
-    with pytest.raises(ConfigError):
-        find_critical(5, k=4)
-
-
 def test_find_critical_rejects_nonpositive_jobs():
     for jobs in (0, -5):
         with pytest.raises(ConfigError):

@@ -115,10 +115,11 @@ def _old_static_order(g, doms):
     return placed
 
 
-def _oracle_solve(g, target):
-    """The kernel without a start mask: every vertex ranges over the target."""
+def _oracle_solve(g, target, domains=None):
+    """The kernel without a start mask or a backjump: every vertex ranges
+    over its domain, the whole target when ``domains`` is None."""
     n = g.vertex_count
-    order = _old_static_order(g, [0] * n)
+    order = _old_static_order(g, [0] * n if domains is None else domains)
     pos = {v: i for i, v in enumerate(order)}
     later = [[] for _ in range(n)]
     for t, h in g.arcs:
@@ -126,7 +127,7 @@ def _oracle_solve(g, target):
             later[t].append((h, True))
         else:
             later[h].append((t, False))
-    doms = [target.full_mask] * n
+    doms = [target.full_mask] * n if domains is None else list(domains)
     if not n:
         return (), 0
     tout, tin = target.out_masks, target.in_masks
@@ -180,18 +181,44 @@ def _kernel_sources(rng, count):
             yield random_oriented_graph(rng, rng.randint(1, 12), p=rng.uniform(0.2, 0.6))
 
 
-def test_start_mask_keeps_the_first_mapping(rng):
-    targets = [target_index(AT_C3)] + [
+def _kernel_targets():
+    """AT(C3), and every tournament on <= 5 vertices and its AT(t)."""
+    return [target_index(AT_C3)] + [
         target
         for k in range(1, 6)
         for target in [target_index(t) for t in pc.tournaments(k, "iso")]
         + [target for _, target in _tournament_targets(k)]
     ]
+
+
+def test_start_mask_keeps_the_first_mapping(rng):
+    targets = _kernel_targets()
     for g in _kernel_sources(rng, 120):
         searcher = MappingSearcher(g)
         for target in targets:
             mapping, nodes = searcher.solve(target)
             want, want_nodes = _oracle_solve(g, target)
+            assert mapping == want
+            assert nodes <= want_nodes
+
+
+def test_pinned_domains_keep_the_first_mapping(rng):
+    # singleton pins go first in the order and restricted domains get
+    # forward checking only; the backjump may only save nodes
+    targets = _kernel_targets()
+    for g in _kernel_sources(rng, 60):
+        for target in targets:
+            doms = []
+            for _ in range(g.vertex_count):
+                r = rng.random()
+                if r < 0.3:
+                    doms.append(1 << rng.randrange(target.size))
+                elif r < 0.5:
+                    doms.append(rng.randrange(1, target.full_mask + 1))
+                else:
+                    doms.append(target.full_mask)
+            mapping, nodes = MappingSearcher(g, doms).solve(target, doms)
+            want, want_nodes = _oracle_solve(g, target, doms)
             assert mapping == want
             assert nodes <= want_nodes
 
@@ -242,16 +269,8 @@ def test_start_mask_spends_nothing_of_the_caller():
     g = pc.fixture("c_minus4")
     h = AT_C3
     _, nodes = MappingSearcher(g).solve(target_index(h))
-    calls = []
-
-    def cancel():
-        calls.append(1)
-        return False
-
     # a fresh index computes its mask inside this solve
-    fresh = TargetIndex(h)
-    assert MappingSearcher(g).solve(fresh, budget=nodes, cancel=cancel) == (None, nodes)
-    assert len(calls) == nodes
+    assert MappingSearcher(g).solve(TargetIndex(h), budget=nodes) == (None, nodes)
     with pytest.raises(ResourceBudgetError):
         MappingSearcher(g).solve(TargetIndex(h), budget=nodes - 1)
 
@@ -409,21 +428,6 @@ def test_iso_search_certificates_for_every_k(rng):
             _assert_tournament_certificate(g, tournament_coloring(g, k, k, "iso"), k)
 
 
-def test_iso_search_budget_and_cancellation():
-    g = pc.fixture("e1")
-    with pytest.raises(ResourceBudgetError):
-        tournament_coloring(g, 1, 6, "iso", budget=2)
-    calls = []
-
-    def cancel():
-        calls.append(1)
-        return len(calls) > 5
-
-    with pytest.raises(ResourceBudgetError):
-        tournament_coloring(g, 1, 6, "iso", cancel=cancel)
-    assert len(calls) == 6
-
-
 def test_tournament_enumeration_counts():
     assert [len(pc.tournaments(k, "iso")) for k in range(1, 7)] == [1, 1, 2, 4, 12, 56]
     push_counts = [len(pc.tournaments(k, "push_iso")) for k in range(1, 7)]
@@ -578,14 +582,6 @@ def test_search_budget_and_cancellation():
     e1 = pc.fixture("e1")
     with pytest.raises(ResourceBudgetError):
         pc.find_pushable_homomorphism(e1, C3, budget=3)
-    calls = {"n": 0}
-
-    def cancel():
-        calls["n"] += 1
-        return True
-
-    with pytest.raises(ResourceBudgetError):
-        pc.find_pushable_homomorphism(e1, C3, cancel=cancel)
 
 
 def test_search_backjumps_over_components():

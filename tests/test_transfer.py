@@ -207,6 +207,9 @@ def test_inputs_outside_the_chain_shape_are_rejected():
     cycle = [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
     with pytest.raises(IncompatibleInputError, match="no vertex is kept"):
         ChainGraph(5, cycle, [])
+    # the chain walk itself stops on such a cycle, whatever checks run first
+    with pytest.raises(IncompatibleInputError, match="meets no kept vertex"):
+        transfer._chains(3, [(0, 1), (0, 2), (1, 2)], set(), [0, 0, 0])
 
 
 def test_malformed_inputs_are_rejected():
