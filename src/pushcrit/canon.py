@@ -44,20 +44,22 @@ _FORM_MAGIC_PUSH = b"P1"
 _FORM_MAGIC_ISO = b"O1"
 
 
-def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
-    """Equitable refinement: take the target cells in order, split every
-    cell by its degree into the target, and after each target that splits
-    something start over from the first target.
+def _refinements(adj: tuple[int, ...], cells: list[list[int]]):
+    """Equitable refinement, one split at a time: take the target cells in
+    order, split every cell by its degree into the target, and after each
+    target that splits something yield the new partition and start over
+    from the first target.
 
     Starting over skips the targets that cannot split anything: once the
     partition is equitable to a target, every finer partition is too, so
     a cell is done from its first use as a target until it is split.
-    The cells still come out in the same order."""
+    Every split replaces a cell by its fragments in place, so cells never
+    reorder.  The yielded lists are never changed afterwards."""
     done = [False] * len(cells)
     while True:
         wide = [i for i, cell in enumerate(cells) if len(cell) > 1]
         if not wide:
-            return cells
+            return
         for t, target in enumerate(cells):
             if done[t]:
                 continue
@@ -73,7 +75,7 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
             if splits:
                 break
         else:
-            return cells
+            return
         newcells = []
         newdone = []
         for i, cell in enumerate(cells):
@@ -87,6 +89,15 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
             newcells += (groups[d] for d in sorted(groups))
             newdone += [False] * len(groups)
         cells, done = newcells, newdone
+        yield cells
+
+
+def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+    """The equitable refinement of ``cells``: the last partition of
+    ``_refinements``, or ``cells`` itself when nothing splits."""
+    for cells in _refinements(adj, cells):
+        pass
+    return cells
 
 
 def _leaf_cert(adj: tuple[int, ...], inv: list[int]) -> int:
@@ -100,12 +111,24 @@ def _leaf_cert(adj: tuple[int, ...], inv: list[int]) -> int:
     return bits
 
 
-def canonical_data(adj: tuple[int, ...]):
+def canonical_data(adj: tuple[int, ...], cells: list[list[int]] | None = None):
     """Canonically label the graph given as adjacency bitmasks.
 
     Returns (cert, labeling, generators): ``cert`` is the minimized
     upper-triangle bitstring as an int, ``labeling`` maps vertex -> canonical
     position, and ``generators`` generate the full automorphism group.
+
+    The search starts from the root partition, the equitable refinement of
+    the unit cell.  ``cells``, if given, must be a partition that
+    ``_refinements`` yielded on its way there from the unit cell; the
+    search then resumes from it, with the same result.  Resume lemma: a
+    yielded partition is equitable to every target that the run had marked
+    done, and so is every finer partition.  Refining it again, with no
+    target marked, only rechecks those targets as well, and they split
+    nothing; so each time it picks the run's next splitting target, and it
+    makes the run's remaining splits in the same order.  The root partition
+    is the same, and so are the search below it, the cert, the labeling
+    and the generator list, in order.
     """
     n = len(adj)
     if n == 0:
@@ -162,7 +185,7 @@ def canonical_data(adj: tuple[int, ...]):
             stab = [g for g in gens if all(g[p] == p for p in prefix)]
             seen = set().union(*(orbit_of(u, stab, getitem) for u in tried))
 
-    recurse([list(range(n))], [])
+    recurse([list(range(n))] if cells is None else cells, [])
     inv = best["perm"]
     labeling = [0] * n
     for pos, v in enumerate(inv):

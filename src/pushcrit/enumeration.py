@@ -21,12 +21,19 @@ Root-cell lemma: the highest canonical label falls in the last cell of
 the root partition, the equitable refinement ``canon._refine`` of the
 unit cell, and so does its whole orbit.  Leaves refine the root partition
 without reordering it, and each root cell is a union of automorphism
-orbits.  So on the top level, where a child needs no generators, the
-partition often decides acceptance without a labeling: a new vertex of
-unique maximum degree is accepted (the first split by degree leaves it
-alone in the last cell, with no refinement run), one outside the last
-root cell is rejected, and one alone in it is accepted.  Only the rest
-are labeled.
+orbits.  So the partition often decides acceptance: a new vertex outside
+the last root cell is rejected, and one alone in it is accepted.  The
+verdict is read after every split of the refinement
+(``canon._refinements``) and stops at the first split that decides it.
+That early answer is the final one: splits never reorder cells, so a
+vertex outside the last cell stays outside it, and the last cell splits
+only into fragments that stay at the end, so a vertex alone in it stays
+last and alone.  The first split, by degree, already accepts a new
+vertex of unique maximum degree.  A rejected child is never labeled, on
+any level.  Every other child is labeled (``canonical_data(child,
+cells)``) from the partition the verdict reached, which by the resume
+lemma of ``canonical_data`` gives the labeling from scratch; a child
+accepted by the partition needs no orbit test.
 
 Feasible-subset lemma: the pretest holds exactly when the attachment set
 S has |S| >= deg(v) + [v in S] for every old vertex v, that is when S is,
@@ -52,8 +59,9 @@ have candidate children.  So every lower level stays complete.
 Each accepted child on a lower level carries the certificate and the
 automorphism generators its labeling returned: the generators are the
 parent's group when the next level extends it, and the certificate names
-the candidate (``UnderlyingGraph.cert``) in a shard cursor.  A top-level
-child accepted by its root partition carries no certificate; a run that
+the candidate (``UnderlyingGraph.cert``) in a shard cursor.  On the top
+level, where a child needs no generators, a child accepted by its root
+partition is not labeled and carries no certificate; a run that
 writes shards labels it for its cursor in the scan's worker, and
 ``resume`` labels candidates to find its position.  A run without shards
 labels it never.
@@ -97,7 +105,7 @@ from operator import getitem
 
 from .canon import (
     CanonicalLabeling,
-    _refine,
+    _refinements,
     canonical_data,
     canonical_form,
     encode_underlying_cert,
@@ -243,19 +251,22 @@ def _adds_k4(masks, new_mask: int) -> bool:
     return False
 
 
-def _root_cell_verdict(child) -> bool | None:
-    """Canonical-deletion acceptance of a child whose new vertex, the last,
-    has maximum degree, where the root partition decides it (the root-cell
-    lemma of the module docstring): True or False, or None when only a
-    labeling can tell."""
+def _root_cell_verdict(child):
+    """(verdict, cells): the canonical-deletion acceptance of a child whose
+    new vertex, the last, has maximum degree, where the root partition
+    decides it (the root-cell lemma of the module docstring), True or
+    False, or None when only a labeling can tell; and the partition that
+    the refinement of the unit cell (``canon._refinements``) had reached
+    when it stopped, at the first split that decides the verdict."""
     new = len(child) - 1
-    size = child[new].bit_count()
-    if all(child[v].bit_count() < size for v in range(new)):
-        return True
-    last = _refine(child, [list(range(len(child)))])[-1]
-    if new not in last:
-        return False
-    return True if len(last) == 1 else None
+    cells = [list(range(len(child)))]
+    for cells in _refinements(child, cells):
+        last = cells[-1]
+        if new not in last:
+            return False, cells
+        if len(last) == 1:
+            return True, cells
+    return None, cells
 
 
 _Level = list[tuple[tuple[int, ...], int | None]]
@@ -291,15 +302,14 @@ def _graphs_on(n: int, forbid_k4: bool, tick=None, top: bool = False) -> _Level:
                 child = tuple(
                     parent[v] | ((smask >> v & 1) << (n - 1)) for v in range(n - 1)
                 ) + (smask,)
-                if top:
-                    verdict = _root_cell_verdict(child)
-                    if verdict is not None:
-                        if verdict:
-                            level.append((child, None))
-                        continue
-                cert, labeling, cgens = canonical_data(child)
-                deleted = labeling.index(n - 1)
-                if n - 1 in orbit_of(deleted, cgens, getitem):
+                verdict, cells = _root_cell_verdict(child)
+                if verdict is False:
+                    continue
+                if verdict and top:
+                    level.append((child, None))
+                    continue
+                cert, labeling, cgens = canonical_data(child, cells)
+                if verdict or n - 1 in orbit_of(labeling.index(n - 1), cgens, getitem):
                     level.append((child, cert))
                     gens.append(cgens)
     _LEVEL_CACHE[key] = (level, None if top else gens)

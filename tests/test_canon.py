@@ -13,6 +13,7 @@ from pushcrit import canon
 from pushcrit.canon import (
     CanonicalLabeling,
     _refine,
+    _refinements,
     canonical_data,
     closure,
     orbit_of,
@@ -217,6 +218,25 @@ def test_refinement_matches_plain_restarts(rng):
         cells = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
         adj = g.adjacency_masks
         assert _refine(adj, [c[:] for c in cells]) == _plain_refine(adj, cells)
+
+
+def test_labeling_resumes_from_every_partition_on_the_way(rng):
+    # the resume lemma: refining again from any partition that the root
+    # refinement passed through makes the same splits, so the root
+    # partition and everything below it are the same
+    graphs = _shaped_and_random(rng) + [
+        random_oriented_graph(
+            rng, rng.randint(1, 14), p=rng.choice((0.15, 0.3, 0.5, 0.8))
+        ).adjacency_masks
+        for _ in range(300)
+    ]
+    for adj in graphs:
+        unit = [list(range(len(adj)))]
+        root = _refine(adj, unit)
+        scratch = canonical_data(adj)
+        for cells in [unit, *_refinements(adj, unit)]:
+            assert _refine(adj, cells) == root, adj
+            assert canonical_data(adj, cells) == scratch, adj
 
 
 def _closure_form(g, quotient_push):

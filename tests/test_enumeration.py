@@ -18,6 +18,7 @@ import pytest
 import pushcrit as pc
 from pushcrit import cli, enumeration
 from pushcrit.canon import (
+    _refine,
     canonical_data,
     encode_underlying_cert,
     orbit_of,
@@ -150,9 +151,9 @@ def test_feasible_subsets_are_the_pretest_survivors(forbid_k4):
 def test_top_level_is_the_filtered_full_level(monkeypatch):
     calls = [0]
 
-    def labeled(adj):
+    def labeled(adj, cells=None):
         calls[0] += 1
-        return canonical_data(adj)
+        return canonical_data(adj, cells)
 
     monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
     monkeypatch.setattr(enumeration, "canonical_data", labeled)
@@ -169,9 +170,30 @@ def test_top_level_is_the_filtered_full_level(monkeypatch):
             for (_, cert), (_, want) in zip(top, kept):
                 assert cert in (None, want)
     # K4-free on 8 vertices: the 3,328 candidates among the 6,431 graphs
-    # take 642 labelings instead of 9,788
+    # take 642 labelings instead of 6,453
     assert (len(top), len(full)) == (3328, 6431)
-    assert (top_labelings, full_labelings) == (642, 9788)
+    assert (top_labelings, full_labelings) == (642, 6453)
+
+
+def _full_refinement_verdict(child):
+    """The root-cell verdict as first written: a new vertex of unique
+    maximum degree is accepted, else the unit cell is refined to the end."""
+    new = len(child) - 1
+    size = child[new].bit_count()
+    if all(child[v].bit_count() < size for v in range(new)):
+        return True
+    last = _refine(child, [list(range(len(child)))])[-1]
+    if new not in last:
+        return False
+    return True if len(last) == 1 else None
+
+
+# the children of each full level that the root partition rejects, per
+# forbid_k4 and n: the labelings generation saves
+_REJECTED_CHILDREN = {
+    False: {2: 0, 3: 0, 4: 0, 5: 3, 6: 28, 7: 355},
+    True: {2: 0, 3: 0, 4: 0, 5: 3, 6: 24, 7: 257, 8: 3335},
+}
 
 
 @pytest.mark.parametrize(
@@ -183,10 +205,14 @@ def test_top_level_is_the_filtered_full_level(monkeypatch):
     ],
 )
 def test_root_cell_verdicts_agree_with_labeling(forbid_k4, n_max, top_verdicts):
-    # every child the top level could meet, with and without the cover test:
-    # a decided verdict is canonical-deletion acceptance by a labeling
+    # every child a full level or the top level could meet: a decided
+    # verdict is canonical-deletion acceptance by a labeling, the early
+    # exit decides as the refinement run to the end would, and a labeling
+    # resumed from the partition it reached is the labeling from scratch
+    rejected = {}
     for n in range(2, n_max + 1):
         verdicts = {True: 0, False: 0, None: 0}
+        rejected[n] = 0
         for cover in (False, True):
             for parent, _ in _graphs_on(n - 1, forbid_k4):
                 _, _, gens = canonical_data(parent)
@@ -194,14 +220,20 @@ def test_root_cell_verdicts_agree_with_labeling(forbid_k4, n_max, top_verdicts):
                     if forbid_k4 and _adds_k4(parent, smask):
                         continue
                     child = _child(parent, smask)
-                    _, labeling, cgens = canonical_data(child)
+                    labeled = canonical_data(child)
+                    _, labeling, cgens = labeled
                     accepted = n - 1 in orbit_of(
                         labeling.index(n - 1), cgens, lambda g, v: g[v]
                     )
-                    verdict = _root_cell_verdict(child)
+                    verdict, cells = _root_cell_verdict(child)
                     assert verdict in (None, accepted), child
+                    assert verdict == _full_refinement_verdict(child), child
+                    assert canonical_data(child, cells) == labeled, child
                     if cover:
                         verdicts[verdict] += 1
+                    elif verdict is False:
+                        rejected[n] += 1
+    assert rejected == _REJECTED_CHILDREN[forbid_k4]
     assert verdicts == top_verdicts
 
 
@@ -743,16 +775,17 @@ def test_shard_files_are_pinned_across_jobs(tmp_path, capsys):
 def test_a_run_without_shards_labels_no_cursor(monkeypatch):
     calls = [0]
 
-    def labeled(adj):
+    def labeled(adj, cells=None):
         calls[0] += 1
-        return canonical_data(adj)
+        return canonical_data(adj, cells)
 
     monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
     monkeypatch.setattr(enumeration, "canonical_data", labeled)
     find_critical(8)
-    # generation only: the full levels to 7 vertices and the 642 top-level
-    # children that the root partition leaves undecided
-    assert calls[0] == 1795
+    # generation only: the children of the full levels to 7 vertices that
+    # the root partition does not reject, and the 642 top-level children
+    # that it leaves undecided
+    assert calls[0] == 1511
 
 
 def test_budget_is_checked_while_a_level_is_generated(monkeypatch):
@@ -760,9 +793,9 @@ def test_budget_is_checked_while_a_level_is_generated(monkeypatch):
     # so the 1 s budget runs out inside a level, long before it is done
     calls = [0]
 
-    def labeled(adj):
+    def labeled(adj, cells=None):
         calls[0] += 1
-        return canonical_data(adj)
+        return canonical_data(adj, cells)
 
     monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
     monkeypatch.setattr(enumeration, "canonical_data", labeled)
@@ -783,7 +816,7 @@ def test_budget_is_checked_while_a_level_is_generated(monkeypatch):
 
 @pytest.mark.skipif(
     not os.environ.get("PUSHCRIT_STRETCH"),
-    reason="stretch run; set PUSHCRIT_STRETCH=1 to enable (~1 min)",
+    reason="stretch run; set PUSHCRIT_STRETCH=1 to enable (~13 s on a 2-vCPU Xeon)",
 )
 def test_stretch_run_nine_vertices():
     assert len(_graphs_on(8, False)) == 12346  # full-depth generator check
