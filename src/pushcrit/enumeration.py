@@ -66,6 +66,19 @@ writes shards labels it for its cursor in the scan's worker, and
 ``resume`` labels candidates to find its position.  A run without shards
 labels it never.
 
+Driver: ``find_critical`` is a loop over levels, and each level goes
+through one driver, ``_Run.scan_level``, which owns the shard files, the
+CURSOR log, resume, the worker pool, the budget and progress.  A level is
+a stream plus a worker: its name (the shard subdirectory), its candidates
+as an iterator with their total, and a function from a candidate to its
+CURSOR line and its hits.  Generation stays serial: the raw level, the
+(masks, cert) pairs, is built and cached in the calling thread, where the
+budget may stop it.  Its candidates are not cached: each becomes an
+``UnderlyingGraph`` only when the scan takes it, so no level is ever held
+as a list of them.  The total is read off the raw level (its length on a
+top level, one filter pass over a full one), and a resumed level consumes
+the stream up to and including the candidate that its CURSOR names.
+
 Candidates are the connected underlying graphs with minimum degree 2: a
 pushably 3-critical graph has no isolated vertex (criticality is
 undefined then), no vertex of degree 1 (it always extends a coloring)
@@ -99,7 +112,7 @@ import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import combinations
+from itertools import chain, combinations, islice
 from multiprocessing import get_context
 from operator import getitem
 
@@ -341,8 +354,33 @@ def enumerate_underlying(
         raise ConfigError("min_degree must be 0, 1 or 2")
     top = _last_level and min_degree == 2 and (n, forbid_k4, False) not in _LEVEL_CACHE
     for masks, cert in _graphs_on(n, forbid_k4, tick, top):
-        if _min_degree(masks) >= min_degree and len(_components(masks)) <= 1:
+        if _is_candidate(masks, min_degree):
             yield _from_masks(masks, cert)
+
+
+def _is_candidate(masks, min_degree: int = 2) -> bool:
+    return _min_degree(masks) >= min_degree and len(_components(masks)) <= 1
+
+
+def _level_candidates(n: int, last: bool, tick):
+    """(candidates, total): ``find_critical``'s candidates on n vertices as
+    ``enumerate_underlying``'s stream, and their number.
+
+    The stream's first step generates the level.  It is taken here, so
+    generation runs in the calling thread, where ``tick`` may raise, and the
+    total is read off the generated level: a top level holds only
+    candidates, a full one is filtered once.
+    """
+    forbid_k4 = n >= 5
+    stream = enumerate_underlying(n, 2, forbid_k4, tick, _last_level=last)
+    head = list(islice(stream, 1))
+    full = _LEVEL_CACHE.get((n, forbid_k4, False))
+    if full is None:
+        total = len(_LEVEL_CACHE[(n, forbid_k4, True)][0])
+    else:
+        total = sum(_is_candidate(masks) for masks, _ in full[0])
+    # the exhausted iterator over ``head`` lets go of the first candidate
+    return chain(iter(head), stream), total
 
 
 def enumerate_orientations_mod_push(under: UnderlyingGraph, dedup_iso: bool = False):
@@ -605,8 +643,8 @@ def verify_density_bound(records) -> DensityBoundReport:
 # -- the driver ----------------------------------------------------------------
 
 
-def _shard_paths(shard_dir: str, n: int):
-    base = os.path.join(shard_dir, str(n))
+def _shard_paths(shard_dir: str, name: str):
+    base = os.path.join(shard_dir, name)
     os.makedirs(base, exist_ok=True)
     return base
 
@@ -666,15 +704,111 @@ def _read_cursor(path: str) -> str | None:
     return lines[-1] if lines else None
 
 
-def _resume_position(n: int, candidates, cursor: str) -> int:
-    """The index after the candidate that the CURSOR line ``cursor`` names;
-    a line naming none of the level's candidates is a ConfigError."""
-    for idx, ug in enumerate(candidates):
-        if _cursor(ug) == cursor:
-            return idx + 1
-    raise ConfigError(
-        f"the CURSOR of level {n} names no candidate on {n} vertices"
-    )
+def _skip_past(name: str, candidates, cursor: str) -> int:
+    """Consume ``candidates`` up to and including the one that the CURSOR
+    line ``cursor`` names, and return how many were consumed; a line naming
+    none of the level's candidates is a ConfigError."""
+    for done, under in enumerate(candidates, 1):
+        if _cursor(under) == cursor:
+            return done
+    raise ConfigError(f"the CURSOR of level {name} names none of its candidates")
+
+
+class _Run(ExitStack):
+    """What one enumeration run keeps across its levels: the merged records,
+    the wall-time budget, the shard directory and the worker pool.  The
+    pool is opened once, on the first level with work; leaving the run's
+    context terminates it, also on a budget error."""
+
+    def __init__(self, jobs: int, shard_dir, resume: bool, wall_budget_s):
+        super().__init__()
+        self.jobs, self.shard_dir, self.resume = jobs, shard_dir, resume
+        self.wall_budget_s = wall_budget_s
+        self.started = time.monotonic()
+        self.exception_codes = _exception_codes()
+        self.merged: dict[str, EnumerationRecord] = {}
+        self.pool = None
+
+    def records(self) -> list[EnumerationRecord]:
+        return sorted(self.merged.values(), key=lambda r: (r.n, r.canonical_code))
+
+    def check_budget(self) -> None:
+        if (
+            self.wall_budget_s is not None
+            and time.monotonic() - self.started > self.wall_budget_s
+        ):
+            raise ResourceBudgetError(
+                "wall-time budget exhausted", partial=self.records()
+            )
+
+    def scan_level(self, name: str, candidates, total: int, worker, progress=None):
+        """Scan the ``total`` candidates of one level, taken from the
+        iterator ``candidates`` as the scan reaches them, each through
+        ``worker`` (``_worker``'s contract), and merge their hits into the
+        run's records.
+
+        With a shard directory, the level's record files and CURSOR log are
+        in its subdirectory ``name``; a resumed level first consumes the
+        candidates up to and including the one its log's last line names,
+        and a level with nothing left opens no log.  After each scanned
+        candidate the budget is checked and ``progress(done, todo)`` is
+        called, ``todo`` being the number of candidates the call scans.
+        """
+        candidates = iter(candidates)
+        base = _shard_paths(self.shard_dir, name) if self.shard_dir else None
+        cursor_path = os.path.join(base, "CURSOR") if base else None
+        todo = total
+        if base and self.resume:
+            for rec in _load_records(base).values():
+                self.merged.setdefault(rec.canonical_code, rec)
+            cursor = _read_cursor(cursor_path)
+            if cursor is not None:
+                todo -= _skip_past(name, candidates, cursor)
+        if not todo:
+            return
+        # leaving the level's context closes its cursor log
+        with ExitStack() as stack:
+            if base:
+                if not self.resume:
+                    # a fresh level starts empty record files and an empty
+                    # log: one truncation per level
+                    for fname in os.listdir(base):
+                        if fname.endswith(".ndjson"):
+                            os.remove(os.path.join(base, fname))
+                log = stack.enter_context(
+                    open(cursor_path, "a" if self.resume else "w", encoding="utf-8")
+                )
+            else:
+                worker = partial(worker, sharded=False)
+            if self.jobs > 1:
+                if self.pool is None:
+                    self.pool = self.enter_context(
+                        get_context("fork").Pool(self.jobs)
+                    )
+                # each task costs the parent a pickle round trip, which
+                # outweighs the scan of a few candidates: give every worker
+                # about sixteen chunks of the level
+                chunk = max(4, todo // (16 * self.jobs))
+                results = self.pool.imap(worker, candidates, chunksize=chunk)
+            else:
+                results = map(worker, candidates)
+            for done, (ucert, hits) in enumerate(results, 1):
+                new_records = []
+                for code, gn, arcs in hits:
+                    if code not in self.merged:
+                        rec = make_record(
+                            code, OrientedGraph(gn, arcs), self.exception_codes
+                        )
+                        self.merged[code] = rec
+                        new_records.append(rec)
+                if base:
+                    if new_records:
+                        _persist_records(base, new_records)
+                    log.write(ucert + "\n")
+                    log.flush()
+                if progress:
+                    progress(done, todo)
+                self.check_budget()
 
 
 def find_critical(
@@ -702,76 +836,11 @@ def find_critical(
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     if resume and not shard_dir:
         raise ConfigError("resume needs a shard directory")
-    started = time.monotonic()
-    exception_codes = _exception_codes()
-    merged: dict[str, EnumerationRecord] = {}
-
-    def records():
-        return sorted(merged.values(), key=lambda r: (r.n, r.canonical_code))
-
-    def check_budget() -> None:
-        if wall_budget_s is not None and time.monotonic() - started > wall_budget_s:
-            raise ResourceBudgetError("wall-time budget exhausted", partial=records())
-
-    # leaving the run's context terminates the pool, opened once on the
-    # first level with work, also on a budget error
-    with ExitStack() as run:
-        pool = None
+    with _Run(jobs, shard_dir, resume, wall_budget_s) as run:
         for n in range(3, n_max + 1):
-            candidates = list(
-                enumerate_underlying(
-                    n, 2, forbid_k4=n >= 5, tick=check_budget, _last_level=n == n_max
-                )
+            candidates, total = _level_candidates(n, n == n_max, run.check_budget)
+            run.scan_level(
+                str(n), candidates, total, _worker,
+                partial(progress, n) if progress else None,
             )
-            base = _shard_paths(shard_dir, n) if shard_dir else None
-            cursor_path = os.path.join(base, "CURSOR") if base else None
-            start_at = 0
-            if base and resume:
-                for rec in _load_records(base).values():
-                    merged.setdefault(rec.canonical_code, rec)
-                cursor = _read_cursor(cursor_path)
-                if cursor is not None:
-                    start_at = _resume_position(n, candidates, cursor)
-            todo = candidates[start_at:]
-            if not todo:
-                continue
-
-            # leaving the level's context closes its cursor log
-            with ExitStack() as stack:
-                if base:
-                    if not resume:
-                        # a fresh level starts empty record files and an
-                        # empty log: one truncation per level
-                        for fname in os.listdir(base):
-                            if fname.endswith(".ndjson"):
-                                os.remove(os.path.join(base, fname))
-                    log = stack.enter_context(
-                        open(cursor_path, "a" if resume else "w", encoding="utf-8")
-                    )
-                worker = _worker if base else partial(_worker, sharded=False)
-                if jobs > 1:
-                    if pool is None:
-                        pool = run.enter_context(get_context("fork").Pool(jobs))
-                    # each task costs the parent a pickle round trip, which
-                    # outweighs the scan of a few candidates: give every
-                    # worker about sixteen chunks of the level
-                    chunk = max(4, len(todo) // (16 * jobs))
-                    results = pool.imap(worker, todo, chunksize=chunk)
-                else:
-                    results = map(worker, todo)
-                for i, (ucert, hits) in enumerate(results):
-                    new_records = []
-                    for code, gn, arcs in hits:
-                        if code not in merged:
-                            rec = make_record(code, OrientedGraph(gn, arcs), exception_codes)
-                            merged[code] = rec
-                            new_records.append(rec)
-                    if base:
-                        if new_records:
-                            _persist_records(base, new_records)
-                        log.write(ucert + "\n")
-                        log.flush()
-                    if progress:
-                        progress(n, i + 1, len(todo))
-                    check_budget()
-    return records()
+    return run.records()

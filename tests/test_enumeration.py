@@ -11,6 +11,7 @@ import os
 import pickle
 import subprocess
 import sys
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -748,6 +749,105 @@ def test_resume_rejects_a_cursor_naming_no_candidate(tmp_path, capsys):
         assert fh.read().splitlines() == [_cursor_hex(5, ug) for ug in level]
 
 
+def test_a_streamed_resume_scans_the_oracle_tail(tmp_path, monkeypatch):
+    # for every line k of a level's CURSOR log, a resume from the log cut
+    # after line k scans exactly candidates[k + 1:] of the level's list
+    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+    shard_dir = str(tmp_path)
+    fresh = [r.to_json_dict() for r in find_critical(6, shard_dir=shard_dir)]
+    # the slow oracle: the top level as one list
+    level = list(enumerate_underlying(6, 2, forbid_k4=True, _last_level=True))
+    path = os.path.join(shard_dir, "6", "CURSOR")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == len(level) > 1
+    real_worker = enumeration._worker
+    scanned, shown, opened = [], [], []
+
+    def recording_worker(under, sharded=True):
+        scanned.append(under.edges)
+        return real_worker(under, sharded)
+
+    def recording_open(path, mode="r", *args, **kwargs):
+        opened.append((path, mode))
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "_worker", recording_worker)
+    monkeypatch.setattr(enumeration, "open", recording_open, raising=False)
+    for k in range(len(lines)):
+        with open(path, "w") as fh:
+            fh.write("".join(line + "\n" for line in lines[: k + 1]))
+        del scanned[:], shown[:], opened[:]
+        resumed = find_critical(
+            6, shard_dir=shard_dir, resume=True, progress=lambda *a: shown.append(a)
+        )
+        assert [r.to_json_dict() for r in resumed] == fresh
+        rest = level[k + 1 :]
+        assert scanned == [ug.edges for ug in rest]
+        assert shown == [(6, i, len(rest)) for i in range(1, len(rest) + 1)]
+        # the done levels 3..5, and level 6 once nothing is left, open no log
+        appended = [p for p, mode in opened if mode == "a"]
+        assert appended == ([path] if rest else [])
+        with open(path) as fh:
+            assert fh.read().splitlines() == lines
+    monkeypatch.undo()
+    # a 5-vertex cert names no candidate on 6 vertices
+    with open(os.path.join(shard_dir, "5", "CURSOR")) as fh:
+        foreign = fh.readline()
+    with open(path, "w") as fh:
+        fh.write(foreign)
+    with pytest.raises(ConfigError, match="level 6"):
+        find_critical(6, shard_dir=shard_dir, resume=True)
+
+
+def test_the_scan_holds_no_candidate_list(monkeypatch):
+    # candidates stream from generation to the worker: while one is
+    # scanned, at most one other is still alive, never the level
+    alive = weakref.WeakSet()
+    counts = []
+    real_from_masks, real_worker = enumeration._from_masks, enumeration._worker
+
+    def tracked(masks, cert):
+        under = real_from_masks(masks, cert)
+        alive.add(under)
+        return under
+
+    def counting_worker(under, sharded=True):
+        counts.append(len(alive))
+        return real_worker(under, sharded)
+
+    monkeypatch.setattr(enumeration, "_from_masks", tracked)
+    monkeypatch.setattr(enumeration, "_worker", counting_worker)
+    streamed = find_critical(7, jobs=1)
+    monkeypatch.undo()
+    assert len(counts) == sum(
+        len(list(enumerate_underlying(n, 2, forbid_k4=n >= 5))) for n in range(3, 8)
+    )
+    assert max(counts) <= 2
+    assert [r.to_json_dict() for r in streamed] == [
+        r.to_json_dict() for r in find_critical(7)
+    ]
+
+
+def test_a_second_run_in_one_process_skips_generation(monkeypatch):
+    # the levels stay cached after a complete run, which perfbench's
+    # selftest relies on to explain its fresh interpreter per repetition
+    calls = [0]
+
+    def labeled(adj, cells=None):
+        calls[0] += 1
+        return canonical_data(adj, cells)
+
+    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+    monkeypatch.setattr(enumeration, "canonical_data", labeled)
+    first = find_critical(6)
+    assert calls[0] > 0
+    calls[0] = 0
+    again = find_critical(6)
+    assert calls[0] == 0
+    assert [r.to_json_dict() for r in again] == [r.to_json_dict() for r in first]
+
+
 def _tree_digest(root) -> str:
     digest = hashlib.sha256()
     for dirpath, _, files in sorted(os.walk(root)):
@@ -824,6 +924,34 @@ def test_stretch_run_nine_vertices():
     assert len(records) == 27
     report = verify_density_bound(records)
     assert report.ok and report.exceptions_found == ("c_minus4",)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("PUSHCRIT_STRETCH"),
+    reason="stretch run; set PUSHCRIT_STRETCH=1 to enable (~15 s on a 2-vCPU Xeon)",
+)
+def test_stretch_memory_at_nine_vertices():
+    # a fresh interpreter, so its peak RSS is the scan's own; listing the
+    # level-9 candidates at once peaked at about 139 MiB
+    package_root = os.path.dirname(os.path.dirname(pc.__file__))
+    script = (
+        "import hashlib, json, resource; "
+        "from pushcrit.enumeration import find_critical; "
+        "records = find_critical(9); "
+        "text = ''.join(json.dumps(r.to_json_dict(), sort_keys=True) + '\\n' "
+        "for r in records); "
+        "print(len(records), hashlib.sha256(text.encode()).hexdigest(), "
+        "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=package_root),
+        capture_output=True, text=True, check=True,
+    )
+    count, digest, maxrss_kib = done.stdout.split()
+    assert int(count) == 27
+    assert digest == "5318e6d369d0d3486e5949bb82720d40868f46680d87adfd08cd461cfd6787e8"
+    assert int(maxrss_kib) < 100 * 1024
 
 
 # -- prune soundness audits ----------------------------------------------------
