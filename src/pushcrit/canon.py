@@ -186,6 +186,9 @@ def canonical_data(adj: tuple[int, ...], cells: list[list[int]] | None = None):
             seen = set().union(*(orbit_of(u, stab, getitem) for u in tried))
 
     recurse([list(range(n))] if cells is None else cells, [])
+    # ``recurse`` refers to itself through its closure; dropping the name
+    # frees the search state now instead of at the next cyclic collection
+    del recurse
     inv = best["perm"]
     labeling = [0] * n
     for pos, v in enumerate(inv):

@@ -214,16 +214,24 @@ class ChainGraph:
         z, self._base = subtree_masks(order[1:], parent, free)
         self.width = len(free)
         bits = {e: 1 << i for i, e in enumerate(free)}
-        # a forest edge's z sits on its child end
-        zs = [
-            z[hi] if parent[hi] == lo else z[lo] if parent[lo] == hi else bits[lo, hi]
+        # every edge its own chain, in one pass; a forest edge's z sits on
+        # its child end
+        chains = [
+            (
+                lo,
+                hi,
+                1,
+                z[hi] if parent[hi] == lo else z[lo] if parent[lo] == hi else bits[lo, hi],
+                0,
+            )
             for lo, hi in edges
         ]
-        self.chains = _chains(n, edges, kept, zs)
         # a vertex that is not kept lies inside a chain of two or more edges
         self.long = len(kept) < n
         if self.long:
+            chains = _chains(n, edges, kept, [c[3] for c in chains])
             order = [v for v in order if v in kept]
+        self.chains = chains
         self.size = len(order)
         self.pos = pos = [-1] * n
         for i, v in enumerate(order):
@@ -392,8 +400,6 @@ def _walk(prev: int, v: int, kept, nbrs) -> list[int]:
 def _chains(n: int, edges, kept, zs) -> list[tuple[int, int, int, int, int]]:
     """The chains between the ``kept`` vertices, in the order of their
     first edge; ``zs`` are the edges' z, one z for every edge of a chain."""
-    if len(kept) == n:  # every edge its own chain
-        return [(lo, hi, 1, z, 0) for (lo, hi), z in zip(edges, zs)]
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for lo, hi in edges:
         nbrs[lo].append(hi)

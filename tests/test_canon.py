@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 import time
@@ -162,6 +163,19 @@ def _shaped_and_random(rng):
         for _ in range(80)
     ]
     return shaped + randoms
+
+
+def test_a_labeling_leaves_no_cyclic_garbage(rng):
+    # generation labels up to millions of children per level; state kept
+    # alive by a reference cycle would wait for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        for adj in _shaped_and_random(rng)[:20]:
+            canonical_data(adj)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_last_canonical_position_has_maximum_degree(rng):

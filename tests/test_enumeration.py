@@ -4,13 +4,16 @@ lemmas it no longer relies on."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -110,7 +113,7 @@ def _levels_without_pretest(n_max, forbid_k4):
 @pytest.mark.parametrize("forbid_k4", [False, True])
 def test_pretest_keeps_every_accepted_child(forbid_k4):
     for n, level in enumerate(_levels_without_pretest(7, forbid_k4), start=1):
-        assert _graphs_on(n, forbid_k4) == level
+        assert list(_graphs_on(n, forbid_k4)) == level
 
 
 def _child(parent, smask):
@@ -244,6 +247,72 @@ def test_a_top_level_never_becomes_a_parent(monkeypatch):
     after_seven = [r.to_json_dict() for r in find_critical(8)]
     monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
     assert after_seven == [r.to_json_dict() for r in find_critical(8)]
+
+
+def _regenerated_level(n, forbid_k4, top, parents):
+    """A level as a list of (masks, cert) pairs, built from the list
+    ``parents`` of the level below with every generator and cert from a
+    labeling from scratch: the reference for the cached buffers."""
+    level = []
+    for parent, _ in parents:
+        for smask in _attachment_sets(parent, canonical_data(parent)[2], top):
+            if forbid_k4 and _adds_k4(parent, smask):
+                continue
+            child = _child(parent, smask)
+            verdict, _ = _root_cell_verdict(child)
+            if verdict is False:
+                continue
+            cert, labeling, gens = canonical_data(child)
+            if verdict or n - 1 in orbit_of(labeling.index(n - 1), gens, lambda g, v: g[v]):
+                level.append((child, None if verdict and top else cert))
+    return level
+
+
+def test_cached_levels_read_back_as_generated(monkeypatch):
+    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+    find_critical(8)
+    cache = enumeration._LEVEL_CACHE
+    # levels 3 and 4 without the K4 test, 5 to 7 with it, and the top level
+    assert set(cache) == {(n, False, False) for n in range(1, 5)} | {
+        (n, True, False) for n in range(1, 8)
+    } | {(8, True, True)}
+    for forbid_k4 in (False, True):
+        parents = [((0,), 0)]
+        assert list(cache[1, forbid_k4, False]) == parents
+        for n in range(2, 9):
+            top = (n, forbid_k4, True) in cache
+            if not top and (n, forbid_k4, False) not in cache:
+                break
+            level = cache[n, forbid_k4, top]
+            want = _regenerated_level(n, forbid_k4, top, parents)
+            assert len(level) == len(want)
+            assert list(level) == want
+            if top:
+                assert level.gens is None
+            else:
+                assert list(level.generators()) == [
+                    canonical_data(masks)[2] for masks, _ in want
+                ]
+            parents = want
+
+
+def test_the_level_cache_is_compact(monkeypatch):
+    # what dropping the levels of find_critical(8) frees: 3 and 4 without
+    # the K4 test, 5 to 7 with it, and the 3,328 graphs of the top level;
+    # as lists of tuples they took about 950 KiB
+    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+    tracemalloc.start()
+    try:
+        _graphs_on(4, False)
+        _graphs_on(8, True, top=True)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        enumeration._LEVEL_CACHE.clear()
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert freed < 256 * 1024
 
 
 def test_generated_cert_is_the_underlying_cert():
@@ -587,7 +656,7 @@ def test_parallel_merge_is_deterministic():
 
 def test_a_parallel_run_opens_one_pool(monkeypatch):
     pools = []
-    real = enumeration.get_context
+    real = multiprocessing.get_context
 
     class CountingContext:
         def __init__(self, method):
@@ -597,7 +666,7 @@ def test_a_parallel_run_opens_one_pool(monkeypatch):
             pools.append(args)
             return self.context.Pool(*args, **kwargs)
 
-    monkeypatch.setattr(enumeration, "get_context", CountingContext)
+    monkeypatch.setattr(multiprocessing, "get_context", CountingContext)
     seq = find_critical(6, jobs=1)
     assert pools == []
     par = find_critical(6, jobs=2)
@@ -926,32 +995,59 @@ def test_stretch_run_nine_vertices():
     assert report.ok and report.exceptions_found == ("c_minus4",)
 
 
+def _fresh_find_critical(n: int):
+    """(the number of records, the sha256 of their sorted-key JSON lines,
+    the peak RSS in KiB) of ``find_critical(n)`` in a fresh interpreter, so
+    the peak is the run's own.
+
+    The peak is the child's VmHWM, not its ``ru_maxrss``: Linux carries the
+    high-water mark of the process that forked the child across exec, so
+    ``ru_maxrss`` would read at least the test runner's own size.
+    """
+    package_root = os.path.dirname(os.path.dirname(pc.__file__))
+    script = (
+        "import hashlib, json, sys; "
+        "from pushcrit.enumeration import find_critical; "
+        "records = find_critical(int(sys.argv[1])); "
+        "text = ''.join(json.dumps(r.to_json_dict(), sort_keys=True) + '\\n' "
+        "for r in records); "
+        "hwm = [line.split()[1] for line in open('/proc/self/status') "
+        "if line.startswith('VmHWM:')]; "
+        "print(len(records), hashlib.sha256(text.encode()).hexdigest(), *hwm)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(n)],
+        env=dict(os.environ, PYTHONPATH=package_root),
+        capture_output=True, text=True, check=True,
+    )
+    count, digest, maxrss_kib = done.stdout.split()
+    return int(count), digest, int(maxrss_kib)
+
+
 @pytest.mark.skipif(
     not os.environ.get("PUSHCRIT_STRETCH"),
     reason="stretch run; set PUSHCRIT_STRETCH=1 to enable (~15 s on a 2-vCPU Xeon)",
 )
 def test_stretch_memory_at_nine_vertices():
-    # a fresh interpreter, so its peak RSS is the scan's own; listing the
-    # level-9 candidates at once peaked at about 139 MiB
-    package_root = os.path.dirname(os.path.dirname(pc.__file__))
-    script = (
-        "import hashlib, json, resource; "
-        "from pushcrit.enumeration import find_critical; "
-        "records = find_critical(9); "
-        "text = ''.join(json.dumps(r.to_json_dict(), sort_keys=True) + '\\n' "
-        "for r in records); "
-        "print(len(records), hashlib.sha256(text.encode()).hexdigest(), "
-        "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        env=dict(os.environ, PYTHONPATH=package_root),
-        capture_output=True, text=True, check=True,
-    )
-    count, digest, maxrss_kib = done.stdout.split()
-    assert int(count) == 27
+    # listing the level-9 candidates at once peaked at about 139 MiB, and
+    # the levels cached as lists of tuples at about 50 MiB
+    count, digest, maxrss_kib = _fresh_find_critical(9)
+    assert count == 27
     assert digest == "5318e6d369d0d3486e5949bb82720d40868f46680d87adfd08cd461cfd6787e8"
-    assert int(maxrss_kib) < 100 * 1024
+    assert maxrss_kib < 40 * 1024
+
+
+@pytest.mark.skipif(
+    not os.environ.get("PUSHCRIT_STRETCH"),
+    reason="stretch run; set PUSHCRIT_STRETCH=1 to enable (~8 min on a 2-vCPU Xeon)",
+)
+def test_stretch_memory_at_ten_vertices():
+    # the only scan with critical graphs of cyclomatic number 4 and 5; its
+    # 2,108,079 top-level candidates cached as tuples peaked at 1.0 GiB
+    count, digest, maxrss_kib = _fresh_find_critical(10)
+    assert count == 63
+    assert digest == "8de1b3cad26273e6af6ddedf65351e17aa6169f3c4f05507ad2507b20c60d45c"
+    assert maxrss_kib < 500 * 1024
 
 
 # -- prune soundness audits ----------------------------------------------------
