@@ -1,20 +1,87 @@
 """Chain decomposition and vertex classification.
 
-A chain is a maximal path whose internal vertices all have degree 2 and
-whose endpoints have degree >= 3; an edge between two such vertices is a
-0-chain.  A vertex of degree k >= 3 then carries a descriptor listing,
-per incident chain, how many 2-vertices lie inside it (written sorted
-descending, so a degree-3 vertex with chains of 3, 3 and 0 internal
-2-vertices reads (3, 3, 0)).
+A ``Kernel`` reads a graph as its kept vertices joined by chains, paths
+through vertices of degree 2.  With the 3+-vertices kept, an edge between
+two of them is a 0-chain, and a vertex of degree k >= 3 carries a
+descriptor listing, per incident chain, how many 2-vertices lie inside it
+(written sorted descending, so a degree-3 vertex with chains of 3, 3 and
+0 internal 2-vertices reads (3, 3, 0)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable, Sequence
 
-from .errors import UnclassifiableGraphError
-from .graph import OrientedGraph
+from .errors import IncompatibleInputError, UnclassifiableGraphError
+from .graph import Arc, OrientedGraph
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """A graph on 0..n-1 read as its ``kept`` vertices joined by chains,
+    every other vertex having degree 2.  ``paths`` holds each chain as its
+    vertex path, both ends included; a loop's ends are equal."""
+
+    n: int
+    kept: frozenset[int]
+    paths: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def of(cls, n: int, edges: Sequence[Arc], kept: Iterable[int]) -> Kernel:
+        """The chains of the graph with ``edges``, in the order of each
+        chain's first edge (u, v), walked through u and then v."""
+        kept = frozenset(kept)
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        if any(len(nbrs[v]) != 2 for v in range(n) if v not in kept):
+            raise IncompatibleInputError("every vertex that is not kept needs degree 2")
+
+        def walk(prev: int, v: int) -> list[int]:
+            # from v away from prev up to a kept vertex, within n steps
+            path = [v]
+            for _ in nbrs:
+                if v in kept:
+                    return path
+                a, b = nbrs[v]
+                prev, v = v, b if a == prev else a
+                path.append(v)
+            raise IncompatibleInputError("a cycle of the graph meets no kept vertex")
+
+        paths, inside = [], set()
+        for u, v in edges:
+            if u in kept and v in kept:
+                paths.append((u, v))
+            elif u not in inside and v not in inside:
+                path = walk(v, u)[::-1] + walk(u, v)
+                inside.update(path[1:-1])
+                paths.append(tuple(path))
+        return cls(n, kept, tuple(paths))
+
+    @classmethod
+    def subdivided(cls, kernel_n: int, kernel_edges, lengths: Sequence[int]) -> Kernel:
+        """The graph whose kernel edge i, (a, b), is a chain of
+        ``lengths[i]`` edges from a to b, internal vertices numbered from
+        kernel_n on in kernel-edge order.  It must be simple: a loop needs 3
+        edges, and at most one copy of a parallel edge may have 1."""
+        paths, nxt = [], kernel_n
+        for (a, b), length in zip(kernel_edges, lengths, strict=True):
+            if length < (3 if a == b else 1):
+                raise IncompatibleInputError(f"a chain of {length} edges from {a} to {b}")
+            paths.append((a, *range(nxt, nxt + length - 1), b))
+            nxt += length - 1
+        ones = [(min(p), max(p)) for p in paths if len(p) == 2]
+        if len(set(ones)) < len(ones):
+            raise IncompatibleInputError("two copies of a parallel edge have 1 edge each")
+        return cls(nxt, frozenset(range(kernel_n)), tuple(paths))
+
+    @property
+    def edges(self) -> list[Arc]:
+        """The (lo, hi) edges, path by path."""
+        return [(min(a, b), max(a, b)) for p in self.paths for a, b in zip(p, p[1:])]
 
 
 @dataclass(frozen=True)
@@ -62,9 +129,8 @@ def classify_vertices(g: OrientedGraph) -> ChainDecomposition:
     chain closing back on its own endpoint has no classification and is
     reported as unclassifiable.
 
-    Each chain is walked from both ends and kept from its lower one, which
-    the scan in vertex order reaches first; every kept chain fills one
-    slot at each end.  The work is linear in the size of g.
+    The chains are those of the ``Kernel`` of the 3+-vertices, written
+    from their lower ends and sorted; each fills one slot at either end.
     """
     n = g.vertex_count
     deg = g.degrees
@@ -78,36 +144,19 @@ def classify_vertices(g: OrientedGraph) -> ChainDecomposition:
             raise UnclassifiableGraphError(
                 f"component {comp} is a cycle of 2-vertices", comp
             )
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for t, h in g.arcs:
-        nbrs[t].append(h)
-        nbrs[h].append(t)
-
-    chains: list[Chain] = []
     slots: dict[int, list[int]] = {v: [] for v in range(n) if deg[v] >= 3}
-    for v in slots:
-        for w in sorted(nbrs[v]):
-            internal = []
-            prev, cur = v, w
-            while deg[cur] == 2:
-                internal.append(cur)
-                a, b = nbrs[cur]
-                prev, cur = cur, b if a == prev else a
-            if cur == v:
-                raise UnclassifiableGraphError(
-                    f"chain at vertex {v} closes back on itself", (v,)
-                )
-            if v < cur:
-                chains.append(Chain((v, cur), tuple(internal)))
-                slots[v].append(len(internal))
-                slots[cur].append(len(internal))
-
-    classes = []
-    for v, counts in slots.items():
-        if len(counts) != deg[v]:
-            raise UnclassifiableGraphError(
-                f"vertex {v}: {len(counts)} chain slots for degree {deg[v]}", (v,)
-            )
-        counts.sort(reverse=True)
-        classes.append(VertexClass(v, deg[v], tuple(counts), sum(counts)))
+    chains = []
+    # the paths from their lower ends differ by their first two vertices
+    paths = (p if p[0] < p[-1] else p[::-1] for p in Kernel.of(n, g.arcs, slots).paths)
+    for path in sorted(paths):
+        u, w = path[0], path[-1]
+        if u == w:
+            raise UnclassifiableGraphError(f"chain at vertex {u} closes back on itself", (u,))
+        chains.append(Chain((u, w), path[1:-1]))
+        slots[u].append(len(path) - 2)
+        slots[w].append(len(path) - 2)
+    classes = [
+        VertexClass(v, deg[v], tuple(sorted(counts, reverse=True)), sum(counts))
+        for v, counts in slots.items()
+    ]
     return ChainDecomposition(tuple(chains), tuple(classes))

@@ -149,6 +149,7 @@ from .transfer import ChainGraph
 
 UNDERLYING_VERTEX_LIMIT = 12
 FIND_CRITICAL_VERTEX_LIMIT = 10
+_CHUNK_LIMIT = 512
 
 BOUND_OFFSET = 2
 
@@ -837,10 +838,10 @@ class _Run(ExitStack):
                     self.pool = self.enter_context(
                         get_context("fork").Pool(self.jobs)
                     )
-                # each task costs the parent a pickle round trip, which
-                # outweighs the scan of a few candidates: give every worker
-                # about sixteen chunks of the level
-                chunk = max(4, todo // (16 * self.jobs))
+                # a task's pickle round trip outweighs the scan of a few
+                # candidates, and both ends hold a chunk whole: about sixteen
+                # chunks of the level per worker, of at most _CHUNK_LIMIT
+                chunk = max(4, min(_CHUNK_LIMIT, todo // (16 * self.jobs)))
                 results = self.pool.imap(worker, candidates, chunksize=chunk)
             else:
                 results = map(worker, candidates)

@@ -10,8 +10,8 @@ vertex movable).  Shifting every color leaves a(c) as it is, so the first
 kept vertex takes color 0.
 
 The caller names the kept vertices; every other vertex has degree 2.
-The graph is then its kept vertices joined by chains: paths through
-non-kept vertices, a loop when both ends are the same kept vertex.
+The graph is then its kept vertices joined by chains (``chains.Kernel``):
+paths through non-kept vertices, a loop when both ends are equal.
 Pushing an internal vertex of a chain reverses its two edges, so every
 edge of a chain changes the class by the same vector z_chain.
 
@@ -81,6 +81,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Collection, Iterable, Sequence
 
+from .chains import Kernel
 from .errors import IncompatibleInputError
 from .graph import Arc
 from .orient import ClassCoordinates, bfs_forest, class_coordinates, co_forest, subtree_masks
@@ -176,9 +177,9 @@ class ChainGraph:
     ``coords`` names the push classes (every vertex movable), ``image``
     holds the colorable ones and ``critical_classes`` the critical ones.
     Each chain is (u, w, L, z, s), in the order of its first edge in
-    ``edges``: walked from u to w it has L edges, and a coloring adds z to
-    the class when its forward-edge count has parity 1 ^ s.  A chain of
-    one edge is (lo, hi, 1, z_e, 0).
+    ``edges`` (the paths of ``chains.Kernel.of``): walked from u to w it
+    has L edges, and a coloring adds z to the class when its forward-edge
+    count has parity 1 ^ s.  A chain of one edge is (lo, hi, 1, z_e, 0).
 
     ``coords`` is built only when it is read (``colorable``, or naming a
     class's arcs).  The walk takes its order (the BFS order, restricted to
@@ -229,7 +230,13 @@ class ChainGraph:
         # a vertex that is not kept lies inside a chain of two or more edges
         self.long = len(kept) < n
         if self.long:
-            chains = _chains(n, edges, kept, [c[3] for c in chains])
+            # every edge of a chain has the same z: take its first step's
+            z_of = {e: c[3] for e, c in zip(edges, chains)}
+            chains = []
+            for path in Kernel.of(n, edges, kept).paths:
+                backward = sum(a > b for a, b in zip(path, path[1:])) % 2
+                z = z_of[min(path[:2]), max(path[:2])]
+                chains.append((path[0], path[-1], len(path) - 1, z, backward))
             order = [v for v in order if v in kept]
         self.chains = chains
         self.size = len(order)
@@ -381,41 +388,3 @@ class ChainGraph:
                 candidates -= pending - self.mono(t)
         return sorted(candidates)
 
-
-def _walk(prev: int, v: int, kept, nbrs) -> list[int]:
-    """The vertices from v onwards, away from prev, up to a kept vertex;
-    every vertex on the way has degree 2.  A walk that meets no kept
-    vertex within n steps has gone round a cycle of vertices that are not
-    kept: an IncompatibleInputError."""
-    path = [v]
-    for _ in nbrs:
-        if v in kept:
-            return path
-        a, b = nbrs[v]
-        prev, v = v, b if a == prev else a
-        path.append(v)
-    raise IncompatibleInputError("a cycle of the graph meets no kept vertex")
-
-
-def _chains(n: int, edges, kept, zs) -> list[tuple[int, int, int, int, int]]:
-    """The chains between the ``kept`` vertices, in the order of their
-    first edge; ``zs`` are the edges' z, one z for every edge of a chain."""
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for lo, hi in edges:
-        nbrs[lo].append(hi)
-        nbrs[hi].append(lo)
-    if any(len(nbrs[v]) != 2 for v in range(n) if v not in kept):
-        raise IncompatibleInputError("every vertex that is not kept needs degree 2")
-    chains = []
-    seen = set()
-    for (lo, hi), z in zip(edges, zs):
-        if lo in kept and hi in kept:
-            chains.append((lo, hi, 1, z, 0))
-        elif (lo, hi) not in seen:
-            path = _walk(hi, lo, kept, nbrs)[::-1] + _walk(lo, hi, kept, nbrs)
-            steps = list(zip(path, path[1:]))
-            seen.update((min(a, b), max(a, b)) for a, b in steps)
-            length = len(steps)
-            lo_hi = sum(a < b for a, b in steps)
-            chains.append((path[0], path[-1], length, z, (length + lo_hi) % 2))
-    return chains

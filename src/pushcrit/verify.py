@@ -13,6 +13,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
+from .chains import Kernel
 from .configs import (
     CONFIG_IDS,
     gadgets_for,
@@ -267,15 +268,15 @@ def random_classifiable_graph(rng: random.Random) -> OrientedGraph:
             degs[b] += 1
         if not edges or min(degs) < 3:
             continue
-        arcs = []
-        nxt = k
-        for a, b in edges:
-            t = rng.randint(0, 3)
-            stops = [a] + list(range(nxt, nxt + t)) + [b]
-            nxt += t
-            for u, v in zip(stops, stops[1:]):
-                arcs.append((u, v) if rng.random() < 0.5 else (v, u))
-        return OrientedGraph(nxt, tuple(arcs))
+        # per edge, its length and then each of its arcs' directions
+        lengths, forward = [], []
+        for _ in edges:
+            lengths.append(rng.randint(1, 4))
+            forward += [rng.random() < 0.5 for _ in range(lengths[-1])]
+        kernel = Kernel.subdivided(k, edges, lengths)
+        steps = [step for path in kernel.paths for step in zip(path, path[1:])]
+        arcs = tuple((u, v) if f else (v, u) for (u, v), f in zip(steps, forward))
+        return OrientedGraph(kernel.n, arcs)
 
 
 def _two_vertices_at_zero(g: OrientedGraph, report) -> bool:

@@ -28,6 +28,7 @@ from pushcrit.canon import (
     orbit_of,
     underlying_cert,
 )
+from pushcrit.chains import Kernel
 from pushcrit.crit import VERDICT_CRITICAL
 from pushcrit.enumeration import (
     EnumerationRecord,
@@ -530,6 +531,37 @@ def test_records_satisfy_the_structural_lemmas():
         if record.m > 4:
             for cycle in _four_cycles(record.n, under.masks):
                 assert forward_parity(g, cycle) == 0
+
+
+def test_records_are_subdivided_kernels():
+    # the family of the kernel route: for c >= 2 the vertices of degree
+    # >= 3 span a loopless multigraph with minimum degree 3, n_k <= 2(c - 1)
+    # and m_k = n_k + c - 1, whose edges carry chains of 1..4 edges
+    checked = 0
+    for record in find_critical(8):
+        g = pc.OrientedGraph(record.n, record.arcs)
+        c = record.m - record.n + 1
+        if c < 2:
+            continue
+        kept = [v for v, d in enumerate(g.degrees) if d >= 3]
+        paths = Kernel.of(record.n, g.edges, kept).paths
+        index = {v: i for i, v in enumerate(kept)}
+        kernel_edges = [(index[p[0]], index[p[-1]]) for p in paths]
+        lengths = [len(p) - 1 for p in paths]
+        degree = [0] * len(kept)
+        for a, b in kernel_edges:
+            degree[a] += 1
+            degree[b] += 1
+        assert min(degree) >= 3
+        assert len(kept) <= 2 * (c - 1)
+        assert len(kernel_edges) == len(kept) + c - 1
+        assert max(lengths) <= 4
+        assert all(a != b for a, b in kernel_edges)
+        rebuilt = Kernel.subdivided(len(kept), kernel_edges, lengths)
+        rebuilt_graph = pc.OrientedGraph(rebuilt.n, tuple(rebuilt.edges))
+        assert underlying_cert(rebuilt_graph) == underlying_cert(g)
+        checked += 1
+    assert checked == 15
 
 
 def test_find_critical_complete_against_brute_force_at_5():

@@ -10,6 +10,7 @@ import pytest
 
 import pushcrit as pc
 from pushcrit import transfer
+from pushcrit.chains import Kernel
 from pushcrit.enumeration import find_critical
 from pushcrit.errors import IncompatibleInputError
 from pushcrit.hom import path_color_sets
@@ -58,7 +59,7 @@ def _subdivide(kernel_n, kernel_edges, lengths):
 def _random_kernel(rng, max_n=14):
     """A connected multigraph kernel with minimum degree 3, loops and
     parallel edges allowed, subdivided with random chain lengths 1..5 into
-    a simple graph on at most ``max_n`` vertices."""
+    a simple graph on at most ``max_n`` vertices; the lengths come last."""
     while True:
         kernel_n = rng.choice((1, 2, 2, 3, 3, 4, 4))
         # a random spanning tree, then random edges up to minimum degree 3
@@ -84,7 +85,7 @@ def _random_kernel(rng, max_n=14):
             lengths.append(length)
         n, edges = _subdivide(kernel_n, kernel_edges, lengths)
         if n <= max_n:
-            return kernel_n, kernel_edges, n, edges
+            return kernel_n, kernel_edges, n, edges, lengths
 
 
 def _chain_edges(n, edges, kept):
@@ -126,7 +127,7 @@ def _assert_kept_gives_full(n, edges, kept):
 def test_kept_kernel_vertices_give_the_full_image(rng):
     loops = parallel = 0
     for _ in range(80):
-        kernel_n, kernel_edges, n, edges = _random_kernel(rng)
+        kernel_n, kernel_edges, n, edges, _ = _random_kernel(rng)
         loops += any(a == b for a, b in kernel_edges)
         parallel += len(set(kernel_edges)) < len(kernel_edges)
         _assert_kept_gives_full(n, edges, range(kernel_n))
@@ -141,6 +142,41 @@ def test_kept_kernel_vertices_give_the_full_critical_classes():
         kept = [v for v, d in enumerate(g.degrees) if d >= 3] or [0]
         critical += _assert_kept_gives_full(g.vertex_count, list(g.edges), kept) > 0
     assert critical == len(graphs)
+
+
+def test_subdivided_kernels_walk_back_to_their_chains(rng):
+    loops = parallel = 0
+    for _ in range(200):
+        kernel_n, kernel_edges, n, edges, lengths = _random_kernel(rng)
+        loops += any(a == b for a, b in kernel_edges)
+        parallel += len(set(kernel_edges)) < len(kernel_edges)
+        kernel = Kernel.subdivided(kernel_n, kernel_edges, lengths)
+        assert (kernel.n, sorted(kernel.edges)) == (n, edges)
+        for path, edge, length in zip(kernel.paths, kernel_edges, lengths):
+            assert (path[0], path[-1], len(path) - 1) == (*edge, length)
+        # with its edges in path order, each chain's first edge leaves the
+        # kernel edge's first end
+        assert Kernel.of(n, kernel.edges, range(kernel_n)) == kernel
+        walked = Kernel.of(n, edges, range(kernel_n))
+        assert sorted(min(p, p[::-1]) for p in walked.paths) == sorted(
+            min(p, p[::-1]) for p in kernel.paths
+        )
+    assert loops and parallel
+
+
+def test_subdivisions_that_are_not_simple_are_rejected():
+    for kernel_edges, lengths, match in (
+        ([(0, 1), (0, 1), (0, 1)], [2, 0, 3], "chain of 0 edges from 0 to 1"),
+        ([(0, 1), (0, 1), (1, 0)], [2, 3, -1], "chain of -1 edges from 1 to 0"),
+        ([(0, 0), (0, 1), (0, 1)], [2, 1, 2], "chain of 2 edges from 0 to 0"),
+        ([(1, 1), (0, 1), (0, 1)], [1, 1, 2], "chain of 1 edges from 1 to 1"),
+        ([(0, 1), (0, 1), (1, 0)], [1, 2, 1], "two copies of a parallel edge"),
+    ):
+        with pytest.raises(IncompatibleInputError, match=match):
+            Kernel.subdivided(2, kernel_edges, lengths)
+    # one copy of length 1 and loops of 3 edges are fine
+    kernel = Kernel.subdivided(2, [(0, 1), (1, 0), (0, 0)], [1, 2, 3])
+    assert kernel.paths == ((0, 1), (1, 2, 0), (0, 3, 4, 0))
 
 
 def test_loops_are_chains_with_equal_ends():
@@ -176,7 +212,7 @@ def test_colorability_matches_the_search(rng):
     for lengths in ((1, 1, 1, 2), (1, 2, 2, 2), (2, 2, 2, 2), (1, 1, 3, 3), (5, 1, 1, 1)):
         graphs.append(_subdivided(c4, lengths))
     for _ in range(30):
-        _, _, n, edges = _random_kernel(rng)
+        _, _, n, edges, _ = _random_kernel(rng)
         graphs.append(pc.OrientedGraph(n, tuple(edges)))
     seen = {True: 0, False: 0}
     for g in graphs:
@@ -209,7 +245,7 @@ def test_inputs_outside_the_chain_shape_are_rejected():
         ChainGraph(5, cycle, [])
     # the chain walk itself stops on such a cycle, whatever checks run first
     with pytest.raises(IncompatibleInputError, match="meets no kept vertex"):
-        transfer._chains(3, [(0, 1), (0, 2), (1, 2)], set(), [0, 0, 0])
+        Kernel.of(3, [(0, 1), (0, 2), (1, 2)], set())
 
 
 def test_malformed_inputs_are_rejected():
@@ -293,7 +329,7 @@ def test_one_pass_walk_matches_the_class_coordinates(rng):
         n = rng.randint(1, 9)
         cases.append((n, _random_connected(rng, n), range(n)))
     for _ in range(80):
-        kernel_n, _, n, edges = _random_kernel(rng)
+        kernel_n, _, n, edges, _ = _random_kernel(rng)
         cases.append((n, edges, range(kernel_n)))
     subsets = 0
     for trial, (n, edges, kept) in enumerate(cases):
@@ -328,7 +364,7 @@ def test_image_and_mono_match_the_sweep(rng):
         tails, others = tails + a, others + b
     kernels = 0
     while kernels < 40:
-        kernel_n, _, n, edges = _random_kernel(rng, max_n=10)
+        kernel_n, _, n, edges, _ = _random_kernel(rng, max_n=10)
         if kernel_n < n:
             a, b = _assert_sweep_agrees(n, edges, range(kernel_n))
             tails, others = tails + a, others + b
