@@ -1,12 +1,7 @@
 """Push algebra, pushable homomorphisms and criticality for oriented graphs."""
 
-from .canon import (
-    are_pushably_isomorphic,
-    canonical_form,
-    oriented_canonical_form,
-    underlying_cert,
-)
-from .chains import Chain, ChainDecomposition, VertexClass, classify_vertices
+from .canon import canonical_form, oriented_canonical_form, underlying_cert
+from .chains import Kernel, classify_vertices
 from .configs import (
     CONFIG_IDS,
     ConfigurationGadget,

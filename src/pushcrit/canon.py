@@ -327,10 +327,6 @@ def oriented_canonical_form(g: OrientedGraph) -> bytes:
     return CanonicalLabeling(g.adjacency_masks).form(g, quotient_push=False)
 
 
-def are_pushably_isomorphic(g: OrientedGraph, h: OrientedGraph) -> bool:
-    return canonical_form(g) == canonical_form(h)
-
-
 def underlying_cert(g: OrientedGraph) -> bytes:
     """Canonical certificate of the underlying simple graph."""
     cert, _, _ = canonical_data(g.adjacency_masks)

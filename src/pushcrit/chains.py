@@ -3,9 +3,9 @@
 A ``Kernel`` reads a graph as its kept vertices joined by chains, paths
 through vertices of degree 2.  With the 3+-vertices kept, an edge between
 two of them is a 0-chain, and a vertex of degree k >= 3 carries a
-descriptor listing, per incident chain, how many 2-vertices lie inside it
-(written sorted descending, so a degree-3 vertex with chains of 3, 3 and
-0 internal 2-vertices reads (3, 3, 0)).
+descriptor (``Kernel.descriptors``) listing, per incident chain, how many
+2-vertices lie inside it (written sorted descending, so a degree-3 vertex
+with chains of 3, 3 and 0 internal 2-vertices reads (3, 3, 0)).
 """
 
 from __future__ import annotations
@@ -83,54 +83,24 @@ class Kernel:
         """The (lo, hi) edges, path by path."""
         return [(min(a, b), max(a, b)) for p in self.paths for a, b in zip(p, p[1:])]
 
-
-@dataclass(frozen=True)
-class Chain:
-    """One chain: endpoint pair and the internal vertices from the lower end."""
-
-    endpoints: tuple[int, int]
-    internal: tuple[int, ...]
-
-    @property
-    def internal_count(self) -> int:
-        return len(self.internal)
-
-
-@dataclass(frozen=True)
-class VertexClass:
-    vertex: int
-    degree: int
-    chain_internal_counts: tuple[int, ...]
-    total: int
-
-    def label(self) -> str:
-        counts = ",".join(str(t) for t in self.chain_internal_counts)
-        return f"{self.degree}_{{{counts}}}"
-
-
-@dataclass(frozen=True)
-class ChainDecomposition:
-    chains: tuple[Chain, ...]
-    classes: tuple[VertexClass, ...]
-
     @cached_property
-    def _by_vertex(self) -> dict[int, VertexClass]:
-        return {c.vertex: c for c in self.classes}
+    def descriptors(self) -> dict[int, tuple[int, ...]]:
+        """Each kept vertex's chain descriptor: the internal-vertex counts
+        of the chains at it, descending; a loop counts twice."""
+        counts: dict[int, list[int]] = {v: [] for v in sorted(self.kept)}
+        for p in self.paths:
+            counts[p[0]].append(len(p) - 2)
+            counts[p[-1]].append(len(p) - 2)
+        return {v: tuple(sorted(c, reverse=True)) for v, c in counts.items()}
 
-    def class_of(self, v: int) -> VertexClass:
-        return self._by_vertex[v]
 
-
-def classify_vertices(g: OrientedGraph) -> ChainDecomposition:
-    """Decompose g into chains and classify every 3+-vertex.
+def classify_vertices(g: OrientedGraph) -> Kernel:
+    """The ``Kernel`` of g's 3+-vertices, whose ``descriptors`` classify them.
 
     Requires every vertex to have degree >= 2 and every 2-vertex to lie on
     a chain between two distinct 3+-vertices; a 2-regular component or a
     chain closing back on its own endpoint has no classification and is
     reported as unclassifiable.
-
-    The chains are those of the ``Kernel`` of the 3+-vertices, written
-    from their lower ends and sorted; each fills one slot at either end.
     """
     n = g.vertex_count
     deg = g.degrees
@@ -144,19 +114,9 @@ def classify_vertices(g: OrientedGraph) -> ChainDecomposition:
             raise UnclassifiableGraphError(
                 f"component {comp} is a cycle of 2-vertices", comp
             )
-    slots: dict[int, list[int]] = {v: [] for v in range(n) if deg[v] >= 3}
-    chains = []
-    # the paths from their lower ends differ by their first two vertices
-    paths = (p if p[0] < p[-1] else p[::-1] for p in Kernel.of(n, g.arcs, slots).paths)
-    for path in sorted(paths):
-        u, w = path[0], path[-1]
-        if u == w:
-            raise UnclassifiableGraphError(f"chain at vertex {u} closes back on itself", (u,))
-        chains.append(Chain((u, w), path[1:-1]))
-        slots[u].append(len(path) - 2)
-        slots[w].append(len(path) - 2)
-    classes = [
-        VertexClass(v, deg[v], tuple(sorted(counts, reverse=True)), sum(counts))
-        for v, counts in slots.items()
-    ]
-    return ChainDecomposition(tuple(chains), tuple(classes))
+    kernel = Kernel.of(n, g.arcs, (v for v in range(n) if deg[v] >= 3))
+    loops = [p[0] for p in kernel.paths if p[0] == p[-1]]
+    if loops:
+        u = min(loops)
+        raise UnclassifiableGraphError(f"chain at vertex {u} closes back on itself", (u,))
+    return kernel

@@ -105,52 +105,43 @@ def discharging_audit(g: OrientedGraph) -> DischargingReport:
       5. 1 to each 3-vertex with 5 of them joined to v by a 1-chain,
          unless v itself is a 3-vertex with 5 of them.
     """
-    dec = classify_vertices(g)
-    charge = [initial_charge(d) for d in g.degrees]
+    kernel = classify_vertices(g)
+    total = {v: sum(d) for v, d in kernel.descriptors.items()}
+    deg = g.degrees
+    charge = [initial_charge(d) for d in deg]
     initial = tuple(charge)
-    class_by_vertex = {c.vertex: c for c in dec.classes}
-    # every chain, at each of its ends
-    at_end: dict[int, list] = {v: [] for v in class_by_vertex}
-    for chain in dec.chains:
-        for end in chain.endpoints:
-            at_end[end].append(chain)
-
-    for donor, donor_cls in class_by_vertex.items():
-        # rule 1: chain-incident 2-vertices
-        for chain in at_end[donor]:
-            for u in chain.internal:
-                charge[donor] -= 2
-                charge[u] += 2
-        # rules 2/3: adjacent (0-chain) recipients; rules 4/5: 1-chain ones;
-        # two chains to one neighbor give once per rule
-        for dist, bonus6, bonus5 in ((0, 3, 1), (1, 3, 1)):
-            recipients = set()
-            for chain in at_end[donor]:
-                if chain.internal_count == dist:
-                    a, b = chain.endpoints
-                    recipients.add(b if donor == a else a)
-            for u in sorted(recipients):
-                u_cls = class_by_vertex[u]
-                if u_cls.degree != 3:
-                    continue
-                if u_cls.total == 6:
-                    charge[donor] -= bonus6
-                    charge[u] += bonus6
-                elif u_cls.total == 5:
-                    if dist == 1 and donor_cls.degree == 3 and donor_cls.total == 5:
-                        continue
-                    charge[donor] -= bonus5
-                    charge[u] += bonus5
+    for p in kernel.paths:
+        # rule 1: each end gives 2 to each internal vertex
+        charge[p[0]] -= 2 * (len(p) - 2)
+        charge[p[-1]] -= 2 * (len(p) - 2)
+        for u in p[1:-1]:
+            charge[u] += 4
+    # rules 2/3 along 0-chains, 4/5 along 1-chains; two chains of one
+    # length to one neighbor give once
+    links = {
+        (donor, u, len(p) - 2)
+        for p in kernel.paths
+        if len(p) <= 3
+        for donor, u in ((p[0], p[-1]), (p[-1], p[0]))
+    }
+    for donor, u, dist in links:
+        if deg[u] != 3:
+            continue
+        if total[u] == 6:
+            give = 3
+        elif total[u] == 5 and not (dist == 1 and deg[donor] == 3 and total[donor] == 5):
+            give = 1
+        else:
+            continue
+        charge[donor] -= give
+        charge[u] += give
 
     checks = []
-    for v, degree in enumerate(g.degrees):
-        cls = class_by_vertex.get(v)
-        total = cls.total if cls is not None else 0
-        bound = updated_charge_lower_bound(degree, total)
+    for v, degree in enumerate(deg):
+        t = total.get(v, 0)
+        bound = updated_charge_lower_bound(degree, t)
         if bound is not None:
-            checks.append(
-                BoundCheck(v, degree, total, bound, charge[v], charge[v] >= bound)
-            )
+            checks.append(BoundCheck(v, degree, t, bound, charge[v], charge[v] >= bound))
     report = DischargingReport(
         initial=initial,
         final=tuple(charge),

@@ -530,8 +530,9 @@ def underlying_prune_verdict(under: UnderlyingGraph):
     if not is_cycle and _has_cut_vertex(n, masks):
         return False, "cut_vertex"
     if not is_cycle:
-        dec = classify_vertices(OrientedGraph(n, under.edges))
-        if any(c.internal_count >= 4 for c in dec.chains):
+        # a chain with 4 or more internal vertices, a path of 6 or more
+        paths = classify_vertices(OrientedGraph(n, under.edges)).paths
+        if any(len(p) >= 6 for p in paths):
             return False, "long_chain"
     if n >= 5:
         # K4-containing graphs were already dropped during generation when

@@ -22,6 +22,7 @@ from .graph import (
     OrientedGraph,
     anti_twin,
     directed_cycle,
+    forward_parity,
     girth,
     parse_graph,
     potential,
@@ -78,8 +79,11 @@ def builtin_graphs() -> dict[str, OrientedGraph]:
     )
     _gate("c_minus4", potential(c_minus4) == 8, "potential must be 8")
     _gate("c_minus4", girth(c_minus4) == 4, "girth must be 4")
-    fwd = sum(1 for arc in ((0, 1), (1, 2), (2, 3), (3, 0)) if arc in c_minus4.arc_set)
-    _gate("c_minus4", fwd % 2 == 1, "forward-arc parity around the 4-cycle must be odd")
+    _gate(
+        "c_minus4",
+        forward_parity(c_minus4, (0, 1, 2, 3)) == 1,
+        "forward-arc parity around the 4-cycle must be odd",
+    )
     for name in ("e1", "e2", "e3"):
         _gate_e(name, graphs[name])
     _gate("f", (f.vertex_count, f.arc_count) == (12, 14), "must have 12 vertices, 14 arcs")

@@ -7,7 +7,6 @@ import random
 import pytest
 
 import pushcrit as pc
-from pushcrit.chains import Chain, ChainDecomposition, VertexClass
 from pushcrit.discharge import (
     BoundCheck,
     DischargingReport,
@@ -72,8 +71,7 @@ def test_rule5_guard_between_degree3_five_vertices():
     nxt = chain(0, 1, 2, nxt)
     nxt = chain(0, 1, 2, nxt)
     g = pc.OrientedGraph(nxt, tuple(arcs))
-    dec = pc.classify_vertices(g)
-    assert dec.class_of(0).chain_internal_counts == (2, 2, 1)
+    assert pc.classify_vertices(g).descriptors[0] == (2, 2, 1)
     report = pc.discharging_audit(g)
     assert report.final[0] == report.final[1] == initial_charge(3) - 10
 
@@ -109,8 +107,9 @@ def test_unclassifiable_inputs_error():
 
 
 def _slow_classify(g):
-    """Every chain walked from each 3+-vertex by neighbor scans, and each
-    vertex's slots counted over every chain."""
+    """(the chains as vertex paths from their lower ends, sorted; each
+    3+-vertex's descriptor): every chain walked from each 3+-vertex by
+    neighbor scans, and each vertex's counts taken over every chain."""
     n = g.vertex_count
     deg = g.degrees
     for v in range(n):
@@ -121,67 +120,59 @@ def _slow_classify(g):
             raise UnclassifiableGraphError(
                 f"component {comp} is a cycle of 2-vertices", comp
             )
-    chains = []
-    seen_keys = set()
+    paths = set()
     for v in range(n):
         if deg[v] < 3:
             continue
         for w in g.neighbors(v):
-            internal = []
+            path = [v]
             prev, cur = v, w
             while deg[cur] == 2:
-                internal.append(cur)
+                path.append(cur)
                 nxts = [u for u in g.neighbors(cur) if u != prev]
                 prev, cur = cur, nxts[0]
+            path.append(cur)
             if cur == v:
                 raise UnclassifiableGraphError(
                     f"chain at vertex {v} closes back on itself", (v,)
                 )
-            if v <= cur:
-                key = (v, cur, tuple(internal))
-            else:
-                key = (cur, v, tuple(reversed(internal)))
-            if key not in seen_keys:
-                seen_keys.add(key)
-                chains.append(Chain((key[0], key[1]), key[2]))
-    classes = []
+            paths.add(tuple(path) if v <= cur else tuple(reversed(path)))
+    descriptors = {}
     for v in range(n):
         if deg[v] < 3:
             continue
         counts = []
-        for chain in chains:
-            counts += [chain.internal_count] * chain.endpoints.count(v)
-        counts.sort(reverse=True)
-        classes.append(VertexClass(v, deg[v], tuple(counts), sum(counts)))
-    return ChainDecomposition(tuple(chains), tuple(classes))
+        for path in paths:
+            counts += [len(path) - 2] * (path[0], path[-1]).count(v)
+        descriptors[v] = tuple(sorted(counts, reverse=True))
+    return sorted(paths), descriptors
 
 
 def _slow_audit(g):
     """The five rules, each donor scanning every chain."""
-    dec = _slow_classify(g)
+    paths, descriptors = _slow_classify(g)
     charge = [initial_charge(d) for d in g.degrees]
     initial = tuple(charge)
-    classes = {c.vertex: c for c in dec.classes}
-    for donor, donor_cls in classes.items():
-        for chain in dec.chains:
-            if donor in chain.endpoints:
-                for u in chain.internal:
+    for donor, donor_counts in descriptors.items():
+        for path in paths:
+            if donor in (path[0], path[-1]):
+                for u in path[1:-1]:
                     charge[donor] -= 2
                     charge[u] += 2
         for dist in (0, 1):
             recipients = set()
-            for chain in dec.chains:
-                a, b = chain.endpoints
-                if chain.internal_count == dist and donor in (a, b):
+            for path in paths:
+                a, b = path[0], path[-1]
+                if len(path) - 2 == dist and donor in (a, b):
                     recipients.add(b if donor == a else a)
             for u in recipients:
-                u_cls = classes[u]
-                if u_cls.degree != 3:
+                u_counts = descriptors[u]
+                if len(u_counts) != 3:
                     continue
-                if u_cls.total == 6:
+                if sum(u_counts) == 6:
                     give = 3
-                elif u_cls.total == 5:
-                    guarded = dist == 1 and donor_cls.degree == 3 and donor_cls.total == 5
+                elif sum(u_counts) == 5:
+                    guarded = dist == 1 and len(donor_counts) == 3 and sum(donor_counts) == 5
                     give = 0 if guarded else 1
                 else:
                     give = 0
@@ -189,7 +180,7 @@ def _slow_audit(g):
                 charge[u] += give
     checks = []
     for v in range(g.vertex_count):
-        total = classes[v].total if v in classes else 0
+        total = sum(descriptors[v]) if v in descriptors else 0
         bound = updated_charge_lower_bound(g.degree(v), total)
         if bound is not None:
             final = charge[v]
@@ -223,11 +214,11 @@ def _twin_chain_graph():
 
 def test_two_chains_to_one_neighbor_give_once():
     g = _twin_chain_graph()
-    dec = pc.classify_vertices(g)
-    assert dec.class_of(0).degree == 5
-    assert dec.class_of(1).chain_internal_counts == (3, 1, 1)
+    descriptors = pc.classify_vertices(g).descriptors
+    assert len(descriptors[0]) == 5
+    assert descriptors[1] == (3, 1, 1)
     with pytest.raises(KeyError):
-        dec.class_of(4)  # a 2-vertex has no class
+        descriptors[4]  # a 2-vertex has no class
     # vertex 1 gives 2 per internal vertex and takes rule 5 once from 0
     assert pc.discharging_audit(g).final[1] == initial_charge(3) - 10 + 1
 
@@ -238,7 +229,9 @@ def test_linear_audit_equals_the_quadratic_one():
     rng = random.Random(20240917)
     graphs += [random_classifiable_graph(rng) for _ in range(200)]
     for g in graphs:
-        assert pc.classify_vertices(g) == _slow_classify(g)
+        kernel = pc.classify_vertices(g)
+        paths = sorted(p if p[0] <= p[-1] else p[::-1] for p in kernel.paths)
+        assert (paths, kernel.descriptors) == _slow_classify(g)
         report = pc.discharging_audit(g)
         assert report == _slow_audit(g)
         assert report.total_final == -2 * potential(g)

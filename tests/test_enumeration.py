@@ -1102,6 +1102,11 @@ def test_prune_audit_long_chain(rng):
             pc.fixture("c_minus4"), 0, 2, 5, format(bits, "05b")
         )
         _assert_not_critical(g)
+    # a chain of 4 internal vertices from 0 to 2 is cut, one of 3 is not
+    for length, verdict in ((5, (False, "long_chain")), (4, (True, None))):
+        g = pc.attach_path(pc.fixture("c_minus4"), 0, 2, length, "0" * length)
+        under = UnderlyingGraph(g.vertex_count, g.edges)
+        assert underlying_prune_verdict(under) == verdict
 
 
 def test_prune_audit_cut_vertex(rng):

@@ -284,18 +284,16 @@ def test_mad_empty_graph():
 
 
 def test_classify_e1():
-    dec = pc.classify_vertices(pc.fixture("e1"))
-    by_vertex = {c.vertex: c for c in dec.classes}
-    assert by_vertex[0].chain_internal_counts == (3, 3, 0)
-    assert by_vertex[1].chain_internal_counts == (3, 3, 0)
-    assert by_vertex[2].chain_internal_counts == (3, 3, 0)
-    assert by_vertex[3].chain_internal_counts == (0, 0, 0)
-    assert sum(c.total for c in dec.classes) == 2 * 9
+    descriptors = pc.classify_vertices(pc.fixture("e1")).descriptors
+    assert descriptors[0] == (3, 3, 0)
+    assert descriptors[1] == (3, 3, 0)
+    assert descriptors[2] == (3, 3, 0)
+    assert descriptors[3] == (0, 0, 0)
+    assert sum(map(sum, descriptors.values())) == 2 * 9
 
 
 def test_classify_e2_hub():
-    dec = pc.classify_vertices(pc.fixture("e2"))
-    assert dec.class_of(3).chain_internal_counts == (2, 2, 2)
+    assert pc.classify_vertices(pc.fixture("e2")).descriptors[3] == (2, 2, 2)
 
 
 def test_classify_zero_chain():
@@ -303,10 +301,10 @@ def test_classify_zero_chain():
     g = pc.OrientedGraph(
         6, ((0, 1), (0, 2), (2, 3), (3, 1), (0, 4), (4, 5), (5, 1))
     )
-    dec = pc.classify_vertices(g)
-    assert dec.class_of(0).chain_internal_counts == (2, 2, 0)
-    assert dec.class_of(1).chain_internal_counts == (2, 2, 0)
-    assert len(dec.chains) == 3
+    kernel = pc.classify_vertices(g)
+    assert kernel.descriptors[0] == (2, 2, 0)
+    assert kernel.descriptors[1] == (2, 2, 0)
+    assert len(kernel.paths) == 3
 
 
 def test_classify_rejects_two_regular_component():
@@ -324,11 +322,11 @@ def test_classify_totals_invariant(rng):
 
     for _ in range(15):
         g = random_classifiable_graph(rng)
-        dec = pc.classify_vertices(g)
+        descriptors = pc.classify_vertices(g).descriptors
         two_vertices = sum(1 for v in range(g.vertex_count) if g.degree(v) == 2)
-        assert sum(c.total for c in dec.classes) == 2 * two_vertices
-        for cls in dec.classes:
-            assert len(cls.chain_internal_counts) == cls.degree
+        assert sum(map(sum, descriptors.values())) == 2 * two_vertices
+        for v, counts in descriptors.items():
+            assert len(counts) == g.degree(v)
 
 
 def test_serialize_parse_roundtrip(rng):

@@ -18,3 +18,43 @@ def test_the_library_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+# every function in the library that calls itself, by module and
+# qualified name, with the bound on its depth: a recursion the default
+# limit of 1,000 frames could cut must be listed here, or made iterative
+RECURSIVE = {
+    "canon.canonical_data.recurse",  # one frame per individualized vertex: <= n
+    "enumeration._graphs_on",  # one frame per uncached level: <= n <= 12
+    "enumeration._has_cut_vertex.dfs",  # one frame per DFS tree vertex: <= n
+    "enumeration._chromatic_at_most_3.dfs",  # one frame per colored vertex: n + 1
+    "lpq._feasible.dfs",  # one frame per labeled vertex: n + 1
+}
+
+
+def _recursive(node, prefix: str):
+    """The qualified names of the functions under ``node`` that call
+    themselves, by name or as ``self.``/``cls.`` of it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _recursive(child, f"{prefix}.{child.name}")
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{prefix}.{child.name}"
+            calls = [c.func for c in ast.walk(child) if isinstance(c, ast.Call)]
+            if any(
+                getattr(f, "id", None) == child.name
+                or isinstance(f, ast.Attribute)
+                and f.attr == child.name
+                and getattr(f.value, "id", None) in ("self", "cls")
+                for f in calls
+            ):
+                yield name
+            yield from _recursive(child, name)
+
+
+def test_every_recursive_function_has_a_depth_bound():
+    found = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found |= set(_recursive(tree, path.stem))
+    assert found == RECURSIVE
