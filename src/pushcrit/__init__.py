@@ -20,7 +20,6 @@ from .discharge import DischargingReport, discharging_audit
 from .enumeration import (
     EnumerationRecord,
     UnderlyingGraph,
-    enumerate_orientations_mod_push,
     enumerate_underlying,
     find_critical,
     verify_density_bound,
@@ -44,7 +43,6 @@ from .fixtures import builtin_graphs, fixture
 from .graph import (
     OrientedGraph,
     anti_twin,
-    attach_path,
     directed_cycle,
     directed_path,
     girth,
@@ -57,13 +55,11 @@ from .hom import (
     ColoringCertificate,
     PartialColoring,
     extend_partial,
-    extend_partial_bruteforce,
     find_homomorphism,
     find_pushable_homomorphism,
     oriented_chromatic_number,
     path_color_sets,
     pushable_chromatic_number,
-    retarget_certificate,
     tournaments,
 )
 from .lpq import LpqLabeling, at_c3_labeling, check_lpq_labeling, lpq_span_search

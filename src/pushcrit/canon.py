@@ -323,12 +323,21 @@ def canonical_form(g: OrientedGraph) -> bytes:
 
 
 def oriented_canonical_form(g: OrientedGraph) -> bytes:
-    """Byte string equal for two graphs iff they are isomorphic digraphs."""
+    """Byte string equal for two graphs iff they are isomorphic digraphs.
+
+    No library path calls it: the tests do, and perfbench/tracing.py
+    wraps it by name.
+    """
     return CanonicalLabeling(g.adjacency_masks).form(g, quotient_push=False)
 
 
 def underlying_cert(g: OrientedGraph) -> bytes:
-    """Canonical certificate of the underlying simple graph."""
+    """Canonical certificate of the underlying simple graph.
+
+    No library path calls it (generation encodes the certificate of
+    ``canonical_data`` itself): the tests do, and perfbench/tracing.py
+    wraps it by name.
+    """
     cert, _, _ = canonical_data(g.adjacency_masks)
     return encode_underlying_cert(g.vertex_count, cert)
 

@@ -144,7 +144,6 @@ from .graph import (
     adjacency,
     potential,
 )
-from .orient import push_class_representatives
 from .transfer import ChainGraph
 
 UNDERLYING_VERTEX_LIMIT = 12
@@ -432,24 +431,6 @@ def _level_candidates(n: int, last: bool, tick):
         total = sum(_is_candidate(masks) for masks, _ in full)
     # the exhausted iterator over ``head`` lets go of the first candidate
     return chain(iter(head), stream), total
-
-
-def enumerate_orientations_mod_push(under: UnderlyingGraph, dedup_iso: bool = False):
-    """One orientation per push class; optionally also quotient by iso."""
-    labeling = CanonicalLabeling(under.masks) if dedup_iso else None
-    seen = set()
-    out = []
-    for arcs in push_class_representatives(
-        under.vertex_count, under.edges, range(under.vertex_count)
-    ):
-        g = OrientedGraph(under.vertex_count, arcs)
-        if dedup_iso:
-            code = labeling.form(g)
-            if code in seen:
-                continue
-            seen.add(code)
-        out.append(g)
-    return out
 
 
 # -- structural prunes ---------------------------------------------------------

@@ -173,6 +173,10 @@ class OrientedGraph:
     def induced_subgraph(self, vertices: Iterable[int]) -> "OrientedGraph":
         """Subgraph induced on ``vertices``, relabeled densely in sorted order."""
         keep = sorted(set(vertices))
+        if keep and (keep[0] < 0 or keep[-1] >= self.vertex_count):
+            raise IncompatibleInputError(
+                f"induced vertices must lie in 0..{self.vertex_count - 1}"
+            )
         index = {v: i for i, v in enumerate(keep)}
         arcs = tuple(
             (index[t], index[h]) for t, h in self.arcs if t in index and h in index
@@ -241,31 +245,6 @@ def anti_twin(g: OrientedGraph) -> OrientedGraph:
     for t, h in g.arcs:
         arcs += [(t, h), (n + t, n + h), (n + h, t), (h, n + t)]
     return OrientedGraph(2 * n, tuple(arcs))
-
-
-def attach_path(
-    g: OrientedGraph, x: int, y: int, k: int, orientation: str | Sequence[int]
-) -> OrientedGraph:
-    """Attach a k-arc oriented path from ``x`` to ``y``.
-
-    ``orientation`` gives one bit per arc along the x-to-y traversal,
-    1 meaning the arc points toward ``y``.  The k-1 fresh internal
-    vertices are appended after the existing ones.
-    """
-    n = g.vertex_count
-    if not (0 <= x < n and 0 <= y < n):
-        raise IncompatibleInputError("path endpoints must be existing vertices")
-    if k < 1:
-        raise IncompatibleInputError("k must be positive")
-    bits = [int(b) for b in orientation]
-    if len(bits) != k or any(b not in (0, 1) for b in bits):
-        raise IncompatibleInputError("orientation must be k bits")
-    stops = [x] + [n + i for i in range(k - 1)] + [y]
-    new_arcs = [
-        (stops[i], stops[i + 1]) if bits[i] else (stops[i + 1], stops[i])
-        for i in range(k)
-    ]
-    return OrientedGraph(n + k - 1, g.arcs + tuple(new_arcs))
 
 
 def potential(g: OrientedGraph) -> int:

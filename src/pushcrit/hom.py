@@ -94,11 +94,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import xor
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .canon import orbit_of
 from .errors import ConfigError, IncompatibleInputError, ResourceBudgetError, SelfCheckError
-from .graph import OrientedGraph, anti_twin, directed_cycle, push_vertices
+from .graph import OrientedGraph, anti_twin, directed_cycle
 from .orient import AffineMap, class_coordinates
 
 C3 = directed_cycle(3).with_name("c3")
@@ -348,7 +348,11 @@ def solve_mapping(
 
 
 def find_homomorphism(g: OrientedGraph, h: OrientedGraph):
-    """Arc-preserving vertex map g -> h, or None if none exists."""
+    """Arc-preserving vertex map g -> h, or None if none exists.
+
+    No library path calls it: the tests do, and perfbench/tracing.py
+    wraps it by name.
+    """
     return solve_mapping(g, target_index(h))[0]
 
 
@@ -384,27 +388,6 @@ class ColoringCertificate:
             "pushed": sorted(self.push_set),
             "map": {str(v): c for v, c in enumerate(self.mapping)},
         }
-
-
-def retarget_certificate(
-    g: OrientedGraph, cert: ColoringCertificate, target_push: Iterable[int]
-) -> ColoringCertificate:
-    """Rebase a certificate onto a push-equivalent copy of its target.
-
-    If f maps push(g, S) into h, then f also maps push(g, S xor f^-1(T))
-    into push(h, T): an arc flips on the source side exactly when its
-    image flips on the target side.
-    """
-    t_set = frozenset(target_push)
-    new_target = push_vertices(cert.target, t_set)
-    s = set(cert.push_set)
-    for v, image in enumerate(cert.mapping):
-        if image in t_set:
-            s.symmetric_difference_update([v])
-    out = ColoringCertificate(frozenset(s), cert.mapping, new_target)
-    if not out.verify(g):
-        raise SelfCheckError("a rebased certificate does not verify")
-    return out
 
 
 def _decode_certificate(g: OrientedGraph, h: OrientedGraph, mapping):
@@ -686,10 +669,6 @@ class PartialColoring:
     def as_dict(self) -> dict:
         return dict(self.colored)
 
-    def uncolored(self, g: OrientedGraph) -> tuple[int, ...]:
-        dom = {v for v, _ in self.colored}
-        return tuple(v for v in range(g.vertex_count) if v not in dom)
-
     def validate(self, g: OrientedGraph):
         seen = set()
         for v, c in self.colored:
@@ -731,31 +710,6 @@ def extend_partial(
     return cert
 
 
-def extend_partial_bruteforce(g: OrientedGraph, pc: PartialColoring):
-    """Extension by direct search over every push subset of X.
-
-    Independent of the AT reduction; both routes must agree.
-    """
-    pc.validate(g)
-    colors = pc.as_dict()
-    free = pc.uncolored(g)
-    c3 = target_index(C3)
-    for r in range(len(free) + 1):
-        for pushed in combinations(free, r):
-            g2 = push_vertices(g, pushed)
-            doms = [
-                (1 << colors[v]) if v in colors else 0b111
-                for v in range(g.vertex_count)
-            ]
-            mapping, _ = solve_mapping(g2, c3, doms)
-            if mapping is not None:
-                cert = ColoringCertificate(frozenset(pushed), mapping, C3, "c3")
-                if not cert.verify(g):
-                    raise SelfCheckError("a brute-force certificate does not verify")
-                return cert
-    return None
-
-
 # -- path color propagation ---------------------------------------------------
 
 
@@ -780,6 +734,9 @@ def path_color_sets(k: int, parity: str):
     end, and ask whether some push of the internal vertices extends the
     coloring.  Returned as (allowed, forbidden) offsets of the start
     color; rotating the start color rotates both sets.
+
+    No library path calls it: the path-table acceptance test (criterion
+    4) reproduces the paper's table with it.
     """
     if not 1 <= k <= 5:
         raise ConfigError("path length k must be within 1..5")

@@ -61,6 +61,11 @@ def _validate_pq(p: int, q: int):
         raise ConfigError(f"need p >= q >= 1, got p={p}, q={q}")
 
 
+def _validate_variant(variant: str):
+    if variant not in (VARIANT_TWO_DIPATH, VARIANT_ORIENTED):
+        raise ConfigError(f"unknown variant {variant!r}")
+
+
 def two_dipath_pairs(g: OrientedGraph) -> frozenset:
     """Unordered endpoint pairs of directed 2-paths."""
     pairs = set()
@@ -86,6 +91,7 @@ def _oriented_coloring_conflict(g: OrientedGraph, labels):
 def check_lpq_labeling(g: OrientedGraph, labeling: LpqLabeling) -> LabelingCheck:
     """Validate the distance conditions and, if oriented, the coloring one."""
     _validate_pq(labeling.p, labeling.q)
+    _validate_variant(labeling.variant)
     labels = labeling.labels
     if len(labels) != g.vertex_count:
         raise ConfigError("labeling size does not match the graph")
@@ -165,8 +171,7 @@ def lpq_span_search(
     is monotone, so the minimum is located by bisection.
     """
     _validate_pq(p, q)
-    if variant not in (VARIANT_TWO_DIPATH, VARIANT_ORIENTED):
-        raise ConfigError(f"unknown variant {variant!r}")
+    _validate_variant(variant)
     if g.vertex_count > SPAN_SEARCH_MAX_VERTICES:
         raise ConfigError(
             f"span search is exhaustive only up to {SPAN_SEARCH_MAX_VERTICES} vertices"

@@ -122,6 +122,9 @@ def is_push_equivalent(g: OrientedGraph, h: OrientedGraph):
     Requires identical labeled underlying graphs.  Both are normalized on
     one forest; they are push equivalent exactly when the normal forms
     agree, and then the two push sets together carry ``g`` onto ``h``.
+
+    No library path calls it: it is the paper's push-equivalence relation
+    as a public query, and the tests call it.
     """
     if g.vertex_count != h.vertex_count or g.edge_set != h.edge_set:
         raise IncompatibleInputError("graphs must share vertices and underlying edges")

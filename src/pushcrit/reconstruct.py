@@ -26,9 +26,10 @@ start and each column are mapped once into the canonical coordinates of
 the triple's labeling and once into those of its ``ChainGraph``; both
 maps are affine.  Each case then costs xors, one orbit walk for its form
 (``CanonicalLabeling.encode``) and one lookup in the image for its
-verdict.  ``reconstruction_cases`` builds the same cases as
-``OrientedGraph``s and decides the gluings with a labeling of its own;
-the tests form and search those graphs and hold the two paths equal.
+verdict.  ``reconstruction_cases`` in ``tests/test_reconstruct.py``
+builds the same cases as ``OrientedGraph``s and decides the gluings with
+a labeling of its own; the tests form and search those graphs and hold
+the two paths equal.
 
 ``verify_fig6_coloring`` replays the drawn push set and vertex colors of
 the 8-vertex witness and re-decides its colorability from scratch.
@@ -39,13 +40,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .canon import CanonicalLabeling, canonical_form
+from .canon import CanonicalLabeling
 from .crit import is_pushably_k_colorable
 from .errors import IncompatibleInputError
 from .fixtures import M3P_COLORING, M3P_PUSH_SET, fixture
 from .graph import OrientedGraph, adjacency, potential
 from .hom import C3, ColoringCertificate
-from .orient import class_space, push_class_representatives
+from .orient import class_space
 from .transfer import ChainGraph
 
 
@@ -122,32 +123,6 @@ def _gadget(index, kept, dirs, roles):
     ]
     edges = sorted({(min(e), max(e)) for e in fixed + paths})
     return n + 6, edges, (chain_a, hub, chain_b1, chain_b2, link), fixed
-
-
-def reconstruction_cases(source_name: str, split: int):
-    """Yield every reconstructed graph for one source and split vertex.
-
-    A direction pattern of the split vertex's three arcs is used when
-    regluing the vertex with it reproduces the source up to push iso.
-    """
-    base = fixture(source_name)
-    nbrs, index, kept = _split(base, split)
-    n = base.vertex_count
-    base_form = canonical_form(base)
-    gluings = []
-    for dirs in _glue_directions(nbrs):
-        glued = kept + [
-            (n - 1, index[nbr]) if dirs[nbr] else (index[nbr], n - 1) for nbr in nbrs
-        ]
-        gluings.append((dirs, OrientedGraph(n, tuple(glued))))
-    # the gluings differ only in orientation: one labeling serves all 8
-    labeling = CanonicalLabeling(gluings[0][1].adjacency_masks)
-    valid_dirs = [dirs for dirs, glued in gluings if labeling.form(glued) == base_form]
-    for dirs in valid_dirs:
-        for roles in permutations(nbrs):
-            total, edges, movable, fixed = _gadget(index, kept, dirs, roles)
-            for arcs in push_class_representatives(total, edges, movable, fixed):
-                yield dirs, roles, OrientedGraph(total, arcs)
 
 
 def _role_graph(total: int, edges) -> tuple[CanonicalLabeling, ChainGraph]:

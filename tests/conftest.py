@@ -3,17 +3,27 @@
 The helpers here re-decide homomorphism and push questions by the most
 naive complete method available (full enumeration, plain recursion) so
 that library results can be checked against an implementation that
-shares no code with the search kernel.
+shares no code with the search kernel.  ``extend_partial_bruteforce`` is
+the one exception, and its docstring says so.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
+from typing import Sequence
 
 import pytest
 
+from pushcrit.errors import IncompatibleInputError, SelfCheckError
 from pushcrit.graph import OrientedGraph, push_vertices
+from pushcrit.hom import (
+    C3,
+    ColoringCertificate,
+    PartialColoring,
+    solve_mapping,
+    target_index,
+)
 
 
 def tiny_hom_exists(g: OrientedGraph, h: OrientedGraph) -> bool:
@@ -54,6 +64,33 @@ def brute_pushable_colorable(g: OrientedGraph, h: OrientedGraph) -> bool:
     return False
 
 
+def extend_partial_bruteforce(g: OrientedGraph, pc: PartialColoring):
+    """Extension by direct search over every push subset of X.
+
+    Independent of the AT(C3) reduction; both routes must agree.  Not
+    independent of the search kernel: each push subset is decided by
+    ``solve_mapping`` into C3.
+    """
+    pc.validate(g)
+    colors = pc.as_dict()
+    free = tuple(v for v in range(g.vertex_count) if v not in colors)
+    c3 = target_index(C3)
+    for r in range(len(free) + 1):
+        for pushed in combinations(free, r):
+            g2 = push_vertices(g, pushed)
+            doms = [
+                (1 << colors[v]) if v in colors else 0b111
+                for v in range(g.vertex_count)
+            ]
+            mapping, _ = solve_mapping(g2, c3, doms)
+            if mapping is not None:
+                cert = ColoringCertificate(frozenset(pushed), mapping, C3, "c3")
+                if not cert.verify(g):
+                    raise SelfCheckError("a brute-force certificate does not verify")
+                return cert
+    return None
+
+
 def brute_push_isomorphic(g: OrientedGraph, h: OrientedGraph) -> bool:
     """All relabelings times all pushes; usable up to ~6 vertices."""
     if g.vertex_count != h.vertex_count or g.arc_count != h.arc_count:
@@ -83,6 +120,31 @@ def brute_mad_numerator_denominator(g: OrientedGraph):
             m = sum(1 for lo, hi in g.edges if lo in sub and hi in sub)
             best = max(best, Fraction(2 * m, size))
     return best
+
+
+def attach_path(
+    g: OrientedGraph, x: int, y: int, k: int, orientation: str | Sequence[int]
+) -> OrientedGraph:
+    """Attach a k-arc oriented path from ``x`` to ``y``.
+
+    ``orientation`` gives one bit per arc along the x-to-y traversal,
+    1 meaning the arc points toward ``y``.  The k-1 fresh internal
+    vertices are appended after the existing ones.
+    """
+    n = g.vertex_count
+    if not (0 <= x < n and 0 <= y < n):
+        raise IncompatibleInputError("path endpoints must be existing vertices")
+    if k < 1:
+        raise IncompatibleInputError("k must be positive")
+    bits = [int(b) for b in orientation]
+    if len(bits) != k or any(b not in (0, 1) for b in bits):
+        raise IncompatibleInputError("orientation must be k bits")
+    stops = [x] + [n + i for i in range(k - 1)] + [y]
+    new_arcs = [
+        (stops[i], stops[i + 1]) if bits[i] else (stops[i + 1], stops[i])
+        for i in range(k)
+    ]
+    return OrientedGraph(n + k - 1, g.arcs + tuple(new_arcs))
 
 
 def random_oriented_graph(rng: random.Random, n: int, p: float = 0.4) -> OrientedGraph:

@@ -22,6 +22,7 @@ import pytest
 import pushcrit as pc
 from pushcrit import cli, enumeration
 from pushcrit.canon import (
+    CanonicalLabeling,
     _refine,
     canonical_data,
     encode_underlying_cert,
@@ -40,16 +41,17 @@ from pushcrit.enumeration import (
     _permute_mask,
     _root_cell_verdict,
     _scan_underlying_for_critical,
-    enumerate_orientations_mod_push,
     enumerate_underlying,
     find_critical,
     underlying_prune_verdict,
     verify_density_bound,
 )
 from pushcrit.errors import ConfigError, ResourceBudgetError
-from pushcrit.graph import adjacency, forward_parity
+from pushcrit.graph import OrientedGraph, adjacency, forward_parity
 from pushcrit.hom import AT_C3, solve_mapping, target_index
 from pushcrit.orient import class_coordinates, push_class_representatives
+
+from conftest import attach_path
 
 
 KNOWN_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -370,6 +372,24 @@ def test_generated_masks_are_the_edges_masks():
                 built = UnderlyingGraph(n, ug.edges)
                 assert ug.masks == built.masks == tuple(adjacency(n, ug.edges))
                 assert pickle.loads(pickle.dumps(ug)).masks == built.masks
+
+
+def enumerate_orientations_mod_push(under: UnderlyingGraph, dedup_iso: bool = False):
+    """One orientation per push class; optionally also quotient by iso."""
+    labeling = CanonicalLabeling(under.masks) if dedup_iso else None
+    seen = set()
+    out = []
+    for arcs in push_class_representatives(
+        under.vertex_count, under.edges, range(under.vertex_count)
+    ):
+        g = OrientedGraph(under.vertex_count, arcs)
+        if dedup_iso:
+            code = labeling.form(g)
+            if code in seen:
+                continue
+            seen.add(code)
+        out.append(g)
+    return out
 
 
 def test_orientation_classes_of_c4():
@@ -1098,13 +1118,13 @@ def test_prune_audit_low_degree(rng):
 
 def test_prune_audit_long_chain(rng):
     for bits in range(0, 32, 7):
-        g = pc.attach_path(
+        g = attach_path(
             pc.fixture("c_minus4"), 0, 2, 5, format(bits, "05b")
         )
         _assert_not_critical(g)
     # a chain of 4 internal vertices from 0 to 2 is cut, one of 3 is not
     for length, verdict in ((5, (False, "long_chain")), (4, (True, None))):
-        g = pc.attach_path(pc.fixture("c_minus4"), 0, 2, length, "0" * length)
+        g = attach_path(pc.fixture("c_minus4"), 0, 2, length, "0" * length)
         under = UnderlyingGraph(g.vertex_count, g.edges)
         assert underlying_prune_verdict(under) == verdict
 

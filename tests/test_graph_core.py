@@ -24,6 +24,7 @@ from pushcrit.errors import (
 )
 
 from conftest import (
+    attach_path,
     brute_mad_numerator_denominator,
     random_connected_oriented_graph,
     random_oriented_graph,
@@ -164,25 +165,33 @@ def test_attach_path_potential_drop():
     g = pc.fixture("c_minus4")
     for k in range(1, 7):
         if k == 1:
-            extended = pc.attach_path(g, 0, 2, k, "1")
+            extended = attach_path(g, 0, 2, k, "1")
         else:
-            extended = pc.attach_path(g, 0, 1, k, "1" * k)
+            extended = attach_path(g, 0, 1, k, "1" * k)
         assert pc.potential(extended) - pc.potential(g) == 2 * (k - 1) - 13
-    assert pc.potential(pc.attach_path(g, 0, 1, 4, "1010")) == pc.potential(g) - 7
+    assert pc.potential(attach_path(g, 0, 1, 4, "1010")) == pc.potential(g) - 7
 
 
 def test_attach_path_one_arc():
     g = pc.OrientedGraph(3, ((0, 1),))
-    out = pc.attach_path(g, 1, 2, 1, "1")
+    out = attach_path(g, 1, 2, 1, "1")
     assert out.vertex_count == 3 and out.arc_set == {(0, 1), (1, 2)}
 
 
 def test_attach_path_structural_errors():
     g = pc.OrientedGraph(2, ((0, 1),))
     with pytest.raises(StructuralViolationError):
-        pc.attach_path(g, 0, 1, 1, "0")  # digon
+        attach_path(g, 0, 1, 1, "0")  # digon
     with pytest.raises(StructuralViolationError):
-        pc.attach_path(g, 0, 0, 1, "1")  # loop
+        attach_path(g, 0, 0, 1, "1")  # loop
+
+
+def test_induced_subgraph_rejects_vertices_outside_the_graph():
+    c3 = pc.directed_cycle(3)
+    assert c3.induced_subgraph([0, 2]) == pc.OrientedGraph(2, ((1, 0),))
+    for vertices in ([0, 99], [-1, 0], [3]):
+        with pytest.raises(IncompatibleInputError, match=r"0\.\.2"):
+            c3.induced_subgraph(vertices)
 
 
 def test_potential_values():

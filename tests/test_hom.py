@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import hashlib
+from typing import Iterable
 
 import pytest
 
 import pushcrit as pc
 from pushcrit.configs import CONFIG_IDS, gadgets_for
-from pushcrit.errors import ConfigError, ResourceBudgetError
-from pushcrit.graph import push_vertices
+from pushcrit.errors import ConfigError, ResourceBudgetError, SelfCheckError
+from pushcrit.graph import OrientedGraph, push_vertices
 from pushcrit.hom import (
     AT_C3,
     C3,
+    ColoringCertificate,
     MappingSearcher,
     TargetIndex,
     _static_order,
@@ -23,7 +25,11 @@ from pushcrit.hom import (
     tournament_coloring,
 )
 
-from conftest import brute_pushable_colorable, random_oriented_graph
+from conftest import (
+    brute_pushable_colorable,
+    extend_partial_bruteforce,
+    random_oriented_graph,
+)
 
 
 def test_identity_homomorphism():
@@ -77,6 +83,27 @@ def test_observation_equivalences(rng):
         assert via_k == via_c3 == via_at
 
 
+def retarget_certificate(
+    g: OrientedGraph, cert: ColoringCertificate, target_push: Iterable[int]
+) -> ColoringCertificate:
+    """Rebase a certificate onto a push-equivalent copy of its target.
+
+    If f maps push(g, S) into h, then f also maps push(g, S xor f^-1(T))
+    into push(h, T): an arc flips on the source side exactly when its
+    image flips on the target side.
+    """
+    t_set = frozenset(target_push)
+    new_target = push_vertices(cert.target, t_set)
+    s = set(cert.push_set)
+    for v, image in enumerate(cert.mapping):
+        if image in t_set:
+            s.symmetric_difference_update([v])
+    out = ColoringCertificate(frozenset(s), cert.mapping, new_target)
+    if not out.verify(g):
+        raise SelfCheckError("a rebased certificate does not verify")
+    return out
+
+
 def test_certificate_transfer_to_pushed_target(rng):
     for _ in range(20):
         g = random_oriented_graph(rng, rng.randint(2, 7), p=0.5)
@@ -84,7 +111,7 @@ def test_certificate_transfer_to_pushed_target(rng):
         if cert is None:
             continue
         t_push = {v for v in range(3) if rng.random() < 0.5}
-        moved = pc.retarget_certificate(g, cert, t_push)
+        moved = retarget_certificate(g, cert, t_push)
         assert moved.target.arc_set == push_vertices(C3, t_push).arc_set
         assert moved.verify(g)
 
@@ -553,7 +580,7 @@ def test_extend_partial_rainbow_in_arcs_fail():
     g = pc.OrientedGraph(4, ((1, 0), (2, 0), (3, 0)))
     pcol = pc.PartialColoring.of({1: 0, 2: 1, 3: 2})
     assert pc.extend_partial(g, pcol) is None
-    assert pc.extend_partial_bruteforce(g, pcol) is None
+    assert extend_partial_bruteforce(g, pcol) is None
 
 
 def test_extend_partial_triangle():
@@ -572,7 +599,7 @@ def test_extend_partial_routes_agree(rng):
         }
         pcol = pc.PartialColoring.of(colored)
         fast = pc.extend_partial(g, pcol)
-        slow = pc.extend_partial_bruteforce(g, pcol)
+        slow = extend_partial_bruteforce(g, pcol)
         assert (fast is None) == (slow is None)
         if fast is not None:
             assert fast.verify(g) and fast.push_set.isdisjoint(colored)

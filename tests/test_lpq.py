@@ -72,6 +72,16 @@ def test_oriented_variant_rejects_opposite_arcs():
     assert pc.check_lpq_labeling(g, as_dipath).ok
 
 
+def test_unknown_variant_is_a_config_error():
+    # the same labeling: the oriented variant finds the opposite arcs, and
+    # a misspelled variant must not fall back to the two-dipath check
+    g = pc.OrientedGraph(4, ((0, 1), (2, 3)))
+    check = pc.check_lpq_labeling(g, LpqLabeling(1, 1, (0, 1, 1, 0), "oriented"))
+    assert not check.ok and check.violation[0] == "opposite_arcs"
+    with pytest.raises(ConfigError, match="unknown variant 'Oriented'"):
+        pc.check_lpq_labeling(g, LpqLabeling(1, 1, (0, 1, 1, 0), "Oriented"))
+
+
 def test_span_search_confirms_2_1_bound():
     at = pc.fixture("at_c3")
     oriented = pc.lpq_span_search(at, 2, 1, VARIANT_ORIENTED)

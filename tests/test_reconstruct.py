@@ -3,19 +3,51 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
 import pushcrit as pc
 from pushcrit import canon, graph, reconstruct, transfer
+from pushcrit.canon import CanonicalLabeling, canonical_form
 from pushcrit.errors import IncompatibleInputError
-from pushcrit.fixtures import M3P_COLORING, M3P_PUSH_SET
+from pushcrit.fixtures import M3P_COLORING, M3P_PUSH_SET, fixture
+from pushcrit.graph import OrientedGraph
 from pushcrit.hom import C3
+from pushcrit.orient import push_class_representatives
 from pushcrit.reconstruct import (
-    reconstruction_cases,
+    _gadget,
+    _glue_directions,
+    _split,
     verify_fig6_coloring,
     verify_split_vertex_reconstructions,
 )
+
+
+def reconstruction_cases(source_name: str, split: int):
+    """Yield every reconstructed graph for one source and split vertex.
+
+    A direction pattern of the split vertex's three arcs is used when
+    regluing the vertex with it reproduces the source up to push iso.
+    """
+    base = fixture(source_name)
+    nbrs, index, kept = _split(base, split)
+    n = base.vertex_count
+    base_form = canonical_form(base)
+    gluings = []
+    for dirs in _glue_directions(nbrs):
+        glued = kept + [
+            (n - 1, index[nbr]) if dirs[nbr] else (index[nbr], n - 1) for nbr in nbrs
+        ]
+        gluings.append((dirs, OrientedGraph(n, tuple(glued))))
+    # the gluings differ only in orientation: one labeling serves all 8
+    labeling = CanonicalLabeling(gluings[0][1].adjacency_masks)
+    valid_dirs = [dirs for dirs, glued in gluings if labeling.form(glued) == base_form]
+    for dirs in valid_dirs:
+        for roles in permutations(nbrs):
+            total, edges, movable, fixed = _gadget(index, kept, dirs, roles)
+            for arcs in push_class_representatives(total, edges, movable, fixed):
+                yield dirs, roles, OrientedGraph(total, arcs)
 
 
 def test_reconstruction_shapes_for_one_split():
