@@ -14,19 +14,22 @@ Every glued graph is the source with the split vertex renumbered, so one
 ``canon.CanonicalLabeling`` of the source decides the 8 gluings of all
 its splits: each is formed in the source's own labels and compared with
 the source's form.  The reconstructions of one role triple share their
-underlying graph, which is labeled once, and ``transfer.ChainGraph``
-decides the colorability of all its push classes at once: they have
-cyclomatic number 4 and at most 6 vertices of degree >= 3, so it colors
-only those and transfers the colors along the chains between them.
+underlying graph, which is labeled once.  Isomorphic role graphs share
+their canonical graph, and one ``transfer.ChainGraph`` on it decides the
+colorability of all its push classes at once: they have cyclomatic
+number 4 and at most 6 vertices of degree >= 3, so it colors only those
+and transfers the colors along the chains between them.  The 24 role
+triples of a source fall into 4 canonical graphs for e1 and e2, and 12
+for e3.
 
 The cases are classes, never arc tuples: for one glue orientation and
 role triple the reconstructions are the class space that
 ``orient.class_space`` returns, a start and columns over GF(2).  The
-start and each column are mapped once into the canonical coordinates of
-the triple's labeling and once into those of its ``ChainGraph``; both
-maps are affine.  Each case then costs xors, one orbit walk for its form
-(``CanonicalLabeling.encode``) and one lookup in the image for its
-verdict.  ``reconstruction_cases`` in ``tests/test_reconstruct.py``
+start and each column are mapped once, affinely, into the canonical (P1)
+coordinates of the triple's labeling, which are also the coordinates of
+the canonical graph's image.  Each case then costs xors, one orbit walk
+for its form (``CanonicalLabeling.encode``) and one lookup in the image
+for its verdict.  ``reconstruction_cases`` in ``tests/test_reconstruct.py``
 builds the same cases as ``OrientedGraph``s and decides the gluings with
 a labeling of its own; the tests form and search those graphs and hold
 the two paths equal.
@@ -125,17 +128,26 @@ def _gadget(index, kept, dirs, roles):
     return n + 6, edges, (chain_a, hub, chain_b1, chain_b2, link), fixed
 
 
-def _role_graph(total: int, edges) -> tuple[CanonicalLabeling, ChainGraph]:
-    """The labeling and the coloring image of one role triple's graph."""
-    adj = adjacency(total, edges)
-    kept = [v for v, mask in enumerate(adj) if mask.bit_count() >= 3]
-    return CanonicalLabeling(tuple(adj)), ChainGraph(total, edges, kept)
+def _canonical_image(labeling: CanonicalLabeling, images: dict) -> set[int]:
+    """The colorable classes of ``labeling``'s canonical graph, in its
+    canonical (P1) coordinates: the image of one ``ChainGraph`` on that
+    graph, built once per canonical graph in ``images``."""
+    n = len(labeling.adj)
+    key = n, labeling.edges
+    image = images.get(key)
+    if image is None:
+        adj = adjacency(n, labeling.edges)
+        kept = [v for v, mask in enumerate(adj) if mask.bit_count() >= 3]
+        image = images[key] = ChainGraph(n, labeling.edges, kept).image
+    return image
 
 
-def _split_verdicts(base: OrientedGraph, source: CanonicalLabeling, split: int):
+def _split_verdicts(
+    base: OrientedGraph, source: CanonicalLabeling, split: int, images: dict
+):
     """The glue orientations that reproduce ``base`` for one split, and
     (push form, colorable) per reconstruction.  ``source`` labels
-    ``base``."""
+    ``base``; ``images`` holds the colorable classes by canonical graph."""
     nbrs, index, kept = _split(base, split)
     base_form = source.form(base)
     others = [arc for arc in base.arcs if split not in arc]
@@ -148,36 +160,39 @@ def _split_verdicts(base: OrientedGraph, source: CanonicalLabeling, split: int):
     ]
     verdicts = []
     # the role triple fixes the underlying graph
-    groups: dict[tuple[int, ...], tuple[CanonicalLabeling, ChainGraph]] = {}
+    labelings: dict[tuple[int, ...], CanonicalLabeling] = {}
     for dirs in valid_dirs:
         for roles in permutations(nbrs):
             total, edges, movable, fixed = _gadget(index, kept, dirs, roles)
             coords, start, columns = class_space(total, edges, movable, fixed, ())
-            group = groups.get(roles)
-            if group is None:
-                group = groups[roles] = _role_graph(total, edges)
-            labeling, chains = group
+            labeling = labelings.get(roles)
+            if labeling is None:
+                labeling = labelings[roles] = CanonicalLabeling(tuple(adjacency(total, edges)))
+            image = _canonical_image(labeling, images)
             to_form = labeling.class_map(coords)
-            to_image = coords.relabel_map(range(total), chains.coords)
-            # (canonical class, image class) of every case
-            cases = [(to_form(start), to_image(start))]
+            # the canonical class of every case
+            cases = [to_form(start)]
             for column in columns:
-                df = to_form(column) ^ to_form.const
-                di = to_image(column) ^ to_image.const
-                cases += [(f ^ df, i ^ di) for f, i in cases]
-            verdicts += ((labeling.encode(f), i in chains.image) for f, i in cases)
+                delta = to_form(column) ^ to_form.const
+                cases += [f ^ delta for f in cases]
+            verdicts += ((labeling.encode(f), f in image) for f in cases)
     return valid_dirs, verdicts
 
 
 def verify_split_vertex_reconstructions(sources=("e1", "e2", "e3")):
     """Check 3-colorability-after-pushes of every reconstructed graph."""
     inventories = []
+    # isomorphic role graphs share a canonical graph, and so an image
+    images: dict = {}
     for name in sources:
         base = fixture(name)
+        splits = _three_vertices(base)
+        if not splits:
+            raise IncompatibleInputError(f"source {name!r} has no vertex of degree 3")
         # every glued graph of every split is an orientation of base
         source = CanonicalLabeling(base.adjacency_masks)
-        for split in _three_vertices(base):
-            valid_dirs, verdicts = _split_verdicts(base, source, split)
+        for split in splits:
+            valid_dirs, verdicts = _split_verdicts(base, source, split, images)
             inventories.append(
                 ReconstructionInventory(
                     name,

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 import pushcrit as pc
+from pushcrit import lpq
 from pushcrit.errors import ConfigError
 from pushcrit.lpq import (
     VARIANT_ORIENTED,
@@ -107,3 +111,48 @@ def test_span_search_trivial_graph():
     g = pc.OrientedGraph(2, ((0, 1),))
     assert pc.lpq_span_search(g, 2, 1, VARIANT_TWO_DIPATH) == 2
     assert pc.lpq_span_search(g, 3, 1, VARIANT_ORIENTED) == 3
+
+
+def _random_oriented_graph(rng: random.Random, n: int) -> pc.OrientedGraph:
+    density = rng.uniform(0.2, 0.8)
+    arcs = [
+        (a, b) if rng.random() < 0.5 else (b, a)
+        for a in range(n)
+        for b in range(a + 1, n)
+        if rng.random() < density
+    ]
+    return pc.OrientedGraph(n, tuple(sorted(arcs)))
+
+
+def _least_span_by_sweep(g, p: int, q: int, variant: str) -> int:
+    """The least s for which some labeling in 0..s passes the check, found
+    by trying every labeling, those with largest label s at step s."""
+    n = g.vertex_count
+    for s in itertools.count():
+        for labels in itertools.product(range(s + 1), repeat=n):
+            if max(labels) == s and pc.check_lpq_labeling(
+                g, LpqLabeling(p, q, labels, variant)
+            ).ok:
+                return s
+
+
+def test_search_agrees_with_a_sweep_of_every_labeling():
+    rng = random.Random(20251019)
+    # the oriented condition seldom binds at n <= 5, so the sample starts
+    # with a graph where it does: 2-dipath span 2 at p = q = 1, oriented 3
+    bound = pc.OrientedGraph(5, ((0, 4), (1, 2), (1, 3), (2, 3), (4, 2)))
+    graphs = [bound] + [_random_oriented_graph(rng, rng.randint(3, 5)) for _ in range(16)]
+    spans = {VARIANT_TWO_DIPATH: [], VARIANT_ORIENTED: []}
+    for g in graphs:
+        for variant, found in spans.items():
+            for p, q in ((1, 1), (2, 1), (2, 2), (3, 1)):
+                least = _least_span_by_sweep(g, p, q, variant)
+                found.append(least)
+                assert lpq._feasible(g, p, q, variant, least - 1) is None
+                for span in (least, least + 1):
+                    labels = lpq._feasible(g, p, q, variant, span)
+                    assert labels is not None and max(labels) <= span
+                    labeling = LpqLabeling(p, q, labels, variant)
+                    assert pc.check_lpq_labeling(g, labeling).ok
+                assert pc.lpq_span_search(g, p, q, variant) == least
+    assert spans[VARIANT_TWO_DIPATH][0] == 2 and spans[VARIANT_ORIENTED][0] == 3

@@ -125,7 +125,7 @@ def test_fast_path_equals_the_graphs_and_the_search():
         base = pc.fixture(name)
         source = canon.CanonicalLabeling(base.adjacency_masks)
         for split in range(4):
-            valid, fast = reconstruct._split_verdicts(base, source, split)
+            valid, fast = reconstruct._split_verdicts(base, source, split, {})
             slow = []
             glue = set()
             for dirs, _, g in reconstruction_cases(name, split):
@@ -139,7 +139,7 @@ def test_fast_path_equals_the_graphs_and_the_search():
     assert cases == 576
 
 
-def test_one_image_per_role_triple_and_no_search(monkeypatch):
+def test_one_image_per_canonical_graph_and_no_search(monkeypatch):
     images = []
     real_image = transfer._coloring_image
 
@@ -152,11 +152,46 @@ def test_one_image_per_role_triple_and_no_search(monkeypatch):
 
     monkeypatch.setattr(transfer, "_coloring_image", counting_image)
     monkeypatch.setattr(reconstruct, "is_pushably_k_colorable", no_search)
+    # the 24 role triples of a source (6 per split, 4 splits) fall into 4,
+    # 4 and 12 isomorphism classes, one image each; the suite calls once
+    # per source
+    per_source = {}
+    for name in ("e1", "e2", "e3"):
+        images.clear()
+        inventories = verify_split_vertex_reconstructions((name,))
+        per_source[name] = len(images)
+        assert sum(inv.colorable for inv in inventories) == 192
+    assert per_source == {"e1": 4, "e2": 4, "e3": 12}
+    # no role graph is shared across sources: one call builds the same 20
+    images.clear()
     inventories = verify_split_vertex_reconstructions()
-    # 6 role triples per split (the orders of its three neighbors), 4
-    # splits per source, 3 sources
-    assert len(images) == 72
+    assert len(images) == 20
     assert sum(inv.colorable for inv in inventories) == 576
+
+
+def test_canonical_image_is_in_canonical_coordinates():
+    # every class of a role graph is colorable, so the reconstructions
+    # cannot tell two coordinate systems apart; here some classes are not
+    for name in ("e1", "e2", "e3", "at_c3"):
+        g = pc.fixture(name)
+        labeling = CanonicalLabeling(g.adjacency_masks)
+        image = reconstruct._canonical_image(labeling, {})
+        coords = labeling._mode(True)[0]
+        verdicts = [
+            pc.is_pushably_k_colorable(pc.OrientedGraph(g.vertex_count, coords.arcs(bits)), 3)
+            is not None
+            for bits in range(1 << len(coords.free))
+        ]
+        assert image == {bits for bits, ok in enumerate(verdicts) if ok}
+        assert 0 < len(image) < len(verdicts)
+        # e1, e2 and e3 are not colorable, at_c3 is
+        assert (labeling.class_of(g.arcs) in image) == (name == "at_c3")
+
+
+def test_a_source_without_a_3_vertex_is_a_typed_error():
+    # nothing to split: an empty inventory would pass all(inv.ok ...)
+    with pytest.raises(IncompatibleInputError, match="'c_minus4' has no vertex of degree 3"):
+        verify_split_vertex_reconstructions(("c_minus4",))
 
 
 def test_image_verdicts_equal_the_search():
