@@ -6,6 +6,13 @@ and pushable.  The configuration is reducible when, for every orientation
 of the gadget's arcs (taken up to pushing X, which is a free action) and
 every boundary coloring, the partial coloring extends.
 
+A gadget is a kernel, the internal-vertex count of each of its chains,
+and a boundary: its centers are joined by chains and hang chains, and
+the far end of each hanging chain is a boundary vertex.  One
+``chains.Kernel.subdivided`` call builds its graph.  Its arcs point from
+the lower vertex to the higher one, and neither route below reads their
+directions: both range over every orientation of the edges.
+
 Parametric configurations are instantiated at the minimal parameter their
 reduction argument needs, over every admissible distribution of chain
 internal counts (chain pieces hold at most 3 internal 2-vertices because
@@ -40,6 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
+from .chains import Kernel
 from .errors import ConfigError
 from .graph import OrientedGraph
 from .hom import (
@@ -69,60 +77,40 @@ class ConfigurationGadget:
         )
 
 
-class _Builder:
-    def __init__(self, config_id: str, params: tuple):
-        self.config_id = config_id
-        self.params = params
-        self.n = 0
-        self.arcs: list[tuple[int, int]] = []
-        self.boundary: set[int] = set()
-        self.cycles: list[tuple[int, ...]] = []
+def _gadget(
+    config_id: str,
+    params: tuple,
+    hangs: tuple[tuple[int, ...], ...],
+    links: tuple[tuple[int, int, int], ...] = (),
+    cycle: bool = False,
+) -> ConfigurationGadget:
+    """The gadget on one ``Kernel.subdivided`` graph.
 
-    def vertex(self) -> int:
-        v = self.n
-        self.n += 1
-        return v
-
-    def boundary_vertex(self) -> int:
-        v = self.vertex()
-        self.boundary.add(v)
-        return v
-
-    def arc(self, u: int, v: int):
-        self.arcs.append((u, v))
-
-    def chain(self, u: int, v: int, internals: int):
-        cur = u
-        for _ in range(internals):
-            nxt = self.vertex()
-            self.arc(cur, nxt)
-            cur = nxt
-        self.arc(cur, v)
-
-    def hang(self, center: int, internals: int):
-        """A chain from center to a fresh boundary vertex."""
-        b = self.boundary_vertex()
-        self.chain(center, b, internals)
-
-    def directed_cycle_constraint(self, cycle: tuple[int, ...]):
-        self.cycles.append(cycle)
-
-    def build(self) -> ConfigurationGadget:
-        return ConfigurationGadget(
-            self.config_id,
-            OrientedGraph(self.n, tuple(self.arcs), name=self.config_id.lower()),
-            frozenset(self.boundary),
-            self.params,
-            tuple(self.cycles),
-        )
+    The kernel is the centers 0..k-1, k = len(hangs), then one boundary
+    vertex per hanging chain: center c hangs a chain of t internal
+    vertices to a fresh boundary vertex for each t in ``hangs[c]``, and
+    each link (a, b, t) joins centers a and b by a chain of t internal
+    vertices.  With ``cycle`` the first three links close the walk whose
+    forward parity is constrained even.
+    """
+    k = len(hangs)
+    ends = [(c, t) for c, counts in enumerate(hangs) for t in counts]
+    chains = [*links, *((c, k + i, t) for i, (c, t) in enumerate(ends))]
+    kernel = Kernel.subdivided(
+        k + len(ends), [(a, b) for a, b, _ in chains], [t + 1 for _, _, t in chains]
+    )
+    cycles = (tuple(v for p in kernel.paths[:3] for v in p[:-1]),) if cycle else ()
+    return ConfigurationGadget(
+        config_id,
+        OrientedGraph(kernel.n, kernel.edges, name=config_id.lower()),
+        frozenset(range(k, k + len(ends))),
+        params,
+        cycles,
+    )
 
 
 def _center_with_chains(config_id: str, counts: tuple[int, ...]) -> ConfigurationGadget:
-    b = _Builder(config_id, (counts,))
-    center = b.vertex()
-    for t in counts:
-        b.hang(center, t)
-    return b.build()
+    return _gadget(config_id, (counts,), (counts,))
 
 
 def _two_centers(
@@ -131,30 +119,28 @@ def _two_centers(
     u_counts: tuple[int, ...],
     v_counts: tuple[int, ...],
 ) -> ConfigurationGadget:
-    b = _Builder(config_id, (link_internals, u_counts, v_counts))
-    u, v = b.vertex(), b.vertex()
-    b.chain(u, v, link_internals)
-    for t in u_counts:
-        b.hang(u, t)
-    for t in v_counts:
-        b.hang(v, t)
-    return b.build()
+    return _gadget(
+        config_id,
+        (link_internals, u_counts, v_counts),
+        (u_counts, v_counts),
+        ((0, 1, link_internals),),
+    )
 
 
 def _star_of_centers(
     config_id: str, hub_counts: tuple[int, ...], leaf_count: int
 ) -> ConfigurationGadget:
     """Hub 1-chain-adjacent to ``leaf_count`` centers of shape (3, 2)."""
-    b = _Builder(config_id, (hub_counts, leaf_count))
-    hub = b.vertex()
-    for _ in range(leaf_count):
-        leaf = b.vertex()
-        b.chain(hub, leaf, 1)
-        b.hang(leaf, 3)
-        b.hang(leaf, 2)
-    for t in hub_counts:
-        b.hang(hub, t)
-    return b.build()
+    return _gadget(
+        config_id,
+        (hub_counts, leaf_count),
+        (hub_counts,) + ((3, 2),) * leaf_count,
+        tuple((0, leaf, 1) for leaf in range(1, leaf_count + 1)),
+    )
+
+
+# internal vertices on the cycle's links x-y, y-z and z-x, by order
+_SIX_CYCLE_LINKS = {"xy": (0, 1, 2), "xu": (1, 1, 1)}
 
 
 def _six_cycle(
@@ -167,35 +153,24 @@ def _six_cycle(
     """Directed 6-cycle through x, y, z with hanging chains.
 
     ``order`` "xy" walks x,y,u1,z,u2,u3; "xu" walks x,u1,y,u2,z,u3.
-    A z entry of -1 hangs a direct boundary neighbor off z.
+    A z entry of -1 hangs a direct boundary neighbor off z, which is a
+    chain of 0 internal vertices; -1 is kept in ``params`` only.
     """
-    b = _Builder(config_id, (order, x_counts, y_counts, z_counts))
-    x, y, z = b.vertex(), b.vertex(), b.vertex()
-    u1, u2, u3 = b.vertex(), b.vertex(), b.vertex()
-    if order == "xy":
-        cycle = (x, y, u1, z, u2, u3)
-    else:
-        cycle = (x, u1, y, u2, z, u3)
-    for i, v in enumerate(cycle):
-        b.arc(v, cycle[(i + 1) % 6])
-    for center, counts in ((x, x_counts), (y, y_counts), (z, z_counts)):
-        for t in counts:
-            if t < 0:
-                b.arc(center, b.boundary_vertex())
-            else:
-                b.hang(center, t)
-    b.directed_cycle_constraint(cycle)
-    return b.build()
+    return _gadget(
+        config_id,
+        (order, x_counts, y_counts, z_counts),
+        tuple(tuple(max(t, 0) for t in c) for c in (x_counts, y_counts, z_counts)),
+        tuple((c, (c + 1) % 3, t) for c, t in enumerate(_SIX_CYCLE_LINKS[order])),
+        cycle=True,
+    )
 
 
 def gadgets_for(config_id: str) -> list[ConfigurationGadget]:
     """Every gadget instance realizing one configuration."""
     cid = config_id.upper()
     if cid == "C1":
-        b = _Builder("C1", (4,))
-        x, y = b.boundary_vertex(), b.boundary_vertex()
-        b.chain(x, y, 4)
-        return [b.build()]
+        # the chain of 4 internal vertices, read from its second one
+        return [_gadget("C1", (4,), ((1, 2),))]
     if cid == "C2":
         return [_center_with_chains("C2", c) for c in ((3, 3, 1), (3, 2, 2))]
     if cid == "C3":
@@ -211,40 +186,13 @@ def gadgets_for(config_id: str) -> list[ConfigurationGadget]:
             _two_centers("C7", 1, u_counts, (3, 3, 3))
             for u_counts in ((3, 1), (2, 2))
         ]
+    # C8..C10: centers u, w, v with u joined to w and to v
     if cid == "C8":
-        b = _Builder("C8", ())
-        u, w, v = b.vertex(), b.vertex(), b.vertex()
-        b.arc(u, w)
-        b.chain(u, v, 1)
-        b.hang(u, 3)
-        b.hang(w, 3)
-        b.hang(w, 2)
-        for t in (3, 3, 3):
-            b.hang(v, t)
-        return [b.build()]
+        return [_gadget("C8", (), ((3,), (3, 2), (3, 3, 3)), ((0, 1, 0), (0, 2, 1)))]
     if cid == "C9":
-        b = _Builder("C9", ())
-        u, w, v = b.vertex(), b.vertex(), b.vertex()
-        b.arc(u, w)
-        b.chain(u, v, 1)
-        b.hang(u, 3)
-        b.hang(u, 3)
-        b.hang(v, 3)
-        b.hang(v, 2)
-        b.hang(w, 3)
-        b.hang(w, 3)
-        return [b.build()]
+        return [_gadget("C9", (), ((3, 3), (3, 3), (3, 2)), ((0, 1, 0), (0, 2, 1)))]
     if cid == "C10":
-        b = _Builder("C10", ())
-        u, w, v = b.vertex(), b.vertex(), b.vertex()
-        b.chain(u, w, 1)
-        b.chain(u, v, 1)
-        b.hang(u, 2)
-        b.hang(w, 3)
-        b.hang(w, 1)
-        for t in (3, 3, 3):
-            b.hang(v, t)
-        return [b.build()]
+        return [_gadget("C10", (), ((2,), (3, 1), (3, 3, 3)), ((0, 1, 1), (0, 2, 1)))]
     if cid == "C11":
         return [_star_of_centers("C11", (3, 2), 2)]
     if cid == "C12":
@@ -261,12 +209,10 @@ def gadgets_for(config_id: str) -> list[ConfigurationGadget]:
 
 
 def negative_control_gadget() -> ConfigurationGadget:
-    """A non-reducible gadget: one vertex with three boundary in-arcs."""
-    b = _Builder("NEG", ())
-    v = b.vertex()
-    for _ in range(3):
-        b.arc(b.boundary_vertex(), v)
-    return b.build()
+    """A non-reducible gadget: center 0 with boundary neighbors 1, 2 and
+    3.  Three arcs into the center from boundary vertices colored 0, 1 and
+    2 leave it no color, so the sweep must report a counterexample."""
+    return _gadget("NEG", (), ((0, 0, 0),))
 
 
 # -- orientation enumeration ---------------------------------------------------

@@ -682,15 +682,15 @@ def _shard_paths(shard_dir: str, name: str):
     return base
 
 
+# every record of a level goes to this one file, which the shard format
+# names by the hex of the "P1" magic that starts every canonical code
+_RECORDS_FILE = "50.ndjson"
+
+
 def _persist_records(base: str, records):
-    by_prefix: dict[str, list] = {}
-    for rec in records:
-        by_prefix.setdefault(rec.canonical_code[:2], []).append(rec)
-    for prefix, recs in by_prefix.items():
-        path = os.path.join(base, f"{prefix}.ndjson")
-        with open(path, "a", encoding="utf-8") as fh:
-            for rec in recs:
-                fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
+    with open(os.path.join(base, _RECORDS_FILE), "a", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
 
 
 def _complete_lines(path: str) -> list[str]:

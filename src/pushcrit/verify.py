@@ -348,8 +348,11 @@ def _run_one_suite(name: str) -> list[ClaimResult]:
 
 
 def run_suites(names=("all",), jobs: int = 1) -> list[ClaimResult]:
-    """Run suites, optionally in parallel; claim order stays fixed."""
-    wanted = list(SUITE_NAMES) if "all" in names else list(names)
+    """Run suites, optionally in parallel; claim order stays fixed.
+
+    A suite named more than once runs once, at its first place.
+    """
+    wanted = list(SUITE_NAMES) if "all" in names else list(dict.fromkeys(names))
     for name in wanted:
         if name not in _SUITE_RUNNERS:
             raise UnknownSuiteError(f"unknown suite {name!r}; have {SUITE_NAMES}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import replace
 from itertools import combinations_with_replacement
@@ -9,9 +10,11 @@ from itertools import combinations_with_replacement
 import pytest
 
 import pushcrit as pc
+from pushcrit.canon import canonical_data, encode_underlying_cert
 from pushcrit.configs import (
-    _Builder,
+    CONFIG_IDS,
     _center_with_chains,
+    _gadget,
     _sweep_configuration,
     _tree_children,
     _tree_reducible,
@@ -27,18 +30,64 @@ from pushcrit.graph import forward_parity
 from conftest import extend_partial_bruteforce
 
 
+def _marked_cert_digest(gadget) -> str:
+    """An isomorphism invariant of (graph, boundary, constrained cycles):
+    the certificate of the graph with one more vertex joined to every
+    boundary vertex and another joined to every constrained cycle's
+    vertices, so it is the same for any renumbering of the gadget."""
+    n = gadget.graph.vertex_count
+    adj = [0] * (n + 2)
+    joins = list(gadget.graph.edges) + [(n, b) for b in gadget.boundary]
+    joins += [(n + 1, v) for cycle in gadget.directed_cycles for v in cycle]
+    for u, v in joins:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    cert, _, _ = canonical_data(tuple(adj))
+    return hashlib.sha256(encode_underlying_cert(n + 2, cert)).hexdigest()[:16]
+
+
+# per gadget, in gadgets_for order: (vertices, arcs, |B|, marked cert digest)
+GADGET_SHAPES = {
+    "C1": [(6, 5, 2, "c46643dc3bcbec4a")],
+    "C2": [(11, 10, 3, "f3c1f926bb2e530c"), (11, 10, 3, "6c1261f7e05aa7ba")],
+    "C3": [(16, 15, 4, "8260a49e4875eed2")],
+    "C4": [(16, 15, 4, "d69c8a2475aac2ae")],
+    "C5": [(22, 21, 5, "569d3653cc8bd480")],
+    "C6": [(21, 20, 5, "ccbdb162faef9e4b")],
+    "C7": [(21, 20, 5, "e6024ec43e777d13"), (21, 20, 5, "37af9e2f59fc1c9c")],
+    "C8": [(27, 26, 6, "66ea88240aaf12c9")],
+    "C9": [(27, 26, 6, "9a4a03519592d6f6")],
+    "C10": [(26, 25, 6, "95e7a863d2fb48b7")],
+    "C11": [(26, 25, 6, "0beee36aa9834806")],
+    "C12": [(32, 31, 7, "408a20e6eb9d2c1e")],
+    "C13": [(37, 36, 8, "22c874f24e8e9e0a")],
+    "C14": [(15, 15, 3, "7d95967b88560fb3")],
+    "C15": [(14, 14, 3, "c691d0c9d242f115")],
+    "C16": [(14, 14, 3, "f684d1e20bf50cf6")],
+    "NEG": [(4, 3, 3, "6b639a57a16fa6ef")],
+}
+
+
 def test_gadget_shapes():
-    (c1,) = gadgets_for("C1")
-    assert c1.graph.vertex_count == 6 and c1.graph.arc_count == 5
-    assert len(c1.boundary) == 2 and len(c1.internal) == 4
-    c2s = gadgets_for("C2")
-    assert {g.params for g in c2s} == {((3, 3, 1),), ((3, 2, 2),)}
-    (c4,) = gadgets_for("C4")
-    assert c4.graph.vertex_count == 16 and c4.graph.arc_count == 15
-    (c13,) = gadgets_for("C13")
-    assert c13.graph.vertex_count == 37 and len(c13.internal) == 29
-    (c14,) = gadgets_for("C14")
-    assert c14.directed_cycles and len(c14.directed_cycles[0]) == 6
+    gadgets = {cid: gadgets_for(cid) for cid in CONFIG_IDS}
+    gadgets["NEG"] = [negative_control_gadget()]
+    shapes = {
+        cid: [
+            (g.graph.vertex_count, g.graph.arc_count, len(g.boundary), _marked_cert_digest(g))
+            for g in gs
+        ]
+        for cid, gs in gadgets.items()
+    }
+    assert shapes == GADGET_SHAPES
+    assert {g.params for g in gadgets["C2"]} == {((3, 3, 1),), ((3, 2, 2),)}
+    for cid, gs in gadgets.items():
+        six_cycle = cid in ("C14", "C15", "C16")
+        for g in gs:
+            # C14..C16 constrain one closed walk of six edges, the others none
+            assert [len(c) for c in g.directed_cycles] == ([6] if six_cycle else [])
+            for cycle in g.directed_cycles:
+                steps = zip(cycle, cycle[1:] + cycle[:1])
+                assert all((min(a, b), max(a, b)) in g.graph.edge_set for a, b in steps)
 
 
 def test_unknown_config_rejected():
@@ -203,7 +252,7 @@ def test_tree_dp_matches_sweep_on_two_center_gadgets():
 
 @pytest.mark.skipif(
     not os.environ.get("PUSHCRIT_STRETCH"),
-    reason="stretch run; set PUSHCRIT_STRETCH=1 to enable (~190 s on a 2-vCPU Xeon)",
+    reason="stretch run; set PUSHCRIT_STRETCH=1 to enable (~280 s on a 2-vCPU Xeon)",
 )
 def test_stretch_tree_dp_matches_sweep_on_two_center_gadgets_up_to_7776_cases():
     reducible, irreducible = _assert_dp_matches_sweep(_two_center_gadgets(6))
@@ -218,16 +267,11 @@ def test_gadgets_off_the_tree_shape_take_the_sweep():
     unconstrained = replace(c14, directed_cycles=())
     assert _tree_children(unconstrained) is None
     assert verify_configuration(unconstrained).method == "sweep"
-    # X is the path u-v-w, but the boundary vertex b closes it to a 4-cycle
-    b = _Builder("X", ())
-    u, v, w = b.vertex(), b.vertex(), b.vertex()
-    b.arc(u, v)
-    b.arc(v, w)
-    both = b.boundary_vertex()
-    b.arc(both, u)
-    b.arc(w, both)
-    b.hang(v, 0)
-    closed = b.build()
+    # X is the path 0-1-2, but the boundary vertex 3 closes it to a 4-cycle
+    square = _gadget(
+        "X", (), ((), (0,), (), ()), ((0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 0, 0))
+    )
+    closed = replace(square, boundary=square.boundary | {3})
     assert _tree_children(closed) is None
     check = verify_configuration(closed)
     assert check.method == "sweep"

@@ -244,6 +244,19 @@ def test_cli_verify_paper_subset(tmp_path, capsys):
     assert os.path.exists(os.path.join(out_dir, "report.json"))
 
 
+def test_a_repeated_suite_runs_once(tmp_path, capsys):
+    lpq = [r.claim for r in run_suites(("lpq",))]
+    fig6 = [r.claim for r in run_suites(("fig6",))]
+    assert [r.claim for r in run_suites(("lpq", "lpq"))] == lpq
+    assert [r.claim for r in run_suites(("fig6", "lpq", "fig6"))] == fig6 + lpq
+    out_dir = tmp_path / "run"
+    args = ["--json", "verify-paper", "--suite", "lpq", "--suite", "lpq", "--out", str(out_dir)]
+    rc = cli.main(args)
+    assert rc == cli.EXIT_OK and json.loads(capsys.readouterr().out)["ok"]
+    verdicts = json.loads((out_dir / "verdicts.json").read_text(encoding="utf-8"))
+    assert [c["claim"] for c in verdicts["claims"]] == lpq
+
+
 def test_cli_extract_critical(capsys):
     rc = cli.main(["--json", "extract-critical", "@c_minus4"])
     payload = json.loads(capsys.readouterr().out)
