@@ -174,12 +174,6 @@ class UnderlyingGraph:
         the edges from (``_from_masks``)."""
         return tuple(adjacency(self.vertex_count, self.edges))
 
-    def min_degree(self) -> int:
-        return _min_degree(self.masks)
-
-    def is_connected(self) -> bool:
-        return len(_components(self.masks)) <= 1
-
 
 def _from_masks(masks, cert: int | None) -> UnderlyingGraph:
     """The underlying graph of the adjacency ``masks``, carrying them."""

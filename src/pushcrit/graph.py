@@ -209,9 +209,6 @@ class OrientedGraph:
             comps.append(tuple(comp))
         return tuple(comps)
 
-    def is_connected(self) -> bool:
-        return len(self.components) <= 1
-
 
 # -- push algebra ----------------------------------------------------------
 

@@ -4,6 +4,10 @@ Each claim produces a status plus machine-checkable evidence (witness
 certificates, counterexamples, inventories), never a bare boolean.  The
 evidence content is deterministic; wall-clock timings live only in the
 run summary so reports can be compared byte for byte across runs.
+
+A claim is one row of ``_SUITES``: its name and a ``check()`` returning
+``(ok, evidence)``.  ``_run_one_suite`` is the one place that times a
+check and wraps it in a ``ClaimResult``.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
+
 from .chains import Kernel
 from .configs import (
     CONFIG_IDS,
@@ -34,16 +40,6 @@ from .lpq import (
     lpq_span_search,
 )
 from .reconstruct import verify_fig6_coloring, verify_split_vertex_reconstructions
-
-SUITE_NAMES = (
-    "potentials",
-    "configs",
-    "exceptions",
-    "reconstruction",
-    "fig6",
-    "lpq",
-    "discharge",
-)
 
 POTENTIAL_TABLE = (
     ("k1", 15),
@@ -69,15 +65,6 @@ class ClaimResult:
         return self.status == "pass"
 
 
-def _claim(name: str, ok: bool, evidence: dict, started: float) -> ClaimResult:
-    return ClaimResult(
-        claim=name,
-        status="pass" if ok else "fail",
-        evidence=evidence,
-        wall_time_ms=int((time.monotonic() - started) * 1000),
-    )
-
-
 def _potential_subject(name: str) -> OrientedGraph:
     if name == "k1":
         return OrientedGraph(1, ())
@@ -100,51 +87,40 @@ def verify_potential_table():
     return rows
 
 
-def suite_potentials() -> list[ClaimResult]:
-    out = []
-    for row in verify_potential_table():
-        started = time.monotonic()
-        out.append(
-            _claim(f"potential.{row['graph']}", row["ok"], row, started)
-        )
-    return out
+# the criticality claims, in claim order, with each fixture's gates
+CRITICAL_GATES = {
+    # c_minus4's mad/girth pair witnesses that the sparse-graph
+    # coloring guarantee needs both its girth and density hypotheses
+    "c_minus4": {"n": 4, "m": 4, "girth": 4, "mad": "2"},
+    "e1": {"n": 13, "m": 15, "girth": 6, "mad": "30/13"},
+    "e2": {"n": 13, "m": 15, "girth": 6, "mad": "30/13"},
+    "e3": {"n": 13, "m": 15, "girth": 6, "mad": "30/13"},
+    "f": {"n": 12, "m": 14, "potential": -2},
+}
 
 
-def suite_exceptions() -> list[ClaimResult]:
-    out = []
-    gates = {
-        # c_minus4's mad/girth pair witnesses that the sparse-graph
-        # coloring guarantee needs both its girth and density hypotheses
-        "c_minus4": {"n": 4, "m": 4, "girth": 4, "mad": "2"},
-        "e1": {"n": 13, "m": 15, "girth": 6, "mad": "30/13"},
-        "e2": {"n": 13, "m": 15, "girth": 6, "mad": "30/13"},
-        "e3": {"n": 13, "m": 15, "girth": 6, "mad": "30/13"},
-        "f": {"n": 12, "m": 14, "potential": -2},
+def _critical(name: str):
+    g = fixture(name)
+    report = is_pushably_k_critical(g, 3)
+    witnesses_ok = report.verdict == VERDICT_CRITICAL and all(
+        cert.verify(g.delete_arc(arc)) for arc, cert in report.arc_witnesses
+    )
+    gate = dict(CRITICAL_GATES[name])
+    gate_ok = g.vertex_count == gate["n"] and g.arc_count == gate["m"]
+    if "girth" in gate:
+        gate_ok = gate_ok and girth(g) == gate["girth"]
+        gate_ok = gate_ok and str(mad_exact(g)) == gate["mad"]
+    if "potential" in gate:
+        gate_ok = gate_ok and potential(g) == gate["potential"]
+    evidence = {
+        "fixture": name,
+        "verdict": report.verdict,
+        "arc_witnesses": len(report.arc_witnesses),
+        "witnesses_verified": witnesses_ok,
+        "gates": gate,
+        "gates_ok": gate_ok,
     }
-    for name in ("c_minus4", "e1", "e2", "e3", "f"):
-        started = time.monotonic()
-        g = fixture(name)
-        report = is_pushably_k_critical(g, 3)
-        witnesses_ok = report.verdict == VERDICT_CRITICAL and all(
-            cert.verify(g.delete_arc(arc)) for arc, cert in report.arc_witnesses
-        )
-        gate = dict(gates[name])
-        gate_ok = g.vertex_count == gate["n"] and g.arc_count == gate["m"]
-        if "girth" in gate:
-            gate_ok = gate_ok and girth(g) == gate["girth"]
-            gate_ok = gate_ok and str(mad_exact(g)) == gate["mad"]
-        if "potential" in gate:
-            gate_ok = gate_ok and potential(g) == gate["potential"]
-        evidence = {
-            "fixture": name,
-            "verdict": report.verdict,
-            "arc_witnesses": len(report.arc_witnesses),
-            "witnesses_verified": witnesses_ok,
-            "gates": gate,
-            "gates_ok": gate_ok,
-        }
-        out.append(_claim(f"critical.{name}", witnesses_ok and gate_ok, evidence, started))
-    return out
+    return witnesses_ok and gate_ok, evidence
 
 
 # configurations whose published reductions are global arguments, not
@@ -164,26 +140,19 @@ PROOF_LEVEL_CONFIGS = {
 }
 
 
-def suite_configs() -> list[ClaimResult]:
-    out = []
-    for cid in CONFIG_IDS:
-        started = time.monotonic()
-        checks = [verify_configuration(gadget) for gadget in gadgets_for(cid)]
-        ok = all(c.ok for c in checks)
-        evidence = {"config": cid, "gadgets": [c.to_json_dict() for c in checks]}
-        out.append(_claim(f"config.{cid}", ok, evidence, started))
-    started = time.monotonic()
+def _config(cid: str):
+    checks = [verify_configuration(gadget) for gadget in gadgets_for(cid)]
+    evidence = {"config": cid, "gadgets": [c.to_json_dict() for c in checks]}
+    return all(c.ok for c in checks), evidence
+
+
+def _negative_control():
     control = verify_configuration(negative_control_gadget())
     evidence = {"expected": "fail", "observed": control.to_json_dict()}
-    out.append(
-        _claim(
-            "config.negative_control",
-            (not control.ok) and control.counterexample is not None,
-            evidence,
-            started,
-        )
-    )
-    started = time.monotonic()
+    return (not control.ok) and control.counterexample is not None, evidence
+
+
+def _proof_level_notes():
     notes = {
         name: {
             "machine_checked": False,
@@ -192,49 +161,38 @@ def suite_configs() -> list[ClaimResult]:
         }
         for name, local in PROOF_LEVEL_CONFIGS.items()
     }
-    out.append(_claim("config.proof_level_notes", True, {"notes": notes}, started))
-    return out
+    return True, {"notes": notes}
 
 
-def suite_reconstruction() -> list[ClaimResult]:
-    out = []
-    for name in ("e1", "e2", "e3"):
-        started = time.monotonic()
-        inventories = verify_split_vertex_reconstructions((name,))
-        ok = all(inv.ok for inv in inventories)
-        evidence = {
-            "source": name,
-            "inventory": [inv.to_json_dict() for inv in inventories],
-        }
-        out.append(_claim(f"reconstruction.{name}", ok, evidence, started))
-    return out
+def _reconstruction(name: str):
+    inventories = verify_split_vertex_reconstructions((name,))
+    evidence = {
+        "source": name,
+        "inventory": [inv.to_json_dict() for inv in inventories],
+    }
+    return all(inv.ok for inv in inventories), evidence
 
 
-def suite_fig6() -> list[ClaimResult]:
-    started = time.monotonic()
+def _fig6():
     report = verify_fig6_coloring()
-    return [_claim("fig6.coloring", report.ok, report.to_json_dict(), started)]
+    return report.ok, report.to_json_dict()
 
 
-def suite_lpq() -> list[ClaimResult]:
-    out = []
-    started = time.monotonic()
+def _lpq_labelings():
     rows = []
-    all_ok = True
     at = fixture("at_c3")
     for p in range(1, 6):
         for q in range(1, p + 1):
             labeling = at_c3_labeling(p, q)
             check = check_lpq_labeling(at, labeling)
             ok = check.ok and labeling.span == 2 * p + 3 * q
-            all_ok = all_ok and ok
             rows.append({"p": p, "q": q, "span": labeling.span, "ok": ok})
-    out.append(
-        _claim("lpq.builtin_labelings", all_ok, {"rows": rows}, started)
-    )
-    started = time.monotonic()
-    labeling21 = at_c3_labeling(2, 1)
-    labels = sorted(set(labeling21.labels))
+    return all(row["ok"] for row in rows), {"rows": rows}
+
+
+def _lpq_span_2_1():
+    at = fixture("at_c3")
+    labels = sorted(set(at_c3_labeling(2, 1).labels))
     span = lpq_span_search(at, 2, 1, VARIANT_ORIENTED)
     dipath_span = lpq_span_search(at, 2, 1, VARIANT_TWO_DIPATH)
     ok = labels == [0, 1, 3, 4, 6, 7] and span is not None and span <= 7
@@ -244,8 +202,7 @@ def suite_lpq() -> list[ClaimResult]:
         "oriented_span": span,
         "two_dipath_span": dipath_span,
     }
-    out.append(_claim("lpq.span_2_1", ok, evidence, started))
-    return out
+    return ok, evidence
 
 
 def random_classifiable_graph(rng: random.Random) -> OrientedGraph:
@@ -291,11 +248,8 @@ def _two_vertices_at_zero(g: OrientedGraph, report) -> bool:
     )
 
 
-def suite_discharge(samples: int = 100, seed: int = 20240917) -> list[ClaimResult]:
-    out = []
-    started = time.monotonic()
+def _discharge_fixtures():
     rows = []
-    all_ok = True
     for name in sorted(builtin_graphs()):
         g = fixture(name)
         try:
@@ -304,7 +258,6 @@ def suite_discharge(samples: int = 100, seed: int = 20240917) -> list[ClaimResul
             rows.append({"graph": name, "classifiable": False, "reason": str(exc)})
             continue
         two_zero = _two_vertices_at_zero(g, report)
-        all_ok = all_ok and two_zero
         rows.append(
             {
                 "graph": name,
@@ -316,45 +269,82 @@ def suite_discharge(samples: int = 100, seed: int = 20240917) -> list[ClaimResul
                 "ok": two_zero,
             }
         )
-    out.append(_claim("discharge.fixtures", all_ok, {"rows": rows}, started))
+    # an unclassifiable fixture is listed with its reason, not failed
+    return all(row.get("ok", True) for row in rows), {"rows": rows}
 
-    started = time.monotonic()
-    rng = random.Random(seed)
-    checked = 0
+
+DISCHARGE_SAMPLES = 100
+DISCHARGE_SEED = 20240917
+
+
+def _discharge_random():
+    rng = random.Random(DISCHARGE_SEED)
     failures = []
-    while checked < samples:
+    for _ in range(DISCHARGE_SAMPLES):
         g = random_classifiable_graph(rng)
         if not _two_vertices_at_zero(g, discharging_audit(g)):
             failures.append({"arcs": [list(a) for a in g.arcs]})
-        checked += 1
-    evidence = {"samples": checked, "seed": seed, "failures": failures}
-    out.append(_claim("discharge.random", not failures, evidence, started))
-    return out
+    return not failures, {
+        "samples": DISCHARGE_SAMPLES, "seed": DISCHARGE_SEED, "failures": failures
+    }
 
 
-_SUITE_RUNNERS = {
-    "potentials": suite_potentials,
-    "configs": suite_configs,
-    "exceptions": suite_exceptions,
-    "reconstruction": suite_reconstruction,
-    "fig6": suite_fig6,
-    "lpq": suite_lpq,
-    "discharge": suite_discharge,
+def _each(prefix: str, keys, check):
+    """One row per key: the claim ``prefix.key``, checked by ``check(key)``."""
+    return [(f"{prefix}.{key}", partial(check, key)) for key in keys]
+
+
+# every suite's (claim, check) rows in claim order; each suite lists its
+# rows when it runs, so the config claims follow CONFIG_IDS at that time
+_SUITES = {
+    "potentials": lambda: [
+        (f"potential.{row['graph']}", lambda row=row: (row["ok"], row))
+        for row in verify_potential_table()
+    ],
+    "configs": lambda: _each("config", CONFIG_IDS, _config) + [
+        ("config.negative_control", _negative_control),
+        ("config.proof_level_notes", _proof_level_notes),
+    ],
+    "exceptions": lambda: _each("critical", CRITICAL_GATES, _critical),
+    "reconstruction": lambda: _each(
+        "reconstruction", ("e1", "e2", "e3"), _reconstruction
+    ),
+    "fig6": lambda: [("fig6.coloring", _fig6)],
+    "lpq": lambda: [
+        ("lpq.builtin_labelings", _lpq_labelings),
+        ("lpq.span_2_1", _lpq_span_2_1),
+    ],
+    "discharge": lambda: [
+        ("discharge.fixtures", _discharge_fixtures),
+        ("discharge.random", _discharge_random),
+    ],
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def _run_one_suite(name: str) -> list[ClaimResult]:
-    return _SUITE_RUNNERS[name]()
+    results = []
+    for claim, check in _SUITES[name]():
+        started = time.monotonic()
+        ok, evidence = check()
+        elapsed_ms = int((time.monotonic() - started) * 1000)
+        status = "pass" if ok else "fail"
+        results.append(ClaimResult(claim, status, evidence, elapsed_ms))
+    return results
 
 
 def run_suites(names=("all",), jobs: int = 1) -> list[ClaimResult]:
     """Run suites, optionally in parallel; claim order stays fixed.
 
-    A suite named more than once runs once, at its first place.
+    A suite named more than once runs once, at its first place.  An empty
+    list of names is a ``ConfigError``: a report that checks nothing must
+    not read ok.
     """
     wanted = list(SUITE_NAMES) if "all" in names else list(dict.fromkeys(names))
+    if not wanted:
+        raise ConfigError(f"no suite named; name one of {SUITE_NAMES} or 'all'")
     for name in wanted:
-        if name not in _SUITE_RUNNERS:
+        if name not in _SUITES:
             raise UnknownSuiteError(f"unknown suite {name!r}; have {SUITE_NAMES}")
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -365,10 +355,7 @@ def run_suites(names=("all",), jobs: int = 1) -> list[ClaimResult]:
             chunks = pool.map(_run_one_suite, wanted)
     else:
         chunks = [_run_one_suite(name) for name in wanted]
-    results = []
-    for chunk in chunks:
-        results.extend(chunk)
-    return results
+    return [result for chunk in chunks for result in chunk]
 
 
 def write_report(results, out_dir: str) -> dict:

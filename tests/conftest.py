@@ -15,8 +15,9 @@ from typing import Sequence
 
 import pytest
 
+from pushcrit.enumeration import UnderlyingGraph, _min_degree
 from pushcrit.errors import IncompatibleInputError, SelfCheckError
-from pushcrit.graph import OrientedGraph, push_vertices
+from pushcrit.graph import OrientedGraph, _components, push_vertices
 from pushcrit.hom import (
     C3,
     ColoringCertificate,
@@ -145,6 +146,18 @@ def attach_path(
         for i in range(k)
     ]
     return OrientedGraph(n + k - 1, g.arcs + tuple(new_arcs))
+
+
+def oriented_is_connected(g: OrientedGraph) -> bool:
+    return len(g.components) <= 1
+
+
+def underlying_min_degree(under: UnderlyingGraph) -> int:
+    return _min_degree(under.masks)
+
+
+def underlying_is_connected(under: UnderlyingGraph) -> bool:
+    return len(_components(under.masks)) <= 1
 
 
 def random_oriented_graph(rng: random.Random, n: int, p: float = 0.4) -> OrientedGraph:

@@ -26,8 +26,10 @@ from pushcrit.errors import (
 from conftest import (
     attach_path,
     brute_mad_numerator_denominator,
+    oriented_is_connected,
     random_connected_oriented_graph,
     random_oriented_graph,
+    underlying_is_connected,
 )
 
 
@@ -282,9 +284,9 @@ def test_components_match_networkx(rng):
         nxg.add_edges_from(g.arcs)
         expected = sorted(tuple(sorted(c)) for c in networkx.connected_components(nxg))
         assert g.components == tuple(expected)
-        assert g.is_connected() == (len(expected) <= 1)
+        assert oriented_is_connected(g) == (len(expected) <= 1)
         under = UnderlyingGraph(n, g.edges)
-        assert under.is_connected() == g.is_connected()
+        assert underlying_is_connected(under) == oriented_is_connected(g)
 
 
 def test_mad_empty_graph():

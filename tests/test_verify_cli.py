@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -39,6 +40,81 @@ def test_unknown_suite_rejected():
         run_suites(("nonsense",))
     with pytest.raises(pc.PushcritError, match="unknown suite 'nonsense'"):
         run_suites(("nonsense",))
+
+
+def test_an_empty_suite_list_is_a_config_error():
+    # a report that checks nothing would read ok
+    for names in ((), []):
+        with pytest.raises(pc.ConfigError, match="no suite named"):
+            run_suites(names)
+
+
+# the sha256 of every evidence file of `verify-paper --suite all`, in
+# claim order, and of its verdicts.json
+VERIFY_PAPER_EVIDENCE = {
+    "potential.k1": "7e31e4c46b26edce6ac02b0c7e18b0fc868cdc2eb8c8ab40eb94774eb347c6a2",
+    "potential.k2": "b17d83faa2b3f6d1d5a60bf94b4d444b9b7be45f64ffe512c79734f143c1acbe",
+    "potential.k3": "14640efec912d08153190c6317f983aa049f88d88780a2457958a73251f4dc58",
+    "potential.k3_minus_e": "7a22a087757b20624296170d785cbe8fe6f2a2bc7d568549ebd0492a114b4be3",
+    "potential.c_minus4": "0191573bff3cde77cf064a468c4db001f839183481fdcccb1639f51303f193c6",
+    "potential.e1": "6b051d4d237eac5991582d7066e389803623f11ad446e2000fce3c5f9c8e534f",
+    "potential.e2": "212312c9a7d0787e186ce42e0260fcd36a5acf94fad4eb88a310bcf0084be462",
+    "potential.e3": "dd54923f217d73b50a84f02482bcfb1f239a8565f36d1acd6d4cc54e35c866b8",
+    "config.C1": "1de3b70d227fe38f81b19a81d5e35d53a443da694c5d3891090eb0ec526ae972",
+    "config.C2": "2c84ad0bbd542861c7999fd3c8339a7fea98ffbbda0cb2a25a567a7fc76ff1bb",
+    "config.C3": "a84c2655db8b9023e228579b360dfe7b5c0385c4751fe36132b9dc47c73a1dab",
+    "config.C4": "9c9c20207af27e8f9063d16b848d5cc03025017eec605fb6d10e4178260e8221",
+    "config.C5": "8fa6029efc713e7f717a3c63d3a7ca14a939fc9b8c2e3b74c4ae30da7e7aeae1",
+    "config.C6": "192aca931ae35efc15ca4aef518f2653bd2029d8b34eaeb1df0270cbf64e4c3d",
+    "config.C7": "06d22eb6be9697d71e6171ec3d24bbd62870791ba50b7f826a6b132e415943bf",
+    "config.C8": "21206a76161e1594319e1d4e193434d4eb49697c41eed7206ad9ad7102bd5415",
+    "config.C9": "21bb07de9d404661fb6e769c124b923ce4e5aceb7575f44a2c5c83d8ed9c8397",
+    "config.C10": "f67fe4aa3441fb25870ebbe59e2b769c36eb476a5c66084adb0360a7d6df8b0d",
+    "config.C11": "63e4c46d09ad7b8132b9e6d6a7a0e40bf1fdd08dbbb3c785224d072e15da7b81",
+    "config.C12": "ac20e2ef702fcf0c7b7813a948502eb56543c8109245dab4d3942418c9771431",
+    "config.C13": "8bb7e1b611001a6bdd70160db19e5c2aa4ac34248de858c924e390eeb91af4e0",
+    "config.C14": "22c28842dadb8932be7953769fefaed800752e1ae4475735165a877d7c066fd8",
+    "config.C15": "21315aaca67a34fc8c089d89d8cd52a3e63bbe053a3ac2bd7585b986d1effa0a",
+    "config.C16": "ff2cb1cc27eff39f81faa76565f5d671ef739d8c0fc0601d94fe08c9000bdee3",
+    "config.negative_control": "08091c23a200380e46e867a5051692f147fa583f5dea17754aea33487ed17392",
+    "config.proof_level_notes": "ab3c7d525aab43c1b727e176bd1277cd405ed3a5bdf33abd57571543b205a990",
+    "critical.c_minus4": "33f46ff0087737c0b9826b1c86d8ed75e054503a2ded8431fa990b1130965be9",
+    "critical.e1": "e3190051ca58dca5e36ec61fa540edd06ca62dbc47fcbbdf5ebf3d9c20dc5991",
+    "critical.e2": "253025b365569445818fb65c1354981bcc813db00a70fedc4b8e162a07a15780",
+    "critical.e3": "2831cbf6e1beb7b32542e822525d0da7755fac37fc7872ff338456b09d921315",
+    "critical.f": "d20702422174b62aef590c72df62d6be670b6e34230fef2bd820ae92f79cba50",
+    "reconstruction.e1": "633abcfb654f46f010bc3ee0655338bf6b58f5e6b658d3a5d5d2273b0cca9b05",
+    "reconstruction.e2": "0fbd12fb49ff73914e8b1a7d574cc6061266d94af791ba3f3a5bdd5dbf43b307",
+    "reconstruction.e3": "a88a6c3215d7bde7cbb2044be12e1e6f1b5849570657990175ba8091a824c9ec",
+    "fig6.coloring": "f971dec09f2fd04634ac70bfa2bc76f02ae412b8c67b3e98bbc51eaaf747b76b",
+    "lpq.builtin_labelings": "0d9defcaec702df06dd77783d8dab8134bf5e21653fe3c17122ec2191667ab72",
+    "lpq.span_2_1": "f7f2cf8567aa2dfc2ff5efe3c91e95c121ff42d6460abb40db0c22986f823910",
+    "discharge.fixtures": "df9d79f471648e7ec36a5ab8afa672a93f11b77c70ec6ed0b8b72b7ea39ad506",
+    "discharge.random": "6522f4daa2dea49807b58654c1a5f32573ff0e9278bb38356e8b14ac12f350b0",
+}
+VERIFY_PAPER_VERDICTS = "63afcfad6bc9ad6d74a5ec69a6483ff8fd8e2b1064df85c5ad17a5c3525e4ba2"
+
+
+def test_the_verify_paper_tree_is_pinned(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    rc = cli.main(["--json", "verify-paper", "--suite", "all", "--out", str(out_dir)])
+    capsys.readouterr()
+    assert rc == cli.EXIT_OK
+    verdicts = json.loads((out_dir / "verdicts.json").read_text(encoding="utf-8"))
+    claims = [c["claim"] for c in verdicts["claims"]]
+    assert len(set(claims)) == len(claims)
+    assert claims == list(VERIFY_PAPER_EVIDENCE)
+    files = {
+        str(p.relative_to(out_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in out_dir.rglob("*")
+        if p.is_file()
+    }
+    assert files.pop("report.json")
+    assert files.pop("verdicts.json") == VERIFY_PAPER_VERDICTS
+    assert files == {
+        f"evidence/{claim}/evidence.json": digest
+        for claim, digest in VERIFY_PAPER_EVIDENCE.items()
+    }
 
 
 def test_report_writing_and_schema(tmp_path):
