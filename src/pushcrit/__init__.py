@@ -53,7 +53,6 @@ from .graph import (
 )
 from .hom import (
     ColoringCertificate,
-    PartialColoring,
     extend_partial,
     find_homomorphism,
     find_pushable_homomorphism,

@@ -216,8 +216,8 @@ def _cmd_lpq(args) -> int:
     variant = VARIANT_ORIENTED if args.variant == "oriented" else VARIANT_TWO_DIPATH
     span = lpq_span_search(g, args.p, args.q, variant)
     payload = {"p": args.p, "q": args.q, "variant": variant, "span": span}
-    _emit(args, payload, str(span) if span is not None else "none")
-    return EXIT_OK if span is not None else EXIT_PROPERTY_FAILS
+    _emit(args, payload, str(span))
+    return EXIT_OK
 
 
 def _cmd_canon(args) -> int:

@@ -53,7 +53,6 @@ from .graph import OrientedGraph
 from .hom import (
     AT_C3,
     MappingSearcher,
-    PartialColoring,
     extend_partial,
     target_index,
 )
@@ -382,9 +381,7 @@ def _sweep_configuration(
         searcher = MappingSearcher(oriented, template)
         for coloring in colorings:
             cases += 1
-            cert = extend_partial(
-                oriented, PartialColoring.of(coloring), searcher=searcher
-            )
+            cert = extend_partial(oriented, coloring, searcher=searcher)
             if cert is None:
                 return ConfigurationCheck(
                     gadget,

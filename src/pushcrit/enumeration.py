@@ -706,16 +706,14 @@ def _complete_lines(path: str) -> list[str]:
 def _load_records(base: str):
     """Records persisted under ``base``, less a torn final line."""
     records = {}
-    if not os.path.isdir(base):
+    path = os.path.join(base, _RECORDS_FILE)
+    if not os.path.exists(path):
         return records
-    for fname in sorted(os.listdir(base)):
-        if not fname.endswith(".ndjson"):
-            continue
-        for line in _complete_lines(os.path.join(base, fname)):
-            line = line.strip()
-            if line:
-                rec = EnumerationRecord.from_json_dict(json.loads(line))
-                records[rec.canonical_code] = rec
+    for line in _complete_lines(path):
+        line = line.strip()
+        if line:
+            rec = EnumerationRecord.from_json_dict(json.loads(line))
+            records[rec.canonical_code] = rec
     return records
 
 
@@ -796,12 +794,11 @@ class _Run(ExitStack):
         # leaving the level's context closes its cursor log
         with ExitStack() as stack:
             if base:
-                if not self.resume:
-                    # a fresh level starts empty record files and an empty
-                    # log: one truncation per level
-                    for fname in os.listdir(base):
-                        if fname.endswith(".ndjson"):
-                            os.remove(os.path.join(base, fname))
+                records_path = os.path.join(base, _RECORDS_FILE)
+                if not self.resume and os.path.exists(records_path):
+                    # a fresh level starts an empty records file and an
+                    # empty log: one truncation per level
+                    os.remove(records_path)
                 log = stack.enter_context(
                     open(cursor_path, "a" if self.resume else "w", encoding="utf-8")
                 )

@@ -90,7 +90,7 @@ AT(C3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import xor
@@ -366,7 +366,6 @@ class ColoringCertificate:
     push_set: frozenset
     mapping: tuple[int, ...]
     target: OrientedGraph
-    target_name: str | None = field(default=None, compare=False)
 
     def verify(self, g: OrientedGraph) -> bool:
         """One-pass arc check of the certificate against its source graph."""
@@ -401,7 +400,6 @@ def _decode_certificate(g: OrientedGraph, h: OrientedGraph, mapping):
         push_set=frozenset(v for v, img in enumerate(mapping) if img >= k),
         mapping=tuple(img % k for img in mapping),
         target=h,
-        target_name=h.name,
     )
     if not cert.verify(g):
         raise SelfCheckError("a decoded certificate does not verify")
@@ -656,45 +654,24 @@ def oriented_chromatic_number(g: OrientedGraph, k_max: int = MAX_CHROMATIC_K):
 # -- partial colorings and extension -----------------------------------------
 
 
-@dataclass(frozen=True)
-class PartialColoring:
-    """Colors (C3 vertices 0,1,2) on a subset of vertices; the rest is X."""
-
-    colored: tuple[tuple[int, int], ...]
-
-    @staticmethod
-    def of(assignment: dict) -> "PartialColoring":
-        return PartialColoring(tuple(sorted(assignment.items())))
-
-    def as_dict(self) -> dict:
-        return dict(self.colored)
-
-    def validate(self, g: OrientedGraph):
-        seen = set()
-        for v, c in self.colored:
-            if not 0 <= v < g.vertex_count:
-                raise IncompatibleInputError(f"colored vertex {v} out of range")
-            if c not in (0, 1, 2):
-                raise IncompatibleInputError(f"color {c} outside 0..2")
-            if v in seen:
-                raise IncompatibleInputError(f"vertex {v} colored twice")
-            seen.add(v)
-
-
 def extend_partial(
     g: OrientedGraph,
-    pc: PartialColoring,
+    colors: dict,
     searcher: MappingSearcher | None = None,
 ):
     """Extend a partial coloring by pushing only uncolored vertices.
 
-    Colored vertices are pinned to their color in the unpushed copy of
-    AT(C3); a returned certificate therefore has push_set inside X.  An
-    arc between two colored vertices that no push of X can fix simply
-    makes the coloring non-extendable (None), not an error.
+    ``colors`` maps each colored vertex to its color (C3 vertices 0,1,2);
+    the rest is X.  Colored vertices are pinned to their color in the
+    unpushed copy of AT(C3); a returned certificate therefore has push_set
+    inside X.  An arc between two colored vertices that no push of X can
+    fix simply makes the coloring non-extendable (None), not an error.
     """
-    pc.validate(g)
-    colors = pc.as_dict()
+    for v, c in colors.items():
+        if not 0 <= v < g.vertex_count:
+            raise IncompatibleInputError(f"colored vertex {v} out of range")
+        if c not in (0, 1, 2):
+            raise IncompatibleInputError(f"color {c} outside 0..2")
     doms = [
         (1 << colors[v]) if v in colors else 0b111111
         for v in range(g.vertex_count)
@@ -743,7 +720,6 @@ def path_color_sets(k: int, parity: str):
     path = oriented_path(k, parity)
     allowed = set()
     for c in range(3):
-        pc = PartialColoring.of({0: 0, k: c})
-        if extend_partial(path, pc) is not None:
+        if extend_partial(path, {0: 0, k: c}) is not None:
             allowed.add(c)
     return frozenset(allowed), frozenset({0, 1, 2} - allowed)

@@ -8,17 +8,21 @@ opposite directions between the same pair of label classes.  The span of
 a labeling is its largest label; span search is exhaustive backtracking,
 feasible for the small graphs this toolkit handles.
 
-Its cost grows exponentially in the span, since every label 0..span is
-tried at each vertex: on the 6-vertex at_c3 (oriented, p = q = 3, 4, 5,
-6, spans 15 to 30) it took 0.46 / 1.54 / 2.02 / 4.96 s when each
-candidate label was checked against every vertex and every pair of arcs,
-and takes 0.09 / 0.26 / 0.34 / 0.70 s checking it only against the ends
-labeled before it (min of 3 runs, 2-vCPU Xeon).  p = q = 8 and 10 take
-4.8 and 11.4 s, and p = q = 20 (span 100) does not finish in 100 s.
+The search tries only tight labels.  Sort a labeling's classes by label
+and lower each in turn to the least value 1 above the class below it and
+p or q above each lower class it is constrained against.  No label rises
+and the classes keep their order, so the distance constraints and the
+partition into classes, hence the oriented condition, still hold; and on
+n vertices every label is now in S = {ap + bq + c : a + b + c <= n - 1}.
+So span s is feasible iff it is with the labels of S up to s, and the
+least span is in S.  The top of S, (n - 1)p, is always feasible (distinct
+labels p apart), so the search is exact at every p, q and tries O(n^3)
+labels per vertex.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import ConfigError, SelfCheckError
@@ -118,10 +122,21 @@ def check_lpq_labeling(g: OrientedGraph, labeling: LpqLabeling) -> LabelingCheck
     return LabelingCheck(True)
 
 
+def _tight_labels(n: int, p: int, q: int) -> list[int]:
+    """S of the module docstring, ascending; [0] for n = 0."""
+    return sorted({
+        a * p + b * q + c
+        for a in range(n)
+        for b in range(n - a)
+        for c in range(n - a - b)
+    } or {0})
+
+
 def _feasible(g: OrientedGraph, p: int, q: int, variant: str, span: int):
     """A labeling with all labels in 0..span, or None.
 
-    The vertices are labeled in one fixed order, so each vertex is checked
+    Only the labels of S up to span are tried (module docstring).  The
+    vertices are labeled in one fixed order, so each vertex is checked
     only against the ends labeled before it: by least distance (p for a
     neighbor, q for the other end of a 2-dipath), and in the oriented
     variant by its arcs to them against the label pairs already placed.
@@ -145,6 +160,7 @@ def _feasible(g: OrientedGraph, p: int, q: int, variant: str, span: int):
         ))
         seen.add(v)
     oriented = variant == VARIANT_ORIENTED
+    values = [v for v in _tight_labels(n, p, q) if v <= span]
     labels = [-1] * n
     # (tail label, head label) -> arcs placed with those labels
     placed: dict[tuple[int, int], int] = {}
@@ -158,7 +174,7 @@ def _feasible(g: OrientedGraph, p: int, q: int, variant: str, span: int):
             banned.update(range(labels[u] - d + 1, labels[u] + d))
         out_labels = {labels[h] for h in outs}
         in_labels = {labels[t] for t in ins}
-        for value in range(span + 1):
+        for value in values:
             if value in banned:
                 continue
             if oriented:
@@ -188,10 +204,11 @@ def _feasible(g: OrientedGraph, p: int, q: int, variant: str, span: int):
 def lpq_span_search(
     g: OrientedGraph, p: int, q: int, variant: str = VARIANT_TWO_DIPATH
 ):
-    """Minimal span over exhaustive search, or None above the cap.
+    """Minimal span over exhaustive search.
 
-    The cap 4p + 6q is generous for the graphs in scope; span feasibility
-    is monotone, so the minimum is located by bisection.
+    The least span is in S (module docstring) and feasibility is monotone
+    in the span, so it is found by bisection over S less its top, which is
+    always feasible.
     """
     _validate_pq(p, q)
     _validate_variant(variant)
@@ -199,17 +216,12 @@ def lpq_span_search(
         raise ConfigError(
             f"span search is exhaustive only up to {SPAN_SEARCH_MAX_VERTICES} vertices"
         )
-    cap = 4 * p + 6 * q
-    if _feasible(g, p, q, variant, cap) is None:
-        return None
-    lo, hi = 0, cap
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _feasible(g, p, q, variant, mid) is not None:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    spans = _tight_labels(g.vertex_count, p, q)
+
+    def feasible(span: int) -> bool:
+        return _feasible(g, p, q, variant, span) is not None
+
+    return spans[bisect_left(spans, True, hi=len(spans) - 1, key=feasible)]
 
 
 def at_c3_labeling(p: int, q: int) -> LpqLabeling:

@@ -232,7 +232,7 @@ class DrawnColoringReport:
 
 def verify_fig6_coloring() -> DrawnColoringReport:
     g = fixture("m3p")
-    cert = ColoringCertificate(M3P_PUSH_SET, M3P_COLORING, C3, "c3")
+    cert = ColoringCertificate(M3P_PUSH_SET, M3P_COLORING, C3)
     drawn_ok = cert.verify(g)
     recheck = is_pushably_k_colorable(g, 3) is not None
     # smoke case: flip one arc arbitrarily and re-decide from scratch

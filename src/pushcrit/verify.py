@@ -195,8 +195,7 @@ def _lpq_span_2_1():
     labels = sorted(set(at_c3_labeling(2, 1).labels))
     span = lpq_span_search(at, 2, 1, VARIANT_ORIENTED)
     dipath_span = lpq_span_search(at, 2, 1, VARIANT_TWO_DIPATH)
-    ok = labels == [0, 1, 3, 4, 6, 7] and span is not None and span <= 7
-    ok = ok and dipath_span is not None and dipath_span <= span
+    ok = labels == [0, 1, 3, 4, 6, 7] and dipath_span <= span <= 7
     evidence = {
         "labels": labels,
         "oriented_span": span,

@@ -21,7 +21,6 @@ from pushcrit.graph import OrientedGraph, _components, push_vertices
 from pushcrit.hom import (
     C3,
     ColoringCertificate,
-    PartialColoring,
     solve_mapping,
     target_index,
 )
@@ -65,15 +64,13 @@ def brute_pushable_colorable(g: OrientedGraph, h: OrientedGraph) -> bool:
     return False
 
 
-def extend_partial_bruteforce(g: OrientedGraph, pc: PartialColoring):
+def extend_partial_bruteforce(g: OrientedGraph, colors: dict):
     """Extension by direct search over every push subset of X.
 
     Independent of the AT(C3) reduction; both routes must agree.  Not
     independent of the search kernel: each push subset is decided by
     ``solve_mapping`` into C3.
     """
-    pc.validate(g)
-    colors = pc.as_dict()
     free = tuple(v for v in range(g.vertex_count) if v not in colors)
     c3 = target_index(C3)
     for r in range(len(free) + 1):
@@ -85,7 +82,7 @@ def extend_partial_bruteforce(g: OrientedGraph, pc: PartialColoring):
             ]
             mapping, _ = solve_mapping(g2, c3, doms)
             if mapping is not None:
-                cert = ColoringCertificate(frozenset(pushed), mapping, C3, "c3")
+                cert = ColoringCertificate(frozenset(pushed), mapping, C3)
                 if not cert.verify(g):
                     raise SelfCheckError("a brute-force certificate does not verify")
                 return cert

@@ -139,7 +139,7 @@ def test_rainbow_coloring_reported_by_extend():
     gadget = negative_control_gadget()
     for oriented in orientation_representatives(gadget):
         if all(t in gadget.boundary for t, _ in oriented.arcs):
-            rainbow = pc.PartialColoring.of({1: 0, 2: 1, 3: 2})
+            rainbow = {1: 0, 2: 1, 3: 2}
             assert pc.extend_partial(oriented, rainbow) is None
 
 
@@ -164,9 +164,7 @@ def test_extend_routes_agree_on_c1_gadget(rng):
     for oriented in orientation_representatives(c1):
         for c0 in range(3):
             for c1_color in range(3):
-                pcol = pc.PartialColoring.of(
-                    {min(c1.boundary): c0, max(c1.boundary): c1_color}
-                )
+                pcol = {min(c1.boundary): c0, max(c1.boundary): c1_color}
                 fast = pc.extend_partial(oriented, pcol)
                 slow = extend_partial_bruteforce(oriented, pcol)
                 assert (fast is None) == (slow is None)
@@ -177,9 +175,7 @@ def test_extend_routes_agree_on_c2_gadget(rng):
     boundary = sorted(gadget.boundary)
     for oriented in orientation_representatives(gadget):
         for _ in range(3):
-            pcol = pc.PartialColoring.of(
-                {b: rng.randrange(3) for b in boundary}
-            )
+            pcol = {b: rng.randrange(3) for b in boundary}
             fast = pc.extend_partial(oriented, pcol)
             slow = extend_partial_bruteforce(oriented, pcol)
             assert (fast is None) == (slow is None)

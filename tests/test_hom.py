@@ -9,7 +9,12 @@ import pytest
 
 import pushcrit as pc
 from pushcrit.configs import CONFIG_IDS, gadgets_for
-from pushcrit.errors import ConfigError, ResourceBudgetError, SelfCheckError
+from pushcrit.errors import (
+    ConfigError,
+    IncompatibleInputError,
+    ResourceBudgetError,
+    SelfCheckError,
+)
 from pushcrit.graph import OrientedGraph, push_vertices
 from pushcrit.hom import (
     AT_C3,
@@ -385,7 +390,7 @@ def _old_colorable(g, k):
     if k == 1:
         if g.arc_count == 0:
             t1 = pc.tournaments(1)[0]
-            return pc.ColoringCertificate(frozenset(), (0,) * g.vertex_count, t1, "t1.0")
+            return pc.ColoringCertificate(frozenset(), (0,) * g.vertex_count, t1)
         return None
     for t in pc.tournaments(k, "push_iso"):
         cert = pc.find_pushable_homomorphism(g, t)
@@ -422,7 +427,7 @@ def test_walk_matches_the_per_target_loops(rng):
             old = _old_colorable(g, k)
             assert new == old
             if new is not None:
-                assert new.target_name == old.target_name
+                assert new.target.name == old.target.name
 
 
 def _assert_tournament_certificate(g, cert, k):
@@ -572,21 +577,33 @@ def test_extend_partial_long_chain_always_extendable(rng):
         path = pc.OrientedGraph(6, arcs)
         for c0 in range(3):
             for c1 in range(3):
-                cert = pc.extend_partial(path, pc.PartialColoring.of({0: c0, 5: c1}))
+                cert = pc.extend_partial(path, {0: c0, 5: c1})
                 assert cert is not None and cert.verify(path)
 
 
 def test_extend_partial_rainbow_in_arcs_fail():
     g = pc.OrientedGraph(4, ((1, 0), (2, 0), (3, 0)))
-    pcol = pc.PartialColoring.of({1: 0, 2: 1, 3: 2})
+    pcol = {1: 0, 2: 1, 3: 2}
     assert pc.extend_partial(g, pcol) is None
     assert extend_partial_bruteforce(g, pcol) is None
 
 
 def test_extend_partial_triangle():
     tri = pc.OrientedGraph(3, ((0, 1), (1, 2), (2, 0)))
-    cert = pc.extend_partial(tri, pc.PartialColoring.of({0: 0, 1: 1}))
+    cert = pc.extend_partial(tri, {0: 0, 1: 1})
     assert cert is not None and cert.mapping[2] == 2 and cert.push_set == frozenset()
+
+
+@pytest.mark.parametrize("colors,message", [
+    ({3: 0}, "colored vertex 3 out of range"),
+    ({-1: 0}, "colored vertex -1 out of range"),
+    ({0: 3}, "color 3 outside 0..2"),
+    ({1: -1}, "color -1 outside 0..2"),
+])
+def test_extend_partial_rejects_a_vertex_or_color_out_of_range(colors, message):
+    tri = pc.OrientedGraph(3, ((0, 1), (1, 2), (2, 0)))
+    with pytest.raises(IncompatibleInputError, match=message):
+        pc.extend_partial(tri, colors)
 
 
 def test_extend_partial_routes_agree(rng):
@@ -597,9 +614,8 @@ def test_extend_partial_routes_agree(rng):
             for v in range(g.vertex_count)
             if rng.random() < 0.5
         }
-        pcol = pc.PartialColoring.of(colored)
-        fast = pc.extend_partial(g, pcol)
-        slow = extend_partial_bruteforce(g, pcol)
+        fast = pc.extend_partial(g, colored)
+        slow = extend_partial_bruteforce(g, colored)
         assert (fast is None) == (slow is None)
         if fast is not None:
             assert fast.verify(g) and fast.push_set.isdisjoint(colored)

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
 
 import pushcrit as pc
-from pushcrit import lpq
+from pushcrit import cli, lpq
 from pushcrit.errors import ConfigError
 from pushcrit.lpq import (
     VARIANT_ORIENTED,
@@ -111,6 +112,30 @@ def test_span_search_trivial_graph():
     g = pc.OrientedGraph(2, ((0, 1),))
     assert pc.lpq_span_search(g, 2, 1, VARIANT_TWO_DIPATH) == 2
     assert pc.lpq_span_search(g, 3, 1, VARIANT_ORIENTED) == 3
+
+
+def _transitive_tournament(n: int) -> pc.OrientedGraph:
+    return pc.OrientedGraph(n, tuple((a, b) for a in range(n) for b in range(a + 1, n)))
+
+
+@pytest.mark.parametrize("variant", [VARIANT_TWO_DIPATH, VARIANT_ORIENTED])
+@pytest.mark.parametrize("graph,p,q,span", [
+    # every pair is adjacent, so the labels are distinct and p apart: 5p,
+    # above the cap 4p + 6q = 34 where the search used to give up
+    (_transitive_tournament(6), 7, 1, 35),
+    # 2p + 3q, which the search once took over 100 s to reach label by label
+    (pc.fixture("at_c3"), 20, 20, 100),
+])
+def test_span_search_is_exact_at_large_p(graph, p, q, span, variant):
+    assert pc.lpq_span_search(graph, p, q, variant) == span
+
+
+def test_cli_lpq_span_above_the_old_cap(tmp_path, capsys):
+    path = tmp_path / "tt6.og"
+    path.write_text(pc.serialize_graph(_transitive_tournament(6)))
+    rc = cli.main(["--json", "lpq", "--p", "7", "--q", "1", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == cli.EXIT_OK and payload["span"] == 35
 
 
 def _random_oriented_graph(rng: random.Random, n: int) -> pc.OrientedGraph:

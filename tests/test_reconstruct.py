@@ -256,7 +256,7 @@ def test_fig6_drawn_coloring():
     report = verify_fig6_coloring()
     assert report.ok
     assert report.potential_value == 3
-    cert = pc.ColoringCertificate(M3P_PUSH_SET, M3P_COLORING, C3, "c3")
+    cert = pc.ColoringCertificate(M3P_PUSH_SET, M3P_COLORING, C3)
     assert cert.verify(pc.fixture("m3p"))
 
 
