@@ -18,6 +18,12 @@ from .errors import IncompatibleInputError, UnclassifiableGraphError
 from .graph import Arc, OrientedGraph
 
 
+def _check_vertices(n: int, vertices: Iterable[int]) -> None:
+    for v in vertices:
+        if not 0 <= v < n:
+            raise IncompatibleInputError(f"vertex {v} outside 0..{n - 1}")
+
+
 @dataclass(frozen=True)
 class Kernel:
     """A graph on 0..n-1 read as its ``kept`` vertices joined by chains,
@@ -33,6 +39,8 @@ class Kernel:
         """The chains of the graph with ``edges``, in the order of each
         chain's first edge (u, v), walked through u and then v."""
         kept = frozenset(kept)
+        _check_vertices(n, kept)
+        _check_vertices(n, (v for e in edges for v in e))
         nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             nbrs[u].append(v)
@@ -62,13 +70,20 @@ class Kernel:
         return cls(n, kept, tuple(paths))
 
     @classmethod
-    def subdivided(cls, kernel_n: int, kernel_edges, lengths: Sequence[int]) -> Kernel:
+    def subdivided(
+        cls, kernel_n: int, kernel_edges: Sequence[Arc], lengths: Sequence[int]
+    ) -> Kernel:
         """The graph whose kernel edge i, (a, b), is a chain of
         ``lengths[i]`` edges from a to b, internal vertices numbered from
         kernel_n on in kernel-edge order.  It must be simple: a loop needs 3
         edges, and at most one copy of a parallel edge may have 1."""
+        if len(kernel_edges) != len(lengths):
+            raise IncompatibleInputError(
+                f"{len(lengths)} lengths for {len(kernel_edges)} kernel edges"
+            )
+        _check_vertices(kernel_n, (v for e in kernel_edges for v in e))
         paths, nxt = [], kernel_n
-        for (a, b), length in zip(kernel_edges, lengths, strict=True):
+        for (a, b), length in zip(kernel_edges, lengths):
             if length < (3 if a == b else 1):
                 raise IncompatibleInputError(f"a chain of {length} edges from {a} to {b}")
             paths.append((a, *range(nxt, nxt + length - 1), b))

@@ -217,12 +217,13 @@ def negative_control_gadget() -> ConfigurationGadget:
 # -- orientation enumeration ---------------------------------------------------
 
 
-def orientation_representatives(gadget: ConfigurationGadget, even_cycles=()):
+def orientation_representatives(gadget: ConfigurationGadget):
     """All orientations of the gadget, one per pushing-X class, in which
-    every closed walk of ``even_cycles`` has even forward parity."""
+    every closed walk of ``gadget.directed_cycles`` has even forward
+    parity."""
     g = gadget.graph
     for arcs in push_class_representatives(
-        g.vertex_count, g.edges, gadget.internal, even_cycles=even_cycles
+        g.vertex_count, g.edges, gadget.internal, even_cycles=gadget.directed_cycles
     ):
         yield OrientedGraph(g.vertex_count, arcs)
 
@@ -367,12 +368,13 @@ def _tree_reducible(gadget: ConfigurationGadget) -> bool:
 def _sweep_configuration(
     gadget: ConfigurationGadget, reduce_rotation: bool = True
 ) -> ConfigurationCheck:
-    """One AT(C3) search per orientation class and boundary coloring."""
+    """One AT(C3) search per orientation class and boundary coloring;
+    ``reduce_rotation`` pins the first boundary color to 0."""
     boundary = tuple(sorted(gadget.boundary))
     colorings = list(_boundary_colorings(boundary, reduce_rotation))
     orientations = 0
     cases = 0
-    for oriented in orientation_representatives(gadget, gadget.directed_cycles):
+    for oriented in orientation_representatives(gadget):
         orientations += 1
         template = [
             1 if v in gadget.boundary else 0b111111
@@ -394,30 +396,27 @@ def _sweep_configuration(
     return ConfigurationCheck(gadget, True, orientations, len(colorings), cases)
 
 
-def verify_configuration(
-    gadget: ConfigurationGadget, reduce_rotation: bool = True
-) -> ConfigurationCheck:
+def verify_configuration(gadget: ConfigurationGadget) -> ConfigurationCheck:
     """Check extendability over all orientations and boundary colorings.
 
     Rotating all three colors commutes with extension (the target's color
-    classes are rotation symmetric), so by default the first boundary
-    color is pinned to 0; pass reduce_rotation=False for the full sweep.
+    classes are rotation symmetric), so the first boundary color is pinned
+    to 0.
 
     A gadget of the tree shape (see the module docstring) that the tree DP
     proves reducible is decided without any search; every other gadget,
     and every irreducible one, goes through the exhaustive sweep.  The
     counts are those of the sweep in both cases.  For a DP-decided gadget
     they are computed, not enumerated: the orientation classes come from
-    ``push_class_count``, the colorings are 3^|B| (3^(|B|-1) with the
-    first color pinned), and ``cases_checked`` is their product, the
-    cases the DP decides jointly.
+    ``push_class_count``, the colorings are 3^(|B|-1), and
+    ``cases_checked`` is their product, the cases the DP decides jointly.
     """
     if not _tree_reducible(gadget):
-        return _sweep_configuration(gadget, reduce_rotation)
+        return _sweep_configuration(gadget)
     g = gadget.graph
     orientations = push_class_count(g.vertex_count, g.edges, gadget.internal)
     b = len(gadget.boundary)
-    colorings = 3 ** (b - 1) if reduce_rotation and b else 3**b
+    colorings = 3 ** (b - 1) if b else 1
     return ConfigurationCheck(
         gadget,
         True,

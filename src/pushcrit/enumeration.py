@@ -375,14 +375,14 @@ def _graphs_on(n: int, forbid_k4: bool, tick=None, top: bool = False) -> _Level:
 
 def enumerate_underlying(
     n: int,
-    min_degree: int = 2,
+    *,
     forbid_k4: bool = False,
     tick=None,
-    *,
     _last_level: bool = False,
 ):
-    """All connected simple graphs on n vertices with the degree floor,
+    """All connected simple graphs on n vertices with minimum degree 2,
     one per isomorphism class, each carrying its canonical ``cert``.
+    ``forbid_k4`` leaves out the graphs with a K4 subgraph.
 
     ``tick`` is called between parents while a level is generated.
     ``find_critical`` sets ``_last_level`` on the last n it asks for: unless
@@ -394,16 +394,14 @@ def enumerate_underlying(
         raise ConfigError(
             f"underlying enumeration supports 1..{UNDERLYING_VERTEX_LIMIT} vertices"
         )
-    if min_degree not in (0, 1, 2):
-        raise ConfigError("min_degree must be 0, 1 or 2")
-    top = _last_level and min_degree == 2 and (n, forbid_k4, False) not in _LEVEL_CACHE
+    top = _last_level and (n, forbid_k4, False) not in _LEVEL_CACHE
     for masks, cert in _graphs_on(n, forbid_k4, tick, top):
-        if _is_candidate(masks, min_degree):
+        if _is_candidate(masks):
             yield _from_masks(masks, cert)
 
 
-def _is_candidate(masks, min_degree: int = 2) -> bool:
-    return _min_degree(masks) >= min_degree and len(_components(masks)) <= 1
+def _is_candidate(masks) -> bool:
+    return _min_degree(masks) >= 2 and len(_components(masks)) <= 1
 
 
 def _level_candidates(n: int, last: bool, tick):
@@ -416,7 +414,7 @@ def _level_candidates(n: int, last: bool, tick):
     candidates, a full one is filtered once.
     """
     forbid_k4 = n >= 5
-    stream = enumerate_underlying(n, 2, forbid_k4, tick, _last_level=last)
+    stream = enumerate_underlying(n, forbid_k4=forbid_k4, tick=tick, _last_level=last)
     head = list(islice(stream, 1))
     full = _LEVEL_CACHE.get((n, forbid_k4, False))
     if full is None:

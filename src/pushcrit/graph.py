@@ -25,7 +25,6 @@ from .errors import (
 )
 
 Arc = tuple[int, int]
-PushSet = frozenset
 
 POTENTIAL_VERTEX_WEIGHT = 15
 POTENTIAL_ARC_WEIGHT = 13

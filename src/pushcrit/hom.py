@@ -337,14 +337,9 @@ def _dfs(
         fwd = later[v]
 
 
-def solve_mapping(
-    g: OrientedGraph,
-    target: TargetIndex,
-    domains: Sequence[int] | None = None,
-    budget: int | None = None,
-):
+def solve_mapping(g: OrientedGraph, target: TargetIndex, *, budget: int | None = None):
     """One-shot search for a map of g into the target respecting all arcs."""
-    return MappingSearcher(g, domains).solve(target, domains, budget)
+    return MappingSearcher(g).solve(target, budget=budget)
 
 
 def find_homomorphism(g: OrientedGraph, h: OrientedGraph):

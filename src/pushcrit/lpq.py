@@ -45,27 +45,11 @@ class LpqLabeling:
     def span(self) -> int:
         return max(self.labels, default=0)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "variant": self.variant,
-            "span": self.span,
-            "labels": {str(v): l for v, l in enumerate(self.labels)},
-        }
-
 
 @dataclass(frozen=True)
 class LabelingCheck:
     ok: bool
     violation: tuple | None = None
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"ok": self.ok}
-        if self.violation is not None:
-            kind, pair = self.violation
-            out["violation"] = {"kind": kind, "pair": list(pair)}
-        return out
 
 
 def _validate_pq(p: int, q: int):

@@ -99,14 +99,6 @@ def subtree_masks(
     return z, base
 
 
-def spanning_forest(n: int, edges: Iterable[Arc], movable: Iterable[int]) -> list[Arc]:
-    """Forest arcs (parent, child) of the graph on ``edges``, in BFS order
-    from the non-movable vertices, then from each remaining component's
-    lowest vertex (``bfs_forest``)."""
-    order, parent = bfs_forest(adjacency(n, edges), set(range(n)).difference(movable))
-    return [(parent[v], v) for v in order if parent[v] >= 0]
-
-
 def normalizing_pushes(n: int, forest: Sequence[Arc], arcs: Collection[Arc]):
     """Push indicators x (x[v] = 1: push v) under which every forest arc of
     the orientation ``arcs`` points from parent to child; roots stay put."""
@@ -129,7 +121,7 @@ def is_push_equivalent(g: OrientedGraph, h: OrientedGraph):
     if g.vertex_count != h.vertex_count or g.edge_set != h.edge_set:
         raise IncompatibleInputError("graphs must share vertices and underlying edges")
     n = g.vertex_count
-    forest = spanning_forest(n, g.edges, range(n))
+    forest = class_coordinates(n, g.edges, range(n)).forest
     xg = normalizing_pushes(n, forest, g.arc_set)
     xh = normalizing_pushes(n, forest, h.arc_set)
     s = frozenset(v for v in range(n) if xg[v] != xh[v])

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .canon import CanonicalLabeling
+from .chains import Kernel
 from .crit import is_pushably_k_colorable
 from .errors import IncompatibleInputError
 from .fixtures import M3P_COLORING, M3P_PUSH_SET, fixture
@@ -105,27 +106,26 @@ def _glue_directions(nbrs):
 
 def _gadget(index, kept, dirs, roles):
     """One reconstruction's (vertex count, underlying edges, movable
-    vertices, fixed arcs): the 12 retained vertices, then one half of the
-    split vertex at the end of a fresh 2-chain, the degree-3 hub, a second
-    2-chain, a 1-chain, and the other half of the split vertex (19
-    vertices, 22 arcs).  ``roles`` names the original neighbors of the
-    far half, of the second 2-chain's end, and of the fresh 3-vertex."""
-    n = len(index) + 1
-    w_far, chain_a, hub = n - 1, n, n + 1
-    chain_b1, chain_b2, link, w_new = n + 2, n + 3, n + 4, n + 5
+    vertices, fixed arcs): the 12 retained vertices, the far half of the
+    split vertex, its fresh other half and the degree-3 hub, then the
+    internal vertices of three new chains of 2, 3 and 2 edges from the hub
+    to the far half, to an original neighbor and to the fresh half (19
+    vertices, 22 arcs).  ``roles`` names the original neighbors of the far
+    half, of the 3-edge chain's end, and of the fresh half, a 3-vertex.
+    The hub and the chains' internal vertices move."""
+    n = len(index)
+    w_far, w_new, hub = n, n + 1, n + 2
     far_end, hub_target, extra = roles
 
     def arc(w, nbr):
         return (w, index[nbr]) if dirs[nbr] else (index[nbr], w)
 
     fixed = kept + [arc(w_far, far_end), arc(w_new, hub_target), arc(w_new, extra)]
-    paths = [
-        (w_far, chain_a), (chain_a, hub),
-        (hub, chain_b1), (chain_b1, chain_b2), (chain_b2, index[hub_target]),
-        (hub, link), (link, w_new),
-    ]
-    edges = sorted({(min(e), max(e)) for e in fixed + paths})
-    return n + 6, edges, (chain_a, hub, chain_b1, chain_b2, link), fixed
+    chains = Kernel.subdivided(
+        n + 3, [(w_far, hub), (hub, index[hub_target]), (hub, w_new)], [2, 3, 2]
+    )
+    edges = sorted({(min(e), max(e)) for e in fixed} | set(chains.edges))
+    return chains.n, edges, (hub, *range(n + 3, chains.n)), fixed
 
 
 def _canonical_image(labeling: CanonicalLabeling, images: dict) -> set[int]:

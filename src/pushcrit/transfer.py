@@ -79,7 +79,7 @@ above the class bits, and the cosets are expanded at the end.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .chains import Kernel
 from .errors import IncompatibleInputError
@@ -181,12 +181,13 @@ class ChainGraph:
     has L edges, and a coloring adds z to the class when its forward-edge
     count has parity 1 ^ s.  A chain of one edge is (lo, hi, 1, z_e, 0).
 
-    ``coords`` is built only when it is read (``colorable``, or naming a
-    class's arcs).  The walk takes its order (the BFS order, restricted to
-    the kept vertices), every edge's z and the base from one BFS over the
-    adjacency masks and one subtree pass (``orient.bfs_forest``,
-    ``orient.subtree_masks``): the same forest and the same class bits as
-    ``coords``.
+    The orientation ``arcs`` is colorable exactly when
+    ``coords.class_of(arcs) in image``.  ``coords`` is built only when it
+    is read, to name a class or a class's arcs.  The walk takes its order
+    (the BFS order, restricted to the kept vertices), every edge's z and
+    the base from one BFS over the adjacency masks and one subtree pass
+    (``orient.bfs_forest``, ``orient.subtree_masks``): the same forest and
+    the same class bits as ``coords``.
     """
 
     def __init__(self, n: int, edges: Sequence[Arc], kept: Iterable[int]):
@@ -365,10 +366,6 @@ class ChainGraph:
         low = (1 << self.width) - 1
         found = {v & low for v in found}
         return found | {k ^ z for k in found}
-
-    def colorable(self, arcs: Collection[Arc]) -> bool:
-        """Whether the orientation ``arcs`` is pushably 3-colorable."""
-        return self.coords.class_of(arcs) in self.image
 
     def critical_classes(self) -> list[int]:
         """The pushably 3-critical classes, ascending."""

@@ -21,7 +21,7 @@ from pushcrit.graph import OrientedGraph, _components, push_vertices
 from pushcrit.hom import (
     C3,
     ColoringCertificate,
-    solve_mapping,
+    MappingSearcher,
     target_index,
 )
 
@@ -68,8 +68,8 @@ def extend_partial_bruteforce(g: OrientedGraph, colors: dict):
     """Extension by direct search over every push subset of X.
 
     Independent of the AT(C3) reduction; both routes must agree.  Not
-    independent of the search kernel: each push subset is decided by
-    ``solve_mapping`` into C3.
+    independent of the search kernel: each push subset is decided by one
+    ``MappingSearcher`` solve into C3.
     """
     free = tuple(v for v in range(g.vertex_count) if v not in colors)
     c3 = target_index(C3)
@@ -80,7 +80,7 @@ def extend_partial_bruteforce(g: OrientedGraph, colors: dict):
                 (1 << colors[v]) if v in colors else 0b111
                 for v in range(g.vertex_count)
             ]
-            mapping, _ = solve_mapping(g2, c3, doms)
+            mapping, _ = MappingSearcher(g2, doms).solve(c3, doms)
             if mapping is not None:
                 cert = ColoringCertificate(frozenset(pushed), mapping, C3)
                 if not cert.verify(g):

@@ -25,7 +25,6 @@ from pushcrit.orient import (
     class_coordinates,
     normalizing_pushes,
     push_class_representatives,
-    spanning_forest,
 )
 
 from conftest import brute_push_isomorphic, random_oriented_graph
@@ -263,7 +262,7 @@ def _closure_form(g, quotient_push):
         (min(labeling[a], labeling[b]), max(labeling[a], labeling[b]))
         for a, b in g.edges
     )
-    forest = spanning_forest(n, canon_edges, range(n))
+    forest = class_coordinates(n, canon_edges, range(n)).forest
     tree_edges = {(p, v) if p < v else (v, p) for p, v in forest}
     enc_edges = [e for e in canon_edges if e not in tree_edges or not quotient_push]
     best = None

@@ -319,23 +319,23 @@ def test_the_level_cache_is_compact(monkeypatch):
 
 
 def test_generated_cert_is_the_underlying_cert():
-    for ug in enumerate_underlying(6, 2, forbid_k4=True):
+    for ug in enumerate_underlying(6, forbid_k4=True):
         want = underlying_cert(pc.OrientedGraph(6, ug.edges))
         assert encode_underlying_cert(6, ug.cert) == want
 
 
 def test_min_degree_two_examples():
-    assert len(list(enumerate_underlying(3, 2))) == 1
-    found4 = list(enumerate_underlying(4, 2))
+    assert len(list(enumerate_underlying(3))) == 1
+    found4 = list(enumerate_underlying(4))
     assert len(found4) == 3
     assert sorted(len(u.edges) for u in found4) == [4, 5, 6]
 
 
 def test_forbid_k4_generation():
-    found = list(enumerate_underlying(4, 2, forbid_k4=True))
+    found = list(enumerate_underlying(4, forbid_k4=True))
     assert sorted(len(u.edges) for u in found) == [4, 5]
     for n in (5, 6):
-        for under in enumerate_underlying(n, 2, forbid_k4=True):
+        for under in enumerate_underlying(n, forbid_k4=True):
             assert underlying_prune_verdict(under)[1] != "k4_subgraph"
 
 
@@ -359,19 +359,18 @@ def test_n5_count_matches_brute_force():
         if canon not in seen:
             seen.add(canon)
             count += 1
-    assert count == len(list(enumerate_underlying(5, 2)))
+    assert count == len(list(enumerate_underlying(5)))
 
 
 def test_generated_masks_are_the_edges_masks():
     # generation hands its candidates the masks it built their edges from;
     # they must be the masks an UnderlyingGraph builds from its edges, also
     # after a round trip through a pool worker's pickle
-    for n in range(1, 7):
-        for degree in (0, 2):
-            for ug in enumerate_underlying(n, degree):
-                built = UnderlyingGraph(n, ug.edges)
-                assert ug.masks == built.masks == tuple(adjacency(n, ug.edges))
-                assert pickle.loads(pickle.dumps(ug)).masks == built.masks
+    for n in range(3, 7):
+        for ug in enumerate_underlying(n):
+            built = UnderlyingGraph(n, ug.edges)
+            assert ug.masks == built.masks == tuple(adjacency(n, ug.edges))
+            assert pickle.loads(pickle.dumps(ug)).masks == built.masks
 
 
 def enumerate_orientations_mod_push(under: UnderlyingGraph, dedup_iso: bool = False):
@@ -494,7 +493,7 @@ def _scan_by_search(under):
 
 def test_coloring_image_scan_equals_the_search_scan():
     for n in range(3, 8):
-        for under in enumerate_underlying(n, 2, forbid_k4=n >= 5):
+        for under in enumerate_underlying(n, forbid_k4=n >= 5):
             got = [(code, g.arcs) for code, g in _scan_underlying_for_critical(under)]
             want = [(code, g.arcs) for code, g in _scan_by_search(under)]
             assert got == want, under
@@ -784,7 +783,7 @@ def test_resume_repairs_a_torn_shard_tail(tmp_path, monkeypatch):
                     text = fh.read()
                 assert text.endswith("\n")
                 on_disk += [json.loads(line)["canonical_code"] for line in text.splitlines()]
-        level = list(enumerate_underlying(n, 2, forbid_k4=n >= 5))
+        level = list(enumerate_underlying(n, forbid_k4=n >= 5))
         assert _last_cursor(base) == _cursor_hex(n, level[-1])
     assert sorted(on_disk) == sorted(r.canonical_code for r in fresh)
 
@@ -811,7 +810,7 @@ def test_cursor_log_is_truncated_once_per_level(tmp_path, monkeypatch):
     ]
     # the log holds one line per scanned candidate, in scan order
     for n in range(3, 8):
-        level = list(enumerate_underlying(n, 2, forbid_k4=n >= 5))
+        level = list(enumerate_underlying(n, forbid_k4=n >= 5))
         with open(tmp_path / str(n) / "CURSOR") as fh:
             assert fh.read().splitlines() == [_cursor_hex(n, ug) for ug in level]
 
@@ -865,7 +864,7 @@ def test_resume_rejects_a_cursor_naming_no_candidate(tmp_path, capsys):
     open(path, "w").close()
     resumed = find_critical(6, shard_dir=shard_dir, resume=True)
     assert [r.to_json_dict() for r in resumed] == [r.to_json_dict() for r in fresh]
-    level = list(enumerate_underlying(5, 2, forbid_k4=True))
+    level = list(enumerate_underlying(5, forbid_k4=True))
     with open(path) as fh:
         assert fh.read().splitlines() == [_cursor_hex(5, ug) for ug in level]
 
@@ -877,7 +876,7 @@ def test_a_streamed_resume_scans_the_oracle_tail(tmp_path, monkeypatch):
     shard_dir = str(tmp_path)
     fresh = [r.to_json_dict() for r in find_critical(6, shard_dir=shard_dir)]
     # the slow oracle: the top level as one list
-    level = list(enumerate_underlying(6, 2, forbid_k4=True, _last_level=True))
+    level = list(enumerate_underlying(6, forbid_k4=True, _last_level=True))
     path = os.path.join(shard_dir, "6", "CURSOR")
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -942,7 +941,7 @@ def test_the_scan_holds_no_candidate_list(monkeypatch):
     streamed = find_critical(7, jobs=1)
     monkeypatch.undo()
     assert len(counts) == sum(
-        len(list(enumerate_underlying(n, 2, forbid_k4=n >= 5))) for n in range(3, 8)
+        len(list(enumerate_underlying(n, forbid_k4=n >= 5))) for n in range(3, 8)
     )
     assert max(counts) <= 2
     assert [r.to_json_dict() for r in streamed] == [

@@ -19,7 +19,6 @@ from pushcrit.orient import (
     normalizing_pushes,
     push_class_count,
     push_class_representatives,
-    spanning_forest,
     subtree_masks,
 )
 
@@ -125,7 +124,8 @@ def test_constraint_off_the_graph_is_rejected():
 def test_forest_is_the_star_on_complete_graphs():
     for k in range(1, 7):
         edges = [(a, b) for a in range(k) for b in range(a + 1, k)]
-        assert spanning_forest(k, edges, range(k)) == [(0, v) for v in range(1, k)]
+        forest = class_coordinates(k, edges, range(k)).forest
+        assert forest == tuple((0, v) for v in range(1, k))
 
 
 def test_forest_roots_and_normalization(rng):
@@ -135,7 +135,7 @@ def test_forest_roots_and_normalization(rng):
         masks = _masks(n, edges)
         movable = {v for v in range(n) if rng.random() < 0.7}
         for mov in (range(n), movable):
-            forest = spanning_forest(n, edges, mov)
+            forest = class_coordinates(n, edges, mov).forest
             children = [v for _, v in forest]
             assert len(set(children)) == len(children)
             roots = [v for v in range(n) if v not in children]
@@ -149,7 +149,7 @@ def test_forest_roots_and_normalization(rng):
         g = pc.OrientedGraph(
             n, tuple((a, b) if rng.random() < 0.5 else (b, a) for a, b in edges)
         )
-        forest = spanning_forest(n, edges, range(n))
+        forest = class_coordinates(n, edges, range(n)).forest
         x = normalizing_pushes(n, forest, g.arc_set)
         pushed = pc.push_vertices(g, {v for v in range(n) if x[v]})
         assert all(arc in pushed.arc_set for arc in forest)
@@ -262,7 +262,6 @@ def test_one_pass_coordinates_match_the_reference(rng):
         coords = class_coordinates(n, edges, movable, fixed)
         assert (list(coords.forest), list(coords.free)) == (forest, free)
         assert coords.masks == z and coords.base == base
-        assert spanning_forest(n, loose, movable) == forest
         disconnected += not oriented_is_connected(pc.OrientedGraph(n, edges))
     assert disconnected >= 50
 

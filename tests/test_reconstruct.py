@@ -214,7 +214,9 @@ def test_image_verdicts_equal_the_search():
                         colorable = pc.is_pushably_k_colorable(g, 3) is not None
                         assert (bits in image.image) == colorable
                     assert len(image.image) == 16
-                assert chains[roles].colorable(graph.arc_set) == want, graph.arcs
+                chain_graph = chains[roles]
+                got = chain_graph.coords.class_of(graph.arc_set) in chain_graph.image
+                assert got == want, graph.arcs
     assert cases == 576 and len(chains) == 6
 
 

@@ -82,13 +82,11 @@ def _exports() -> set[str]:
     }
 
 
-def _loaded_names() -> set[str]:
-    """Every name some library module other than ``__init__`` loads, as
-    a bare name or as an attribute; docstrings and comments are not code."""
+def _loaded_names(paths) -> set[str]:
+    """Every name the Python files ``paths`` load, as a bare name or as an
+    attribute; docstrings and comments are not code."""
     found = set()
-    for path in sorted(SOURCE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -99,4 +97,33 @@ def _loaded_names() -> set[str]:
 
 
 def test_every_export_has_a_library_caller_or_a_listed_reason():
-    assert _exports() - _loaded_names() == UNREACHED_EXPORTS
+    modules = [p for p in SOURCE.glob("*.py") if p.name != "__init__.py"]
+    assert _exports() - _loaded_names(modules) == UNREACHED_EXPORTS
+
+
+def _module_level_names(tree) -> set[str]:
+    """The names a module binds at its top level by assignment or by a
+    def or class statement, dunders excepted."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {name for name in found if not (name.startswith("__") and name.endswith("__"))}
+
+
+def test_every_module_level_name_is_loaded_somewhere():
+    # a library definition that neither the library, the tests nor
+    # perfbench reads is dead code
+    root = Path(__file__).resolve().parents[1]
+    loaded = _loaded_names(
+        path for folder in (SOURCE, root / "tests", root / "perfbench")
+        for path in folder.rglob("*.py")
+    )
+    unread = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        unread |= {f"{path.stem}.{name}" for name in _module_level_names(tree) - loaded}
+    assert not unread, sorted(unread)

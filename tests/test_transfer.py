@@ -221,7 +221,7 @@ def test_colorability_matches_the_search(rng):
         chains = ChainGraph(g.vertex_count, g.edges, kept)
         for h in _random_orientations(rng, g, 8):
             want = pc.is_pushably_k_colorable(h, 3) is not None
-            assert chains.colorable(h.arc_set) == want, h.arcs
+            assert (chains.coords.class_of(h.arc_set) in chains.image) == want, h.arcs
             seen[want] += 1
     # the exceptions themselves are not colorable
     assert seen[True] and seen[False] >= 4
@@ -263,6 +263,24 @@ def test_malformed_inputs_are_rejected():
     for kept in ([0, 1, 2, 99], [-1, 0, 1, 2], [0, 1, 2, 3, 99]):
         with pytest.raises(IncompatibleInputError):
             ChainGraph(4, triangle + [(2, 3)], kept)
+    # the kernels check their vertices themselves; -1 must not read vertex
+    # 2 through negative indexing
+    for edges, kept, match in (
+        ([(0, 5)], [0], "vertex 5 outside 0..2"),
+        ([(0, -1)], [0], "vertex -1 outside 0..2"),
+        (triangle, [0, 7], "vertex 7 outside 0..2"),
+        (triangle, [-1], "vertex -1 outside 0..2"),
+    ):
+        with pytest.raises(IncompatibleInputError, match=match):
+            Kernel.of(3, edges, kept)
+    for kernel_edges, lengths, match in (
+        ([(0, 5)], [2], "vertex 5 outside 0..1"),
+        ([(-1, 0)], [2], "vertex -1 outside 0..1"),
+        ([(0, 1)], [2, 3], "2 lengths for 1 kernel edges"),
+        ([(0, 1), (0, 1)], [2], "1 lengths for 2 kernel edges"),
+    ):
+        with pytest.raises(IncompatibleInputError, match=match):
+            Kernel.subdivided(2, kernel_edges, lengths)
     # the triangle has one free edge; both directed triangles map onto C3,
     # and every orientation is push equivalent to one of them
     graph = ChainGraph(3, triangle, range(3))
@@ -270,7 +288,8 @@ def test_malformed_inputs_are_rejected():
     assert graph.image == {0, 1}
     for bits in range(8):
         g = pc.OrientedGraph(3, tuple(e if bits >> i & 1 else e[::-1] for i, e in enumerate(triangle)))
-        assert graph.colorable(g.arc_set) == (pc.is_pushably_k_colorable(g, 3) is not None)
+        colorable = graph.coords.class_of(g.arc_set) in graph.image
+        assert colorable == (pc.is_pushably_k_colorable(g, 3) is not None)
 
 
 def _random_connected(rng, n):

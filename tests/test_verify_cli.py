@@ -290,7 +290,7 @@ def test_cli_progress_goes_to_stderr(capsys):
         assert done == totals.get(n, 0) + 1 <= total
         totals[n] = done
     assert totals == {
-        str(n): len(list(pc.enumerate_underlying(n, 2, forbid_k4=n >= 5)))
+        str(n): len(list(pc.enumerate_underlying(n, forbid_k4=n >= 5)))
         for n in (3, 4, 5)
     }
     rc = cli.main(["enumerate", "--max-n", "4", "--progress"])
