@@ -36,11 +36,16 @@ class Kernel:
 
     @classmethod
     def of(cls, n: int, edges: Sequence[Arc], kept: Iterable[int]) -> Kernel:
-        """The chains of the graph with ``edges``, in the order of each
-        chain's first edge (u, v), walked through u and then v."""
+        """The chains of the simple graph with ``edges``, in the order of
+        each chain's first edge (u, v), walked through u and then v."""
         kept = frozenset(kept)
         _check_vertices(n, kept)
         _check_vertices(n, (v for e in edges for v in e))
+        for u, v in edges:
+            if u == v:
+                raise IncompatibleInputError(f"a loop at vertex {u}")
+        if len({(min(e), max(e)) for e in edges}) < len(edges):
+            raise IncompatibleInputError("an edge is repeated")
         nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             nbrs[u].append(v)

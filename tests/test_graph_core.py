@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,15 +14,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pushcrit as pc
+from pushcrit import cli, density
+from pushcrit.chains import Kernel
 from pushcrit.enumeration import UnderlyingGraph
 from pushcrit.errors import (
     GraphParseError,
     IncompatibleInputError,
     InvalidPushSetError,
+    SelfCheckError,
     StructuralViolationError,
     UnclassifiableGraphError,
     UndefinedInputError,
 )
+from pushcrit.graph import OrientedGraph
 
 from conftest import (
     attach_path,
@@ -262,6 +267,210 @@ def test_mad_capacities_beyond_int32():
     n = 46342
     path = pc.OrientedGraph(n, tuple((v, v + 1) for v in range(n - 1)))
     assert pc.mad_exact(path) == Fraction(2 * (n - 1), n)
+
+
+class _FlowNetwork:
+    """Integer max-flow by Dinic's algorithm.
+
+    Arcs live in paired slots: slot ``s ^ 1`` is the residual reverse of
+    slot ``s``.
+    """
+
+    def __init__(self, size: int):
+        self.out = [[] for _ in range(size)]
+        self.head: list[int] = []
+        self.cap: list[int] = []
+
+    def add_arc(self, u: int, v: int, capacity: int) -> None:
+        self.out[u].append(len(self.head))
+        self.head.append(v)
+        self.cap.append(capacity)
+        self.out[v].append(len(self.head))
+        self.head.append(u)
+        self.cap.append(0)
+
+    def _levels(self, source: int) -> list[int]:
+        """BFS distance from ``source`` in the residual network, -1 if unreachable."""
+        head, cap = self.head, self.cap
+        level = [-1] * len(self.out)
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            for slot in self.out[u]:
+                v = head[slot]
+                if cap[slot] and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        return level
+
+    def _blocking_flow(self, level: list[int], source: int, sink: int) -> int:
+        head, cap, out = self.head, self.cap, self.out
+        cursor = [0] * len(out)
+        total = 0
+        path: list[int] = []
+        u = source
+        while True:
+            if u == sink:
+                push = min(cap[slot] for slot in path)
+                for slot in path:
+                    cap[slot] -= push
+                    cap[slot ^ 1] += push
+                total += push
+                path.clear()
+                u = source
+                continue
+            slots = out[u]
+            i = cursor[u]
+            while i < len(slots) and not (
+                cap[slots[i]] and level[head[slots[i]]] == level[u] + 1
+            ):
+                i += 1
+            cursor[u] = i
+            if i < len(slots):
+                path.append(slots[i])
+                u = head[slots[i]]
+            elif u == source:
+                return total
+            else:
+                # dead end: retreat and never try this arc again in this phase
+                u = head[path.pop() ^ 1]
+                cursor[u] += 1
+
+    def max_flow(self, source: int, sink: int) -> tuple[int, list[int]]:
+        """Max-flow value and the levels of the final residual BFS.
+
+        The nodes with a level >= 0 are those reachable from ``source``
+        in the residual network: the source side of a minimum cut.
+        """
+        flow = 0
+        while True:
+            level = self._levels(source)
+            if level[sink] < 0:
+                return flow, level
+            flow += self._blocking_flow(level, source, sink)
+
+
+def _dinic_denser_subgraph(g: OrientedGraph, density: Fraction):
+    """Vertex set of some subgraph strictly denser than ``density``, or None.
+
+    Goldberg network: source -> each edge node (capacity b), edge node ->
+    both endpoints (infinite), vertex -> sink (capacity a), for
+    density = a/b.  A cut with vertex set S on the source side costs at
+    least b(|E| - |E(S)|) + a|S|, so a max-flow below b|E| means the
+    vertices reachable from the source in the residual network span a
+    subgraph with b|E(S)| - a|S| > 0.
+    """
+    n, m = g.vertex_count, g.arc_count
+    a, b = density.numerator, density.denominator
+    source, sink = n + m, n + m + 1
+    infinite = m * b + 1
+    network = _FlowNetwork(n + m + 2)
+    for i, (t, h) in enumerate(g.edges):
+        network.add_arc(source, n + i, b)
+        network.add_arc(n + i, t, infinite)
+        network.add_arc(n + i, h, infinite)
+    for v in range(n):
+        network.add_arc(v, sink, a)
+    flow, level = network.max_flow(source, sink)
+    if flow >= m * b:
+        return None
+    return {v for v in range(n) if level[v] >= 0}
+
+
+def _dinic_mad(g: OrientedGraph) -> Fraction:
+    """The mad oracle: Dinic's flow on the (m + n + 2)-node edge-node
+    network, from the density m/n up."""
+    n = g.vertex_count
+    if n == 0:
+        raise UndefinedInputError("mad is undefined on the empty graph")
+    if g.arc_count == 0:
+        return Fraction(0)
+    density = Fraction(g.arc_count, n)
+    # each round either proves optimality or strictly improves the density,
+    # and only finitely many subgraph densities exist
+    while True:
+        sub = _dinic_denser_subgraph(g, density)
+        if sub is None:
+            return 2 * density
+        inside = sum(1 for lo, hi in g.edges if lo in sub and hi in sub)
+        density = Fraction(inside, len(sub))
+
+
+def _mad_test_graph(rng, kind: int) -> OrientedGraph:
+    """A random graph on at most 40 vertices: 0 any density from sparse to
+    complete, 1 a clique glued to a sparse part, 2 isolated vertices beside
+    a sparse part, 3 two components of their own densities."""
+    n = rng.randint(1, 40)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    if kind == 0:
+        p = rng.random()
+        edges = {e for e in pairs if rng.random() < p}
+    elif kind == 1:
+        k = rng.randint(1, min(n, 9))
+        edges = {(a, b) for a, b in pairs if b < k or rng.random() < 1.5 / n}
+    elif kind == 2:
+        edges = {(a, b) for a, b in pairs if b < n // 2 and rng.random() < 4 / n}
+    else:
+        half, p, q = n // 2, rng.random(), rng.random()
+        edges = {(a, b) for a, b in pairs if rng.random() < (p if b < half else q if a >= half else 0)}
+    return OrientedGraph(n, tuple((a, b) if rng.random() < 0.5 else (b, a) for a, b in sorted(edges)))
+
+
+def test_mad_matches_the_dinic_route(rng, monkeypatch):
+    rounds = []
+    flow = density._denser_subgraph
+
+    def counted(*args):
+        rounds[-1] += 1
+        return flow(*args)
+
+    monkeypatch.setattr(density, "_denser_subgraph", counted)
+    for i in range(320):
+        g = _mad_test_graph(rng, i % 4)
+        rounds.append(0)
+        assert pc.mad_exact(g) == _dinic_mad(g), g
+    # the peeling start is densest for most graphs but not for all, so
+    # the loop's later rounds run too
+    assert 10 <= sum(r > 1 for r in rounds) <= 64
+
+
+def test_mad_rejects_a_witness_that_is_not_denser(monkeypatch, capsys):
+    # a witness no denser than the density it refutes would repeat that
+    # density forever; the loop raises, and the CLI reports a fault
+    monkeypatch.setattr(density, "_denser_subgraph", lambda out, head, a, b: set(range(len(out))))
+    with pytest.raises(SelfCheckError, match="does not refute"):
+        pc.mad_exact(pc.fixture("e1"))
+    assert cli.main(["mad", "@e1"]) == cli.EXIT_INTERNAL
+    assert "internal error" in capsys.readouterr().err
+
+
+def _subdivided_cubic(kernel_n: int, seed: int) -> OrientedGraph:
+    """A random cubic multigraph on ``kernel_n`` vertices (a random
+    matching of their half-edges) with every edge a chain of 3 edges:
+    n = 4 * kernel_n, m = 4.5 * kernel_n.  Every subgraph of it has at
+    most 9/8 edges per vertex, so its mad is 9/4."""
+    rng = random.Random(seed)
+    ends = [v for v in range(kernel_n) for _ in range(3)]
+    rng.shuffle(ends)
+    kernel_edges = list(zip(ends[::2], ends[1::2]))
+    kernel = Kernel.subdivided(kernel_n, kernel_edges, [3] * len(kernel_edges))
+    return OrientedGraph(kernel.n, tuple(kernel.edges))
+
+
+def test_mad_of_a_subdivided_cubic_kernel_at_5000_vertices():
+    g = _subdivided_cubic(1250, seed=1)
+    assert (g.vertex_count, g.arc_count) == (5000, 5625)
+    assert pc.mad_exact(g) == Fraction(9, 4)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("PUSHCRIT_STRETCH"),
+    reason="stretch run; set PUSHCRIT_STRETCH=1 to enable (~1.5 s on a 2-vCPU Xeon)",
+)
+def test_stretch_mad_of_a_subdivided_cubic_kernel_at_50000_vertices():
+    g = _subdivided_cubic(12500, seed=2)
+    assert (g.vertex_count, g.arc_count) == (50000, 56250)
+    assert pc.mad_exact(g) == Fraction(9, 4)
 
 
 def test_import_loads_neither_numpy_nor_scipy():

@@ -273,6 +273,14 @@ def test_malformed_inputs_are_rejected():
     ):
         with pytest.raises(IncompatibleInputError, match=match):
             Kernel.of(3, edges, kept)
+    # the graph must be simple: no loop edge, no edge twice in either direction
+    for n, edges, kept, match in (
+        (1, [(0, 0)], [0], "a loop at vertex 0"),
+        (2, [(0, 1), (0, 1)], [0, 1], "an edge is repeated"),
+        (3, [(0, 1), (1, 0), (1, 2), (2, 0)], [0, 1], "an edge is repeated"),
+    ):
+        with pytest.raises(IncompatibleInputError, match=match):
+            Kernel.of(n, edges, kept)
     for kernel_edges, lengths, match in (
         ([(0, 5)], [2], "vertex 5 outside 0..1"),
         ([(-1, 0)], [2], "vertex -1 outside 0..1"),
