@@ -21,6 +21,7 @@ from .graph import (
     POTENTIAL_ARC_WEIGHT,
     POTENTIAL_VERTEX_WEIGHT,
     OrientedGraph,
+    json_fields,
     potential,
 )
 
@@ -75,23 +76,7 @@ class DischargingReport:
     lower_bound_checks: tuple[BoundCheck, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "initial": list(self.initial),
-            "final": list(self.final),
-            "total_initial": self.total_initial,
-            "total_final": self.total_final,
-            "lower_bound_checks": [
-                {
-                    "vertex": c.vertex,
-                    "degree": c.degree,
-                    "total": c.total,
-                    "bound": c.bound,
-                    "final": c.final,
-                    "ok": c.ok,
-                }
-                for c in self.lower_bound_checks
-            ],
-        }
+        return json_fields(self)
 
 
 def discharging_audit(g: OrientedGraph) -> DischargingReport:

@@ -142,6 +142,7 @@ from .graph import (
     OrientedGraph,
     _components,
     adjacency,
+    json_fields,
     potential,
 )
 from .transfer import ChainGraph
@@ -576,29 +577,18 @@ class EnumerationRecord:
     arcs: tuple[tuple[int, int], ...] | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "canonical_code": self.canonical_code,
-            "n": self.n,
-            "m": self.m,
-            "critical": self.critical,
-            "potential": self.potential,
-            "satisfies_bound": self.satisfies_bound,
-            "exception": self.exception,
-            "arcs": [list(a) for a in self.arcs] if self.arcs is not None else None,
-        }
+        return json_fields(self)
 
     @staticmethod
     def from_json_dict(d: dict) -> "EnumerationRecord":
-        return EnumerationRecord(
-            canonical_code=d["canonical_code"],
-            n=d["n"],
-            m=d["m"],
-            critical=d["critical"],
-            potential=d["potential"],
-            satisfies_bound=d["satisfies_bound"],
-            exception=d.get("exception"),
-            arcs=tuple(tuple(a) for a in d["arcs"]) if d.get("arcs") else None,
-        )
+        """The record whose ``to_json_dict`` is ``d``, a missing exception
+        or arcs read as None; TypeError when ``d`` is no record."""
+        if not isinstance(d, dict):
+            raise TypeError("a record is a JSON object")
+        arcs = d.get("arcs")
+        if arcs and not all(isinstance(a, list) and len(a) == 2 for a in arcs):
+            raise TypeError("arcs must be pairs")
+        return EnumerationRecord(**{**d, "arcs": tuple(map(tuple, arcs)) if arcs else None})
 
 
 def _exception_codes() -> dict[str, str]:
@@ -648,12 +638,7 @@ class DensityBoundReport:
     exceptions_found: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "records_checked": self.records_checked,
-            "violators": [r.to_json_dict() for r in self.violators],
-            "exceptions_found": list(self.exceptions_found),
-        }
+        return json_fields(self)
 
 
 def verify_density_bound(records) -> DensityBoundReport:
@@ -685,8 +670,8 @@ def _persist_records(base: str, records):
             fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
 
 
-def _complete_lines(path: str) -> list[str]:
-    """The complete lines of the append-only log at ``path``.
+def _complete_lines(path: str) -> list[bytes]:
+    """The complete lines of the append-only log at ``path``, undecoded.
 
     A crash mid-append leaves a final line without its newline.  It is cut
     off the file, so the next append starts a line of its own.  Nothing is
@@ -698,20 +683,24 @@ def _complete_lines(path: str) -> list[str]:
         complete = data.rfind(b"\n") + 1
         if complete < len(data):
             fh.truncate(complete)
-    return data[:complete].decode("utf-8").splitlines()
+    return data[:complete].splitlines()
 
 
 def _load_records(base: str):
-    """Records persisted under ``base``, less a torn final line."""
+    """Records persisted under ``base``, less a torn final line.  Any other
+    line that is not a record raises ConfigError, naming file and line."""
     records = {}
     path = os.path.join(base, _RECORDS_FILE)
     if not os.path.exists(path):
         return records
-    for line in _complete_lines(path):
-        line = line.strip()
-        if line:
-            rec = EnumerationRecord.from_json_dict(json.loads(line))
-            records[rec.canonical_code] = rec
+    for number, line in enumerate(_complete_lines(path), 1):
+        if not line.strip():
+            continue
+        try:
+            rec = EnumerationRecord.from_json_dict(json.loads(line.decode("utf-8")))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}:{number}: not a record: {exc}") from None
+        records[rec.canonical_code] = rec
     return records
 
 
@@ -724,7 +713,8 @@ def _read_cursor(path: str) -> str | None:
     if not os.path.exists(path):
         return None
     lines = _complete_lines(path)
-    return lines[-1] if lines else None
+    # a line that is no UTF-8 names no candidate either
+    return lines[-1].decode("utf-8", "replace") if lines else None
 
 
 def _skip_past(name: str, candidates, cursor: str) -> int:

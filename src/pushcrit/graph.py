@@ -13,7 +13,7 @@ job of ``orient``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -148,15 +148,20 @@ class OrientedGraph:
             inn[h].append(t)
         return tuple(tuple(sorted(v)) for v in inn)
 
+    def _mask(self, v: int) -> int:
+        if not 0 <= v < self.vertex_count:
+            raise IncompatibleInputError(f"vertex {v} outside 0..{self.vertex_count - 1}")
+        return self.adjacency_masks[v]
+
     def degree(self, v: int) -> int:
-        return bin(self.adjacency_masks[v]).count("1")
+        return bin(self._mask(v)).count("1")
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(bin(m).count("1") for m in self.adjacency_masks)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        m = self.adjacency_masks[v]
+        m = self._mask(v)
         return tuple(u for u in range(self.vertex_count) if m >> u & 1)
 
     # -- simple editing helpers -------------------------------------------
@@ -207,6 +212,20 @@ class OrientedGraph:
                 mask ^= low
             comps.append(tuple(comp))
         return tuple(comps)
+
+
+# -- JSON -----------------------------------------------------------------
+
+
+def json_fields(value):
+    """``value`` as JSON data: a dataclass as the dict of its fields and a
+    tuple or list as a list, each recursively; anything else as it is.
+    It is the ``to_json_dict`` of every result whose JSON is its fields."""
+    if is_dataclass(value):
+        return {f.name: json_fields(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [json_fields(item) for item in value]
+    return value
 
 
 # -- push algebra ----------------------------------------------------------

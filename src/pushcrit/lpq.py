@@ -192,20 +192,32 @@ def lpq_span_search(
 
     The least span is in S (module docstring) and feasibility is monotone
     in the span, so it is found by bisection over S less its top, which is
-    always feasible.
+    always feasible: v -> v * p.  The labeling behind the answer is checked,
+    and ``SelfCheckError`` raised unless it is valid with that span.
     """
     _validate_pq(p, q)
     _validate_variant(variant)
-    if g.vertex_count > SPAN_SEARCH_MAX_VERTICES:
+    n = g.vertex_count
+    if n > SPAN_SEARCH_MAX_VERTICES:
         raise ConfigError(
             f"span search is exhaustive only up to {SPAN_SEARCH_MAX_VERTICES} vertices"
         )
-    spans = _tight_labels(g.vertex_count, p, q)
+    spans = _tight_labels(n, p, q)
+    found = {spans[-1]: tuple(v * p for v in range(n))}
 
     def feasible(span: int) -> bool:
-        return _feasible(g, p, q, variant, span) is not None
+        found[span] = _feasible(g, p, q, variant, span)
+        return found[span] is not None
 
-    return spans[bisect_left(spans, True, hi=len(spans) - 1, key=feasible)]
+    span = spans[bisect_left(spans, True, hi=len(spans) - 1, key=feasible)]
+    labeling = LpqLabeling(p, q, found[span], variant)
+    check = check_lpq_labeling(g, labeling)
+    if not check.ok or labeling.span != span:
+        raise SelfCheckError(
+            f"labeling {labeling.labels} of span {labeling.span} does not prove"
+            f" span {span}: {check.violation}"
+        )
+    return span
 
 
 def at_c3_labeling(p: int, q: int) -> LpqLabeling:

@@ -48,7 +48,7 @@ from .chains import Kernel
 from .crit import is_pushably_k_colorable
 from .errors import IncompatibleInputError
 from .fixtures import M3P_COLORING, M3P_PUSH_SET, fixture
-from .graph import OrientedGraph, adjacency, potential
+from .graph import OrientedGraph, adjacency, json_fields, potential
 from .hom import C3, ColoringCertificate
 from .orient import class_space
 from .transfer import ChainGraph
@@ -68,15 +68,7 @@ class ReconstructionInventory:
         return self.graphs_checked > 0 and self.colorable == self.graphs_checked
 
     def to_json_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "split_vertex": self.split_vertex,
-            "valid_glue_orientations": self.valid_glue_orientations,
-            "graphs_checked": self.graphs_checked,
-            "distinct_graphs": self.distinct_graphs,
-            "colorable": self.colorable,
-            "ok": self.ok,
-        }
+        return {**json_fields(self), "ok": self.ok}
 
 
 def _three_vertices(g: OrientedGraph) -> list[int]:
@@ -213,21 +205,15 @@ def verify_split_vertex_reconstructions(sources=("e1", "e2", "e3")):
 class DrawnColoringReport:
     coloring_valid: bool
     recomputed_colorable: bool
-    potential_value: int
+    potential: int
     reversed_arc_recheck: str
 
     @property
     def ok(self) -> bool:
-        return self.coloring_valid and self.recomputed_colorable and self.potential_value == 3
+        return self.coloring_valid and self.recomputed_colorable and self.potential == 3
 
     def to_json_dict(self) -> dict:
-        return {
-            "coloring_valid": self.coloring_valid,
-            "recomputed_colorable": self.recomputed_colorable,
-            "potential": self.potential_value,
-            "reversed_arc_recheck": self.reversed_arc_recheck,
-            "ok": self.ok,
-        }
+        return {**json_fields(self), "ok": self.ok}
 
 
 def verify_fig6_coloring() -> DrawnColoringReport:

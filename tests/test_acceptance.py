@@ -116,7 +116,7 @@ def test_criterion_07_drawn_coloring():
     started = time.monotonic()
     report = verify_fig6_coloring()
     assert report.coloring_valid and report.recomputed_colorable
-    assert report.potential_value == 3
+    assert report.potential == 3
     _report("7 drawn-8-vertex-witness", started, 1.0)
 
 

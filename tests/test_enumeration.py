@@ -11,6 +11,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -658,6 +659,17 @@ def test_density_bound_report():
     assert not bad.ok and fake in bad.violators
 
 
+def test_records_round_trip_through_json():
+    # resume reads back what the shards wrote
+    for record in find_critical(8):
+        line = json.dumps(record.to_json_dict(), sort_keys=True)
+        assert EnumerationRecord.from_json_dict(json.loads(line)) == record
+    bare = EnumerationRecord("ff", 4, 4, True, 8, False)
+    assert EnumerationRecord.from_json_dict(
+        {k: v for k, v in bare.to_json_dict().items() if k not in ("exception", "arcs")}
+    ) == bare
+
+
 def test_shards_and_resume(tmp_path):
     shard_dir = os.path.join(tmp_path, "shards")
     baseline = find_critical(5)
@@ -867,6 +879,44 @@ def test_resume_rejects_a_cursor_naming_no_candidate(tmp_path, capsys):
     level = list(enumerate_underlying(5, forbid_k4=True))
     with open(path) as fh:
         assert fh.read().splitlines() == [_cursor_hex(5, ug) for ug in level]
+
+
+def test_resume_rejects_a_log_line_it_cannot_read(tmp_path, capsys):
+    shard_dir = str(tmp_path)
+    fresh = [r.to_json_dict() for r in find_critical(5, shard_dir=shard_dir)]
+    path = os.path.join(shard_dir, "4", "50.ndjson")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    record = json.loads(lines[0])
+    not_records = [
+        b'{"canonical_code": "zz"}',  # fields missing
+        b"not json",
+        b"[1, 2]",
+        b'{"canonical_code": "\xff"}',  # no UTF-8
+        json.dumps({**record, "colour": 3}).encode(),  # a field no record has
+        json.dumps({**record, "arcs": [[0, 2, 1], [0, 3]]}).encode(),
+        json.dumps({**record, "arcs": [0, 2]}).encode(),
+    ]
+    for bad in not_records:
+        with open(path, "wb") as fh:
+            fh.write("".join(line + "\n" for line in lines).encode() + bad + b"\n")
+        where = f"{path}:{len(lines) + 1}: not a record"
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            find_critical(5, shard_dir=shard_dir, resume=True)
+        rc = cli.main(["verify-bound", "--max-n", "5", "--shards", shard_dir, "--resume"])
+        assert rc == cli.EXIT_USAGE and "not a record" in capsys.readouterr().err
+    # the same line torn, without its newline, is cut as before
+    with open(path, "wb") as fh:
+        fh.write("".join(line + "\n" for line in lines).encode() + not_records[0])
+    resumed = find_critical(5, shard_dir=shard_dir, resume=True)
+    assert [r.to_json_dict() for r in resumed] == fresh
+    with open(path) as fh:
+        assert fh.read().splitlines() == lines
+    # a CURSOR line that is no UTF-8 names no candidate
+    with open(os.path.join(shard_dir, "4", "CURSOR"), "ab") as fh:
+        fh.write(b"\xff\n")
+    with pytest.raises(ConfigError, match="level 4"):
+        find_critical(5, shard_dir=shard_dir, resume=True)
 
 
 def test_a_streamed_resume_scans_the_oracle_tail(tmp_path, monkeypatch):

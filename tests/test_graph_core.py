@@ -201,6 +201,15 @@ def test_induced_subgraph_rejects_vertices_outside_the_graph():
             c3.induced_subgraph(vertices)
 
 
+def test_degree_and_neighbors_reject_vertices_outside_the_graph():
+    e1 = pc.fixture("e1")
+    assert (e1.degree(12), e1.neighbors(12)) == (2, (1, 11))
+    for v in (-1, e1.vertex_count):
+        for read in (e1.degree, e1.neighbors):
+            with pytest.raises(IncompatibleInputError, match=rf"vertex {v} outside 0\.\.12"):
+                read(v)
+
+
 def test_potential_values():
     assert pc.potential(pc.OrientedGraph(1, ())) == 15
     assert pc.potential(pc.OrientedGraph(2, ((0, 1),))) == 17

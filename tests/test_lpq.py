@@ -10,7 +10,7 @@ import pytest
 
 import pushcrit as pc
 from pushcrit import cli, lpq
-from pushcrit.errors import ConfigError
+from pushcrit.errors import ConfigError, SelfCheckError
 from pushcrit.lpq import (
     VARIANT_ORIENTED,
     VARIANT_TWO_DIPATH,
@@ -112,6 +112,20 @@ def test_span_search_trivial_graph():
     g = pc.OrientedGraph(2, ((0, 1),))
     assert pc.lpq_span_search(g, 2, 1, VARIANT_TWO_DIPATH) == 2
     assert pc.lpq_span_search(g, 3, 1, VARIANT_ORIENTED) == 3
+
+
+def test_span_search_checks_the_labeling_behind_its_answer(monkeypatch, capsys):
+    # a search that calls every span feasible with all labels 0 answers 0
+    # unless the labeling it found is checked
+    monkeypatch.setattr(lpq, "_feasible", lambda g, p, q, variant, span: (0,) * g.vertex_count)
+    with pytest.raises(SelfCheckError, match="adjacent"):
+        pc.lpq_span_search(pc.fixture("c3"), 2, 1)
+    rc = cli.main(["lpq", "--p", "2", "--q", "1", "@c3"])
+    assert rc == cli.EXIT_INTERNAL and "internal error" in capsys.readouterr().err
+    # a search that finds nothing answers the top of S with v -> v * p,
+    # which passes the check
+    monkeypatch.setattr(lpq, "_feasible", lambda g, p, q, variant, span: None)
+    assert pc.lpq_span_search(pc.fixture("c3"), 2, 1) == 4
 
 
 def _transitive_tournament(n: int) -> pc.OrientedGraph:

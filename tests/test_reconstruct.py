@@ -257,7 +257,7 @@ def test_every_e1_split_has_cases():
 def test_fig6_drawn_coloring():
     report = verify_fig6_coloring()
     assert report.ok
-    assert report.potential_value == 3
+    assert report.potential == 3
     cert = pc.ColoringCertificate(M3P_PUSH_SET, M3P_COLORING, C3)
     assert cert.verify(pc.fixture("m3p"))
 

@@ -28,6 +28,7 @@ RECURSIVE = {
     "enumeration._graphs_on",  # one frame per uncached level: <= n <= 12
     "enumeration._has_cut_vertex.dfs",  # one frame per DFS tree vertex: <= n
     "enumeration._chromatic_at_most_3.dfs",  # one frame per colored vertex: n + 1
+    "graph.json_fields",  # one frame per level of nesting: report, record, arcs, arc: <= 4
     "lpq._feasible.dfs",  # one frame per labeled vertex: n + 1
 }
 
@@ -58,6 +59,29 @@ def test_every_recursive_function_has_a_depth_bound():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found |= set(_recursive(tree, path.stem))
     assert found == RECURSIVE
+
+
+# every library class whose to_json_dict does not call graph.json_fields,
+# with the reason its JSON is not its fields: any other result writes its
+# fields by the one rule, so a hand-copied field list cannot return
+OWN_JSON = {
+    "crit.CriticalityReport",  # "certificate" holds global_certificate; absent parts are omitted
+    "configs.ConfigurationCheck",  # the gadget as "config" and "params"; no method
+    "hom.ColoringCertificate",  # the schema's "pushed" and "map"; no target
+}
+
+
+def test_every_to_json_dict_calls_json_fields_or_has_a_listed_reason():
+    own = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "to_json_dict":
+                    names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+                    if "json_fields" not in names:
+                        own.add(f"{path.stem}.{cls.name}")
+    assert own == OWN_JSON
 
 
 # every name that pushcrit/__init__.py exports but no library module

@@ -11,6 +11,7 @@ import pytest
 
 import pushcrit as pc
 from pushcrit import cli
+from pushcrit.reconstruct import verify_fig6_coloring, verify_split_vertex_reconstructions
 from pushcrit.verify import run_suites, write_report
 
 SCHEMA_DIR = Path(pc.__file__).parent / "schemas"
@@ -138,6 +139,30 @@ def test_certificate_and_report_schemas():
     rec_schema = _load_schema("enumeration_record.schema.json")
     for record in pc.find_critical(4):
         rec_schema.validate(record.to_json_dict())
+
+
+def test_results_serialize_to_plain_json():
+    # to_json_dict is the fields as JSON data: nothing changes through
+    # json, so no tuple is left for a schema's "array" to refuse
+    records = pc.find_critical(8)
+    fake = pc.EnumerationRecord("ff", 4, 4, True, 8, False, None, ((0, 1),))
+    flagged = pc.verify_density_bound([*records, fake])
+    assert flagged.to_json_dict()["violators"] == [fake.to_json_dict()]
+    results = [*records, pc.verify_density_bound(records), flagged]
+    for name in ("at_c3", "e1", "e2", "e3", "f", "m3p"):
+        results.append(pc.discharging_audit(pc.fixture(name)))
+    results += verify_split_vertex_reconstructions()
+    results.append(verify_fig6_coloring())
+    for result in results:
+        d = result.to_json_dict()
+        assert json.loads(json.dumps(d)) == d, type(result).__name__
+    assert {type(r).__name__ for r in results} == {
+        "EnumerationRecord",
+        "DensityBoundReport",
+        "DischargingReport",
+        "ReconstructionInventory",
+        "DrawnColoringReport",
+    }
 
 
 # -- CLI ------------------------------------------------------------------------
