@@ -117,6 +117,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 from array import array
 from contextlib import ExitStack
@@ -135,6 +136,7 @@ from .canon import (
 )
 from .chains import classify_vertices
 from .errors import ConfigError, ResourceBudgetError
+from .fixtures import EXCEPTION_NAMES, fixture
 from .graph import (
     POTENTIAL_ARC_WEIGHT,
     POTENTIAL_VERTEX_WEIGHT,
@@ -582,18 +584,47 @@ class EnumerationRecord:
     @staticmethod
     def from_json_dict(d: dict) -> "EnumerationRecord":
         """The record whose ``to_json_dict`` is ``d``, a missing exception
-        or arcs read as None; TypeError when ``d`` is no record."""
+        or arcs read as None; TypeError when ``d`` is no record: a field
+        is missing, unknown, of the wrong type or out of range, or the
+        potential or the bound disagrees with n and m."""
         if not isinstance(d, dict):
             raise TypeError("a record is a JSON object")
         arcs = d.get("arcs")
-        if arcs and not all(isinstance(a, list) and len(a) == 2 for a in arcs):
+        if arcs is not None and not (
+            isinstance(arcs, list) and all(isinstance(a, list) and len(a) == 2 for a in arcs)
+        ):
             raise TypeError("arcs must be pairs")
-        return EnumerationRecord(**{**d, "arcs": tuple(map(tuple, arcs)) if arcs else None})
+        rec = EnumerationRecord(**{**d, "arcs": tuple(map(tuple, arcs)) if arcs else None})
+        n, m = rec.n, rec.m
+        code = rec.canonical_code
+        if not (isinstance(code, str) and re.fullmatch("(?:[0-9a-f]{2})+", code)):
+            raise TypeError("canonical_code must be a hex string")
+        if not (_is_count(n) and _is_count(m)):
+            raise TypeError("n and m must be non-negative integers")
+        if not (isinstance(rec.critical, bool) and isinstance(rec.satisfies_bound, bool)):
+            raise TypeError("critical and satisfies_bound must be booleans")
+        if rec.exception is not None and rec.exception not in EXCEPTION_NAMES:
+            raise TypeError(f"exception must be None or one of {', '.join(EXCEPTION_NAMES)}")
+        if rec.arcs is not None and not (
+            len(rec.arcs) == m
+            and all(_is_count(v) and v < n for arc in rec.arcs for v in arc)
+        ):
+            raise TypeError("arcs must be m pairs of vertices 0..n-1")
+        if type(rec.potential) is not int or (
+            rec.potential != POTENTIAL_VERTEX_WEIGHT * n - POTENTIAL_ARC_WEIGHT * m
+        ):
+            raise TypeError("potential must be 15n - 13m")
+        if rec.satisfies_bound != satisfies_density_bound(n, m):
+            raise TypeError("satisfies_bound disagrees with n and m")
+        return rec
+
+
+def _is_count(x) -> bool:
+    """Whether the JSON value ``x`` is a non-negative integer, not a bool."""
+    return type(x) is int and x >= 0
 
 
 def _exception_codes() -> dict[str, str]:
-    from .fixtures import EXCEPTION_NAMES, fixture
-
     return {canonical_form(fixture(name)).hex(): name for name in EXCEPTION_NAMES}
 
 

@@ -881,6 +881,66 @@ def test_resume_rejects_a_cursor_naming_no_candidate(tmp_path, capsys):
         assert fh.read().splitlines() == [_cursor_hex(5, ug) for ug in level]
 
 
+def test_resume_rejects_a_record_line_with_values_no_record_has(tmp_path, capsys):
+    # every field is present, but no value is a record's: the shard is
+    # damaged (exit 2), not a violator of the bound (exit 1)
+    shard_dir = str(tmp_path)
+    find_critical(5, shard_dir=shard_dir)
+    with open(os.path.join(shard_dir, "4", "50.ndjson"), "a") as fh:
+        fh.write(
+            '{"arcs": null, "canonical_code": "zz", "critical": "no", "exception": null, '
+            '"m": "x", "n": -3, "potential": 0, "satisfies_bound": false}\n'
+        )
+    rc = cli.main(["verify-bound", "--max-n", "5", "--shards", shard_dir, "--resume"])
+    assert rc == cli.EXIT_USAGE and "not a record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("canonical_code", "zz", "hex string"),
+        ("canonical_code", "ABCD", "hex string"),
+        ("canonical_code", "abc", "hex string"),
+        ("canonical_code", "", "hex string"),
+        ("canonical_code", 12, "hex string"),
+        ("n", -4, "non-negative integers"),
+        ("n", True, "non-negative integers"),
+        ("n", 4.0, "non-negative integers"),
+        ("m", "4", "non-negative integers"),
+        ("m", None, "non-negative integers"),
+        ("critical", "no", "booleans"),
+        ("critical", 1, "booleans"),
+        ("satisfies_bound", 0, "booleans"),
+        ("exception", "f", "exception must be"),
+        ("exception", 3, "exception must be"),
+        ("arcs", [[0, 1], [0, 3], [1, 2]], "m pairs"),
+        ("arcs", [[0, 1], [0, 3], [1, 2], [2, 4]], "m pairs"),
+        ("arcs", [[0, 1], [0, 3], [1, 2], [2, -1]], "m pairs"),
+        ("arcs", [[0, 1], [0, 3], [1, 2], [2, True]], "m pairs"),
+        ("arcs", [[0, 1], [0, 3], [1, 2], [2, "3"]], "m pairs"),
+        ("arcs", 5, "pairs"),
+        ("potential", 9, "potential"),
+        ("potential", 8.0, "potential"),
+        ("satisfies_bound", True, "disagrees"),
+    ],
+)
+def test_records_reject_values_of_the_wrong_type_or_range(field, value, reason):
+    (record,) = find_critical(4)
+    good = record.to_json_dict()
+    assert EnumerationRecord.from_json_dict(good) == record
+    with pytest.raises(TypeError, match=reason):
+        EnumerationRecord.from_json_dict({**good, field: value})
+
+
+def test_records_reject_a_bound_that_disagrees_with_n_and_m():
+    # potential consistent with n = 4, m = 6, but the bound read wrongly
+    (record,) = find_critical(4)
+    d = {**record.to_json_dict(), "m": 6, "potential": -18, "arcs": None}
+    assert EnumerationRecord.from_json_dict({**d, "satisfies_bound": True}).m == 6
+    with pytest.raises(TypeError, match="disagrees"):
+        EnumerationRecord.from_json_dict(d)
+
+
 def test_resume_rejects_a_log_line_it_cannot_read(tmp_path, capsys):
     shard_dir = str(tmp_path)
     fresh = [r.to_json_dict() for r in find_critical(5, shard_dir=shard_dir)]
