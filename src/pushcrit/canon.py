@@ -334,16 +334,11 @@ def oriented_canonical_form(g: OrientedGraph) -> bytes:
 def underlying_cert(g: OrientedGraph) -> bytes:
     """Canonical certificate of the underlying simple graph.
 
-    No library path calls it (generation encodes the certificate of
-    ``canonical_data`` itself): the tests do, and perfbench/tracing.py
-    wraps it by name.
+    No library path calls it: the tests do, and perfbench/tracing.py wraps
+    it by name.
     """
     cert, _, _ = canonical_data(g.adjacency_masks)
-    return encode_underlying_cert(g.vertex_count, cert)
-
-
-def encode_underlying_cert(n: int, cert: int) -> bytes:
-    """``underlying_cert`` bytes from the ``cert`` of ``canonical_data``."""
+    n = g.vertex_count
     nbits = n * (n - 1) // 2
     return b"U1" + n.to_bytes(2, "big") + cert.to_bytes((nbits + 7) // 8 or 1, "big")
 

@@ -143,12 +143,6 @@ def _cmd_extract_critical(args) -> int:
     return EXIT_OK
 
 
-def _shard_dir(args):
-    if args.shards:
-        return args.shards
-    return os.environ.get("PUSHCRIT_SHARDS")
-
-
 def _print_progress(n: int, done: int, total: int) -> None:
     print(f"{n} {done}/{total}", file=sys.stderr, flush=True)
 
@@ -158,7 +152,7 @@ def _find_critical(args):
     return enumeration.find_critical(
         args.max_n,
         jobs=args.jobs,
-        shard_dir=_shard_dir(args),
+        shard_dir=args.shards,
         resume=args.resume,
         wall_budget_s=args.budget_seconds,
         progress=_print_progress if args.progress else None,
@@ -268,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--max-n", type=int, default=8)
         p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--shards", default=None, help="shard directory (or PUSHCRIT_SHARDS)")
+        p.add_argument("--shards", default=None, help="shard directory")
         p.add_argument("--resume", action="store_true")
         p.add_argument("--budget-seconds", type=float, default=None)
         p.add_argument(

@@ -30,10 +30,12 @@ vertex outside the last cell stays outside it, and the last cell splits
 only into fragments that stay at the end, so a vertex alone in it stays
 last and alone.  The first split, by degree, already accepts a new
 vertex of unique maximum degree.  A rejected child is never labeled, on
-any level.  Every other child is labeled (``canonical_data(child,
-cells)``) from the partition the verdict reached, which by the resume
-lemma of ``canonical_data`` gives the labeling from scratch; a child
-accepted by the partition needs no orbit test.
+any level, and neither is an accepted child of the top level (below),
+which needs no generators.  Every other child is labeled
+(``canonical_data(child, cells)``) from the partition the verdict
+reached, which by the resume lemma of ``canonical_data`` gives the
+labeling from scratch; a child accepted by the partition needs no orbit
+test.
 
 Feasible-subset lemma: the pretest holds exactly when the attachment set
 S has |S| >= deg(v) + [v in S] for every old vertex v, that is when S is,
@@ -42,8 +44,8 @@ vertices of degree < k.  Generation forms only those subsets.  The
 condition is invariant under the parent's automorphisms, so every orbit
 of subsets lies wholly inside the walk or wholly outside it; visited in
 ascending order, the first set of each orbit is still its least mask.
-So each level holds the same graphs, with the same certificates and in
-the same order, as the walk over all 2^(n-1) subsets, and is complete.
+So each level holds the same labeled graphs, in the same order, as the
+walk over all 2^(n-1) subsets, and is complete.
 
 Top-level cover lemma: the child is connected with minimum degree 2
 exactly when the parent has no isolated vertex, S holds every vertex of
@@ -56,24 +58,28 @@ ones are exactly the level's candidates, in the level's order.  Such a
 top level is cached apart and never extended: a parent it dropped may
 have candidate children.  So every lower level stays complete.
 
-Each accepted child on a lower level carries the certificate and the
-automorphism generators its labeling returned: the generators are the
-parent's group when the next level extends it, and the certificate names
-the candidate (``UnderlyingGraph.cert``) in a shard cursor.  On the top
-level, where a child needs no generators, a child accepted by its root
-partition is not labeled and carries no certificate; a run that
-writes shards labels it for its cursor in the scan's worker, and
-``resume`` labels candidates to find its position.  A run without shards
-labels it never.
+Each accepted child on a lower level keeps the automorphism generators
+its labeling returned, as the parent's group when the next level extends
+it; no level keeps a certificate.
+
+Cursor lemma: a shard's CURSOR line names a candidate by its generated
+adjacency, the lower triangle of its masks as one hex integer
+(``_cursor``), and no labeling.  Generation is deterministic: every run
+builds each level's graphs as the same labeled graphs in the same order,
+and by the top-level cover lemma a top level lists them as the full
+level's candidates do.  So a resumed run meets, as a top level or a full
+one, the very graph the crashed run last scanned, and the line names it;
+the level fixes n, so no two of its candidates share a line.  A line
+written for a relabeled copy of a candidate names none.
 
 Level cache: every generated level is cached for the life of the process
 (``_LEVEL_CACHE``), so a second run generates nothing, and it is held in
 flat buffers (``_Level``): the masks of all its graphs in one 16-bit
-array, the certs in a list, and each graph's generators as one ``bytes``
-object, decoded only when the next level extends that graph.  Canonical
-augmentation reads nothing else of a parent level.  ``find_critical(10)``
-caches 2.2 million graphs, 2,108,079 of them on its top level: with a
-tuple per graph it peaked at 1.0 GiB resident, in the buffers at 90 MiB.
+array and each graph's generators as one ``bytes`` object, decoded only
+when the next level extends that graph.  Canonical augmentation reads
+nothing else of a parent level.  ``find_critical(10)`` caches 2.2 million
+graphs, 2,108,079 of them on its top level: with a tuple per graph it
+peaked at 1.0 GiB resident, in the buffers at 65 MiB.
 
 Driver: ``find_critical`` is a loop over levels, and each level goes
 through one driver, ``_Run.scan_level``, which owns the shard files, the
@@ -81,8 +87,8 @@ CURSOR log, resume, the worker pool, the budget and progress.  A level is
 a stream plus a worker: its name (the shard subdirectory), its candidates
 as an iterator with their total, and a function from a candidate to its
 CURSOR line and its hits.  Generation stays serial: the raw level, the
-(masks, cert) pairs, is built and cached in the calling thread, where the
-budget may stop it.  Its candidates are not cached: each becomes an
+masks, is built and cached in the calling thread, where the budget may
+stop it.  Its candidates are not cached: each becomes an
 ``UnderlyingGraph`` only when the scan takes it, so no level is ever held
 as a list of them.  The total is read off the raw level (its length on a
 top level, one filter pass over a full one), and a resumed level consumes
@@ -121,7 +127,7 @@ import re
 import time
 from array import array
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, combinations, islice
 from operator import getitem
@@ -131,7 +137,6 @@ from .canon import (
     _refinements,
     canonical_data,
     canonical_form,
-    encode_underlying_cert,
     orbit_of,
 )
 from .chains import classify_vertices
@@ -167,9 +172,6 @@ def satisfies_density_bound(n: int, m: int) -> bool:
 class UnderlyingGraph:
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
-    # the canonical certificate from ``canonical_data``, set by generation;
-    # None on a top-level candidate accepted without a labeling
-    cert: int | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -178,9 +180,9 @@ class UnderlyingGraph:
         return tuple(adjacency(self.vertex_count, self.edges))
 
 
-def _from_masks(masks, cert: int | None) -> UnderlyingGraph:
+def _from_masks(masks) -> UnderlyingGraph:
     """The underlying graph of the adjacency ``masks``, carrying them."""
-    under = UnderlyingGraph(len(masks), _masks_to_edges(masks), cert)
+    under = UnderlyingGraph(len(masks), _masks_to_edges(masks))
     # an instance attribute, which the cached property then never computes
     object.__setattr__(under, "masks", masks)
     return under
@@ -291,36 +293,32 @@ def _root_cell_verdict(child):
 class _Level:
     """One generated level on n vertices, in flat buffers: the adjacency
     masks of every graph, n to a graph, in one ``array('H')`` (n <=
-    ``UNDERLYING_VERTEX_LIMIT`` = 12, so a mask fits in 16 bits), the certs
-    in a list, and, on a level that is extended, each graph's automorphism
-    generators as one ``bytes`` object, the permutations one after another
-    (every entry < n).
+    ``UNDERLYING_VERTEX_LIMIT`` = 12, so a mask fits in 16 bits), and, on a
+    level that is extended, each graph's automorphism generators as one
+    ``bytes`` object, the permutations one after another (every entry < n).
 
-    ``len()`` is the number of graphs; iteration yields the (masks, cert)
-    pairs in order, a tuple of masks per graph, and ``generators()`` each
-    graph's generators as the tuples ``canonical_data`` returned, decoded
-    one graph at a time.
+    ``len()`` is the number of graphs; iteration yields each graph's masks
+    as a tuple, in order, and ``generators()`` each graph's generators as
+    the tuples ``canonical_data`` returned, decoded one graph at a time.
     """
 
-    __slots__ = ("n", "masks", "certs", "gens")
+    __slots__ = ("n", "masks", "gens")
 
     def __init__(self, n: int, top: bool):
         self.n = n
         self.masks = array("H")
-        self.certs: list[int | None] = []
         self.gens: list[bytes] | None = None if top else []
 
-    def append(self, masks, cert: int | None, gens=()) -> None:
+    def append(self, masks, gens=()) -> None:
         self.masks.extend(masks)
-        self.certs.append(cert)
         if self.gens is not None:
             self.gens.append(bytes(chain.from_iterable(gens)))
 
     def __len__(self) -> int:
-        return len(self.certs)
+        return len(self.masks) // self.n
 
     def __iter__(self):
-        return zip(zip(*[iter(self.masks)] * self.n), self.certs)
+        return zip(*[iter(self.masks)] * self.n)
 
     def generators(self):
         n = self.n
@@ -333,14 +331,12 @@ _LEVEL_CACHE: dict[tuple[int, bool, bool], _Level] = {}
 
 
 def _graphs_on(n: int, forbid_k4: bool, tick=None, top: bool = False) -> _Level:
-    """The (adjacency masks, canonical cert) pairs, one per isomorphism
-    class on n vertices, as a ``_Level``: the masks in one 16-bit array,
-    the certs in a list and each graph's automorphism generators in one
-    ``bytes`` object, decoded for one parent at a time when the next level
-    extends it.  A ``top`` level holds only the connected graphs with
-    minimum degree 2, in the same order, by the top-level cover test, and
-    no generators; the cert is None where the root-cell lemma accepted the
-    graph.
+    """The adjacency masks of one graph per isomorphism class on n
+    vertices, as a ``_Level``: the masks in one 16-bit array and each
+    graph's automorphism generators in one ``bytes`` object, decoded for
+    one parent at a time when the next level extends it.  A ``top`` level
+    holds only the connected graphs with minimum degree 2, in the same
+    order, by the top-level cover test, and no generators.
 
     ``tick`` is called before each parent is extended; it may raise to
     abandon the level, which is then not cached.
@@ -351,10 +347,10 @@ def _graphs_on(n: int, forbid_k4: bool, tick=None, top: bool = False) -> _Level:
     level = _Level(n, top)
     if n == 1:
         if not top:
-            level.append((0,), 0)
+            level.append((0,))
     else:
         parents = _graphs_on(n - 1, forbid_k4, tick)
-        for (parent, _), pgens in zip(parents, parents.generators()):
+        for parent, pgens in zip(parents, parents.generators()):
             if tick is not None:
                 tick()
             for smask in _attachment_sets(parent, pgens, top):
@@ -367,11 +363,11 @@ def _graphs_on(n: int, forbid_k4: bool, tick=None, top: bool = False) -> _Level:
                 if verdict is False:
                     continue
                 if verdict and top:
-                    level.append(child, None)
+                    level.append(child)
                     continue
-                cert, labeling, cgens = canonical_data(child, cells)
+                _, labeling, cgens = canonical_data(child, cells)
                 if verdict or n - 1 in orbit_of(labeling.index(n - 1), cgens, getitem):
-                    level.append(child, cert, cgens)
+                    level.append(child, cgens)
     _LEVEL_CACHE[key] = level
     return level
 
@@ -384,23 +380,22 @@ def enumerate_underlying(
     _last_level: bool = False,
 ):
     """All connected simple graphs on n vertices with minimum degree 2,
-    one per isomorphism class, each carrying its canonical ``cert``.
+    one per isomorphism class, each as the labeled graph generation built.
     ``forbid_k4`` leaves out the graphs with a K4 subgraph.
 
     ``tick`` is called between parents while a level is generated.
     ``find_critical`` sets ``_last_level`` on the last n it asks for: unless
     the complete level is at hand, that level is then generated with the
-    top-level cover test, as no later level extends it, and its candidates
-    accepted without a labeling carry ``cert`` None.
+    top-level cover test, as no later level extends it.
     """
     if not 1 <= n <= UNDERLYING_VERTEX_LIMIT:
         raise ConfigError(
             f"underlying enumeration supports 1..{UNDERLYING_VERTEX_LIMIT} vertices"
         )
     top = _last_level and (n, forbid_k4, False) not in _LEVEL_CACHE
-    for masks, cert in _graphs_on(n, forbid_k4, tick, top):
+    for masks in _graphs_on(n, forbid_k4, tick, top):
         if _is_candidate(masks):
-            yield _from_masks(masks, cert)
+            yield _from_masks(masks)
 
 
 def _is_candidate(masks) -> bool:
@@ -423,7 +418,7 @@ def _level_candidates(n: int, last: bool, tick):
     if full is None:
         total = len(_LEVEL_CACHE[(n, forbid_k4, True)])
     else:
-        total = sum(_is_candidate(masks) for masks, _ in full)
+        total = sum(_is_candidate(masks) for masks in full)
     # the exhausted iterator over ``head`` lets go of the first candidate
     return chain(iter(head), stream), total
 
@@ -643,22 +638,22 @@ def make_record(code_hex: str, g: OrientedGraph, exception_codes) -> Enumeration
 
 
 def _cursor(under: UnderlyingGraph) -> str:
-    """The CURSOR line naming a generated candidate: its underlying_cert,
-    labeled here if generation accepted it without a labeling."""
-    cert = under.cert
-    if cert is None:
-        cert = canonical_data(under.masks)[0]
-    return encode_underlying_cert(under.vertex_count, cert).hex()
+    """The CURSOR line naming a generated candidate: the lower triangle of
+    its generated adjacency, vertex v's neighbors below v shifted in for v =
+    0..n-1, as one lowercase hex integer (see the module docstring)."""
+    bits = 0
+    for v, m in enumerate(under.masks):
+        bits = bits << v | m & ((1 << v) - 1)
+    return format(bits, "x")
 
 
-def _worker(under: UnderlyingGraph, sharded: bool = True):
-    """The scan's hits on one candidate, after its CURSOR line if the run
-    writes shards (else None)."""
+def _worker(under: UnderlyingGraph):
+    """The scan's hits on one candidate, after its CURSOR line."""
     hits = [
         (code, g.vertex_count, tuple(g.arcs))
         for code, g in _scan_underlying_for_critical(under)
     ]
-    return (_cursor(under) if sharded else None), hits
+    return _cursor(under), hits
 
 
 @dataclass(frozen=True)
@@ -821,8 +816,6 @@ class _Run(ExitStack):
                 log = stack.enter_context(
                     open(cursor_path, "a" if self.resume else "w", encoding="utf-8")
                 )
-            else:
-                worker = partial(worker, sharded=False)
             if self.jobs > 1:
                 if self.pool is None:
                     from multiprocessing import get_context
@@ -837,7 +830,7 @@ class _Run(ExitStack):
                 results = self.pool.imap(worker, candidates, chunksize=chunk)
             else:
                 results = map(worker, candidates)
-            for done, (ucert, hits) in enumerate(results, 1):
+            for done, (line, hits) in enumerate(results, 1):
                 new_records = []
                 for code, gn, arcs in hits:
                     if code not in self.merged:
@@ -849,7 +842,7 @@ class _Run(ExitStack):
                 if base:
                     if new_records:
                         _persist_records(base, new_records)
-                    log.write(ucert + "\n")
+                    log.write(line + "\n")
                     log.flush()
                 if progress:
                     progress(done, todo)

@@ -110,8 +110,6 @@ class TargetIndex:
     __slots__ = ("graph", "size", "out_masks", "in_masks", "full_mask", "_start_mask")
 
     def __init__(self, graph: OrientedGraph):
-        if graph.vertex_count > 60:
-            raise ConfigError("search targets are limited to 60 vertices")
         self.graph = graph
         self.size = graph.vertex_count
         out = [0] * self.size

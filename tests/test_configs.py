@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 import pushcrit as pc
-from pushcrit.canon import canonical_data, encode_underlying_cert
+from pushcrit.canon import underlying_cert
 from pushcrit.configs import (
     CONFIG_IDS,
     _center_with_chains,
@@ -37,14 +37,10 @@ def _marked_cert_digest(gadget) -> str:
     boundary vertex and another joined to every constrained cycle's
     vertices, so it is the same for any renumbering of the gadget."""
     n = gadget.graph.vertex_count
-    adj = [0] * (n + 2)
     joins = list(gadget.graph.edges) + [(n, b) for b in gadget.boundary]
-    joins += [(n + 1, v) for cycle in gadget.directed_cycles for v in cycle]
-    for u, v in joins:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    cert, _, _ = canonical_data(tuple(adj))
-    return hashlib.sha256(encode_underlying_cert(n + 2, cert)).hexdigest()[:16]
+    joins += {(n + 1, v): None for cycle in gadget.directed_cycles for v in cycle}
+    marked = OrientedGraph(n + 2, joins)
+    return hashlib.sha256(underlying_cert(marked)).hexdigest()[:16]
 
 
 # per gadget, in gadgets_for order: (vertices, arcs, |B|, marked cert digest)

@@ -26,7 +26,6 @@ from pushcrit.canon import (
     CanonicalLabeling,
     _refine,
     canonical_data,
-    encode_underlying_cert,
     orbit_of,
     underlying_cert,
 )
@@ -96,10 +95,10 @@ def _subset_orbit_reps(nbits: int, gens) -> list[int]:
 
 def _levels_without_pretest(n_max, forbid_k4):
     """Canonical augmentation as in _graphs_on, minus the max-degree pretest."""
-    levels = [[((0,), 0)]]
+    levels = [[(0,)]]
     for n in range(2, n_max + 1):
         level = []
-        for parent, _ in levels[-1]:
+        for parent in levels[-1]:
             _, _, pgens = canonical_data(parent)
             for smask in _subset_orbit_reps(n - 1, pgens):
                 if forbid_k4 and _adds_k4(parent, smask):
@@ -107,9 +106,9 @@ def _levels_without_pretest(n_max, forbid_k4):
                 child = tuple(
                     p | (smask >> v & 1) << (n - 1) for v, p in enumerate(parent)
                 ) + (smask,)
-                cert, labeling, cgens = canonical_data(child)
+                _, labeling, cgens = canonical_data(child)
                 if n - 1 in orbit_of(labeling.index(n - 1), cgens, lambda g, v: g[v]):
-                    level.append((child, cert))
+                    level.append(child)
         levels.append(level)
     return levels
 
@@ -144,7 +143,7 @@ def test_feasible_subsets_are_the_pretest_survivors(forbid_k4):
     # the walk over every subset, filtered by the max-degree pretest on the
     # child; with cover, also by the child being a candidate
     for n in range(1, 8):
-        for parent, _ in _graphs_on(n, forbid_k4):
+        for parent in _graphs_on(n, forbid_k4):
             _, _, gens = canonical_data(parent)
             passing = [
                 s
@@ -172,11 +171,7 @@ def test_top_level_is_the_filtered_full_level(monkeypatch):
             top_labelings = calls[0]
             full = _graphs_on(n, forbid_k4)
             full_labelings = calls[0] - top_labelings
-            kept = [(m, cert) for m, cert in full if _is_candidate(m)]
-            assert [m for m, _ in top] == [m for m, _ in kept]
-            # a top-level graph labeled by generation has the full level's cert
-            for (_, cert), (_, want) in zip(top, kept):
-                assert cert in (None, want)
+            assert list(top) == [m for m in full if _is_candidate(m)]
     # K4-free on 8 vertices: the 3,328 candidates among the 6,431 graphs
     # take 642 labelings instead of 6,453
     assert (len(top), len(full)) == (3328, 6431)
@@ -222,7 +217,7 @@ def test_root_cell_verdicts_agree_with_labeling(forbid_k4, n_max, top_verdicts):
         verdicts = {True: 0, False: 0, None: 0}
         rejected[n] = 0
         for cover in (False, True):
-            for parent, _ in _graphs_on(n - 1, forbid_k4):
+            for parent in _graphs_on(n - 1, forbid_k4):
                 _, _, gens = canonical_data(parent)
                 for smask in _attachment_sets(parent, gens, cover):
                     if forbid_k4 and _adds_k4(parent, smask):
@@ -254,11 +249,11 @@ def test_a_top_level_never_becomes_a_parent(monkeypatch):
 
 
 def _regenerated_level(n, forbid_k4, top, parents):
-    """A level as a list of (masks, cert) pairs, built from the list
-    ``parents`` of the level below with every generator and cert from a
-    labeling from scratch: the reference for the cached buffers."""
+    """A level as a list of mask tuples, built from the list ``parents`` of
+    the level below with every generator from a labeling from scratch: the
+    reference for the cached buffers."""
     level = []
-    for parent, _ in parents:
+    for parent in parents:
         for smask in _attachment_sets(parent, canonical_data(parent)[2], top):
             if forbid_k4 and _adds_k4(parent, smask):
                 continue
@@ -266,9 +261,9 @@ def _regenerated_level(n, forbid_k4, top, parents):
             verdict, _ = _root_cell_verdict(child)
             if verdict is False:
                 continue
-            cert, labeling, gens = canonical_data(child)
+            _, labeling, gens = canonical_data(child)
             if verdict or n - 1 in orbit_of(labeling.index(n - 1), gens, lambda g, v: g[v]):
-                level.append((child, None if verdict and top else cert))
+                level.append(child)
     return level
 
 
@@ -281,7 +276,7 @@ def test_cached_levels_read_back_as_generated(monkeypatch):
         (n, True, False) for n in range(1, 8)
     } | {(8, True, True)}
     for forbid_k4 in (False, True):
-        parents = [((0,), 0)]
+        parents = [(0,)]
         assert list(cache[1, forbid_k4, False]) == parents
         for n in range(2, 9):
             top = (n, forbid_k4, True) in cache
@@ -295,7 +290,7 @@ def test_cached_levels_read_back_as_generated(monkeypatch):
                 assert level.gens is None
             else:
                 assert list(level.generators()) == [
-                    canonical_data(masks)[2] for masks, _ in want
+                    canonical_data(masks)[2] for masks in want
                 ]
             parents = want
 
@@ -317,12 +312,6 @@ def test_the_level_cache_is_compact(monkeypatch):
     finally:
         tracemalloc.stop()
     assert freed < 256 * 1024
-
-
-def test_generated_cert_is_the_underlying_cert():
-    for ug in enumerate_underlying(6, forbid_k4=True):
-        want = underlying_cert(pc.OrientedGraph(6, ug.edges))
-        assert encode_underlying_cert(6, ug.cert) == want
 
 
 def test_min_degree_two_examples():
@@ -739,7 +728,11 @@ def test_a_parallel_run_opens_one_pool(monkeypatch):
 
 
 def _cursor_hex(n: int, under: UnderlyingGraph) -> str:
-    return underlying_cert(pc.OrientedGraph(n, under.edges)).hex()
+    """The CURSOR line of a candidate: its lower adjacency triangle read as
+    binary, row v = 1..n-1 from neighbor v - 1 down to neighbor 0."""
+    masks = under.masks
+    bits = "".join(str(masks[v] >> u & 1) for v in range(n) for u in reversed(range(v)))
+    return format(int(bits or "0", 2), "x")
 
 
 def _last_cursor(base: str) -> str:
@@ -862,7 +855,7 @@ def test_resume_rejects_a_cursor_naming_no_candidate(tmp_path, capsys):
     shard_dir = str(tmp_path)
     fresh = find_critical(6, shard_dir=shard_dir)
     path = os.path.join(shard_dir, "5", "CURSOR")
-    # a 6-vertex cert names no candidate on 5 vertices
+    # a 6-vertex line names no candidate on 5 vertices
     with open(os.path.join(shard_dir, "6", "CURSOR")) as fh:
         foreign = fh.readline()
     with open(path, "w") as fh:
@@ -994,9 +987,9 @@ def test_a_streamed_resume_scans_the_oracle_tail(tmp_path, monkeypatch):
     real_worker = enumeration._worker
     scanned, shown, opened = [], [], []
 
-    def recording_worker(under, sharded=True):
+    def recording_worker(under):
         scanned.append(under.edges)
-        return real_worker(under, sharded)
+        return real_worker(under)
 
     def recording_open(path, mode="r", *args, **kwargs):
         opened.append((path, mode))
@@ -1021,7 +1014,7 @@ def test_a_streamed_resume_scans_the_oracle_tail(tmp_path, monkeypatch):
         with open(path) as fh:
             assert fh.read().splitlines() == lines
     monkeypatch.undo()
-    # a 5-vertex cert names no candidate on 6 vertices
+    # a 5-vertex line names no candidate on 6 vertices
     with open(os.path.join(shard_dir, "5", "CURSOR")) as fh:
         foreign = fh.readline()
     with open(path, "w") as fh:
@@ -1037,14 +1030,14 @@ def test_the_scan_holds_no_candidate_list(monkeypatch):
     counts = []
     real_from_masks, real_worker = enumeration._from_masks, enumeration._worker
 
-    def tracked(masks, cert):
-        under = real_from_masks(masks, cert)
+    def tracked(masks):
+        under = real_from_masks(masks)
         alive.add(under)
         return under
 
-    def counting_worker(under, sharded=True):
+    def counting_worker(under):
         counts.append(len(alive))
-        return real_worker(under, sharded)
+        return real_worker(under)
 
     monkeypatch.setattr(enumeration, "_from_masks", tracked)
     monkeypatch.setattr(enumeration, "_worker", counting_worker)
@@ -1078,10 +1071,14 @@ def test_a_second_run_in_one_process_skips_generation(monkeypatch):
     assert [r.to_json_dict() for r in again] == [r.to_json_dict() for r in first]
 
 
-def _tree_digest(root) -> str:
+def _tree_digest(root, only=None) -> str:
+    """The sha256 of every file under ``root`` with its relative path, or
+    of the files named ``only``."""
     digest = hashlib.sha256()
     for dirpath, _, files in sorted(os.walk(root)):
         for fname in sorted(files):
+            if only is not None and fname != only:
+                continue
             path = os.path.join(dirpath, fname)
             digest.update(os.path.relpath(path, root).encode() + b"\0")
             with open(path, "rb") as fh:
@@ -1091,15 +1088,66 @@ def _tree_digest(root) -> str:
 
 def test_shard_files_are_pinned_across_jobs(tmp_path, capsys):
     # record files and CURSOR logs of every level to 8 vertices, byte for
-    # byte as written when every candidate carried its certificate
+    # byte.  The record files are as written when each CURSOR line was the
+    # candidate's canonical certificate; the whole tree was pinned again
+    # when the lines became each candidate's generated adjacency
     for jobs in ("1", "2"):
         shard_dir = str(tmp_path / jobs)
         rc = cli.main(["enumerate", "--max-n", "8", "--shards", shard_dir, "--jobs", jobs])
         capsys.readouterr()
         assert rc == cli.EXIT_OK
-        assert _tree_digest(shard_dir) == (
-            "2b6ae5ae0c9fbeeeba3669ee68d071c9631dc15e17b8d55c42b36f2678790437"
+        assert _tree_digest(shard_dir, only=enumeration._RECORDS_FILE) == (
+            "bd71e9b61e07e8f2bb842500a8fd7510454a622e43acd0a1d6c887ce4d041f4b"
         )
+        assert _tree_digest(shard_dir) == (
+            "df7c8de690b3a7da8bc28fdc67a6c5a1ac877d9d9f3d4a493a685e4c81593e22"
+        )
+
+
+def test_cursors_and_resumes_label_nothing(tmp_path, monkeypatch):
+    # a sharded run labels what a run without shards labels, generation
+    # only, and its resume in the same process labels nothing to find its
+    # place in a level
+    calls = [0]
+
+    def labeled(adj, cells=None):
+        calls[0] += 1
+        return canonical_data(adj, cells)
+
+    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+    monkeypatch.setattr(enumeration, "canonical_data", labeled)
+    shard_dir = str(tmp_path)
+    fresh = find_critical(8, shard_dir=shard_dir)
+    assert calls[0] == 1511
+    calls[0] = 0
+    resumed = find_critical(8, shard_dir=shard_dir, resume=True)
+    assert calls[0] == 0
+    assert [r.to_json_dict() for r in resumed] == [r.to_json_dict() for r in fresh]
+
+
+def test_stale_and_relabeled_cursor_lines_stop_the_resume(tmp_path, capsys):
+    # the last candidate's canonical certificate, the line an older run
+    # wrote, and the line of a relabeled copy of it name no candidate
+    shard_dir = str(tmp_path)
+    find_critical(6, shard_dir=shard_dir)
+    path = os.path.join(shard_dir, "6", "CURSOR")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    last = list(enumerate_underlying(6, forbid_k4=True))[-1]
+    assert lines[-1] == _cursor_hex(6, last)
+    copies = (
+        UnderlyingGraph(6, tuple((swap.get(u, u), swap.get(v, v)) for u, v in last.edges))
+        for a, b in itertools.combinations(range(6), 2)
+        for swap in [{a: b, b: a}]
+    )
+    copy = next(c for c in copies if c.masks != last.masks)
+    stale = underlying_cert(pc.OrientedGraph(6, last.edges)).hex()
+    for line in (stale, _cursor_hex(6, copy)):
+        with open(path, "w") as fh:
+            fh.write("".join(text + "\n" for text in lines[:-1] + [line]))
+        rc = cli.main(["verify-bound", "--max-n", "6", "--shards", shard_dir, "--resume"])
+        assert rc == cli.EXIT_USAGE
+        assert "names none of its candidates" in capsys.readouterr().err
 
 
 def test_a_run_without_shards_labels_no_cursor(monkeypatch):

@@ -63,6 +63,18 @@ def test_c_minus4_pushable_fails():
     assert not brute_pushable_colorable(pc.fixture("c_minus4"), C3)
 
 
+def test_targets_above_sixty_vertices(rng):
+    # AT(h) has twice h's vertices, so a pushable search into a directed
+    # 31-cycle searches a 62-vertex target; the masks are Python ints
+    cycle = pc.directed_cycle(31)
+    perm = list(range(31))
+    rng.shuffle(perm)
+    copy = cycle.relabel(perm)
+    cert = pc.find_pushable_homomorphism(copy, cycle)
+    assert cert is not None and cert.verify(copy)
+    assert pc.find_pushable_homomorphism(pc.fixture("c_minus4"), pc.directed_cycle(40)) is None
+
+
 def test_e1_minus_each_arc_colorable():
     e1 = pc.fixture("e1")
     for arc in sorted(e1.arcs):

@@ -186,6 +186,15 @@ def test_cli_long_path_needs_no_recursion(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "colorable"
 
 
+def test_cli_color_onto_a_target_file_above_sixty_vertices(tmp_path, capsys):
+    cycle = pc.directed_cycle(31)
+    target, graph = tmp_path / "c31.og", tmp_path / "relabeled.og"
+    target.write_text(pc.serialize_graph(cycle))
+    graph.write_text(pc.serialize_graph(cycle.relabel([(7 * v) % 31 for v in range(31)])))
+    rc = cli.main(["color", "--target", str(target), str(graph)])
+    assert rc == cli.EXIT_OK and "pushed" in json.loads(capsys.readouterr().out)
+
+
 def test_cli_color_fixture_reference(capsys):
     rc = cli.main(["color", "--target", "c3", "@m3p"])
     payload = json.loads(capsys.readouterr().out)
@@ -385,15 +394,15 @@ def test_cli_info(capsys):
     assert payload["vertices"] == 12 and payload["potential"] == -2
 
 
-def test_cli_shards_env(tmp_path, capsys, monkeypatch):
+def test_cli_the_shards_variable_names_no_directory(tmp_path, capsys, monkeypatch):
+    # --shards is the one way to name a shard directory
     monkeypatch.setenv("PUSHCRIT_SHARDS", str(tmp_path / "sh"))
-    rc = cli.main(["--json", "enumerate", "--max-n", "4"])
-    assert rc == cli.EXIT_OK
-    assert (tmp_path / "sh" / "4" / "CURSOR").exists()
+    rc = cli.main(["verify-bound", "--max-n", "4", "--resume"])
+    assert rc == cli.EXIT_USAGE and "shard directory" in capsys.readouterr().err
+    assert not (tmp_path / "sh").exists()
 
 
-def test_cli_resume_without_shards_is_usage_error(capsys, monkeypatch):
-    monkeypatch.delenv("PUSHCRIT_SHARDS", raising=False)
+def test_cli_resume_without_shards_is_usage_error(capsys):
     for verb in ("enumerate", "verify-bound"):
         rc = cli.main([verb, "--max-n", "4", "--resume"])
         captured = capsys.readouterr()
