@@ -26,9 +26,7 @@ coordinates and the generators as class maps), and its ``form`` turns one
 orientation into bytes: ``class_of`` names its class in canonical
 coordinates and ``encode`` walks that class's orbit.  ``canonical_form``
 and ``oriented_canonical_form`` build one for a single graph; a caller
-with many orientations of one labeled graph builds it once, and a caller
-that holds classes already maps them in (``class_map``) and encodes them
-without building arcs.
+with many orientations of one labeled graph builds it once.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from operator import getitem
 
 from .errors import IncompatibleInputError
 from .graph import OrientedGraph
-from .orient import AffineMap, ClassCoordinates, class_coordinates
+from .orient import AffineMap, class_coordinates
 
 _FORM_MAGIC_PUSH = b"P1"
 _FORM_MAGIC_ISO = b"O1"
@@ -300,11 +298,6 @@ class CanonicalLabeling:
         return self._mode(quotient_push)[0].class_of(
             {(labeling[t], labeling[h]) for t, h in arcs}
         )
-
-    def class_map(self, coords: ClassCoordinates) -> AffineMap:
-        """Push classes in ``coords``, the coordinates of this labeled graph
-        under pushing some vertices, to their canonical (P1) classes."""
-        return coords.relabel_map(self.labeling, self._mode(True)[0])
 
     def encode(self, seed: int, quotient_push: bool = True) -> bytes:
         """The form of the class ``seed`` in canonical coordinates: the

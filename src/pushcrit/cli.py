@@ -215,8 +215,9 @@ def _cmd_lpq(args) -> int:
 
 
 def _cmd_canon(args) -> int:
-    for spec in args.graphs:
-        print(canonical_form(_load_graph(spec)).hex())
+    graphs = [_load_graph(spec) for spec in args.graphs]
+    codes = [canonical_form(g).hex() for g in graphs]
+    _emit(args, {"codes": codes}, "\n".join(codes))
     return EXIT_OK
 
 

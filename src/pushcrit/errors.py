@@ -69,8 +69,9 @@ class SelfCheckError(PushcritError):
 class ResourceBudgetError(PushcritError):
     """A search or enumeration ran out of its node / wall-time budget.
 
-    ``partial`` holds whatever progress is safe to reuse (records already
-    produced, nodes explored, a resume cursor) so callers can persist it.
+    Only ``find_critical``'s wall-time budget sets ``partial``, to the
+    records merged so far, and only the homomorphism search's node budget
+    sets ``nodes``, to the nodes explored.  No resume cursor is passed.
     """
 
     def __init__(self, message: str, partial=None, nodes: int | None = None):

@@ -159,20 +159,17 @@ class ClassCoordinates:
     A class is a bit vector over ``free``, the co-forest edges (lo, hi) in
     ascending order: bit i is 1 when free[i] points lo -> hi in the class's
     normalized orientation, in which every ``forest`` arc points from
-    parent to child and every ``fixed`` arc (in the order of their edges)
-    is as given.  The graph's vertices are 0..n-1.
+    parent to child.  The graph's vertices are 0..n-1.
     """
 
     n: int
     forest: tuple[Arc, ...]
     free: tuple[Arc, ...]
-    fixed: tuple[Arc, ...] = ()
 
     @cached_property
     def determined(self) -> tuple[Arc, ...]:
-        """The fixed arcs, then the forest arcs, each in the order of their
-        edges."""
-        return self.fixed + tuple(sorted(self.forest, key=lambda a: (min(a), max(a))))
+        """The forest arcs in the order of their edges."""
+        return tuple(sorted(self.forest, key=lambda a: (min(a), max(a))))
 
     def arcs(self, bits: int) -> tuple[Arc, ...]:
         """The normalized orientation of class ``bits``."""
@@ -189,8 +186,8 @@ class ClassCoordinates:
 
     @cached_property
     def masks(self) -> dict[Arc, int]:
-        """z_e for each non-fixed edge e = (lo, hi): the class change caused
-        by reversing e (``subtree_masks``)."""
+        """z_e for each edge e = (lo, hi): the class change caused by
+        reversing e (``subtree_masks``)."""
         z = self._subtree[0]
         masks = {e: 1 << i for i, e in enumerate(self.free)}
         for p, c in self.forest:
@@ -199,64 +196,56 @@ class ClassCoordinates:
 
     @property
     def base(self) -> int:
-        """The class of the orientation with every non-fixed edge hi -> lo.
-        An orientation's class is ``base`` xor the masks of its non-fixed
-        edges that point lo -> hi."""
+        """The class of the orientation with every edge hi -> lo.  An
+        orientation's class is ``base`` xor the masks of its edges that
+        point lo -> hi."""
         return self._subtree[1]
 
     def class_of(self, arcs: Collection[Arc]) -> int:
-        """The class of the orientation ``arcs``, which keeps every fixed
-        arc: its free bits once pushed as ``normalizing_pushes`` says."""
+        """The class of the orientation ``arcs``: its free bits once pushed
+        as ``normalizing_pushes`` says."""
         x = normalizing_pushes(self.n, self.forest, arcs)
         bits = 0
         for i, (lo, hi) in enumerate(self.free):
             bits |= (((lo, hi) in arcs) ^ x[lo] ^ x[hi]) << i
         return bits
 
-    def relabel_map(
-        self, perm: Sequence[int], target: ClassCoordinates | None = None
-    ) -> AffineMap:
+    def relabel_map(self, perm: Sequence[int]) -> AffineMap:
         """The action on classes of relabeling v -> perm[v], an automorphism
-        of the underlying graph that maps the fixed arcs onto themselves.
-        Relabeling commutes with pushing, so it carries whole classes;
-        flipping bit i reverses the image of free[i], which adds that
-        edge's z_e.
-
-        Given ``target``, the coordinates of the graph that ``perm``
-        carries this one onto, which push every vertex these push and fix
-        only arcs these fix, the classes land in ``target``'s instead."""
-        target = self if target is None else target
-        const = target.class_of({(perm[t], perm[h]) for t, h in self.arcs(0)})
-        masks = target.masks
+        of the underlying graph that maps the movable vertices onto
+        themselves.  Relabeling commutes with pushing, so it carries whole
+        classes; flipping bit i reverses the image of free[i], which adds
+        that edge's z_e."""
+        const = self.class_of({(perm[t], perm[h]) for t, h in self.arcs(0)})
+        masks = self.masks
         images = [masks[min(perm[a], perm[b]), max(perm[a], perm[b])] for a, b in self.free]
         return AffineMap(const, images)
 
 
-def class_coordinates(
-    n: int, edges: Sequence[Arc], movable: Iterable[int], fixed_arcs: Sequence[Arc] = ()
-) -> ClassCoordinates:
+def class_coordinates(n: int, edges: Sequence[Arc], movable: Iterable[int]) -> ClassCoordinates:
     """The class coordinates of the graph on underlying (lo, hi) ``edges``
-    under pushing ``movable``; ``fixed_arcs`` predetermine the direction of
-    some edges and must not touch movable vertices."""
-    movable = set(movable)
-    fixed = {}
-    for t, h in fixed_arcs:
-        if t in movable or h in movable:
-            raise IncompatibleInputError("predetermined arcs must avoid movable vertices")
-        fixed[min(t, h), max(t, h)] = (t, h)
-    loose = [e for e in edges if e not in fixed] if fixed else edges
-    order, parent = bfs_forest(adjacency(n, loose), set(range(n)).difference(movable))
+    under pushing ``movable``."""
+    order, parent = bfs_forest(adjacency(n, edges), set(range(n)).difference(movable))
     forest = tuple((parent[v], v) for v in order if parent[v] >= 0)
-    free = tuple(co_forest(loose, parent))
-    return ClassCoordinates(n, forest, free, tuple(fixed[e] for e in sorted(fixed)))
+    return ClassCoordinates(n, forest, tuple(co_forest(edges, parent)))
 
 
-def class_space(n, edges, movable, fixed_arcs, even_cycles):
-    """(coordinates, start, columns), or None when the constraints
-    contradict.  The classes are ``start`` xor each subset of ``columns``."""
-    coords = class_coordinates(n, edges, movable, fixed_arcs)
+def push_class_representatives(
+    n: int,
+    edges: Sequence[Arc],
+    movable: Iterable[int],
+    even_cycles: Iterable[Sequence[int]] = (),
+):
+    """Yield one arc tuple per orientation class under pushing ``movable``,
+    each the normalized orientation ``ClassCoordinates.arcs`` gives, in
+    ascending order of the class bits.
+
+    ``edges`` are underlying (lo, hi) pairs.  Only classes in which every
+    closed walk of ``even_cycles`` has even forward parity are yielded.
+    """
+    coords = class_coordinates(n, edges, movable)
     index = {e: i for i, e in enumerate(coords.free)}
-    known = {(min(t, h), max(t, h)): (t, h) for t, h in coords.determined}
+    known = {(min(a), max(a)): a for a in coords.forest}
     rows: dict[int, tuple[int, int]] = {}  # pivot -> (mask, parity), fully reduced
     for walk in even_cycles:
         mask = parity = 0
@@ -274,7 +263,7 @@ def class_space(n, edges, movable, fixed_arcs, even_cycles):
                 mask, parity = mask ^ m, parity ^ c
         if not mask:
             if parity:
-                return None
+                return
             continue
         pivot = (mask & -mask).bit_length() - 1
         for p, (m, c) in rows.items():
@@ -288,29 +277,6 @@ def class_space(n, edges, movable, fixed_arcs, even_cycles):
         for i in range(len(coords.free))
         if i not in rows
     ]
-    return coords, start, columns
-
-
-def push_class_representatives(
-    n: int,
-    edges: Sequence[Arc],
-    movable: Iterable[int],
-    fixed_arcs: Sequence[Arc] = (),
-    even_cycles: Iterable[Sequence[int]] = (),
-):
-    """Yield one arc tuple per orientation class under pushing ``movable``,
-    each the normalized orientation ``ClassCoordinates.arcs`` gives, in
-    ascending order of the class bits.
-
-    ``edges`` are underlying (lo, hi) pairs; ``fixed_arcs`` predetermine
-    the direction of some of them and must not touch movable vertices.
-    Only classes in which every closed walk of ``even_cycles`` has even
-    forward parity are yielded.
-    """
-    space = class_space(n, edges, movable, fixed_arcs, even_cycles)
-    if space is None:
-        return
-    coords, start, columns = space
     for t in range(1 << len(columns)):
         bits = start
         for j, column in enumerate(columns):
@@ -321,5 +287,5 @@ def push_class_representatives(
 
 def push_class_count(n: int, edges: Sequence[Arc], movable: Iterable[int]) -> int:
     """How many arc tuples ``push_class_representatives`` yields without
-    fixed arcs or constraints: 2^(free edges)."""
+    constraints: 2^(free edges)."""
     return 1 << len(class_coordinates(n, edges, movable).free)

@@ -22,17 +22,18 @@ and transfers the colors along the chains between them.  The 24 role
 triples of a source fall into 4 canonical graphs for e1 and e2, and 12
 for e3.
 
-The cases are classes, never arc tuples: for one glue orientation and
-role triple the reconstructions are the class space that
-``orient.class_space`` returns, a start and columns over GF(2).  The
-start and each column are mapped once, affinely, into the canonical (P1)
-coordinates of the triple's labeling, which are also the coordinates of
-the canonical graph's image.  Each case then costs xors, one orbit walk
-for its form (``CanonicalLabeling.encode``) and one lookup in the image
-for its verdict.  ``reconstruction_cases`` in ``tests/test_reconstruct.py``
-builds the same cases as ``OrientedGraph``s and decides the gluings with
-a labeling of its own; the tests form and search those graphs and hold
-the two paths equal.
+The cases are classes, never arc tuples, in the canonical (P1)
+coordinates of the triple's labeling, which are also the image's: the
+orientations of the 7 new chain edges up to pushing the hub and the
+chain interiors.  In P1 coordinates a chain's edges flip the class alike
+and the hub's push makes the three chains' flips sum to 0, so (the given
+arcs being connected) the cases are one orientation's class xor each sum
+of the flips of reversing a new edge.  Each case then costs one orbit
+walk for its form (``CanonicalLabeling.encode``) and one image lookup.
+``reconstruction_cases`` in ``tests/test_reconstruct.py`` builds the same
+cases as ``OrientedGraph``s and decides the gluings with a labeling of
+its own; the tests form and search those graphs and hold the two paths
+equal.
 
 ``verify_fig6_coloring`` replays the drawn push set and vertex colors of
 the 8-vertex witness and re-decides its colorability from scratch.
@@ -50,7 +51,6 @@ from .errors import IncompatibleInputError
 from .fixtures import M3P_COLORING, M3P_PUSH_SET, fixture
 from .graph import OrientedGraph, adjacency, json_fields, potential
 from .hom import C3, ColoringCertificate
-from .orient import class_space
 from .transfer import ChainGraph
 
 
@@ -97,14 +97,15 @@ def _glue_directions(nbrs):
 
 
 def _gadget(index, kept, dirs, roles):
-    """One reconstruction's (vertex count, underlying edges, movable
-    vertices, fixed arcs): the 12 retained vertices, the far half of the
-    split vertex, its fresh other half and the degree-3 hub, then the
-    internal vertices of three new chains of 2, 3 and 2 edges from the hub
-    to the far half, to an original neighbor and to the fresh half (19
-    vertices, 22 arcs).  ``roles`` names the original neighbors of the far
-    half, of the 3-edge chain's end, and of the fresh half, a 3-vertex.
-    The hub and the chains' internal vertices move."""
+    """One reconstruction's (vertex count, arcs, new edges): the 12
+    retained vertices, the far half of the split vertex, its fresh other
+    half and the degree-3 hub, then the internal vertices of three new
+    chains of 2, 3 and 2 edges from the hub to the far half, to an original
+    neighbor and to the fresh half (19 vertices, 22 arcs).  ``roles`` names
+    the original neighbors of the far half, of the 3-edge chain's end, and
+    of the fresh half, a 3-vertex.  The arcs are the kept ones, the three
+    glue arcs as ``dirs`` orients them, and the chains' ``new`` (lo, hi)
+    edges, each as lo -> hi."""
     n = len(index)
     w_far, w_new, hub = n, n + 1, n + 2
     far_end, hub_target, extra = roles
@@ -112,12 +113,12 @@ def _gadget(index, kept, dirs, roles):
     def arc(w, nbr):
         return (w, index[nbr]) if dirs[nbr] else (index[nbr], w)
 
-    fixed = kept + [arc(w_far, far_end), arc(w_new, hub_target), arc(w_new, extra)]
+    glue = [arc(w_far, far_end), arc(w_new, hub_target), arc(w_new, extra)]
     chains = Kernel.subdivided(
         n + 3, [(w_far, hub), (hub, index[hub_target]), (hub, w_new)], [2, 3, 2]
     )
-    edges = sorted({(min(e), max(e)) for e in fixed} | set(chains.edges))
-    return chains.n, edges, (hub, *range(n + 3, chains.n)), fixed
+    new = chains.edges
+    return chains.n, kept + glue + new, new
 
 
 def _canonical_image(labeling: CanonicalLabeling, images: dict) -> set[int]:
@@ -155,18 +156,17 @@ def _split_verdicts(
     labelings: dict[tuple[int, ...], CanonicalLabeling] = {}
     for dirs in valid_dirs:
         for roles in permutations(nbrs):
-            total, edges, movable, fixed = _gadget(index, kept, dirs, roles)
-            coords, start, columns = class_space(total, edges, movable, fixed, ())
+            total, arcs, new = _gadget(index, kept, dirs, roles)
             labeling = labelings.get(roles)
             if labeling is None:
-                labeling = labelings[roles] = CanonicalLabeling(tuple(adjacency(total, edges)))
+                labeling = labelings[roles] = CanonicalLabeling(tuple(adjacency(total, arcs)))
             image = _canonical_image(labeling, images)
-            to_form = labeling.class_map(coords)
             # the canonical class of every case
-            cases = [to_form(start)]
-            for column in columns:
-                delta = to_form(column) ^ to_form.const
-                cases += [f ^ delta for f in cases]
+            start = labeling.class_of(arcs)
+            cases = {start}
+            for e in new:
+                flip = labeling.class_of([a for a in arcs if a != e] + [e[::-1]]) ^ start
+                cases |= {f ^ flip for f in cases}
             verdicts += ((labeling.encode(f), f in image) for f in cases)
     return valid_dirs, verdicts
 

@@ -318,14 +318,12 @@ def test_shared_labeling_matches_closure_oracle_on_every_orientation():
         tried += 1
         labeling = CanonicalLabeling(adj)
         for movable in (range(n), ()):
-            # classes held as ints map into the canonical coordinates and
-            # encode to the same push forms
-            to_form = labeling.class_map(class_coordinates(n, edges, movable))
-            for bits, arcs in enumerate(push_class_representatives(n, edges, movable)):
+            for arcs in push_class_representatives(n, edges, movable):
                 g = pc.OrientedGraph(n, arcs)
                 assert labeling.form(g, quotient_push=True) == _closure_form(g, True)
                 assert labeling.form(g, quotient_push=False) == _closure_form(g, False)
-                assert labeling.encode(to_form(bits)) == _closure_form(g, True)
+                # a class held as an int encodes to the same push form
+                assert labeling.encode(labeling.class_of(arcs)) == _closure_form(g, True)
         # an orientation of any other labeled graph is refused
         others = [p for p in pairs if p not in edges]
         if others:

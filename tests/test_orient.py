@@ -72,11 +72,6 @@ def test_constrained_classes_equal_the_filtered_enumeration(rng):
             continue
         masks = _masks(n, edges)
         movable = {v for v in range(n) if rng.random() < 0.7}
-        fixed = [
-            (a, b) if rng.random() < 0.5 else (b, a)
-            for a, b in edges
-            if a not in movable and b not in movable and rng.random() < 0.5
-        ]
         cycles = [_random_cycle(rng, masks, edges) for _ in range(rng.randint(0, 4))]
         walks = [c for c in cycles if c is not None]
         if walks:
@@ -95,19 +90,16 @@ def test_constrained_classes_equal_the_filtered_enumeration(rng):
             # every orientation
             a, b = rng.choice(edges)
             walks.insert(rng.randint(0, len(walks)), (a, b))
-        got = list(
-            push_class_representatives(n, edges, movable, fixed, even_cycles=walks)
-        )
-        every = list(push_class_representatives(n, edges, movable, fixed))
+        got = list(push_class_representatives(n, edges, movable, even_cycles=walks))
+        every = list(push_class_representatives(n, edges, movable))
         expected = [
             arcs
             for arcs in every
             if all(forward_parity(pc.OrientedGraph(n, arcs), w) == 0 for w in walks)
         ]
-        assert got == expected, (n, edges, movable, fixed, walks)
-        if not fixed:
-            assert push_class_count(n, edges, movable) == len(every)
-            counted += 1
+        assert got == expected, (n, edges, movable, walks)
+        assert push_class_count(n, edges, movable) == len(every)
+        counted += 1
         if trial % 5 == 0:
             assert got == []
             contradictory += 1
@@ -163,41 +155,33 @@ def test_class_coordinates_name_the_normalized_class(rng):
         n = rng.randint(2, 8)
         edges = _random_edges(rng, n, 0.5)
         movable = {v for v in range(n) if rng.random() < 0.7}
-        fixed = [
-            (a, b) if rng.random() < 0.5 else (b, a)
-            for a, b in edges
-            if a not in movable and b not in movable and rng.random() < 0.5
-        ]
-        coords = class_coordinates(n, edges, movable, fixed)
+        coords = class_coordinates(n, edges, movable)
         classes = [coords.arcs(bits) for bits in range(1 << len(coords.free))]
-        assert list(push_class_representatives(n, edges, movable, fixed)) == classes
-        loose = [e for e in edges if e not in {(min(a), max(a)) for a in fixed}]
-        assert sorted(coords.masks) == sorted(loose)
+        assert list(push_class_representatives(n, edges, movable)) == classes
+        assert sorted(coords.masks) == edges
         for _ in range(4):
-            g = pc.OrientedGraph(n, tuple(fixed) + tuple(
-                e if rng.random() < 0.5 else e[::-1] for e in loose
-            ))
+            g = pc.OrientedGraph(
+                n, tuple(e if rng.random() < 0.5 else e[::-1] for e in edges)
+            )
             x = normalizing_pushes(n, coords.forest, g.arc_set)
             pushed = pc.push_vertices(g, {v for v in range(n) if x[v]})
             bits = sum(1 << i for i, e in enumerate(coords.free) if e in pushed.arc_set)
             assert pushed.arc_set == frozenset(coords.arcs(bits))
             k = coords.base
-            for e in loose:
+            for e in edges:
                 if e in g.arc_set:
                     k ^= coords.masks[e]
             assert k == bits
             assert coords.class_of(g.arc_set) == bits
 
 
-def _reference_coordinates(n, edges, movable, fixed_arcs):
+def _reference_coordinates(n, edges, movable):
     """(forest, free, z masks, base) as class_coordinates and
     ClassCoordinates.masks/base computed them before they shared
     bfs_forest and subtree_masks: a BFS over a queue per component, the
     co-forest by set difference, and the subtree-xor pass over the forest
     arcs."""
-    fixed = {(min(a), max(a)) for a in fixed_arcs}
-    loose = [e for e in edges if e not in fixed]
-    masks = _masks(n, loose)
+    masks = _masks(n, edges)
     queue = sorted(set(range(n)).difference(movable))
     seen = sum(1 << v for v in queue)
     forest = []
@@ -217,7 +201,7 @@ def _reference_coordinates(n, edges, movable, fixed_arcs):
         seen |= anchor
         queue = [anchor.bit_length() - 1]
     tree = {(min(a), max(a)) for a in forest}
-    free = sorted(set(loose).difference(tree))
+    free = sorted(set(edges).difference(tree))
     z = {}
     below = [0] * n
     for i, e in enumerate(free):
@@ -242,24 +226,17 @@ def test_one_pass_coordinates_match_the_reference(rng):
         movable = set(range(n)) if trial % 3 == 0 else {
             v for v in range(n) if rng.random() < 0.7
         }
-        fixed = [
-            (a, b) if rng.random() < 0.5 else (b, a)
-            for a, b in edges
-            if a not in movable and b not in movable and rng.random() < 0.5
-        ]
-        forest, free, z, base = _reference_coordinates(n, edges, movable, fixed)
-        fixed_edges = {(min(a), max(a)) for a in fixed}
-        loose = [e for e in edges if e not in fixed_edges]
-        order, parent = bfs_forest(_masks(n, loose), set(range(n)).difference(movable))
+        forest, free, z, base = _reference_coordinates(n, edges, movable)
+        order, parent = bfs_forest(_masks(n, edges), set(range(n)).difference(movable))
         assert sorted(order) == list(range(n))
         assert [(parent[v], v) for v in order if parent[v] >= 0] == forest
-        assert co_forest(loose, parent) == free
+        assert co_forest(edges, parent) == free
         zs, got_base = subtree_masks([c for _, c in forest], parent, free)
         assert got_base == base
         assert {(min(p, c), max(p, c)): zs[c] for p, c in forest} == {
             e: m for e, m in z.items() if e not in free
         }
-        coords = class_coordinates(n, edges, movable, fixed)
+        coords = class_coordinates(n, edges, movable)
         assert (list(coords.forest), list(coords.free)) == (forest, free)
         assert coords.masks == z and coords.base == base
         disconnected += not oriented_is_connected(pc.OrientedGraph(n, edges))
@@ -295,27 +272,3 @@ def test_relabel_map_carries_classes(rng):
                     k = rng.getrandbits(len(coords.free))
                     moved = {(perm[t], perm[h]) for t, h in coords.arcs(k)}
                     assert image(k) == coords.class_of(moved)
-
-
-def test_relabel_map_into_other_coordinates(rng):
-    # with a target, class k of coordinates that push some vertices and
-    # fix arcs away from them goes to the target class (every vertex
-    # movable, nothing fixed) of its relabeled normalized orientation
-    for _ in range(60):
-        n = rng.randint(2, 8)
-        edges = _random_edges(rng, n, rng.choice((0.3, 0.5, 0.8)))
-        movable = [v for v in range(n) if rng.random() < 0.5]
-        fixed = [
-            (a, b) if rng.random() < 0.5 else (b, a)
-            for a, b in edges
-            if a not in movable and b not in movable and rng.random() < 0.5
-        ]
-        coords = class_coordinates(n, edges, movable, fixed)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        moved_edges = sorted((min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in edges)
-        target = class_coordinates(n, moved_edges, range(n))
-        image = coords.relabel_map(perm, target)
-        for k in range(min(1 << len(coords.free), 16)):
-            moved = {(perm[t], perm[h]) for t, h in coords.arcs(k)}
-            assert image(k) == target.class_of(moved)

@@ -45,9 +45,13 @@ def reconstruction_cases(source_name: str, split: int):
     valid_dirs = [dirs for dirs, glued in gluings if labeling.form(glued) == base_form]
     for dirs in valid_dirs:
         for roles in permutations(nbrs):
-            total, edges, movable, fixed = _gadget(index, kept, dirs, roles)
-            for arcs in push_class_representatives(total, edges, movable, fixed):
-                yield dirs, roles, OrientedGraph(total, arcs)
+            total, arcs, new = _gadget(index, kept, dirs, roles)
+            given = tuple(arcs[: len(arcs) - len(new)])
+            # the new edges' classes under pushing the hub and the chain
+            # interiors, the forest rooted at every other vertex
+            movable = range(len(index) + 2, total)
+            for new_arcs in push_class_representatives(total, new, movable):
+                yield dirs, roles, OrientedGraph(total, given + new_arcs)
 
 
 def test_reconstruction_shapes_for_one_split():

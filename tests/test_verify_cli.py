@@ -244,6 +244,19 @@ def test_cli_canon_hex_lines(capsys):
     assert all(set(line) <= set("0123456789abcdef") for line in lines)
 
 
+def test_cli_canon_json_is_one_object(tmp_path, capsys):
+    rc = cli.main(["canon", "@e1", "@e2", "@e3"])
+    assert rc == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    rc = cli.main(["--json", "canon", "@e1", "@e2", "@e3"])
+    assert rc == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"codes": lines}
+    # every graph loads before any code is printed
+    rc = cli.main(["canon", "@e1", str(tmp_path / "missing.og")])
+    assert rc == cli.EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_canon_large_group(tmp_path, capsys):
     # five disjoint directed triangles: |Aut| = 6^5 * 5!, which the form
     # never enumerates
