@@ -234,13 +234,15 @@ def _reversed_bits(bits: int, width: int) -> int:
 
 class CanonicalLabeling:
     """The orientation-free half of the canonical forms of one labeled
-    underlying graph, given as adjacency bitmasks: its canonical labeling
-    and canonical edges, and per mode (P1 may push every vertex, O1 none)
+    underlying graph, given as adjacency bitmasks: its canonical labeling,
+    canonical edges and automorphism generators (``gens``, permutations of
+    the labeled graph's vertices, as ``canonical_data`` returns them), and
+    per mode (P1 may push every vertex, O1 none)
     the class coordinates of the canonical graph and the generators acting
     on its classes.  ``form`` then costs one class and one orbit per
     orientation, so one object serves every orientation of the graph."""
 
-    __slots__ = ("adj", "labeling", "edges", "_gens", "_header", "_modes")
+    __slots__ = ("adj", "labeling", "edges", "gens", "_header", "_modes")
 
     def __init__(self, adj: tuple[int, ...]):
         n = len(adj)
@@ -258,7 +260,7 @@ class CanonicalLabeling:
                 p, q = labeling[a], labeling[b]
                 edges.append((p, q) if p < q else (q, p))
         self.edges = tuple(sorted(edges))
-        self._gens = gens
+        self.gens = gens
         header = bytearray(n.to_bytes(2, "big") + len(self.edges).to_bytes(3, "big"))
         for lo, hi in self.edges:
             header += lo.to_bytes(2, "big") + hi.to_bytes(2, "big")
@@ -279,7 +281,7 @@ class CanonicalLabeling:
             for v, p in enumerate(labeling):
                 unlabel[p] = v
             maps = [
-                coords.relabel_map([labeling[s[v]] for v in unlabel]) for s in self._gens
+                coords.relabel_map([labeling[s[v]] for v in unlabel]) for s in self.gens
             ]
             mode = self._modes[quotient_push] = (coords, maps)
         return mode

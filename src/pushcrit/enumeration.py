@@ -70,7 +70,10 @@ and by the top-level cover lemma a top level lists them as the full
 level's candidates do.  So a resumed run meets, as a top level or a full
 one, the very graph the crashed run last scanned, and the line names it;
 the level fixes n, so no two of its candidates share a line.  A line
-written for a relabeled copy of a candidate names none.
+written for a relabeled copy of a candidate names none.  The line is
+zero-padded to its level's ceil(n(n-1)/8) hex digits, which differ for
+n = 3..12, so a line copied from another of those levels names none
+either: unpadded, a 7-vertex and a 9-vertex candidate can share a line.
 
 Level cache: every generated level is cached for the life of the process
 (``_LEVEL_CACHE``), so a second run generates nothing, and it is held in
@@ -640,11 +643,13 @@ def make_record(code_hex: str, g: OrientedGraph, exception_codes) -> Enumeration
 def _cursor(under: UnderlyingGraph) -> str:
     """The CURSOR line naming a generated candidate: the lower triangle of
     its generated adjacency, vertex v's neighbors below v shifted in for v =
-    0..n-1, as one lowercase hex integer (see the module docstring)."""
+    0..n-1, as one lowercase hex integer zero-padded to the triangle's
+    ceil(n(n-1)/8) digits (see the module docstring)."""
+    n = len(under.masks)
     bits = 0
     for v, m in enumerate(under.masks):
         bits = bits << v | m & ((1 << v) - 1)
-    return format(bits, "x")
+    return format(bits, f"0{-(-n * (n - 1) // 8)}x")
 
 
 def _worker(under: UnderlyingGraph):

@@ -14,22 +14,28 @@ Every glued graph is the source with the split vertex renumbered, so one
 ``canon.CanonicalLabeling`` of the source decides the 8 gluings of all
 its splits: each is formed in the source's own labels and compared with
 the source's form.  The reconstructions of one role triple share their
-underlying graph, which is labeled once.  Isomorphic role graphs share
-their canonical graph, and one ``transfer.ChainGraph`` on it decides the
-colorability of all its push classes at once: they have cyclomatic
-number 4 and at most 6 vertices of degree >= 3, so it colors only those
-and transfers the colors along the chains between them.  The 24 role
-triples of a source fall into 4 canonical graphs for e1 and e2, and 12
-for e3.
+underlying graph, and an automorphism of the source maps it onto the
+role graph of the triple's image, moving only the retained vertices.
+So one role graph is labeled per orbit of the source's automorphisms on
+its role triples, and every other triple of the orbit carries its arcs
+into that representative's vertices (``_role_graphs``).  Isomorphic role
+graphs share their canonical graph, and one ``transfer.ChainGraph`` on
+it decides the colorability of all its push classes at once: they have
+cyclomatic number 4 and at most 6 vertices of degree >= 3, so it colors
+only those and transfers the colors along the chains between them.  The
+24 role triples of a source fall into 4 orbits and 4 canonical graphs
+for e1 and e2, and 12 for e3: 20 labelings for 72 triples.
 
 The cases are classes, never arc tuples, in the canonical (P1)
-coordinates of the triple's labeling, which are also the image's: the
-orientations of the 7 new chain edges up to pushing the hub and the
-chain interiors.  In P1 coordinates a chain's edges flip the class alike
-and the hub's push makes the three chains' flips sum to 0, so (the given
-arcs being connected) the cases are one orientation's class xor each sum
-of the flips of reversing a new edge.  Each case then costs one orbit
-walk for its form (``CanonicalLabeling.encode``) and one image lookup.
+coordinates of the representative's labeling, which are also the
+image's: the orientations of the 7 new chain edges up to pushing the hub
+and the chain interiors.  In P1 coordinates a chain's edges flip the
+class alike and the hub's push makes the three chains' flips sum to 0,
+so (the given arcs being connected) the cases are one orientation's
+class xor each sum of the flips of reversing a new edge.  A flip does
+not depend on the orientation it starts from, so the 7 are computed
+once per representative.  Each case then costs one orbit walk for its
+form (``CanonicalLabeling.encode``) and one image lookup.
 ``reconstruction_cases`` in ``tests/test_reconstruct.py`` builds the same
 cases as ``OrientedGraph``s and decides the gluings with a labeling of
 its own; the tests form and search those graphs and hold the two paths
@@ -44,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .canon import CanonicalLabeling
+from .canon import CanonicalLabeling, orbit_of
 from .chains import Kernel
 from .crit import is_pushably_k_colorable
 from .errors import IncompatibleInputError
@@ -135,12 +141,75 @@ def _canonical_image(labeling: CanonicalLabeling, images: dict) -> set[int]:
     return image
 
 
-def _split_verdicts(
-    base: OrientedGraph, source: CanonicalLabeling, split: int, images: dict
-):
+@dataclass(frozen=True)
+class _RoleGraph:
+    """The labeled role graph of one orbit of role triples: its labeling,
+    its colorable classes in canonical coordinates, and the class changes
+    of reversing each set of new chain edges, 0 included.  The class map
+    is affine, so a change does not depend on the class it starts from."""
+
+    labeling: CanonicalLabeling
+    image: set[int]
+    reversals: frozenset[int]
+
+    def verdicts(self, arcs) -> list[tuple[bytes, bool]]:
+        """(push form, colorable) of each case of the orientation ``arcs``
+        of this graph: its class xor each reversal."""
+        labeling = self.labeling
+        start = labeling.class_of(arcs)
+        cases = {start ^ r for r in self.reversals}
+        return [(labeling.encode(f), f in self.image) for f in cases]
+
+
+def _role_graphs(base: OrientedGraph, source: CanonicalLabeling, images: dict):
+    """Every role triple (split, roles) of ``base`` -> (role graph, into):
+    one ``_RoleGraph`` per orbit of the automorphisms of ``base`` on the
+    triples, and ``into`` maps the triple's role-graph vertices onto the
+    representative's.  ``source`` labels ``base``; ``images`` holds the
+    colorable classes by canonical graph.
+
+    An automorphism s of ``base`` maps the role graph of (split, roles)
+    onto that of (s[split], s[roles]): it moves the retained vertices and
+    fixes the gadget's own, the two halves, the hub and the chain
+    interiors.  The orbit walk carries with each triple the automorphism
+    that takes the representative there."""
+    splits = {split: _split(base, split) for split in _three_vertices(base)}
+
+    def act(g, item):
+        (split, roles), perm = item
+        return (g[split], tuple(g[v] for v in roles)), tuple(g[v] for v in perm)
+
+    found: dict = {}
+    for split, (nbrs, index, kept) in splits.items():
+        for roles in permutations(nbrs):
+            if (split, roles) in found:
+                continue
+            # every glue orientation gives the same underlying graph
+            total, arcs, new = _gadget(index, kept, _glue_directions(nbrs)[0], roles)
+            labeling = CanonicalLabeling(tuple(adjacency(total, arcs)))
+            start = labeling.class_of(arcs)
+            reversals = {0}
+            for e in new:
+                flip = labeling.class_of([a for a in arcs if a != e] + [e[::-1]]) ^ start
+                reversals |= {r ^ flip for r in reversals}
+            image = _canonical_image(labeling, images)
+            role = _RoleGraph(labeling, image, frozenset(reversals))
+            seed = (split, roles), tuple(range(base.vertex_count))
+            for triple, perm in orbit_of(seed, source.gens, act):
+                if triple in found:  # reached by another automorphism
+                    continue
+                into = list(range(total))
+                target = splits[triple[0]][1]
+                for v, i in index.items():
+                    into[target[perm[v]]] = i
+                found[triple] = role, into
+    return found
+
+
+def _split_verdicts(base: OrientedGraph, source: CanonicalLabeling, split: int, role_graphs):
     """The glue orientations that reproduce ``base`` for one split, and
     (push form, colorable) per reconstruction.  ``source`` labels
-    ``base``; ``images`` holds the colorable classes by canonical graph."""
+    ``base``; ``role_graphs`` is ``_role_graphs`` of the two."""
     nbrs, index, kept = _split(base, split)
     base_form = source.form(base)
     others = [arc for arc in base.arcs if split not in arc]
@@ -152,22 +221,11 @@ def _split_verdicts(
         )) == base_form
     ]
     verdicts = []
-    # the role triple fixes the underlying graph
-    labelings: dict[tuple[int, ...], CanonicalLabeling] = {}
     for dirs in valid_dirs:
         for roles in permutations(nbrs):
-            total, arcs, new = _gadget(index, kept, dirs, roles)
-            labeling = labelings.get(roles)
-            if labeling is None:
-                labeling = labelings[roles] = CanonicalLabeling(tuple(adjacency(total, arcs)))
-            image = _canonical_image(labeling, images)
-            # the canonical class of every case
-            start = labeling.class_of(arcs)
-            cases = {start}
-            for e in new:
-                flip = labeling.class_of([a for a in arcs if a != e] + [e[::-1]]) ^ start
-                cases |= {f ^ flip for f in cases}
-            verdicts += ((labeling.encode(f), f in image) for f in cases)
+            role, into = role_graphs[split, roles]
+            _, arcs, _ = _gadget(index, kept, dirs, roles)
+            verdicts += role.verdicts([(into[t], into[h]) for t, h in arcs])
     return valid_dirs, verdicts
 
 
@@ -183,8 +241,9 @@ def verify_split_vertex_reconstructions(sources=("e1", "e2", "e3")):
             raise IncompatibleInputError(f"source {name!r} has no vertex of degree 3")
         # every glued graph of every split is an orientation of base
         source = CanonicalLabeling(base.adjacency_masks)
+        role_graphs = _role_graphs(base, source, images)
         for split in splits:
-            valid_dirs, verdicts = _split_verdicts(base, source, split, images)
+            valid_dirs, verdicts = _split_verdicts(base, source, split, role_graphs)
             inventories.append(
                 ReconstructionInventory(
                     name,

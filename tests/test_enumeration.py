@@ -729,10 +729,11 @@ def test_a_parallel_run_opens_one_pool(monkeypatch):
 
 def _cursor_hex(n: int, under: UnderlyingGraph) -> str:
     """The CURSOR line of a candidate: its lower adjacency triangle read as
-    binary, row v = 1..n-1 from neighbor v - 1 down to neighbor 0."""
+    binary, row v = 1..n-1 from neighbor v - 1 down to neighbor 0, in hex
+    with a digit per four bits or part of them."""
     masks = under.masks
     bits = "".join(str(masks[v] >> u & 1) for v in range(n) for u in reversed(range(v)))
-    return format(int(bits or "0", 2), "x")
+    return format(int(bits or "0", 2), f"0{-(-len(bits) // 4)}x")
 
 
 def _last_cursor(base: str) -> str:
@@ -872,6 +873,45 @@ def test_resume_rejects_a_cursor_naming_no_candidate(tmp_path, capsys):
     level = list(enumerate_underlying(5, forbid_k4=True))
     with open(path) as fh:
         assert fh.read().splitlines() == [_cursor_hex(5, ug) for ug in level]
+
+
+def test_a_cursor_line_names_no_graph_of_another_level():
+    # unpadded, a 7-vertex candidate and a 9-vertex graph whose vertices
+    # 0..5 span no edge can share a line; padded to their levels' widths,
+    # 6 and 9 digits, they do not
+    g7 = list(enumerate_underlying(7, forbid_k4=True))[-1]
+    bits = int(_cursor_hex(7, g7), 16)
+    # rows 6, 7 and 8 of a 9-vertex triangle are its last 6 + 7 + 8 bits
+    edges = [
+        (u, v)
+        for v, shift in ((6, 15), (7, 8), (8, 0))
+        for u in range(v)
+        if bits >> (shift + u) & 1
+    ]
+    g9 = enumeration._from_masks(tuple(adjacency(9, edges)))
+    line7, line9 = enumeration._cursor(g7), enumeration._cursor(g9)
+    assert int(line9, 16) == int(line7, 16) and (len(line7), len(line9)) == (6, 9)
+    with pytest.raises(ConfigError, match="level 9"):
+        enumeration._skip_past("9", iter([g9]), line7)
+
+
+def test_resume_rejects_a_cursor_copied_from_another_level(tmp_path, capsys):
+    shard_dir = str(tmp_path)
+    find_critical(7, shard_dir=shard_dir)
+    logs = {}
+    for n in range(3, 8):
+        with open(os.path.join(shard_dir, str(n), "CURSOR")) as fh:
+            logs[n] = fh.read()
+        # every line of a level has the level's width, and the widths differ
+        assert {len(line) for line in logs[n].splitlines()} == {-(-n * (n - 1) // 8)}
+    for n, m in itertools.permutations(logs, 2):
+        path = os.path.join(shard_dir, str(m), "CURSOR")
+        with open(path, "w") as fh:
+            fh.write(logs[n])
+        rc = cli.main(["enumerate", "--max-n", "7", "--shards", shard_dir, "--resume"])
+        assert rc == cli.EXIT_USAGE and f"level {m} " in capsys.readouterr().err
+        with open(path, "w") as fh:
+            fh.write(logs[m])
 
 
 def test_resume_rejects_a_record_line_with_values_no_record_has(tmp_path, capsys):
@@ -1090,7 +1130,8 @@ def test_shard_files_are_pinned_across_jobs(tmp_path, capsys):
     # record files and CURSOR logs of every level to 8 vertices, byte for
     # byte.  The record files are as written when each CURSOR line was the
     # candidate's canonical certificate; the whole tree was pinned again
-    # when the lines became each candidate's generated adjacency
+    # when the lines became each candidate's generated adjacency, and when
+    # they were zero-padded to their level's width
     for jobs in ("1", "2"):
         shard_dir = str(tmp_path / jobs)
         rc = cli.main(["enumerate", "--max-n", "8", "--shards", shard_dir, "--jobs", jobs])
@@ -1100,7 +1141,7 @@ def test_shard_files_are_pinned_across_jobs(tmp_path, capsys):
             "bd71e9b61e07e8f2bb842500a8fd7510454a622e43acd0a1d6c887ce4d041f4b"
         )
         assert _tree_digest(shard_dir) == (
-            "df7c8de690b3a7da8bc28fdc67a6c5a1ac877d9d9f3d4a493a685e4c81593e22"
+            "ac893fb1d000de3fcdb27ac0953f48f57dc12766d322d513294da191c9d22b53"
         )
 
 

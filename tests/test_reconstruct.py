@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from itertools import permutations
 
@@ -24,13 +25,14 @@ from pushcrit.reconstruct import (
 )
 
 
-def reconstruction_cases(source_name: str, split: int):
-    """Yield every reconstructed graph for one source and split vertex.
+def reconstruction_cases(source, split: int):
+    """Yield every reconstructed graph for one source, a fixture name or a
+    graph, and split vertex.
 
     A direction pattern of the split vertex's three arcs is used when
     regluing the vertex with it reproduces the source up to push iso.
     """
-    base = fixture(source_name)
+    base = fixture(source) if isinstance(source, str) else source
     nbrs, index, kept = _split(base, split)
     n = base.vertex_count
     base_form = canonical_form(base)
@@ -94,13 +96,24 @@ def test_one_labeling_per_underlying_graph(monkeypatch):
     # the source, then one labeling for all 8 glued graphs
     assert calls == [13, 13]
     # the fast path labels each source once, for the gluings of all its
-    # splits, and each role triple once: 6 per split, 4 splits per source
+    # splits, and one role graph per orbit of its automorphisms on the 24
+    # role triples (6 per split, 4 splits)
     calls.clear()
     verify_split_vertex_reconstructions(("e1",))
-    assert calls == [13] + [19] * 24
+    assert calls == [13] + [19] * 4
     calls.clear()
     verify_split_vertex_reconstructions()
-    assert len(calls) == 75
+    assert len(calls) == 23
+    # no two representatives share a canonical graph: the orbits are
+    # exactly the isomorphism classes of the role graphs
+    monkeypatch.undo()
+    for name, orbits in (("e1", 4), ("e2", 4), ("e3", 12)):
+        base = fixture(name)
+        role_graphs = reconstruct._role_graphs(base, CanonicalLabeling(base.adjacency_masks), {})
+        assert len(role_graphs) == 24
+        representatives = {id(role): role for role, _ in role_graphs.values()}.values()
+        assert len(representatives) == orbits
+        assert len({role.labeling.edges for role in representatives}) == orbits
 
 
 def test_no_graph_is_built_per_case(monkeypatch):
@@ -121,6 +134,79 @@ def test_no_graph_is_built_per_case(monkeypatch):
     assert built.count(13) == 8 and built.count(19) == 48
 
 
+def _relabeled(name: str, seed):
+    """The fixture ``name``, its vertices shuffled by ``seed`` (None: as is)."""
+    g = fixture(name)
+    if seed is None:
+        return g
+    perm = list(range(g.vertex_count))
+    random.Random(seed).shuffle(perm)
+    return g.relabel(perm)
+
+
+def _edge_set(pairs) -> set[frozenset]:
+    return {frozenset(p) for p in pairs}
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize("name", ["e1", "e2", "e3"])
+def test_transport_equals_labeling_each_triples_own_graph(name, seed):
+    base = _relabeled(name, seed)
+    source = CanonicalLabeling(base.adjacency_masks)
+    role_graphs = reconstruct._role_graphs(base, source, {})
+    assert len(role_graphs) == 24
+    images: dict = {}
+    cases = 0
+    for split in (v for v in range(base.vertex_count) if base.degree(v) == 3):
+        nbrs, index, kept = _split(base, split)
+        # the per-triple path: every case labeled on its own graph
+        own = {}
+        for dirs, roles, g in reconstruction_cases(base, split):
+            labeling = CanonicalLabeling(g.adjacency_masks)
+            image = reconstruct._canonical_image(labeling, images)
+            verdict = labeling.form(g), labeling.class_of(g.arcs) in image
+            own.setdefault((tuple(dirs.values()), roles), Counter())[verdict] += 1
+        for roles in permutations(nbrs):
+            role, into = role_graphs[split, roles]
+            rep = role.labeling.adj
+            total = len(rep)
+            assert sorted(into) == list(range(total))
+            onto = [0] * total
+            for v, w in enumerate(into):
+                onto[w] = v
+            # the transported map sends the representative's role graph
+            # onto the triple's own
+            _, arcs, _ = _gadget(index, kept, _glue_directions(nbrs)[0], roles)
+            rep_edges = [(a, b) for a in range(total) for b in range(a) if rep[a] >> b & 1]
+            assert _edge_set((onto[a], onto[b]) for a, b in rep_edges) == _edge_set(arcs)
+            for dirs in _glue_directions(nbrs):
+                key = tuple(dirs.values()), roles
+                if key not in own:
+                    continue
+                _, arcs, _ = _gadget(index, kept, dirs, roles)
+                moved = role.verdicts([(into[t], into[h]) for t, h in arcs])
+                assert Counter(moved) == own[key]
+                cases += len(moved)
+    assert cases == 192
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_relabeled_sources_give_the_pinned_inventories(monkeypatch, seed):
+    # the orbits, the representatives and the maps all change with the
+    # labels; the inventories of a source, as a multiset, do not
+    monkeypatch.setattr(reconstruct, "fixture", lambda name: _relabeled(name, seed))
+    inventories = verify_split_vertex_reconstructions()
+    got = Counter(
+        (inv.source, inv.valid_glue_orientations, inv.graphs_checked, inv.distinct_graphs,
+         inv.colorable)
+        for inv in inventories
+    )
+    pinned = Counter(
+        (name, 2, 48, distinct, 48) for (name, _), distinct in PINNED_DISTINCT_GRAPHS.items()
+    )
+    assert got == pinned
+
+
 def test_fast_path_equals_the_graphs_and_the_search():
     # per split, the multiset of (push form, colorable) over the cases
     # equals the one of reconstruction_cases, canonical_form and the search
@@ -128,8 +214,9 @@ def test_fast_path_equals_the_graphs_and_the_search():
     for name in ("e1", "e2", "e3"):
         base = pc.fixture(name)
         source = canon.CanonicalLabeling(base.adjacency_masks)
+        role_graphs = reconstruct._role_graphs(base, source, {})
         for split in range(4):
-            valid, fast = reconstruct._split_verdicts(base, source, split, {})
+            valid, fast = reconstruct._split_verdicts(base, source, split, role_graphs)
             slow = []
             glue = set()
             for dirs, _, g in reconstruction_cases(name, split):
