@@ -35,7 +35,7 @@ from collections import deque
 from operator import getitem
 
 from .errors import IncompatibleInputError
-from .graph import OrientedGraph
+from .graph import OrientedGraph, masks_to_edges
 from .orient import AffineMap, class_coordinates
 
 _FORM_MAGIC_PUSH = b"P1"
@@ -251,15 +251,8 @@ class CanonicalLabeling:
         _, labeling, gens = canonical_data(adj)
         self.adj = adj
         self.labeling = labeling
-        edges = []
-        for a, row in enumerate(adj):
-            row &= -2 << a  # the neighbors above a
-            while row:
-                b = (row & -row).bit_length() - 1
-                row &= row - 1
-                p, q = labeling[a], labeling[b]
-                edges.append((p, q) if p < q else (q, p))
-        self.edges = tuple(sorted(edges))
+        edges = [(labeling[a], labeling[b]) for a, b in masks_to_edges(adj)]
+        self.edges = tuple(sorted((p, q) if p < q else (q, p) for p, q in edges))
         self.gens = gens
         header = bytearray(n.to_bytes(2, "big") + len(self.edges).to_bytes(3, "big"))
         for lo, hi in self.edges:

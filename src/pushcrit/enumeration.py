@@ -153,6 +153,7 @@ from .graph import (
     _components,
     adjacency,
     json_fields,
+    masks_to_edges,
     potential,
 )
 from .transfer import ChainGraph
@@ -185,7 +186,7 @@ class UnderlyingGraph:
 
 def _from_masks(masks) -> UnderlyingGraph:
     """The underlying graph of the adjacency ``masks``, carrying them."""
-    under = UnderlyingGraph(len(masks), _masks_to_edges(masks))
+    under = UnderlyingGraph(len(masks), masks_to_edges(masks))
     # an instance attribute, which the cached property then never computes
     object.__setattr__(under, "masks", masks)
     return under
@@ -193,18 +194,6 @@ def _from_masks(masks) -> UnderlyingGraph:
 
 def _min_degree(masks) -> int:
     return min((m.bit_count() for m in masks), default=0)
-
-
-def _masks_to_edges(masks) -> tuple[tuple[int, int], ...]:
-    """The (lo, hi) edges of the adjacency ``masks``, ascending."""
-    edges = []
-    for lo, m in enumerate(masks):
-        m &= -2 << lo  # the neighbors above lo
-        while m:
-            low = m & -m
-            m ^= low
-            edges.append((lo, low.bit_length() - 1))
-    return tuple(edges)
 
 
 def _permute_mask(mask: int, perm) -> int:

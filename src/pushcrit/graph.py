@@ -65,6 +65,18 @@ def adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     return masks
 
 
+def masks_to_edges(masks) -> tuple[tuple[int, int], ...]:
+    """The (lo, hi) edges of the adjacency ``masks``, ascending."""
+    edges = []
+    for lo, m in enumerate(masks):
+        m &= -2 << lo  # the neighbors above lo
+        while m:
+            low = m & -m
+            m ^= low
+            edges.append((lo, low.bit_length() - 1))
+    return tuple(edges)
+
+
 def _components(masks: Sequence[int]) -> list[int]:
     """The vertex sets of the components of the graph on adjacency
     ``masks``, as bitmasks, by least vertex."""

@@ -10,21 +10,22 @@ together must reproduce the exceptional graph up to push isomorphism;
 every reconstruction passing that gate must admit a 3-coloring after
 pushes, and the checker confirms exactly that, case by case.
 
-Every glued graph is the source with the split vertex renumbered, so one
+Every glued graph is an orientation of the source, so one
 ``canon.CanonicalLabeling`` of the source decides the 8 gluings of all
-its splits: each is formed in the source's own labels and compared with
-the source's form.  The reconstructions of one role triple share their
-underlying graph, and an automorphism of the source maps it onto the
-role graph of the triple's image, moving only the retained vertices.
-So one role graph is labeled per orbit of the source's automorphisms on
-its role triples, and every other triple of the orbit carries its arcs
-into that representative's vertices (``_role_graphs``).  Isomorphic role
-graphs share their canonical graph, and one ``transfer.ChainGraph`` on
-it decides the colorability of all its push classes at once: they have
-cyclomatic number 4 and at most 6 vertices of degree >= 3, so it colors
-only those and transfers the colors along the chains between them.  The
-24 role triples of a source fall into 4 orbits and 4 canonical graphs
-for e1 and e2, and 12 for e3: 20 labelings for 72 triples.
+its splits.  The reconstructions keep the source's vertex names: the
+split vertex is the far half, n the fresh half, n + 1 the hub, and the
+chain interiors follow.  Those of one role triple share their underlying
+graph, and an automorphism s of the source maps it onto the role graph
+of the triple's image as s itself, fixing the new vertices.  So one role
+graph is labeled per orbit of the source's automorphisms on its role
+triples, and every other triple of the orbit carries its arcs into that
+representative's vertices by the inverse of s (``_role_graphs``).  One
+``transfer.ChainGraph`` on each representative's canonical graph decides
+the colorability of all its push classes at once: they have cyclomatic
+number 4 and at most 6 vertices of degree >= 3, so it colors only those
+and transfers the colors along the chains between them.  The 24 role
+triples of a source fall into 4 orbits for e1 and e2 and 12 for e3, no
+two with isomorphic role graphs: 20 labelings and images for 72 triples.
 
 The cases are classes, never arc tuples, in the canonical (P1)
 coordinates of the representative's labeling, which are also the
@@ -81,19 +82,15 @@ def _three_vertices(g: OrientedGraph) -> list[int]:
     return [v for v in range(g.vertex_count) if g.degree(v) == 3]
 
 
-def _split(base: OrientedGraph, split: int):
-    """(neighbors, index, kept) of splitting ``split`` off ``base``: its
-    three neighbors ascending, the renumbering of every other vertex to
-    0 .. n-2 in order, and the arcs among those, renumbered."""
+def _split(base: OrientedGraph, split: int) -> list[int]:
+    """The three neighbors of ``split`` in ``base``, ascending."""
     n = base.vertex_count
     if split not in range(n):
         raise IncompatibleInputError(f"split vertex {split} is not in 0..{n - 1}")
     nbrs = sorted(base.neighbors(split))
     if len(nbrs) != 3:
         raise IncompatibleInputError(f"split vertex {split} has degree {len(nbrs)}")
-    index = {v: i for i, v in enumerate(v for v in range(n) if v != split)}
-    kept = [(index[t], index[h]) for t, h in base.arcs if split not in (t, h)]
-    return nbrs, index, kept
+    return nbrs
 
 
 def _glue_directions(nbrs):
@@ -102,43 +99,33 @@ def _glue_directions(nbrs):
     return [{nbr: bits >> i & 1 for i, nbr in enumerate(nbrs)} for bits in range(8)]
 
 
-def _gadget(index, kept, dirs, roles):
-    """One reconstruction's (vertex count, arcs, new edges): the 12
-    retained vertices, the far half of the split vertex, its fresh other
-    half and the degree-3 hub, then the internal vertices of three new
-    chains of 2, 3 and 2 edges from the hub to the far half, to an original
-    neighbor and to the fresh half (19 vertices, 22 arcs).  ``roles`` names
-    the original neighbors of the far half, of the 3-edge chain's end, and
-    of the fresh half, a 3-vertex.  The arcs are the kept ones, the three
-    glue arcs as ``dirs`` orients them, and the chains' ``new`` (lo, hi)
-    edges, each as lo -> hi."""
-    n = len(index)
-    w_far, w_new, hub = n, n + 1, n + 2
-    far_end, hub_target, extra = roles
+def _glue(far: int, fresh: int, roles, dirs) -> list[tuple[int, int]]:
+    """The three glue arcs, as ``dirs`` orients them: the far half to the
+    first role, the fresh half to the other two.  With far = fresh = the
+    split vertex they glue the source back together."""
+    return [(w, v) if dirs[v] else (v, w) for w, v in zip((far, fresh, fresh), roles)]
 
-    def arc(w, nbr):
-        return (w, index[nbr]) if dirs[nbr] else (index[nbr], w)
 
-    glue = [arc(w_far, far_end), arc(w_new, hub_target), arc(w_new, extra)]
-    chains = Kernel.subdivided(
-        n + 3, [(w_far, hub), (hub, index[hub_target]), (hub, w_new)], [2, 3, 2]
-    )
+def _gadget(base: OrientedGraph, split: int, roles):
+    """(vertex count, arcs, new edges) of one role triple's
+    reconstructions, less the glue arcs, in the source's vertex names: the
+    split vertex is the far half, n the fresh half, n + 1 the degree-3 hub,
+    and n + 2 on the internal vertices of new chains of 2, 3 and 2 edges
+    from the hub to the far half, to ``roles[1]`` and to the fresh half
+    (19 vertices).  The arcs are the source's off the split vertex and the
+    chains' ``new`` (lo, hi) edges, each as lo -> hi."""
+    n = base.vertex_count
+    chains = Kernel.subdivided(n + 2, [(split, n + 1), (n + 1, roles[1]), (n + 1, n)], [2, 3, 2])
     new = chains.edges
-    return chains.n, kept + glue + new, new
+    return chains.n, [a for a in base.arcs if split not in a] + new, new
 
 
-def _canonical_image(labeling: CanonicalLabeling, images: dict) -> set[int]:
+def _canonical_image(labeling: CanonicalLabeling) -> set[int]:
     """The colorable classes of ``labeling``'s canonical graph, in its
-    canonical (P1) coordinates: the image of one ``ChainGraph`` on that
-    graph, built once per canonical graph in ``images``."""
-    n = len(labeling.adj)
-    key = n, labeling.edges
-    image = images.get(key)
-    if image is None:
-        adj = adjacency(n, labeling.edges)
-        kept = [v for v, mask in enumerate(adj) if mask.bit_count() >= 3]
-        image = images[key] = ChainGraph(n, labeling.edges, kept).image
-    return image
+    canonical (P1) coordinates: the image of one ``ChainGraph`` on it."""
+    # the canonical names of the vertices of degree >= 3
+    kept = [p for p, mask in zip(labeling.labeling, labeling.adj) if mask.bit_count() >= 3]
+    return ChainGraph(len(labeling.adj), labeling.edges, kept).image
 
 
 @dataclass(frozen=True)
@@ -161,48 +148,43 @@ class _RoleGraph:
         return [(labeling.encode(f), f in self.image) for f in cases]
 
 
-def _role_graphs(base: OrientedGraph, source: CanonicalLabeling, images: dict):
-    """Every role triple (split, roles) of ``base`` -> (role graph, into):
-    one ``_RoleGraph`` per orbit of the automorphisms of ``base`` on the
-    triples, and ``into`` maps the triple's role-graph vertices onto the
-    representative's.  ``source`` labels ``base``; ``images`` holds the
-    colorable classes by canonical graph.
-
-    An automorphism s of ``base`` maps the role graph of (split, roles)
-    onto that of (s[split], s[roles]): it moves the retained vertices and
-    fixes the gadget's own, the two halves, the hub and the chain
-    interiors.  The orbit walk carries with each triple the automorphism
-    that takes the representative there."""
-    splits = {split: _split(base, split) for split in _three_vertices(base)}
+def _role_graphs(base: OrientedGraph, source: CanonicalLabeling):
+    """Every role triple (split, roles) of ``base`` -> (role graph, into,
+    arcs): one ``_RoleGraph`` per orbit of the automorphisms of ``base``
+    (``source`` labels it) on the triples, the map of the triple's
+    role-graph vertices onto the representative's, and its ``_gadget``
+    arcs.  An automorphism s maps the role graph of (split, roles) onto
+    that of (s[split], s[roles]) as s itself, fixing n and above; the
+    orbit walk carries with each triple the s that takes the
+    representative there, and ``into`` is its inverse."""
+    n = base.vertex_count
+    gadgets = {
+        (split, roles): _gadget(base, split, roles)
+        for split in _three_vertices(base)
+        for roles in permutations(_split(base, split))
+    }
 
     def act(g, item):
         (split, roles), perm = item
         return (g[split], tuple(g[v] for v in roles)), tuple(g[v] for v in perm)
 
     found: dict = {}
-    for split, (nbrs, index, kept) in splits.items():
-        for roles in permutations(nbrs):
-            if (split, roles) in found:
-                continue
-            # every glue orientation gives the same underlying graph
-            total, arcs, new = _gadget(index, kept, _glue_directions(nbrs)[0], roles)
-            labeling = CanonicalLabeling(tuple(adjacency(total, arcs)))
-            start = labeling.class_of(arcs)
-            reversals = {0}
-            for e in new:
-                flip = labeling.class_of([a for a in arcs if a != e] + [e[::-1]]) ^ start
-                reversals |= {r ^ flip for r in reversals}
-            image = _canonical_image(labeling, images)
-            role = _RoleGraph(labeling, image, frozenset(reversals))
-            seed = (split, roles), tuple(range(base.vertex_count))
-            for triple, perm in orbit_of(seed, source.gens, act):
-                if triple in found:  # reached by another automorphism
-                    continue
-                into = list(range(total))
-                target = splits[triple[0]][1]
-                for v, i in index.items():
-                    into[target[perm[v]]] = i
-                found[triple] = role, into
+    for (split, roles), (total, arcs, new) in gadgets.items():
+        if (split, roles) in found:
+            continue
+        # every glue orientation gives the same underlying graph
+        glued = arcs + _glue(split, n, roles, dict.fromkeys(roles, 0))
+        labeling = CanonicalLabeling(tuple(adjacency(total, glued)))
+        start = labeling.class_of(glued)
+        reversals = {0}
+        for e in new:
+            flip = labeling.class_of([a for a in glued if a != e] + [e[::-1]]) ^ start
+            reversals |= {r ^ flip for r in reversals}
+        role = _RoleGraph(labeling, _canonical_image(labeling), frozenset(reversals))
+        for triple, perm in orbit_of(((split, roles), tuple(range(n))), source.gens, act):
+            into = sorted(range(n), key=perm.__getitem__) + list(range(n, total))
+            # a triple reached by several automorphisms keeps the first
+            found.setdefault(triple, (role, into, gadgets[triple][1]))
     return found
 
 
@@ -210,30 +192,26 @@ def _split_verdicts(base: OrientedGraph, source: CanonicalLabeling, split: int, 
     """The glue orientations that reproduce ``base`` for one split, and
     (push form, colorable) per reconstruction.  ``source`` labels
     ``base``; ``role_graphs`` is ``_role_graphs`` of the two."""
-    nbrs, index, kept = _split(base, split)
+    nbrs = _split(base, split)
     base_form = source.form(base)
     others = [arc for arc in base.arcs if split not in arc]
     valid_dirs = [
         dirs
         for dirs in _glue_directions(nbrs)
-        if source.encode(source.class_of(
-            others + [(split, v) if dirs[v] else (v, split) for v in nbrs]
-        )) == base_form
+        if source.encode(source.class_of(others + _glue(split, split, nbrs, dirs))) == base_form
     ]
     verdicts = []
     for dirs in valid_dirs:
         for roles in permutations(nbrs):
-            role, into = role_graphs[split, roles]
-            _, arcs, _ = _gadget(index, kept, dirs, roles)
-            verdicts += role.verdicts([(into[t], into[h]) for t, h in arcs])
+            role, into, arcs = role_graphs[split, roles]
+            glued = arcs + _glue(split, base.vertex_count, roles, dirs)
+            verdicts += role.verdicts([(into[t], into[h]) for t, h in glued])
     return valid_dirs, verdicts
 
 
 def verify_split_vertex_reconstructions(sources=("e1", "e2", "e3")):
     """Check 3-colorability-after-pushes of every reconstructed graph."""
     inventories = []
-    # isomorphic role graphs share a canonical graph, and so an image
-    images: dict = {}
     for name in sources:
         base = fixture(name)
         splits = _three_vertices(base)
@@ -241,7 +219,7 @@ def verify_split_vertex_reconstructions(sources=("e1", "e2", "e3")):
             raise IncompatibleInputError(f"source {name!r} has no vertex of degree 3")
         # every glued graph of every split is an orientation of base
         source = CanonicalLabeling(base.adjacency_masks)
-        role_graphs = _role_graphs(base, source, images)
+        role_graphs = _role_graphs(base, source)
         for split in splits:
             valid_dirs, verdicts = _split_verdicts(base, source, split, role_graphs)
             inventories.append(

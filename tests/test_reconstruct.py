@@ -13,11 +13,12 @@ from pushcrit import canon, graph, reconstruct, transfer
 from pushcrit.canon import CanonicalLabeling, canonical_form
 from pushcrit.errors import IncompatibleInputError
 from pushcrit.fixtures import M3P_COLORING, M3P_PUSH_SET, fixture
-from pushcrit.graph import OrientedGraph
+from pushcrit.graph import OrientedGraph, adjacency
 from pushcrit.hom import C3
 from pushcrit.orient import push_class_representatives
 from pushcrit.reconstruct import (
     _gadget,
+    _glue,
     _glue_directions,
     _split,
     verify_fig6_coloring,
@@ -33,25 +34,24 @@ def reconstruction_cases(source, split: int):
     regluing the vertex with it reproduces the source up to push iso.
     """
     base = fixture(source) if isinstance(source, str) else source
-    nbrs, index, kept = _split(base, split)
+    nbrs = _split(base, split)
     n = base.vertex_count
     base_form = canonical_form(base)
-    gluings = []
-    for dirs in _glue_directions(nbrs):
-        glued = kept + [
-            (n - 1, index[nbr]) if dirs[nbr] else (index[nbr], n - 1) for nbr in nbrs
-        ]
-        gluings.append((dirs, OrientedGraph(n, tuple(glued))))
+    others = [arc for arc in base.arcs if split not in arc]
+    gluings = [
+        (dirs, OrientedGraph(n, tuple(others + _glue(split, split, nbrs, dirs))))
+        for dirs in _glue_directions(nbrs)
+    ]
     # the gluings differ only in orientation: one labeling serves all 8
     labeling = CanonicalLabeling(gluings[0][1].adjacency_masks)
     valid_dirs = [dirs for dirs, glued in gluings if labeling.form(glued) == base_form]
     for dirs in valid_dirs:
         for roles in permutations(nbrs):
-            total, arcs, new = _gadget(index, kept, dirs, roles)
-            given = tuple(arcs[: len(arcs) - len(new)])
+            total, arcs, new = _gadget(base, split, roles)
+            given = tuple(arcs[: len(arcs) - len(new)] + _glue(split, n, roles, dirs))
             # the new edges' classes under pushing the hub and the chain
             # interiors, the forest rooted at every other vertex
-            movable = range(len(index) + 2, total)
+            movable = range(n + 1, total)
             for new_arcs in push_class_representatives(total, new, movable):
                 yield dirs, roles, OrientedGraph(total, given + new_arcs)
 
@@ -104,16 +104,43 @@ def test_one_labeling_per_underlying_graph(monkeypatch):
     calls.clear()
     verify_split_vertex_reconstructions()
     assert len(calls) == 23
-    # no two representatives share a canonical graph: the orbits are
-    # exactly the isomorphism classes of the role graphs
-    monkeypatch.undo()
+
+
+def test_the_representatives_canonical_graphs_are_pairwise_distinct():
+    # the orbits are exactly the isomorphism classes of the role graphs,
+    # and no role graph of one source is one of another's: an image cache
+    # shared by the representatives would never hit
+    graphs = []
     for name, orbits in (("e1", 4), ("e2", 4), ("e3", 12)):
         base = fixture(name)
-        role_graphs = reconstruct._role_graphs(base, CanonicalLabeling(base.adjacency_masks), {})
+        role_graphs = reconstruct._role_graphs(base, CanonicalLabeling(base.adjacency_masks))
         assert len(role_graphs) == 24
-        representatives = {id(role): role for role, _ in role_graphs.values()}.values()
+        representatives = {id(role): role for role, _, _ in role_graphs.values()}.values()
         assert len(representatives) == orbits
-        assert len({role.labeling.edges for role in representatives}) == orbits
+        graphs += [(len(role.labeling.adj), role.labeling.edges) for role in representatives]
+    assert len(graphs) == 20 and len(set(graphs)) == 20
+
+
+def test_each_role_triple_is_built_once(monkeypatch):
+    gadgets, chain_graphs = [], []
+    real_gadget, real_chain_graph = reconstruct._gadget, reconstruct.ChainGraph
+
+    def counting_gadget(base, split, roles):
+        gadgets.append((base.arcs, split, roles))
+        return real_gadget(base, split, roles)
+
+    def counting_chain_graph(*args):
+        chain_graphs.append(args[0])
+        return real_chain_graph(*args)
+
+    monkeypatch.setattr(reconstruct, "_gadget", counting_gadget)
+    monkeypatch.setattr(reconstruct, "ChainGraph", counting_chain_graph)
+    inventories = verify_split_vertex_reconstructions()
+    assert sum(inv.graphs_checked for inv in inventories) == 576
+    # 24 role triples per source (6 per split, 4 splits), one build each,
+    # and one ChainGraph per representative
+    assert len(gadgets) == len(set(gadgets)) == 72
+    assert chain_graphs == [19] * 20
 
 
 def test_no_graph_is_built_per_case(monkeypatch):
@@ -144,47 +171,50 @@ def _relabeled(name: str, seed):
     return g.relabel(perm)
 
 
-def _edge_set(pairs) -> set[frozenset]:
-    return {frozenset(p) for p in pairs}
-
-
 @pytest.mark.parametrize("seed", [None, 1, 2])
 @pytest.mark.parametrize("name", ["e1", "e2", "e3"])
 def test_transport_equals_labeling_each_triples_own_graph(name, seed):
     base = _relabeled(name, seed)
+    n = base.vertex_count
     source = CanonicalLabeling(base.adjacency_masks)
-    role_graphs = reconstruct._role_graphs(base, source, {})
+    automorphisms = canon.orbit_of(
+        tuple(range(n)), source.gens, lambda s, p: tuple(s[v] for v in p)
+    )
+    role_graphs = reconstruct._role_graphs(base, source)
     assert len(role_graphs) == 24
     images: dict = {}
     cases = 0
-    for split in (v for v in range(base.vertex_count) if base.degree(v) == 3):
-        nbrs, index, kept = _split(base, split)
+    for split in (v for v in range(n) if base.degree(v) == 3):
+        nbrs = _split(base, split)
         # the per-triple path: every case labeled on its own graph
         own = {}
         for dirs, roles, g in reconstruction_cases(base, split):
             labeling = CanonicalLabeling(g.adjacency_masks)
-            image = reconstruct._canonical_image(labeling, images)
-            verdict = labeling.form(g), labeling.class_of(g.arcs) in image
+            if labeling.edges not in images:
+                images[labeling.edges] = reconstruct._canonical_image(labeling)
+            verdict = labeling.form(g), labeling.class_of(g.arcs) in images[labeling.edges]
             own.setdefault((tuple(dirs.values()), roles), Counter())[verdict] += 1
         for roles in permutations(nbrs):
-            role, into = role_graphs[split, roles]
-            rep = role.labeling.adj
-            total = len(rep)
-            assert sorted(into) == list(range(total))
-            onto = [0] * total
-            for v, w in enumerate(into):
-                onto[w] = v
-            # the transported map sends the representative's role graph
-            # onto the triple's own
-            _, arcs, _ = _gadget(index, kept, _glue_directions(nbrs)[0], roles)
-            rep_edges = [(a, b) for a in range(total) for b in range(a) if rep[a] >> b & 1]
-            assert _edge_set((onto[a], onto[b]) for a, b in rep_edges) == _edge_set(arcs)
+            role, into, arcs = role_graphs[split, roles]
+            total, own_arcs, _ = _gadget(base, split, roles)
+            assert arcs == own_arcs
+            # into is the inverse of an automorphism of base on 0..n-1 and
+            # the identity on the new vertices n..n+5
+            inverse = [0] * n
+            for v, w in enumerate(into[:n]):
+                inverse[w] = v
+            assert tuple(inverse) in automorphisms
+            assert into[n:] == list(range(n, total))
+            # it sends the triple's role graph onto the representative's
+            glued = arcs + _glue(split, n, roles, _glue_directions(nbrs)[0])
+            moved = adjacency(total, [(into[a], into[b]) for a, b in glued])
+            assert tuple(moved) == role.labeling.adj
             for dirs in _glue_directions(nbrs):
                 key = tuple(dirs.values()), roles
                 if key not in own:
                     continue
-                _, arcs, _ = _gadget(index, kept, dirs, roles)
-                moved = role.verdicts([(into[t], into[h]) for t, h in arcs])
+                glued = arcs + _glue(split, n, roles, dirs)
+                moved = role.verdicts([(into[t], into[h]) for t, h in glued])
                 assert Counter(moved) == own[key]
                 cases += len(moved)
     assert cases == 192
@@ -214,7 +244,7 @@ def test_fast_path_equals_the_graphs_and_the_search():
     for name in ("e1", "e2", "e3"):
         base = pc.fixture(name)
         source = canon.CanonicalLabeling(base.adjacency_masks)
-        role_graphs = reconstruct._role_graphs(base, source, {})
+        role_graphs = reconstruct._role_graphs(base, source)
         for split in range(4):
             valid, fast = reconstruct._split_verdicts(base, source, split, role_graphs)
             slow = []
@@ -266,7 +296,7 @@ def test_canonical_image_is_in_canonical_coordinates():
     for name in ("e1", "e2", "e3", "at_c3"):
         g = pc.fixture(name)
         labeling = CanonicalLabeling(g.adjacency_masks)
-        image = reconstruct._canonical_image(labeling, {})
+        image = reconstruct._canonical_image(labeling)
         coords = labeling._mode(True)[0]
         verdicts = [
             pc.is_pushably_k_colorable(pc.OrientedGraph(g.vertex_count, coords.arcs(bits)), 3)
