@@ -18,7 +18,9 @@ reduction argument needs, over every admissible distribution of chain
 internal counts (chain pieces hold at most 3 internal 2-vertices because
 longer chains are themselves reducible).  The three 6-cycle
 configurations additionally constrain the cycle to be directed, which up
-to internal pushes is exactly an even-forward-parity constraint.
+to internal pushes is exactly an even-forward-parity constraint: the
+sweep walks every push class and keeps those whose cycle has forward
+parity 0 (``graph.forward_parity``, a push invariant).
 
 Two routes decide reducibility.  The exhaustive sweep runs one AT(C3)
 search per orientation class and boundary coloring.  The tree DP, the
@@ -49,7 +51,7 @@ from itertools import product
 
 from .chains import Kernel
 from .errors import ConfigError
-from .graph import OrientedGraph
+from .graph import OrientedGraph, forward_parity
 from .hom import (
     AT_C3,
     MappingSearcher,
@@ -220,12 +222,12 @@ def negative_control_gadget() -> ConfigurationGadget:
 def orientation_representatives(gadget: ConfigurationGadget):
     """All orientations of the gadget, one per pushing-X class, in which
     every closed walk of ``gadget.directed_cycles`` has even forward
-    parity."""
+    parity: the class walk, filtered by ``forward_parity``."""
     g = gadget.graph
-    for arcs in push_class_representatives(
-        g.vertex_count, g.edges, gadget.internal, even_cycles=gadget.directed_cycles
-    ):
-        yield OrientedGraph(g.vertex_count, arcs)
+    for arcs in push_class_representatives(g.vertex_count, g.edges, gadget.internal):
+        oriented = OrientedGraph(g.vertex_count, arcs)
+        if not any(forward_parity(oriented, cycle) for cycle in gadget.directed_cycles):
+            yield oriented
 
 
 def _boundary_colorings(boundary: tuple[int, ...], reduce_rotation: bool):

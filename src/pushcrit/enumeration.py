@@ -150,6 +150,7 @@ from .graph import (
     POTENTIAL_VERTEX_WEIGHT,
     Arc,
     OrientedGraph,
+    _arc_violation,
     _components,
     adjacency,
     json_fields,
@@ -570,10 +571,11 @@ class EnumerationRecord:
 
     @staticmethod
     def from_json_dict(d: dict) -> "EnumerationRecord":
-        """The record whose ``to_json_dict`` is ``d``, a missing exception
-        or arcs read as None; TypeError when ``d`` is no record: a field
-        is missing, unknown, of the wrong type or out of range, or the
-        potential or the bound disagrees with n and m."""
+        """The record whose ``to_json_dict`` is ``d``, a missing or null
+        exception or arcs read as None; TypeError when ``d`` is no record:
+        a field is missing, unknown, of the wrong type or out of range, the
+        arcs form no oriented graph, or the potential or the bound
+        disagrees with n and m."""
         if not isinstance(d, dict):
             raise TypeError("a record is a JSON object")
         arcs = d.get("arcs")
@@ -581,7 +583,9 @@ class EnumerationRecord:
             isinstance(arcs, list) and all(isinstance(a, list) and len(a) == 2 for a in arcs)
         ):
             raise TypeError("arcs must be pairs")
-        rec = EnumerationRecord(**{**d, "arcs": tuple(map(tuple, arcs)) if arcs else None})
+        if arcs is not None:
+            arcs = tuple(map(tuple, arcs))
+        rec = EnumerationRecord(**{**d, "arcs": arcs})
         n, m = rec.n, rec.m
         code = rec.canonical_code
         if not (isinstance(code, str) and re.fullmatch("(?:[0-9a-f]{2})+", code)):
@@ -597,6 +601,9 @@ class EnumerationRecord:
             and all(_is_count(v) and v < n for arc in rec.arcs for v in arc)
         ):
             raise TypeError("arcs must be m pairs of vertices 0..n-1")
+        violation = _arc_violation(n, rec.arcs or ())
+        if violation is not None:
+            raise TypeError(f"arcs are no oriented graph: {violation[1]}")
         if type(rec.potential) is not int or (
             rec.potential != POTENTIAL_VERTEX_WEIGHT * n - POTENTIAL_ARC_WEIGHT * m
         ):

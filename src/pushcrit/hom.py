@@ -661,10 +661,10 @@ def extend_partial(
     fix simply makes the coloring non-extendable (None), not an error.
     """
     for v, c in colors.items():
-        if not 0 <= v < g.vertex_count:
-            raise IncompatibleInputError(f"colored vertex {v} out of range")
-        if c not in (0, 1, 2):
-            raise IncompatibleInputError(f"color {c} outside 0..2")
+        if type(v) is not int or not 0 <= v < g.vertex_count:
+            raise IncompatibleInputError(f"colored vertex {v!r} out of range")
+        if type(c) is not int or c not in (0, 1, 2):
+            raise IncompatibleInputError(f"color {c!r} outside 0..2")
     doms = [
         (1 << colors[v]) if v in colors else 0b111111
         for v in range(g.vertex_count)

@@ -11,16 +11,6 @@ one normalized orientation, named by its co-forest direction bits.
 Normalizing is linear too: reversing an edge e changes the class by a
 fixed vector z_e, so the class of any orientation is one base vector
 xor the z_e of its edges that point lo -> hi (``ClassCoordinates``).
-
-Each closed walk a caller requires to have even forward parity (a push
-invariant) is one GF(2) equation over the co-forest bits.  Gaussian
-elimination brings them to fully reduced rows with the pivot at each
-row's lowest bit, so a pivot bit depends only on higher, free bits, and
-between two solutions the highest differing bit is free.  Counting
-through the free bits in ascending order therefore yields the classes in
-ascending order of their bit vectors, the order of the unconstrained walk
-with the violating classes left out.  A contradictory system has no
-classes; otherwise there are 2^(free - rank).
 """
 
 from __future__ import annotations
@@ -230,62 +220,17 @@ def class_coordinates(n: int, edges: Sequence[Arc], movable: Iterable[int]) -> C
     return ClassCoordinates(n, forest, tuple(co_forest(edges, parent)))
 
 
-def push_class_representatives(
-    n: int,
-    edges: Sequence[Arc],
-    movable: Iterable[int],
-    even_cycles: Iterable[Sequence[int]] = (),
-):
+def push_class_representatives(n: int, edges: Sequence[Arc], movable: Iterable[int]):
     """Yield one arc tuple per orientation class under pushing ``movable``,
     each the normalized orientation ``ClassCoordinates.arcs`` gives, in
-    ascending order of the class bits.
-
-    ``edges`` are underlying (lo, hi) pairs.  Only classes in which every
-    closed walk of ``even_cycles`` has even forward parity are yielded.
-    """
+    ascending order of the class bits.  ``edges`` are underlying (lo, hi)
+    pairs."""
     coords = class_coordinates(n, edges, movable)
-    index = {e: i for i, e in enumerate(coords.free)}
-    known = {(min(a), max(a)): a for a in coords.forest}
-    rows: dict[int, tuple[int, int]] = {}  # pivot -> (mask, parity), fully reduced
-    for walk in even_cycles:
-        mask = parity = 0
-        for u, v in zip(walk, walk[1:] + walk[:1]):
-            e = (min(u, v), max(u, v))
-            if e in index:  # forward when the bit says lo -> hi and u is lo
-                mask ^= 1 << index[e]
-                parity ^= u > v
-            elif e in known:
-                parity ^= known[e] == (u, v)
-            else:
-                raise IncompatibleInputError(f"({u},{v}) is not an edge")
-        for p, (m, c) in rows.items():
-            if mask >> p & 1:
-                mask, parity = mask ^ m, parity ^ c
-        if not mask:
-            if parity:
-                return
-            continue
-        pivot = (mask & -mask).bit_length() - 1
-        for p, (m, c) in rows.items():
-            if m >> pivot & 1:
-                rows[p] = (m ^ mask, c ^ parity)
-        rows[pivot] = (mask, parity)
-    start = sum(c << p for p, (_, c) in rows.items())
-    # setting free bit i flips it and every pivot whose row holds it
-    columns = [
-        (1 << i) | sum(1 << p for p, (m, _) in rows.items() if m >> i & 1)
-        for i in range(len(coords.free))
-        if i not in rows
-    ]
-    for t in range(1 << len(columns)):
-        bits = start
-        for j, column in enumerate(columns):
-            if t >> j & 1:
-                bits ^= column
+    for bits in range(1 << len(coords.free)):
         yield coords.arcs(bits)
 
 
 def push_class_count(n: int, edges: Sequence[Arc], movable: Iterable[int]) -> int:
-    """How many arc tuples ``push_class_representatives`` yields without
-    constraints: 2^(free edges)."""
+    """How many arc tuples ``push_class_representatives`` yields: 2^(free
+    edges)."""
     return 1 << len(class_coordinates(n, edges, movable).free)

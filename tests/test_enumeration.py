@@ -441,14 +441,20 @@ def _four_cycles(n: int, masks):
     return cycles
 
 
+def _even_classes(under, cycles):
+    """The push classes of ``under``, in the walk's order, on which every
+    closed walk of ``cycles`` has even forward parity."""
+    n = under.vertex_count
+    for arcs in push_class_representatives(n, under.edges, range(n)):
+        g = OrientedGraph(n, arcs)
+        if not any(forward_parity(g, c) for c in cycles):
+            yield g
+
+
 def _scan_survivors(under):
     """The scan's orientation classes: no odd 4-cycle (m > 4 here)."""
-    n = under.vertex_count
-    return list(
-        push_class_representatives(
-            n, under.edges, range(n), even_cycles=_four_cycles(n, under.masks)
-        )
-    )
+    cycles = _four_cycles(under.vertex_count, under.masks)
+    return [g.arcs for g in _even_classes(under, cycles)]
 
 
 def test_survivor_filter_matches_direct_parity_check():
@@ -472,8 +478,7 @@ def _scan_by_search(under):
     even = _four_cycles(n, under.masks) if len(under.edges) > 4 else ()
     at_idx = target_index(AT_C3)
     found = {}
-    for arcs in push_class_representatives(n, under.edges, range(n), even_cycles=even):
-        g = pc.OrientedGraph(n, arcs)
+    for g in _even_classes(under, even):
         if solve_mapping(g, at_idx)[0] is not None:
             continue
         if all(solve_mapping(g.delete_arc(a), at_idx)[0] is not None for a in sorted(g.arcs)):
@@ -952,6 +957,10 @@ def test_resume_rejects_a_record_line_with_values_no_record_has(tmp_path, capsys
         ("arcs", [[0, 1], [0, 3], [1, 2], [2, True]], "m pairs"),
         ("arcs", [[0, 1], [0, 3], [1, 2], [2, "3"]], "m pairs"),
         ("arcs", 5, "pairs"),
+        ("arcs", [], "m pairs"),
+        ("arcs", [[0, 0], [0, 1], [1, 2], [2, 3]], "loop at vertex 0"),
+        ("arcs", [[0, 1], [0, 1], [1, 2], [2, 3]], "parallel arc"),
+        ("arcs", [[0, 1], [1, 0], [1, 2], [2, 3]], "digon"),
         ("potential", 9, "potential"),
         ("potential", 8.0, "potential"),
         ("satisfies_bound", True, "disagrees"),

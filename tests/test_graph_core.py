@@ -26,7 +26,7 @@ from pushcrit.errors import (
     UnclassifiableGraphError,
     UndefinedInputError,
 )
-from pushcrit.graph import OrientedGraph
+from pushcrit.graph import OrientedGraph, forward_parity
 
 from conftest import (
     attach_path,
@@ -94,14 +94,18 @@ def test_push_whole_component_is_identity(rng):
 
 
 def test_cycle_parity_is_push_invariant(rng):
-    from pushcrit.graph import forward_parity
-
     c4 = pc.directed_cycle(4)
     cycle = (0, 1, 2, 3)
     base = forward_parity(c4, cycle)
     for bits in range(16):
         s = {v for v in range(4) if bits >> v & 1}
         assert forward_parity(pc.push_vertices(c4, s), cycle) == base
+
+
+def test_forward_parity_rejects_a_step_that_is_no_edge():
+    path = pc.directed_path(3)
+    with pytest.raises(IncompatibleInputError, match=r"\(2,0\) is not an edge"):
+        forward_parity(path, (0, 1, 2))
 
 
 def test_anti_twin_single_arc():

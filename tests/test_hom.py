@@ -611,6 +611,12 @@ def test_extend_partial_triangle():
     ({-1: 0}, "colored vertex -1 out of range"),
     ({0: 3}, "color 3 outside 0..2"),
     ({1: -1}, "color -1 outside 0..2"),
+    # vertices and colors are ints: 0.5 would pin no vertex and read as
+    # nothing colored
+    ({0: 1.0}, "color 1.0 outside 0..2"),
+    ({0: True}, "color True outside 0..2"),
+    ({0.5: 1}, "colored vertex 0.5 out of range"),
+    ({True: 1}, "colored vertex True out of range"),
 ])
 def test_extend_partial_rejects_a_vertex_or_color_out_of_range(colors, message):
     tri = pc.OrientedGraph(3, ((0, 1), (1, 2), (2, 0)))

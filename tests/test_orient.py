@@ -1,16 +1,10 @@
 """Push classes over GF(2): the spanning forest, the normalizer and the
-parity-constrained class enumeration, against direct oracles."""
+class walk, against direct oracles."""
 
 from __future__ import annotations
 
-from collections import deque
-
-import pytest
-
 import pushcrit as pc
 from pushcrit.canon import canonical_data
-from pushcrit.errors import IncompatibleInputError
-from pushcrit.graph import forward_parity
 from pushcrit.orient import (
     AffineMap,
     bfs_forest,
@@ -37,80 +31,13 @@ def _masks(n, edges):
     return masks
 
 
-def _random_cycle(rng, masks, edges):
-    """A cycle through a random edge (a, b): b to a by BFS without the
-    edge, closed by a -> b; rotated and reversed at random.  None on a
-    bridge."""
-    a, b = rng.choice(edges)
-    if rng.random() < 0.5:
-        a, b = b, a
-    parent = {b: None}
-    queue = deque([b])
-    while queue and a not in parent:
-        u = queue.popleft()
-        for w in range(len(masks)):
-            if masks[u] >> w & 1 and w not in parent and (u, w) != (b, a):
-                parent[w] = u
-                queue.append(w)
-    if a not in parent:
-        return None
-    cycle = [a]
-    while cycle[-1] != b:
-        cycle.append(parent[cycle[-1]])
-    cycle.reverse()  # b ... a, closed by a -> b
-    turn = rng.randrange(len(cycle))
-    cycle = cycle[turn:] + cycle[:turn]
-    return tuple(cycle[::-1] if rng.random() < 0.5 else cycle)
-
-
-def test_constrained_classes_equal_the_filtered_enumeration(rng):
-    proper = contradictory = counted = 0
-    for trial in range(400):
-        n = rng.randint(3, 7)
-        edges = _random_edges(rng, n, rng.uniform(0.4, 0.7))
-        if not edges:
-            continue
-        masks = _masks(n, edges)
+def test_class_count_is_the_length_of_the_walk(rng):
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        edges = _random_edges(rng, n, rng.uniform(0.2, 0.7))
         movable = {v for v in range(n) if rng.random() < 0.7}
-        cycles = [_random_cycle(rng, masks, edges) for _ in range(rng.randint(0, 4))]
-        walks = [c for c in cycles if c is not None]
-        if walks:
-            # redundant: a repeat, and the sum of two closed walks from one
-            # vertex beside both
-            first = walks[0]
-            other = _random_cycle(rng, masks, edges)
-            if other is not None and first[0] in other:
-                i = other.index(first[0])
-                other = other[i:] + other[:i]
-                walks += [first, other, first + other]
-            else:
-                walks.append(first)
-        if trial % 5 == 0:
-            # crossing one edge there and back has odd forward parity in
-            # every orientation
-            a, b = rng.choice(edges)
-            walks.insert(rng.randint(0, len(walks)), (a, b))
-        got = list(push_class_representatives(n, edges, movable, even_cycles=walks))
-        every = list(push_class_representatives(n, edges, movable))
-        expected = [
-            arcs
-            for arcs in every
-            if all(forward_parity(pc.OrientedGraph(n, arcs), w) == 0 for w in walks)
-        ]
-        assert got == expected, (n, edges, movable, walks)
-        assert push_class_count(n, edges, movable) == len(every)
-        counted += 1
-        if trial % 5 == 0:
-            assert got == []
-            contradictory += 1
-        proper += 0 < len(got) < len(every)
-    assert contradictory >= 60 and proper >= 50 and counted >= 100, counted
-
-
-def test_constraint_off_the_graph_is_rejected():
-    with pytest.raises(IncompatibleInputError):
-        list(push_class_representatives(3, [(0, 1), (1, 2)], range(3),
-                                        even_cycles=[(0, 1, 2)]))
+        walk = list(push_class_representatives(n, edges, movable))
+        assert push_class_count(n, edges, movable) == len(walk)
 
 
 def test_forest_is_the_star_on_complete_graphs():

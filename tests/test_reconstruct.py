@@ -26,34 +26,56 @@ from pushcrit.reconstruct import (
 )
 
 
-def reconstruction_cases(source, split: int):
-    """Yield every reconstructed graph for one source, a fixture name or a
-    graph, and split vertex.
+def _attach(w: int, v: int, dirs) -> tuple[int, int]:
+    """The arc between w, standing in for the split vertex, and its
+    neighbor v: away from w when dirs[v] is 1."""
+    return (w, v) if dirs[v] else (v, w)
 
-    A direction pattern of the split vertex's three arcs is used when
-    regluing the vertex with it reproduces the source up to push iso.
+
+def reconstruction_cases(source, split: int):
+    """Yield (dirs, roles, graph) for every reconstructed graph of one
+    source, a fixture name or a graph, and split vertex, built from edge
+    lists as the ``reconstruct`` docstring describes them.
+
+    ``dirs`` orients the split vertex's three arcs, 1 when an arc points
+    away from it; a pattern is used when regluing the vertex with it
+    reproduces the source up to push iso.  In a reconstruction the split
+    vertex is the far half, joined to roles[0]; the fresh vertex n takes
+    roles[1] and roles[2]; the hub n + 1 is joined to the far half, to
+    roles[1] and to the fresh half by chains of 2, 3 and 2 edges, whose
+    interiors are n + 2 .. n + 5.  The chains take every orientation up to
+    pushing the hub and the interiors.
     """
     base = fixture(source) if isinstance(source, str) else source
     nbrs = _split(base, split)
     n = base.vertex_count
     base_form = canonical_form(base)
     others = [arc for arc in base.arcs if split not in arc]
+    patterns = [{v: bits >> i & 1 for i, v in enumerate(nbrs)} for bits in range(8)]
     gluings = [
-        (dirs, OrientedGraph(n, tuple(others + _glue(split, split, nbrs, dirs))))
-        for dirs in _glue_directions(nbrs)
+        (dirs, OrientedGraph(n, tuple(others + [_attach(split, v, dirs) for v in nbrs])))
+        for dirs in patterns
     ]
     # the gluings differ only in orientation: one labeling serves all 8
     labeling = CanonicalLabeling(gluings[0][1].adjacency_masks)
     valid_dirs = [dirs for dirs, glued in gluings if labeling.form(glued) == base_form]
+    hub = n + 1
     for dirs in valid_dirs:
         for roles in permutations(nbrs):
-            total, arcs, new = _gadget(base, split, roles)
-            given = tuple(arcs[: len(arcs) - len(new)] + _glue(split, n, roles, dirs))
-            # the new edges' classes under pushing the hub and the chain
-            # interiors, the forest rooted at every other vertex
-            movable = range(n + 1, total)
-            for new_arcs in push_class_representatives(total, new, movable):
-                yield dirs, roles, OrientedGraph(total, given + new_arcs)
+            given = others + [
+                _attach(split, roles[0], dirs),
+                _attach(n, roles[1], dirs),
+                _attach(n, roles[2], dirs),
+            ]
+            chains = []
+            interior = n + 2
+            for end, length in ((split, 2), (roles[1], 3), (n, 2)):
+                path = [hub, *range(interior, interior + length - 1), end]
+                interior += length - 1
+                chains += [(min(e), max(e)) for e in zip(path, path[1:])]
+            movable = range(hub, interior)
+            for new_arcs in push_class_representatives(interior, chains, movable):
+                yield dirs, roles, OrientedGraph(interior, tuple(given) + new_arcs)
 
 
 def test_reconstruction_shapes_for_one_split():

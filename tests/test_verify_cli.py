@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,16 @@ def _load_schema(name: str):
     validator_cls = jsonschema.validators.validator_for(schema)
     validator_cls.check_schema(schema)
     return validator_cls(schema)
+
+
+def test_python_m_pushcrit_runs_the_cli():
+    package_root = os.path.dirname(os.path.dirname(pc.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "pushcrit", "--json", "mad", "@e1"],
+        env=dict(os.environ, PYTHONPATH=package_root), capture_output=True, text=True,
+    )
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    assert done.stdout == '{"denominator": 13, "numerator": 30}\n'
 
 
 def test_potentials_suite_passes():
