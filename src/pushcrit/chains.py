@@ -19,9 +19,11 @@ from .graph import Arc, OrientedGraph
 
 
 def _check_vertices(n: int, vertices: Iterable[int]) -> None:
+    if type(n) is not int or n < 0:
+        raise IncompatibleInputError(f"a graph on {n!r} vertices")
     for v in vertices:
-        if not 0 <= v < n:
-            raise IncompatibleInputError(f"vertex {v} outside 0..{n - 1}")
+        if type(v) is not int or not 0 <= v < n:
+            raise IncompatibleInputError(f"vertex {v!r} outside 0..{n - 1}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +91,8 @@ class Kernel:
         _check_vertices(kernel_n, (v for e in kernel_edges for v in e))
         paths, nxt = [], kernel_n
         for (a, b), length in zip(kernel_edges, lengths):
-            if length < (3 if a == b else 1):
-                raise IncompatibleInputError(f"a chain of {length} edges from {a} to {b}")
+            if type(length) is not int or length < (3 if a == b else 1):
+                raise IncompatibleInputError(f"a chain of {length!r} edges from {a} to {b}")
             paths.append((a, *range(nxt, nxt + length - 1), b))
             nxt += length - 1
         ones = [(min(p), max(p)) for p in paths if len(p) == 2]

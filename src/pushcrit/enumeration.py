@@ -105,20 +105,20 @@ generation also drops graphs with a K4 subgraph: such a graph is not
 3-colorable, so it is critical only if it is K4 itself.
 
 The scan decides every push class of a candidate G at once from its
-3-colorings, with no search per orientation: ``transfer.ChainGraph``
-keeps every vertex of G, enumerates the proper 3-colorings, and returns
-the image Im of colorable classes and the critical classes (see the
-``transfer`` docstring for why the test is exact).  Each edge is then its
-own chain, and the walk order is the BFS order of the class forest.  One
-BFS over the adjacency masks gives the order and the forest, and one
-subtree pass from the leaves every edge's z and the base class; the
-class coordinates (``orient.ClassCoordinates``) are built only for a
-candidate with a critical class, to name its arcs.  One walk, which
-skips the negations of the colorings it takes (the negation lemma), gives
-Im together with the Mono classes of the edges that end at the last two
-vertices of that order (the tail-Mono lemma); any other edge's Mono takes
-a walk of its own, only when a remaining candidate class needs it.  The
-scan assumes none of the structural lemmas that
+3-colorings, with no search per orientation: ``transfer.ChainGraph``,
+on the ``chains.Kernel`` that keeps every vertex of G, enumerates the
+proper 3-colorings, and returns the image Im of colorable classes and the
+critical classes (see the ``transfer`` docstring for why the test is
+exact).  Each edge is then its own chain, and the walk order is the BFS
+order of the class forest.  One BFS over the adjacency masks gives the
+order and the forest, and one subtree pass from the leaves every edge's
+z and the base class; the class coordinates (``orient.ClassCoordinates``)
+are built only for a candidate with a critical class, to name its arcs.
+One walk, which skips the negations of the colorings it takes (the
+negation lemma), gives Im together with the Mono classes of the edges that
+end at the last two vertices of that order (the tail-Mono lemma); any
+other edge's Mono takes a walk of its own, only when a remaining candidate
+class needs it.  The scan assumes none of the structural lemmas that
 ``underlying_prune_verdict`` states.
 """
 
@@ -131,7 +131,7 @@ import time
 from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain, combinations, islice
 from operator import getitem
 
@@ -142,7 +142,7 @@ from .canon import (
     canonical_form,
     orbit_of,
 )
-from .chains import classify_vertices
+from .chains import Kernel, classify_vertices
 from .errors import ConfigError, ResourceBudgetError
 from .fixtures import EXCEPTION_NAMES, fixture
 from .graph import (
@@ -528,12 +528,18 @@ def underlying_prune_verdict(under: UnderlyingGraph):
 # -- the coloring-image scan ----------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _every_vertex(n: int) -> frozenset[int]:
+    return frozenset(range(n))
+
+
 def _critical_orientations(n: int, edges) -> list[tuple[Arc, ...]]:
     """The normalized orientations (``orient.ClassCoordinates.arcs``, all
     vertices movable) of the pushably 3-critical classes of the connected
-    graph on ``edges``, n >= 2, in ascending order of the class bits.  Every
-    vertex is kept, so each edge is its own chain (``transfer``)."""
-    graph = ChainGraph(n, edges, range(n))
+    graph on the generated (lo, hi) ``edges``, n >= 2, in ascending order of
+    the class bits.  Every vertex is kept, so each edge is its own chain: the
+    kernel is built unchecked, as ``Kernel.of`` would build it."""
+    graph = ChainGraph(Kernel(n, _every_vertex(n), tuple(edges)))
     return [graph.coords.arcs(k) for k in graph.critical_classes()]
 
 
@@ -574,8 +580,9 @@ class EnumerationRecord:
         """The record whose ``to_json_dict`` is ``d``, a missing or null
         exception or arcs read as None; TypeError when ``d`` is no record:
         a field is missing, unknown, of the wrong type or out of range, the
-        arcs form no oriented graph, or the potential or the bound
-        disagrees with n and m."""
+        arcs form no oriented graph or one of another canonical code, the
+        exception is not the one canonical_code names, or the potential or
+        the bound disagrees with n and m."""
         if not isinstance(d, dict):
             raise TypeError("a record is a JSON object")
         arcs = d.get("arcs")
@@ -594,8 +601,8 @@ class EnumerationRecord:
             raise TypeError("n and m must be non-negative integers")
         if not (isinstance(rec.critical, bool) and isinstance(rec.satisfies_bound, bool)):
             raise TypeError("critical and satisfies_bound must be booleans")
-        if rec.exception is not None and rec.exception not in EXCEPTION_NAMES:
-            raise TypeError(f"exception must be None or one of {', '.join(EXCEPTION_NAMES)}")
+        if rec.exception != _exception_codes().get(code):
+            raise TypeError("exception must be the name canonical_code has, if any")
         if rec.arcs is not None and not (
             len(rec.arcs) == m
             and all(_is_count(v) and v < n for arc in rec.arcs for v in arc)
@@ -604,6 +611,8 @@ class EnumerationRecord:
         violation = _arc_violation(n, rec.arcs or ())
         if violation is not None:
             raise TypeError(f"arcs are no oriented graph: {violation[1]}")
+        if rec.arcs is not None and canonical_form(OrientedGraph(n, rec.arcs)).hex() != code:
+            raise TypeError("arcs disagree with canonical_code")
         if type(rec.potential) is not int or (
             rec.potential != POTENTIAL_VERTEX_WEIGHT * n - POTENTIAL_ARC_WEIGHT * m
         ):
@@ -618,6 +627,7 @@ def _is_count(x) -> bool:
     return type(x) is int and x >= 0
 
 
+@lru_cache(maxsize=1)
 def _exception_codes() -> dict[str, str]:
     return {canonical_form(fixture(name)).hex(): name for name in EXCEPTION_NAMES}
 

@@ -125,7 +125,7 @@ def _canonical_image(labeling: CanonicalLabeling) -> set[int]:
     canonical (P1) coordinates: the image of one ``ChainGraph`` on it."""
     # the canonical names of the vertices of degree >= 3
     kept = [p for p, mask in zip(labeling.labeling, labeling.adj) if mask.bit_count() >= 3]
-    return ChainGraph(len(labeling.adj), labeling.edges, kept).image
+    return ChainGraph(Kernel.of(len(labeling.adj), labeling.edges, kept)).image
 
 
 @dataclass(frozen=True)

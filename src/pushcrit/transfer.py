@@ -9,11 +9,11 @@ the classes of a(c) over the proper c (``orient.ClassCoordinates``; every
 vertex movable).  Shifting every color leaves a(c) as it is, so the first
 kept vertex takes color 0.
 
-The caller names the kept vertices; every other vertex has degree 2.
-The graph is then its kept vertices joined by chains (``chains.Kernel``):
-paths through non-kept vertices, a loop when both ends are equal.
-Pushing an internal vertex of a chain reverses its two edges, so every
-edge of a chain changes the class by the same vector z_chain.
+The caller passes a ``chains.Kernel``: the graph as its kept vertices
+joined by chains, paths through vertices of degree 2, a loop when both
+ends are equal.  Pushing an internal vertex of a chain reverses its two
+edges, so every edge of a chain changes the class by the same vector
+z_chain.
 
 Transfer lemma.  Take a chain of L edges from u to w, and let
 Delta = c(w) - c(u).  Each edge of a proper coloring steps the color by
@@ -79,11 +79,9 @@ above the class bits, and the cosets are expanded at the end.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Sequence
 
 from .chains import Kernel
 from .errors import IncompatibleInputError
-from .graph import Arc
 from .orient import ClassCoordinates, bfs_forest, class_coordinates, co_forest, subtree_masks
 
 _UNBANNED = tuple(tuple(x for x in range(3) if not banned >> x & 1) for banned in range(8))
@@ -168,18 +166,16 @@ def _coloring_image(lists, start: int, flip: int, marks: int = 0) -> set[int]:
 
 
 class ChainGraph:
-    """A connected graph on vertices 0..n-1 and underlying (lo, hi)
-    ``edges``, lo < hi and none repeated, seen as its ``kept`` vertices
-    joined by chains.  Every vertex outside ``kept`` must have degree 2; as
-    the graph is connected, every walk through such vertices then ends at a
-    kept one.
+    """The connected graph of a ``chains.Kernel``, whose checks are the
+    only ones on its input: the caller passes a checked kernel
+    (``Kernel.of``, ``Kernel.subdivided``).
 
     ``coords`` names the push classes (every vertex movable), ``image``
     holds the colorable ones and ``critical_classes`` the critical ones.
-    Each chain is (u, w, L, z, s), in the order of its first edge in
-    ``edges`` (the paths of ``chains.Kernel.of``): walked from u to w it
-    has L edges, and a coloring adds z to the class when its forward-edge
-    count has parity 1 ^ s.  A chain of one edge is (lo, hi, 1, z_e, 0).
+    Each chain is (u, w, L, z, s), in the order of the kernel's paths:
+    walked from u to w it has L edges, and a coloring adds z to the class
+    when its forward-edge count has parity 1 ^ s.  A chain of one edge is
+    (lo, hi, 1, z_e, 0), whichever way its path runs.
 
     The orientation ``arcs`` is colorable exactly when
     ``coords.class_of(arcs) in image``.  ``coords`` is built only when it
@@ -190,56 +186,43 @@ class ChainGraph:
     the same class bits as ``coords``.
     """
 
-    def __init__(self, n: int, edges: Sequence[Arc], kept: Iterable[int]):
-        # kept as a tuple: the coordinates may read the edges later
-        self.edges = edges = tuple(edges)
+    def __init__(self, kernel: Kernel):
+        self.n = n = kernel.n
+        # the (lo, hi) edges, path by path: the coordinates may read them later
+        self.edges = edges = []
         adj = [0] * n
+        for path in kernel.paths:
+            if len(path) == 2:
+                a, b = path
+                edges.append(path if a < b else (b, a))
+            else:
+                edges += [(a, b) if a < b else (b, a) for a, b in zip(path, path[1:])]
         for lo, hi in edges:
-            if not 0 <= lo < hi < n:
-                raise IncompatibleInputError(
-                    f"({lo}, {hi}) is no edge (lo, hi) of a graph on 0..{n - 1}"
-                )
-            if adj[lo] >> hi & 1:
-                raise IncompatibleInputError("an edge is repeated")
             adj[lo] |= 1 << hi
             adj[hi] |= 1 << lo
-        self.n = n
-        kept = set(kept)
-        if not kept <= set(range(n)):
-            raise IncompatibleInputError(f"kept vertices must lie in 0..{n - 1}")
         order, parent = bfs_forest(adj)
         if parent.count(-1) != 1:
             raise IncompatibleInputError("the graph must be connected")
-        if not kept:
-            raise IncompatibleInputError("no vertex is kept")
         free = co_forest(edges, parent)
         z, self._base = subtree_masks(order[1:], parent, free)
         self.width = len(free)
         bits = {e: 1 << i for i, e in enumerate(free)}
-        # every edge its own chain, in one pass; a forest edge's z sits on
-        # its child end
-        chains = [
-            (
-                lo,
-                hi,
-                1,
-                z[hi] if parent[hi] == lo else z[lo] if parent[lo] == hi else bits[lo, hi],
-                0,
-            )
-            for lo, hi in edges
-        ]
-        # a vertex that is not kept lies inside a chain of two or more edges
-        self.long = len(kept) < n
-        if self.long:
-            # every edge of a chain has the same z: take its first step's
-            z_of = {e: c[3] for e, c in zip(edges, chains)}
-            chains = []
-            for path in Kernel.of(n, edges, kept).paths:
+        self.chains = chains = []
+        for path in kernel.paths:
+            u, w = path[0], path[-1]
+            lo, hi = (u, path[1]) if u < path[1] else (path[1], u)
+            # every edge of a chain has its first edge's z; a forest
+            # edge's z sits on its child end
+            z_e = z[hi] if parent[hi] == lo else z[lo] if parent[lo] == hi else bits[lo, hi]
+            if len(path) == 2:
+                chains.append((lo, hi, 1, z_e, 0))
+            else:
                 backward = sum(a > b for a, b in zip(path, path[1:])) % 2
-                z = z_of[min(path[:2]), max(path[:2])]
-                chains.append((path[0], path[-1], len(path) - 1, z, backward))
-            order = [v for v in order if v in kept]
-        self.chains = chains
+                chains.append((u, w, len(path) - 1, z_e, backward))
+        # a vertex that is not kept lies inside a chain of two or more edges
+        self.long = len(kernel.kept) < n
+        if self.long:
+            order = [v for v in order if v in kernel.kept]
         self.size = len(order)
         self.pos = pos = [-1] * n
         for i, v in enumerate(order):

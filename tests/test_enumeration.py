@@ -964,6 +964,9 @@ def test_resume_rejects_a_record_line_with_values_no_record_has(tmp_path, capsys
         ("potential", 9, "potential"),
         ("potential", 8.0, "potential"),
         ("satisfies_bound", True, "disagrees"),
+        ("exception", "e1", "exception must be"),  # c_minus4's code is not e1's
+        # the directed 4-cycle is no pushed copy of C-4
+        ("arcs", [[0, 1], [1, 2], [2, 3], [3, 0]], "disagree with canonical_code"),
     ],
 )
 def test_records_reject_values_of_the_wrong_type_or_range(field, value, reason):

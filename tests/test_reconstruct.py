@@ -11,6 +11,7 @@ import pytest
 import pushcrit as pc
 from pushcrit import canon, graph, reconstruct, transfer
 from pushcrit.canon import CanonicalLabeling, canonical_form
+from pushcrit.chains import Kernel
 from pushcrit.errors import IncompatibleInputError
 from pushcrit.fixtures import M3P_COLORING, M3P_PUSH_SET, fixture
 from pushcrit.graph import OrientedGraph, adjacency
@@ -152,7 +153,7 @@ def test_each_role_triple_is_built_once(monkeypatch):
         return real_gadget(base, split, roles)
 
     def counting_chain_graph(*args):
-        chain_graphs.append(args[0])
+        chain_graphs.append(args[0].n)
         return real_chain_graph(*args)
 
     monkeypatch.setattr(reconstruct, "_gadget", counting_gadget)
@@ -350,7 +351,7 @@ def test_image_verdicts_equal_the_search():
                 if roles not in chains:
                     kept = [v for v, d in enumerate(graph.degrees) if d >= 3]
                     image = chains[roles] = transfer.ChainGraph(
-                        graph.vertex_count, graph.edges, kept
+                        Kernel.of(graph.vertex_count, graph.edges, kept)
                     )
                     for bits in range(1 << image.width):
                         g = pc.OrientedGraph(graph.vertex_count, image.coords.arcs(bits))

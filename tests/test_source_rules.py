@@ -151,3 +151,38 @@ def test_every_module_level_name_is_loaded_somewhere():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         unread |= {f"{path.stem}.{name}" for name in _module_level_names(tree) - loaded}
     assert not unread, sorted(unread)
+
+
+# every call of the raw chains.Kernel constructor outside chains.py, by
+# module and qualified name, with the reason its paths need no check:
+# ChainGraph trusts the kernel it gets, so any other caller must build it
+# with Kernel.of or Kernel.subdivided, and an unchecked kernel cannot
+# enter unnoticed
+RAW_KERNELS = {
+    # generated (lo, hi) edges of a simple graph, every vertex kept: the
+    # paths Kernel.of would give, without its walk
+    "enumeration._critical_orientations",
+}
+
+
+def _raw_kernel_calls(node, prefix: str):
+    """The qualified names of the functions under ``node`` (``prefix`` at
+    module level) that call ``Kernel(...)`` or ``chains.Kernel(...)``."""
+    for child in ast.iter_child_nodes(node):
+        name = prefix
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{prefix}.{child.name}"
+        elif isinstance(child, ast.Call):
+            func = child.func
+            if getattr(func, "id", None) == "Kernel" or getattr(func, "attr", None) == "Kernel":
+                yield prefix
+        yield from _raw_kernel_calls(child, name)
+
+
+def test_every_raw_kernel_is_built_at_a_listed_site():
+    found = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name != "chains.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            found |= set(_raw_kernel_calls(tree, path.stem))
+    assert found == RAW_KERNELS

@@ -109,8 +109,8 @@ def _chain_edges(n, edges, kept):
 
 
 def _assert_kept_gives_full(n, edges, kept):
-    full = ChainGraph(n, edges, range(n))
-    kernel = ChainGraph(n, edges, kept)
+    full = ChainGraph(Kernel.of(n, edges, range(n)))
+    kernel = ChainGraph(Kernel.of(n, edges, kept))
     assert kernel.image == full.image, edges
     assert kernel.critical_classes() == full.critical_classes(), edges
     groups = _chain_edges(n, edges, kept)
@@ -179,6 +179,31 @@ def test_subdivisions_that_are_not_simple_are_rejected():
     assert kernel.paths == ((0, 1), (1, 2, 0), (0, 3, 4, 0))
 
 
+def test_subdivided_kernels_give_the_image_of_their_walk(rng):
+    # the kernel entry point: a subdivided kernel, its kernel edges turned
+    # at random, against the chain walk over its edges; a one-edge chain
+    # whose path runs (hi, lo) still reads (lo, hi)
+    turned = 0
+    for _ in range(60):
+        kernel_n, kernel_edges, _, _, lengths = _random_kernel(rng)
+        kernel_edges = [e[::-1] if rng.random() < 0.5 else e for e in kernel_edges]
+        turned += any(a > b and length == 1 for (a, b), length in zip(kernel_edges, lengths))
+        kernel = Kernel.subdivided(kernel_n, kernel_edges, lengths)
+        built = ChainGraph(kernel)
+        walked = ChainGraph(Kernel.of(kernel.n, kernel.edges, kernel.kept))
+        assert built.image == walked.image, kernel
+        assert built.critical_classes() == walked.critical_classes(), kernel
+        for t, (u, w, length, z, _) in enumerate(built.chains):
+            assert length > 1 or u < w
+            assert z == walked.chains[t][3]
+            assert built.mono(t) == walked.mono(t), kernel
+    assert turned
+    # an edge written (hi, lo) is the same edge
+    lo_hi = ChainGraph(Kernel.of(3, [(0, 1), (1, 2), (0, 2)], range(3)))
+    hi_lo = ChainGraph(Kernel.of(3, [(1, 0), (1, 2), (0, 2)], range(3)))
+    assert hi_lo.image == lo_hi.image and hi_lo.chains == lo_hi.chains
+
+
 def test_loops_are_chains_with_equal_ends():
     # a bouquet: one kept vertex with three loops of lengths 3..5
     for lengths in ((3, 3, 3), (3, 4, 5), (4, 4, 5), (5, 5, 5)):
@@ -218,7 +243,7 @@ def test_colorability_matches_the_search(rng):
     for g in graphs:
         degrees = g.degrees
         kept = [v for v, d in enumerate(degrees) if d >= 3] or [0]
-        chains = ChainGraph(g.vertex_count, g.edges, kept)
+        chains = ChainGraph(Kernel.of(g.vertex_count, g.edges, kept))
         for h in _random_orientations(rng, g, 8):
             want = pc.is_pushably_k_colorable(h, 3) is not None
             assert (chains.coords.class_of(h.arc_set) in chains.image) == want, h.arcs
@@ -229,20 +254,22 @@ def test_colorability_matches_the_search(rng):
 
 def test_inputs_outside_the_chain_shape_are_rejected():
     g = pc.fixture("e1")
-    with pytest.raises(IncompatibleInputError):
-        ChainGraph(g.vertex_count, g.edges, [])
     leaf = [v for v, d in enumerate(g.degrees) if d >= 3][:-1]
-    with pytest.raises(IncompatibleInputError):
-        ChainGraph(g.vertex_count, g.edges, leaf)
-    # two triangles: the second would be a cycle that meets no kept vertex
+    for kept in ([], leaf):
+        with pytest.raises(IncompatibleInputError, match="needs degree 2"):
+            Kernel.of(g.vertex_count, g.edges, kept)
+    # two triangles: a chain walk from 0 ends on the second one, a cycle
+    # that meets no kept vertex, and with every vertex kept the graph is
+    # still not connected
     edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
-    for kept in ([0], range(6)):
-        with pytest.raises(IncompatibleInputError, match="connected"):
-            ChainGraph(6, edges, kept)
+    with pytest.raises(IncompatibleInputError, match="meets no kept vertex"):
+        Kernel.of(6, edges, [0])
+    with pytest.raises(IncompatibleInputError, match="connected"):
+        ChainGraph(Kernel.of(6, edges, range(6)))
     # a plain cycle and no kept vertex: a chain walk along it would not end
     cycle = [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
-    with pytest.raises(IncompatibleInputError, match="no vertex is kept"):
-        ChainGraph(5, cycle, [])
+    with pytest.raises(IncompatibleInputError, match="meets no kept vertex"):
+        Kernel.of(5, cycle, [])
     # the chain walk itself stops on such a cycle, whatever checks run first
     with pytest.raises(IncompatibleInputError, match="meets no kept vertex"):
         Kernel.of(3, [(0, 1), (0, 2), (1, 2)], set())
@@ -251,18 +278,19 @@ def test_inputs_outside_the_chain_shape_are_rejected():
 def test_malformed_inputs_are_rejected():
     triangle = [(0, 1), (0, 2), (1, 2)]
     for edges in (
-        [(1, 0), (1, 2), (0, 2)],  # an edge not written (lo, hi)
         [(0, 1), (0, 2), (1, 2), (1, 1)],  # a loop
         [(0, 1), (0, 2), (1, 2), (0, 1)],  # a repeated edge
         [(0, 1), (0, 2), (1, 2), (2, 3)],  # a vertex outside 0..n-1
         [(-1, 0), (0, 1), (0, 2), (1, 2)],  # a negative vertex
+        [(0, 1.0), (1, 2), (0, 2)],  # a vertex that is no int
+        [(0, True), (1, 2), (0, 2)],
     ):
         with pytest.raises(IncompatibleInputError):
-            ChainGraph(3, edges, range(3))
+            Kernel.of(3, edges, range(3))
     # as many kept vertices as vertices, but not all of them
-    for kept in ([0, 1, 2, 99], [-1, 0, 1, 2], [0, 1, 2, 3, 99]):
+    for kept in ([0, 1, 2, 99], [-1, 0, 1, 2], [0, 1, 2, 3, 99], [0, 1, 2, 3.0]):
         with pytest.raises(IncompatibleInputError):
-            ChainGraph(4, triangle + [(2, 3)], kept)
+            Kernel.of(4, triangle + [(2, 3)], kept)
     # the kernels check their vertices themselves; -1 must not read vertex
     # 2 through negative indexing
     for edges, kept, match in (
@@ -286,12 +314,21 @@ def test_malformed_inputs_are_rejected():
         ([(-1, 0)], [2], "vertex -1 outside 0..1"),
         ([(0, 1)], [2, 3], "2 lengths for 1 kernel edges"),
         ([(0, 1), (0, 1)], [2], "1 lengths for 2 kernel edges"),
+        ([(0, 1)] * 3, [1, 2.0, 3], "a chain of 2.0 edges"),
+        ([(0, 1)] * 3, [True, 2, 3], "a chain of True edges"),
+        ([(0, 1.0)], [2], "vertex 1.0 outside 0..1"),
     ):
         with pytest.raises(IncompatibleInputError, match=match):
             Kernel.subdivided(2, kernel_edges, lengths)
+    # and the vertex count is a non-negative int
+    for n in (2.0, True, -1):
+        with pytest.raises(IncompatibleInputError, match=f"a graph on {n!r} vertices"):
+            Kernel.subdivided(n, [(0, 1)], [2])
+        with pytest.raises(IncompatibleInputError, match=f"a graph on {n!r} vertices"):
+            Kernel.of(n, [], [])
     # the triangle has one free edge; both directed triangles map onto C3,
     # and every orientation is push equivalent to one of them
-    graph = ChainGraph(3, triangle, range(3))
+    graph = ChainGraph(Kernel.of(3, triangle, range(3)))
     assert graph.width == 1
     assert graph.image == {0, 1}
     for bits in range(8):
@@ -328,7 +365,7 @@ def _sweep(n, edges, coords):
 
 
 def _assert_sweep_agrees(n, edges, kept):
-    graph = ChainGraph(n, edges, kept)
+    graph = ChainGraph(Kernel.of(n, edges, kept))
     image, mono = _sweep(n, edges, graph.coords)
     assert graph.image == image, edges
     flip = 0
@@ -362,7 +399,7 @@ def test_one_pass_walk_matches_the_class_coordinates(rng):
     for trial, (n, edges, kept) in enumerate(cases):
         if trial % 2:
             rng.shuffle(edges)  # the free bits still follow (lo, hi) order
-        graph = ChainGraph(n, edges, kept)
+        graph = ChainGraph(Kernel.of(n, edges, kept))
         # nothing so far has read the class coordinates
         assert "coords" not in vars(graph)
         coords = class_coordinates(n, edges, range(n))
