@@ -15,15 +15,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import IncompatibleInputError, UnclassifiableGraphError
-from .graph import Arc, OrientedGraph
-
-
-def _check_vertices(n: int, vertices: Iterable[int]) -> None:
-    if type(n) is not int or n < 0:
-        raise IncompatibleInputError(f"a graph on {n!r} vertices")
-    for v in vertices:
-        if type(v) is not int or not 0 <= v < n:
-            raise IncompatibleInputError(f"vertex {v!r} outside 0..{n - 1}")
+from .graph import Arc, OrientedGraph, _arc_violation, _check_vertices, _pairs
 
 
 @dataclass(frozen=True)
@@ -42,12 +34,10 @@ class Kernel:
         each chain's first edge (u, v), walked through u and then v."""
         kept = frozenset(kept)
         _check_vertices(n, kept)
-        _check_vertices(n, (v for e in edges for v in e))
-        for u, v in edges:
-            if u == v:
-                raise IncompatibleInputError(f"a loop at vertex {u}")
-        if len({(min(e), max(e)) for e in edges}) < len(edges):
-            raise IncompatibleInputError("an edge is repeated")
+        edges = _pairs(edges, IncompatibleInputError)
+        violation = _arc_violation(n, edges)
+        if violation is not None:
+            raise IncompatibleInputError(violation[1])
         nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             nbrs[u].append(v)
@@ -88,6 +78,7 @@ class Kernel:
             raise IncompatibleInputError(
                 f"{len(lengths)} lengths for {len(kernel_edges)} kernel edges"
             )
+        kernel_edges = _pairs(kernel_edges, IncompatibleInputError)
         _check_vertices(kernel_n, (v for e in kernel_edges for v in e))
         paths, nxt = [], kernel_n
         for (a, b), length in zip(kernel_edges, lengths):

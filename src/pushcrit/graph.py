@@ -30,21 +30,31 @@ POTENTIAL_VERTEX_WEIGHT = 15
 POTENTIAL_ARC_WEIGHT = 13
 
 
+def _check_vertices(n: int, vertices: Iterable[int], error=IncompatibleInputError) -> None:
+    if type(n) is not int or n < 0:
+        raise error(f"a graph on {n!r} vertices")
+    for v in vertices:
+        if type(v) is not int or not 0 <= v < n:
+            raise error(f"vertex {v!r} outside 0..{n - 1}")
+
+
 def _arc_violation(n: int, arcs: Sequence[Arc]) -> tuple[int | None, str] | None:
-    """The first reason ``arcs`` is not an oriented graph on ``0 .. n-1``.
+    """The first reason the pairs ``arcs`` are not an oriented graph on
+    ``0 .. n-1``, whose vertices are ints, not bools.
 
     Returns ``(index of the offending arc, message)``, with index None when
     the vertex count itself is invalid, or None when the graph is valid.
     """
-    if n < 0:
-        return None, "vertex_count must be nonnegative"
+    if type(n) is not int or n < 0:
+        return None, f"a graph on {n!r} vertices"
     seen_edges = set()
     seen_arcs = set()
     for i, (tail, head) in enumerate(arcs):
+        if not (type(tail) is int and type(head) is int and 0 <= tail < n > head >= 0):
+            bad = head if type(tail) is int and 0 <= tail < n else tail
+            return i, f"vertex {bad!r} outside 0..{n - 1}"
         if tail == head:
             return i, f"loop at vertex {tail}"
-        if not (0 <= tail < n and 0 <= head < n):
-            return i, f"arc ({tail},{head}) out of range"
         if (tail, head) in seen_arcs:
             return i, f"parallel arc ({tail},{head})"
         edge = (tail, head) if tail < head else (head, tail)
@@ -53,6 +63,13 @@ def _arc_violation(n: int, arcs: Sequence[Arc]) -> tuple[int | None, str] | None
         seen_arcs.add((tail, head))
         seen_edges.add(edge)
     return None
+
+
+def _pairs(arcs: Iterable[Arc], error) -> tuple[Arc, ...]:
+    try:
+        return tuple((t, h) for t, h in arcs)
+    except (TypeError, ValueError):
+        raise error("arcs must be pairs") from None
 
 
 def adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
@@ -107,7 +124,7 @@ class OrientedGraph:
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "arcs", tuple((int(t), int(h)) for t, h in self.arcs))
+        object.__setattr__(self, "arcs", _pairs(self.arcs, StructuralViolationError))
         violation = _arc_violation(self.vertex_count, self.arcs)
         if violation is not None:
             raise StructuralViolationError(violation[1])
@@ -161,8 +178,7 @@ class OrientedGraph:
         return tuple(tuple(sorted(v)) for v in inn)
 
     def _mask(self, v: int) -> int:
-        if not 0 <= v < self.vertex_count:
-            raise IncompatibleInputError(f"vertex {v} outside 0..{self.vertex_count - 1}")
+        _check_vertices(self.vertex_count, (v,))
         return self.adjacency_masks[v]
 
     def degree(self, v: int) -> int:
@@ -188,12 +204,9 @@ class OrientedGraph:
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "OrientedGraph":
         """Subgraph induced on ``vertices``, relabeled densely in sorted order."""
-        keep = sorted(set(vertices))
-        if keep and (keep[0] < 0 or keep[-1] >= self.vertex_count):
-            raise IncompatibleInputError(
-                f"induced vertices must lie in 0..{self.vertex_count - 1}"
-            )
-        index = {v: i for i, v in enumerate(keep)}
+        keep = set(vertices)
+        _check_vertices(self.vertex_count, keep)
+        index = {v: i for i, v in enumerate(sorted(keep))}
         arcs = tuple(
             (index[t], index[h]) for t, h in self.arcs if t in index and h in index
         )
@@ -201,6 +214,7 @@ class OrientedGraph:
 
     def relabel(self, perm: Sequence[int]) -> "OrientedGraph":
         """Relabel vertex v to perm[v]."""
+        _check_vertices(self.vertex_count, perm)
         if sorted(perm) != list(range(self.vertex_count)):
             raise IncompatibleInputError("perm is not a permutation of the vertices")
         return OrientedGraph(
@@ -243,17 +257,10 @@ def json_fields(value):
 # -- push algebra ----------------------------------------------------------
 
 
-def _check_push_set(g: OrientedGraph, s: Iterable[int]) -> frozenset:
-    s = frozenset(s)
-    for v in s:
-        if not (0 <= v < g.vertex_count):
-            raise InvalidPushSetError(f"vertex {v} outside 0..{g.vertex_count - 1}")
-    return s
-
-
 def push_vertices(g: OrientedGraph, s: Iterable[int]) -> OrientedGraph:
     """Reverse every arc with exactly one endpoint in ``s``."""
-    s = _check_push_set(g, s)
+    s = frozenset(s)
+    _check_vertices(g.vertex_count, s, InvalidPushSetError)
     arcs = tuple(
         (h, t) if (t in s) != (h in s) else (t, h) for t, h in g.arcs
     )

@@ -98,7 +98,7 @@ from typing import Sequence
 
 from .canon import orbit_of
 from .errors import ConfigError, IncompatibleInputError, ResourceBudgetError, SelfCheckError
-from .graph import OrientedGraph, anti_twin, directed_cycle
+from .graph import OrientedGraph, _check_vertices, anti_twin, directed_cycle
 from .orient import AffineMap, class_coordinates
 
 C3 = directed_cycle(3).with_name("c3")
@@ -435,7 +435,7 @@ def tournaments(k: int, up_to: str = "push_iso") -> tuple[OrientedGraph, ...]:
     """
     if up_to not in ("push_iso", "iso"):
         raise ConfigError(f"unknown dedup relation {up_to!r}")
-    if k < 1:
+    if type(k) is not int or k < 1:
         raise ConfigError("k must be positive")
     if k == 1:
         return (OrientedGraph(1, (), name="t1.0"),)
@@ -605,7 +605,7 @@ def tournament_coloring(
     pairs pointing from the lower color to the higher.
     """
     for k in (k_min, k_max):
-        if not 1 <= k <= MAX_CHROMATIC_K:
+        if type(k) is not int or not 1 <= k <= MAX_CHROMATIC_K:
             raise ConfigError(f"k must be within 1..{MAX_CHROMATIC_K}, got {k}")
     if k_min > k_max:
         raise ConfigError(f"empty k range {k_min}..{k_max}")
@@ -660,9 +660,8 @@ def extend_partial(
     inside X.  An arc between two colored vertices that no push of X can
     fix simply makes the coloring non-extendable (None), not an error.
     """
-    for v, c in colors.items():
-        if type(v) is not int or not 0 <= v < g.vertex_count:
-            raise IncompatibleInputError(f"colored vertex {v!r} out of range")
+    _check_vertices(g.vertex_count, colors)
+    for c in colors.values():
         if type(c) is not int or c not in (0, 1, 2):
             raise IncompatibleInputError(f"color {c!r} outside 0..2")
     doms = [
@@ -708,7 +707,7 @@ def path_color_sets(k: int, parity: str):
     No library path calls it: the path-table acceptance test (criterion
     4) reproduces the paper's table with it.
     """
-    if not 1 <= k <= 5:
+    if type(k) is not int or not 1 <= k <= 5:
         raise ConfigError("path length k must be within 1..5")
     path = oriented_path(k, parity)
     allowed = set()

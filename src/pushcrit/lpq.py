@@ -53,7 +53,7 @@ class LabelingCheck:
 
 
 def _validate_pq(p: int, q: int):
-    if not (p >= q >= 1):
+    if type(p) is not int or type(q) is not int or not (p >= q >= 1):
         raise ConfigError(f"need p >= q >= 1, got p={p}, q={q}")
 
 

@@ -345,7 +345,7 @@ def run_suites(names=("all",), jobs: int = 1) -> list[ClaimResult]:
     for name in wanted:
         if name not in _SUITES:
             raise UnknownSuiteError(f"unknown suite {name!r}; have {SUITE_NAMES}")
-    if jobs < 1:
+    if type(jobs) is not int or jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1 and len(wanted) > 1:
         from multiprocessing import get_context

@@ -639,9 +639,14 @@ def test_find_critical_small():
 
 
 def test_find_critical_rejects_nonpositive_jobs():
-    for jobs in (0, -5):
+    for jobs in (0, -5, 1.5):
         with pytest.raises(ConfigError):
             find_critical(4, jobs=jobs)
+    # and vertex counts that are no ints
+    with pytest.raises(ConfigError):
+        find_critical(5.0)
+    with pytest.raises(ConfigError):
+        list(enumerate_underlying(4.0))
 
 
 def test_density_bound_report():
@@ -952,10 +957,10 @@ def test_resume_rejects_a_record_line_with_values_no_record_has(tmp_path, capsys
         ("exception", "f", "exception must be"),
         ("exception", 3, "exception must be"),
         ("arcs", [[0, 1], [0, 3], [1, 2]], "m pairs"),
-        ("arcs", [[0, 1], [0, 3], [1, 2], [2, 4]], "m pairs"),
-        ("arcs", [[0, 1], [0, 3], [1, 2], [2, -1]], "m pairs"),
-        ("arcs", [[0, 1], [0, 3], [1, 2], [2, True]], "m pairs"),
-        ("arcs", [[0, 1], [0, 3], [1, 2], [2, "3"]], "m pairs"),
+        ("arcs", [[0, 1], [0, 3], [1, 2], [2, 4]], "outside 0..3"),
+        ("arcs", [[0, 1], [0, 3], [1, 2], [2, -1]], "outside 0..3"),
+        ("arcs", [[0, 1], [0, 3], [1, 2], [2, True]], "outside 0..3"),
+        ("arcs", [[0, 1], [0, 3], [1, 2], [2, "3"]], "outside 0..3"),
         ("arcs", 5, "pairs"),
         ("arcs", [], "m pairs"),
         ("arcs", [[0, 0], [0, 1], [1, 2], [2, 3]], "loop at vertex 0"),

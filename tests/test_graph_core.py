@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import pushcrit as pc
 from pushcrit import cli, density
 from pushcrit.chains import Kernel
-from pushcrit.enumeration import UnderlyingGraph
+from pushcrit.enumeration import EnumerationRecord, UnderlyingGraph
 from pushcrit.errors import (
     GraphParseError,
     IncompatibleInputError,
@@ -47,6 +48,10 @@ def test_invariants_rejected():
         pc.OrientedGraph(2, ((0, 1), (0, 1)))
     with pytest.raises(StructuralViolationError):
         pc.OrientedGraph(2, ((0, 2),))
+    # arcs are pairs and the vertex count is an int
+    for n, arcs in ((3, [(0, 1, 2)]), (3, 5), (None, [])):
+        with pytest.raises(StructuralViolationError):
+            pc.OrientedGraph(n, arcs)
 
 
 def test_equality_ignores_arc_order_and_name():
@@ -212,6 +217,61 @@ def test_degree_and_neighbors_reject_vertices_outside_the_graph():
         for read in (e1.degree, e1.neighbors):
             with pytest.raises(IncompatibleInputError, match=rf"vertex {v} outside 0\.\.12"):
                 read(v)
+
+
+def _record_with_endpoint(v):
+    (record,) = pc.find_critical(4)
+    d = record.to_json_dict()
+    return EnumerationRecord.from_json_dict({**d, "arcs": d["arcs"][:-1] + [[d["arcs"][-1][0], v]]})
+
+
+C3 = pc.directed_cycle(3)
+
+# every public entry that takes a vertex id: (the graph's vertex count, the
+# call on a vertex v, the entry's error); each refuses a vertex that is no
+# int in 0..n-1 with the one message of graph._check_vertices
+VERTEX_ENTRIES = {
+    "OrientedGraph arcs": (3, lambda v: pc.OrientedGraph(3, [(0, v)]), StructuralViolationError),
+    "degree": (3, C3.degree, IncompatibleInputError),
+    "neighbors": (3, C3.neighbors, IncompatibleInputError),
+    "induced_subgraph": (3, lambda v: C3.induced_subgraph([v]), IncompatibleInputError),
+    "relabel": (3, lambda v: C3.relabel([v, 1, 2]), IncompatibleInputError),
+    "push_vertices": (3, lambda v: pc.push_vertices(C3, {v}), InvalidPushSetError),
+    "Kernel.of edges": (3, lambda v: Kernel.of(3, [(0, v)], range(3)), IncompatibleInputError),
+    "Kernel.of kept": (3, lambda v: Kernel.of(3, [], [v]), IncompatibleInputError),
+    "Kernel.subdivided": (3, lambda v: Kernel.subdivided(3, [(0, v)], [2]), IncompatibleInputError),
+    "extend_partial": (3, lambda v: pc.extend_partial(C3, {v: 0}), IncompatibleInputError),
+    "EnumerationRecord.from_json_dict": (4, _record_with_endpoint, TypeError),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(VERTEX_ENTRIES))
+@pytest.mark.parametrize("bad", [1.5, True, "0", -1, "n"])
+def test_every_vertex_entry_refuses_a_vertex_that_is_no_int_in_range(entry, bad):
+    n, call, error = VERTEX_ENTRIES[entry]
+    v = n if bad == "n" else bad
+    with pytest.raises(error, match=re.escape(f"vertex {v!r} outside 0..{n - 1}")):
+        call(v)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "0", -1])
+def test_the_vertex_count_is_a_nonnegative_int(bad):
+    with pytest.raises(StructuralViolationError, match=re.escape(f"a graph on {bad!r} vertices")):
+        pc.OrientedGraph(bad, [])
+
+
+# the probes that coercion answered wrongly: 0.5 pushed nothing, induced an
+# arcless 2-vertex graph, and 1.5, "0", True were read as 1, 0, 1
+@pytest.mark.parametrize("probe, error, message", [
+    (lambda: pc.push_vertices(C3, {0.5}), InvalidPushSetError, "vertex 0.5 outside 0..2"),
+    (lambda: C3.induced_subgraph([0.5, 1]), IncompatibleInputError, "vertex 0.5 outside 0..2"),
+    (lambda: pc.OrientedGraph(3, [(0, 1.5)]), StructuralViolationError, "vertex 1.5 outside 0..2"),
+    (lambda: pc.OrientedGraph(3, [("0", "1")]), StructuralViolationError, "vertex '0' outside 0..2"),
+    (lambda: pc.OrientedGraph(3, [(True, 0)]), StructuralViolationError, "vertex True outside 0..2"),
+], ids=["push_half", "induced_half", "arc_float", "arc_str", "arc_bool"])
+def test_probes_once_coerced_are_refused(probe, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        probe()
 
 
 def test_potential_values():

@@ -363,6 +363,16 @@ def test_chromatic_k_range():
     for k in (0, 7):
         with pytest.raises(ConfigError):
             pc.is_pushably_k_colorable(pc.directed_cycle(3), k)
+    # k is an int
+    e1 = pc.fixture("e1")
+    with pytest.raises(ConfigError):
+        pc.pushable_chromatic_number(e1, 3.0)
+    with pytest.raises(ConfigError):
+        pc.is_pushably_k_critical(e1, 3.0)
+    with pytest.raises(ConfigError):
+        pc.tournaments(3.0)
+    with pytest.raises(ConfigError):
+        pc.path_color_sets(2.0, "even")
 
 
 def test_tournament_coloring_rejects_an_empty_k_range():
@@ -607,16 +617,16 @@ def test_extend_partial_triangle():
 
 
 @pytest.mark.parametrize("colors,message", [
-    ({3: 0}, "colored vertex 3 out of range"),
-    ({-1: 0}, "colored vertex -1 out of range"),
+    ({3: 0}, "vertex 3 outside 0..2"),
+    ({-1: 0}, "vertex -1 outside 0..2"),
     ({0: 3}, "color 3 outside 0..2"),
     ({1: -1}, "color -1 outside 0..2"),
     # vertices and colors are ints: 0.5 would pin no vertex and read as
     # nothing colored
     ({0: 1.0}, "color 1.0 outside 0..2"),
     ({0: True}, "color True outside 0..2"),
-    ({0.5: 1}, "colored vertex 0.5 out of range"),
-    ({True: 1}, "colored vertex True out of range"),
+    ({0.5: 1}, "vertex 0.5 outside 0..2"),
+    ({True: 1}, "vertex True outside 0..2"),
 ])
 def test_extend_partial_rejects_a_vertex_or_color_out_of_range(colors, message):
     tri = pc.OrientedGraph(3, ((0, 1), (1, 2), (2, 0)))

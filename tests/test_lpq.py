@@ -45,6 +45,13 @@ def test_pq_order_enforced():
         pc.at_c3_labeling(1, 2)
     with pytest.raises(ConfigError):
         pc.lpq_span_search(pc.directed_cycle(3), 1, 2)
+    # p and q are ints: True would read as q = 1
+    at = pc.fixture("at_c3")
+    for p, q in ((2.5, 1), (2, True)):
+        with pytest.raises(ConfigError):
+            pc.lpq_span_search(at, p, q)
+    with pytest.raises(ConfigError):
+        pc.at_c3_labeling(2.0, 1)
 
 
 def test_all_zero_labeling_fails_with_pair():

@@ -165,24 +165,44 @@ RAW_KERNELS = {
 }
 
 
-def _raw_kernel_calls(node, prefix: str):
+def _callers(node, prefix: str, callee: str):
     """The qualified names of the functions under ``node`` (``prefix`` at
-    module level) that call ``Kernel(...)`` or ``chains.Kernel(...)``."""
+    module level) that call ``callee(...)`` or ``<module>.callee(...)``."""
     for child in ast.iter_child_nodes(node):
         name = prefix
         if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             name = f"{prefix}.{child.name}"
         elif isinstance(child, ast.Call):
             func = child.func
-            if getattr(func, "id", None) == "Kernel" or getattr(func, "attr", None) == "Kernel":
+            if getattr(func, "id", None) == callee or getattr(func, "attr", None) == callee:
                 yield prefix
-        yield from _raw_kernel_calls(child, name)
+        yield from _callers(child, name, callee)
+
+
+def _library_callers(callee: str, skip: str = "") -> set[str]:
+    found = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name != skip:
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            found |= set(_callers(tree, path.stem, callee))
+    return found
 
 
 def test_every_raw_kernel_is_built_at_a_listed_site():
-    found = set()
-    for path in sorted(SOURCE.glob("*.py")):
-        if path.name != "chains.py":
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            found |= set(_raw_kernel_calls(tree, path.stem))
-    assert found == RAW_KERNELS
+    assert _library_callers("Kernel", skip="chains.py") == RAW_KERNELS
+
+
+# every library function that calls int(...), with the reason: int() also
+# rounds floats and reads bools and numeric strings, so a caller's vertex
+# or count coerced by it gives a wrong answer instead of an error; those
+# are checked with type(x) is int, and coercion cannot return unnoticed
+INT_CALLS = {
+    "graph.parse_graph",  # parses the counts and endpoints of graph text
+    "canon._reversed_bits",  # reads back a reversed bit string
+    "cli._load_target",  # the k of a "c<k>" target spec
+    "verify._run_one_suite",  # elapsed milliseconds
+}
+
+
+def test_every_int_call_is_at_a_listed_site():
+    assert _library_callers("int") == INT_CALLS

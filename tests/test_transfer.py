@@ -303,9 +303,9 @@ def test_malformed_inputs_are_rejected():
             Kernel.of(3, edges, kept)
     # the graph must be simple: no loop edge, no edge twice in either direction
     for n, edges, kept, match in (
-        (1, [(0, 0)], [0], "a loop at vertex 0"),
-        (2, [(0, 1), (0, 1)], [0, 1], "an edge is repeated"),
-        (3, [(0, 1), (1, 0), (1, 2), (2, 0)], [0, 1], "an edge is repeated"),
+        (1, [(0, 0)], [0], "loop at vertex 0"),
+        (2, [(0, 1), (0, 1)], [0, 1], "parallel arc"),
+        (3, [(0, 1), (1, 0), (1, 2), (2, 0)], [0, 1], "digon"),
     ):
         with pytest.raises(IncompatibleInputError, match=match):
             Kernel.of(n, edges, kept)
@@ -326,6 +326,11 @@ def test_malformed_inputs_are_rejected():
             Kernel.subdivided(n, [(0, 1)], [2])
         with pytest.raises(IncompatibleInputError, match=f"a graph on {n!r} vertices"):
             Kernel.of(n, [], [])
+    # and edges are pairs
+    with pytest.raises(IncompatibleInputError, match="arcs must be pairs"):
+        Kernel.subdivided(3, [(0, 1, 2)], [2])
+    with pytest.raises(IncompatibleInputError, match="arcs must be pairs"):
+        Kernel.of(3, [(0, 1, 2)], [0, 1, 2])
     # the triangle has one free edge; both directed triangles map onto C3,
     # and every orientation is push equivalent to one of them
     graph = ChainGraph(Kernel.of(3, triangle, range(3)))

@@ -458,7 +458,7 @@ def test_cli_verify_paper_reports_identical_across_jobs(tmp_path, capsys):
 
 
 def test_nonpositive_jobs_are_config_errors(capsys):
-    for jobs in (0, -5):
+    for jobs in (0, -5, 1.5, True):
         with pytest.raises(pc.ConfigError):
             run_suites(("potentials",), jobs=jobs)
     rc = cli.main(["verify-bound", "--max-n", "4", "--jobs", "0"])
