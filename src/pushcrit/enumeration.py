@@ -89,7 +89,7 @@ through one driver, ``_Run.scan_level``, which owns the shard files, the
 CURSOR log, resume, the worker pool, the budget and progress.  A level is
 a stream plus a worker: its name (the shard subdirectory), its candidates
 as an iterator with their total, and a function from a candidate to its
-CURSOR line and its hits.  Generation stays serial: the raw level, the
+CURSOR line and its records.  Generation stays serial: the raw level, the
 masks, is built and cached in the calling thread, where the budget may
 stop it.  Its candidates are not cached: each becomes an
 ``UnderlyingGraph`` only when the scan takes it, so no level is ever held
@@ -126,7 +126,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import time
 from array import array
 from contextlib import ExitStack
@@ -143,14 +142,12 @@ from .canon import (
     orbit_of,
 )
 from .chains import Kernel, classify_vertices
-from .errors import ConfigError, ResourceBudgetError
+from .errors import ConfigError, ResourceBudgetError, StructuralViolationError
 from .fixtures import EXCEPTION_NAMES, fixture
 from .graph import (
     POTENTIAL_ARC_WEIGHT,
     POTENTIAL_VERTEX_WEIGHT,
-    Arc,
     OrientedGraph,
-    _arc_violation,
     _components,
     adjacency,
     json_fields,
@@ -533,29 +530,23 @@ def _every_vertex(n: int) -> frozenset[int]:
     return frozenset(range(n))
 
 
-def _critical_orientations(n: int, edges) -> list[tuple[Arc, ...]]:
-    """The normalized orientations (``orient.ClassCoordinates.arcs``, all
-    vertices movable) of the pushably 3-critical classes of the connected
-    graph on the generated (lo, hi) ``edges``, n >= 2, in ascending order of
-    the class bits.  Every vertex is kept, so each edge is its own chain: the
-    kernel is built unchecked, as ``Kernel.of`` would build it."""
-    graph = ChainGraph(Kernel(n, _every_vertex(n), tuple(edges)))
-    return [graph.coords.arcs(k) for k in graph.critical_classes()]
-
-
-def _scan_underlying_for_critical(under: UnderlyingGraph):
-    """All critical orientations of one underlying graph, as (code, graph):
-    per canonical code, the class with the smallest bits.  The graph is
-    labeled once, and only when it has a critical class."""
-    critical = _critical_orientations(under.vertex_count, under.edges)
+def _critical_records(kernel: Kernel) -> list[EnumerationRecord]:
+    """The records of the pushably 3-critical classes of the connected
+    graph that ``kernel`` reads, n >= 2, ascending by canonical code: per
+    code, the class with the smallest bits, named by its normalized
+    orientation (``orient.ClassCoordinates.arcs``, all vertices movable).
+    The kernel's labeled graph is labeled once, and only when it has a
+    critical class."""
+    graph = ChainGraph(kernel)
+    critical = graph.critical_classes()
     if not critical:
         return []
-    labeling = CanonicalLabeling(under.masks)
+    labeling = CanonicalLabeling(tuple(adjacency(kernel.n, kernel.edges)))
     found = {}
-    for arcs in critical:
-        g = OrientedGraph(under.vertex_count, arcs)
-        found.setdefault(labeling.form(g), g)
-    return sorted((code.hex(), g) for code, g in found.items())
+    for k in critical:
+        g = OrientedGraph(kernel.n, graph.coords.arcs(k))
+        found.setdefault(labeling.form(g).hex(), g)
+    return [make_record(code, g) for code, g in sorted(found.items())]
 
 
 # -- records and the bound check ----------------------------------------------
@@ -577,51 +568,35 @@ class EnumerationRecord:
 
     @staticmethod
     def from_json_dict(d: dict) -> "EnumerationRecord":
-        """The record whose ``to_json_dict`` is ``d``, a missing or null
-        exception or arcs read as None; TypeError when ``d`` is no record:
-        a field is missing, unknown, of the wrong type or out of range, the
-        arcs form no oriented graph or one of another canonical code, the
-        exception is not the one canonical_code names, or the potential or
-        the bound disagrees with n and m."""
+        """The record whose ``to_json_dict`` is ``d``; TypeError when ``d``
+        is not exactly the record ``make_record`` builds from its
+        canonical_code and arcs: the arcs are no oriented graph on n
+        vertices, a field is missing, unknown or of another JSON value
+        than that record's, or the arcs have another canonical code."""
         if not isinstance(d, dict):
             raise TypeError("a record is a JSON object")
-        arcs = d.get("arcs")
-        if arcs is not None and not (
-            isinstance(arcs, list) and all(isinstance(a, list) and len(a) == 2 for a in arcs)
-        ):
-            raise TypeError("arcs must be pairs")
-        if arcs is not None:
-            arcs = tuple(map(tuple, arcs))
-        rec = EnumerationRecord(**{**d, "arcs": arcs})
-        n, m = rec.n, rec.m
-        code = rec.canonical_code
-        if not (isinstance(code, str) and re.fullmatch("(?:[0-9a-f]{2})+", code)):
-            raise TypeError("canonical_code must be a hex string")
-        if not (_is_count(n) and _is_count(m)):
-            raise TypeError("n and m must be non-negative integers")
-        if not (isinstance(rec.critical, bool) and isinstance(rec.satisfies_bound, bool)):
-            raise TypeError("critical and satisfies_bound must be booleans")
-        if rec.exception != _exception_codes().get(code):
-            raise TypeError("exception must be the name canonical_code has, if any")
-        if rec.arcs is not None and len(rec.arcs) != m:
-            raise TypeError("arcs must be m pairs")
-        violation = _arc_violation(n, rec.arcs or ())
-        if violation is not None:
-            raise TypeError(f"arcs are no oriented graph: {violation[1]}")
-        if rec.arcs is not None and canonical_form(OrientedGraph(n, rec.arcs)).hex() != code:
+        try:
+            g = OrientedGraph(d.get("n"), d.get("arcs"))
+        except StructuralViolationError as exc:
+            raise TypeError(f"arcs are no oriented graph: {exc}") from None
+        code = d.get("canonical_code")
+        # str(): a code that is no string then differs as a field
+        rec = make_record(str(code), g)
+        want = rec.to_json_dict()
+        # json.dumps tells 1 from true and 8 from 8.0
+        differ = [
+            k for k in {**want, **d}
+            if k not in d or k not in want or json.dumps(d[k]) != json.dumps(want[k])
+        ]
+        if differ:
+            raise TypeError(
+                "fields disagree with canonical_code and arcs: "
+                + ", ".join(map(str, differ))
+            )
+        # last, as the one costly check
+        if canonical_form(g).hex() != code:
             raise TypeError("arcs disagree with canonical_code")
-        if type(rec.potential) is not int or (
-            rec.potential != POTENTIAL_VERTEX_WEIGHT * n - POTENTIAL_ARC_WEIGHT * m
-        ):
-            raise TypeError("potential must be 15n - 13m")
-        if rec.satisfies_bound != satisfies_density_bound(n, m):
-            raise TypeError("satisfies_bound disagrees with n and m")
         return rec
-
-
-def _is_count(x) -> bool:
-    """Whether the JSON value ``x`` is a non-negative integer, not a bool."""
-    return type(x) is int and x >= 0
 
 
 @lru_cache(maxsize=1)
@@ -629,7 +604,7 @@ def _exception_codes() -> dict[str, str]:
     return {canonical_form(fixture(name)).hex(): name for name in EXCEPTION_NAMES}
 
 
-def make_record(code_hex: str, g: OrientedGraph, exception_codes) -> EnumerationRecord:
+def make_record(code_hex: str, g: OrientedGraph) -> EnumerationRecord:
     n, m = g.vertex_count, g.arc_count
     return EnumerationRecord(
         canonical_code=code_hex,
@@ -638,7 +613,7 @@ def make_record(code_hex: str, g: OrientedGraph, exception_codes) -> Enumeration
         critical=True,
         potential=potential(g),
         satisfies_bound=satisfies_density_bound(n, m),
-        exception=exception_codes.get(code_hex),
+        exception=_exception_codes().get(code_hex),
         arcs=tuple(sorted(g.arcs)),
     )
 
@@ -656,12 +631,11 @@ def _cursor(under: UnderlyingGraph) -> str:
 
 
 def _worker(under: UnderlyingGraph):
-    """The scan's hits on one candidate, after its CURSOR line."""
-    hits = [
-        (code, g.vertex_count, tuple(g.arcs))
-        for code, g in _scan_underlying_for_critical(under)
-    ]
-    return _cursor(under), hits
+    """One candidate's CURSOR line and the records of its critical classes.
+    Every vertex is kept, so each edge is its own chain: the kernel is
+    built unchecked, as ``Kernel.of`` would build it."""
+    n = under.vertex_count
+    return _cursor(under), _critical_records(Kernel(n, _every_vertex(n), under.edges))
 
 
 @dataclass(frozen=True)
@@ -772,7 +746,6 @@ class _Run(ExitStack):
         self.jobs, self.shard_dir, self.resume = jobs, shard_dir, resume
         self.wall_budget_s = wall_budget_s
         self.started = time.monotonic()
-        self.exception_codes = _exception_codes()
         self.merged: dict[str, EnumerationRecord] = {}
         self.pool = None
 
@@ -791,8 +764,8 @@ class _Run(ExitStack):
     def scan_level(self, name: str, candidates, total: int, worker, progress=None):
         """Scan the ``total`` candidates of one level, taken from the
         iterator ``candidates`` as the scan reaches them, each through
-        ``worker`` (``_worker``'s contract), and merge their hits into the
-        run's records.
+        ``worker`` (``_worker``'s contract), and merge their records into
+        the run's, by canonical code.
 
         With a shard directory, the level's record files and CURSOR log are
         in its subdirectory ``name``; a resumed level first consumes the
@@ -838,15 +811,11 @@ class _Run(ExitStack):
                 results = self.pool.imap(worker, candidates, chunksize=chunk)
             else:
                 results = map(worker, candidates)
-            for done, (line, hits) in enumerate(results, 1):
-                new_records = []
-                for code, gn, arcs in hits:
-                    if code not in self.merged:
-                        rec = make_record(
-                            code, OrientedGraph(gn, arcs), self.exception_codes
-                        )
-                        self.merged[code] = rec
-                        new_records.append(rec)
+            for done, (line, records) in enumerate(results, 1):
+                new_records = [
+                    rec for rec in records
+                    if self.merged.setdefault(rec.canonical_code, rec) is rec
+                ]
                 if base:
                     if new_records:
                         _persist_records(base, new_records)

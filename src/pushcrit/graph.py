@@ -198,6 +198,8 @@ class OrientedGraph:
         return OrientedGraph(self.vertex_count, self.arcs, name)
 
     def delete_arc(self, arc: Arc) -> "OrientedGraph":
+        (arc,) = _pairs((arc,), IncompatibleInputError)
+        _check_vertices(self.vertex_count, arc)
         if arc not in self.arc_set:
             raise IncompatibleInputError(f"arc {arc} not present")
         return OrientedGraph(self.vertex_count, tuple(a for a in self.arcs if a != arc))

@@ -364,7 +364,10 @@ class ColoringCertificate:
         """One-pass arc check of the certificate against its source graph."""
         if len(self.mapping) != g.vertex_count:
             return False
-        if any(not 0 <= v < g.vertex_count for v in self.push_set):
+        try:
+            _check_vertices(g.vertex_count, self.push_set)
+            _check_vertices(self.target.vertex_count, self.mapping)
+        except IncompatibleInputError:
             return False
         tgt = self.target.arc_set
         s = self.push_set

@@ -91,8 +91,8 @@ def check_lpq_labeling(g: OrientedGraph, labeling: LpqLabeling) -> LabelingCheck
     labels = labeling.labels
     if len(labels) != g.vertex_count:
         raise ConfigError("labeling size does not match the graph")
-    if any(l < 0 for l in labels):
-        raise ConfigError("labels must be nonnegative")
+    if any(type(l) is not int or l < 0 for l in labels):
+        raise ConfigError("labels must be nonnegative integers")
     for lo, hi in g.edges:
         if abs(labels[lo] - labels[hi]) < labeling.p:
             return LabelingCheck(False, ("adjacent", (lo, hi)))

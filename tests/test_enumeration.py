@@ -36,11 +36,10 @@ from pushcrit.enumeration import (
     UnderlyingGraph,
     _adds_k4,
     _attachment_sets,
-    _critical_orientations,
+    _critical_records,
     _graphs_on,
     _permute_mask,
     _root_cell_verdict,
-    _scan_underlying_for_critical,
     enumerate_underlying,
     find_critical,
     underlying_prune_verdict,
@@ -50,6 +49,7 @@ from pushcrit.errors import ConfigError, ResourceBudgetError
 from pushcrit.graph import OrientedGraph, adjacency, forward_parity
 from pushcrit.hom import AT_C3, solve_mapping, target_index
 from pushcrit.orient import class_coordinates, push_class_representatives
+from pushcrit.transfer import ChainGraph
 
 from conftest import attach_path, underlying_is_connected, underlying_min_degree
 
@@ -489,8 +489,9 @@ def _scan_by_search(under):
 def test_coloring_image_scan_equals_the_search_scan():
     for n in range(3, 8):
         for under in enumerate_underlying(n, forbid_k4=n >= 5):
-            got = [(code, g.arcs) for code, g in _scan_underlying_for_critical(under)]
-            want = [(code, g.arcs) for code, g in _scan_by_search(under)]
+            kernel = Kernel.of(n, under.edges, range(n))
+            got = [(r.canonical_code, r.arcs) for r in _critical_records(kernel)]
+            want = [(code, tuple(sorted(g.arcs))) for code, g in _scan_by_search(under)]
             assert got == want, under
 
 
@@ -525,7 +526,9 @@ def test_critical_classes_agree_with_the_criticality_routine(rng):
     for under in graphs:
         n = under.vertex_count
         coords = class_coordinates(n, under.edges, range(n))
-        found = _critical_orientations(n, under.edges)
+        # every critical class, not one per canonical code
+        graph = ChainGraph(Kernel.of(n, under.edges, range(n)))
+        found = [graph.coords.arcs(k) for k in graph.critical_classes()]
         classes = range(1 << len(coords.free))
         sample = [coords.arcs(bits) for bits in rng.sample(classes, min(64, len(classes)))]
         for arcs in sorted(set(sample) | set(found)):
@@ -550,9 +553,17 @@ def test_records_satisfy_the_structural_lemmas():
 def test_records_are_subdivided_kernels():
     # the family of the kernel route: for c >= 2 the vertices of degree
     # >= 3 span a loopless multigraph with minimum degree 3, n_k <= 2(c - 1)
-    # and m_k = n_k + c - 1, whose edges carry chains of 1..4 edges
+    # and m_k = n_k + c - 1, whose edges carry chains of 1..4 edges; and the
+    # scan's decide-and-name step, on the rebuilt kernel, names the classes
+    # of every record with the same underlying graph, as the full scan does
+    records = find_critical(8)
+    certs = [underlying_cert(pc.OrientedGraph(r.n, r.arcs)) for r in records]
+
+    def fields(r):
+        return (r.canonical_code, r.n, r.m, r.potential, r.satisfies_bound, r.exception)
+
     checked = 0
-    for record in find_critical(8):
+    for record, cert in zip(records, certs):
         g = pc.OrientedGraph(record.n, record.arcs)
         c = record.m - record.n + 1
         if c < 2:
@@ -573,7 +584,9 @@ def test_records_are_subdivided_kernels():
         assert all(a != b for a, b in kernel_edges)
         rebuilt = Kernel.subdivided(len(kept), kernel_edges, lengths)
         rebuilt_graph = pc.OrientedGraph(rebuilt.n, tuple(rebuilt.edges))
-        assert underlying_cert(rebuilt_graph) == underlying_cert(g)
+        assert underlying_cert(rebuilt_graph) == cert
+        same = [r for r, c in zip(records, certs) if c == cert]
+        assert [fields(r) for r in _critical_records(rebuilt)] == [fields(r) for r in same]
         checked += 1
     assert checked == 15
 
@@ -663,10 +676,12 @@ def test_records_round_trip_through_json():
     for record in find_critical(8):
         line = json.dumps(record.to_json_dict(), sort_keys=True)
         assert EnumerationRecord.from_json_dict(json.loads(line)) == record
+    # a record without arcs is no record make_record builds
     bare = EnumerationRecord("ff", 4, 4, True, 8, False)
-    assert EnumerationRecord.from_json_dict(
-        {k: v for k, v in bare.to_json_dict().items() if k not in ("exception", "arcs")}
-    ) == bare
+    with pytest.raises(TypeError):
+        EnumerationRecord.from_json_dict(
+            {k: v for k, v in bare.to_json_dict().items() if k not in ("exception", "arcs")}
+        )
 
 
 def test_shards_and_resume(tmp_path):
@@ -938,56 +953,77 @@ def test_resume_rejects_a_record_line_with_values_no_record_has(tmp_path, capsys
     assert rc == cli.EXIT_USAGE and "not a record" in capsys.readouterr().err
 
 
+# (field, a value for it, the rule the value breaks, the refusal's
+# message): a line is read only if it is exactly the record make_record
+# builds from its code and arcs, so the message names the fields that
+# differ from that record, or the first check of the arcs that fails
+REFUSED_VALUES = [
+    ("canonical_code", "zz", "hex string", "disagree with canonical_code"),
+    ("canonical_code", "ABCD", "hex string", "disagree with canonical_code"),
+    ("canonical_code", "abc", "hex string", "disagree with canonical_code"),
+    ("canonical_code", "", "hex string", "disagree with canonical_code"),
+    ("canonical_code", 12, "hex string", "disagree with canonical_code"),
+    ("n", -4, "non-negative integers", "a graph on -4 vertices"),
+    ("n", True, "non-negative integers", "a graph on True vertices"),
+    ("n", 4.0, "non-negative integers", "a graph on 4.0 vertices"),
+    ("m", "4", "non-negative integers", ": m$"),
+    ("m", None, "non-negative integers", ": m$"),
+    ("critical", "no", "booleans", ": critical$"),
+    ("critical", 1, "booleans", ": critical$"),
+    ("satisfies_bound", 0, "booleans", ": satisfies_bound$"),
+    ("exception", "f", "exception must be", ": exception$"),
+    ("exception", 3, "exception must be", ": exception$"),
+    ("arcs", [[0, 1], [0, 3], [1, 2]], "m pairs", "disagree with canonical_code"),
+    ("arcs", [[0, 1], [0, 3], [1, 2], [2, 4]], "outside 0..3", "outside 0..3"),
+    ("arcs", [[0, 1], [0, 3], [1, 2], [2, -1]], "outside 0..3", "outside 0..3"),
+    ("arcs", [[0, 1], [0, 3], [1, 2], [2, True]], "outside 0..3", "outside 0..3"),
+    ("arcs", [[0, 1], [0, 3], [1, 2], [2, "3"]], "outside 0..3", "outside 0..3"),
+    ("arcs", 5, "pairs", "pairs"),
+    ("arcs", [], "m pairs", "disagree with canonical_code"),
+    ("arcs", [[0, 0], [0, 1], [1, 2], [2, 3]], "loop at vertex 0", "loop at vertex 0"),
+    ("arcs", [[0, 1], [0, 1], [1, 2], [2, 3]], "parallel arc", "parallel arc"),
+    ("arcs", [[0, 1], [1, 0], [1, 2], [2, 3]], "digon", "digon"),
+    ("potential", 9, "potential", "potential"),
+    ("potential", 8.0, "potential", "potential"),
+    ("satisfies_bound", True, "disagrees", ": satisfies_bound$"),
+    ("exception", "e1", "exception must be", ": exception$"),  # c_minus4's code is not e1's
+    # the directed 4-cycle is no pushed copy of C-4
+    ("arcs", [[0, 1], [1, 2], [2, 3], [3, 0]], "disagree with canonical_code", "disagree with canonical_code"),
+]
+
+
+def _refused_value_id(case):
+    # the case's name: field, value and rule, as pytest names them
+    i, (field, value, rule, _) = case
+    if not isinstance(value, (str, int, float, type(None))):
+        value = f"value{i}"
+    return f"{field}-{value}-{rule}"
+
+
 @pytest.mark.parametrize(
-    "field, value, reason",
-    [
-        ("canonical_code", "zz", "hex string"),
-        ("canonical_code", "ABCD", "hex string"),
-        ("canonical_code", "abc", "hex string"),
-        ("canonical_code", "", "hex string"),
-        ("canonical_code", 12, "hex string"),
-        ("n", -4, "non-negative integers"),
-        ("n", True, "non-negative integers"),
-        ("n", 4.0, "non-negative integers"),
-        ("m", "4", "non-negative integers"),
-        ("m", None, "non-negative integers"),
-        ("critical", "no", "booleans"),
-        ("critical", 1, "booleans"),
-        ("satisfies_bound", 0, "booleans"),
-        ("exception", "f", "exception must be"),
-        ("exception", 3, "exception must be"),
-        ("arcs", [[0, 1], [0, 3], [1, 2]], "m pairs"),
-        ("arcs", [[0, 1], [0, 3], [1, 2], [2, 4]], "outside 0..3"),
-        ("arcs", [[0, 1], [0, 3], [1, 2], [2, -1]], "outside 0..3"),
-        ("arcs", [[0, 1], [0, 3], [1, 2], [2, True]], "outside 0..3"),
-        ("arcs", [[0, 1], [0, 3], [1, 2], [2, "3"]], "outside 0..3"),
-        ("arcs", 5, "pairs"),
-        ("arcs", [], "m pairs"),
-        ("arcs", [[0, 0], [0, 1], [1, 2], [2, 3]], "loop at vertex 0"),
-        ("arcs", [[0, 1], [0, 1], [1, 2], [2, 3]], "parallel arc"),
-        ("arcs", [[0, 1], [1, 0], [1, 2], [2, 3]], "digon"),
-        ("potential", 9, "potential"),
-        ("potential", 8.0, "potential"),
-        ("satisfies_bound", True, "disagrees"),
-        ("exception", "e1", "exception must be"),  # c_minus4's code is not e1's
-        # the directed 4-cycle is no pushed copy of C-4
-        ("arcs", [[0, 1], [1, 2], [2, 3], [3, 0]], "disagree with canonical_code"),
-    ],
+    "field, value, rule, message",
+    REFUSED_VALUES,
+    ids=map(_refused_value_id, enumerate(REFUSED_VALUES)),
 )
-def test_records_reject_values_of_the_wrong_type_or_range(field, value, reason):
+def test_records_reject_values_of_the_wrong_type_or_range(field, value, rule, message):
     (record,) = find_critical(4)
     good = record.to_json_dict()
     assert EnumerationRecord.from_json_dict(good) == record
-    with pytest.raises(TypeError, match=reason):
+    with pytest.raises(TypeError, match=message):
         EnumerationRecord.from_json_dict({**good, field: value})
 
 
 def test_records_reject_a_bound_that_disagrees_with_n_and_m():
-    # potential consistent with n = 4, m = 6, but the bound read wrongly
-    (record,) = find_critical(4)
-    d = {**record.to_json_dict(), "m": 6, "potential": -18, "arcs": None}
+    # an orientation of K4: potential consistent with n = 4, m = 6, but
+    # the bound read wrongly
+    g = pc.OrientedGraph(4, tuple(itertools.combinations(range(4), 2)))
+    d = {
+        "canonical_code": pc.canonical_form(g).hex(), "n": 4, "m": 6, "critical": True,
+        "potential": -18, "satisfies_bound": False, "exception": None,
+        "arcs": [list(a) for a in sorted(g.arcs)],
+    }
     assert EnumerationRecord.from_json_dict({**d, "satisfies_bound": True}).m == 6
-    with pytest.raises(TypeError, match="disagrees"):
+    with pytest.raises(TypeError, match=": satisfies_bound$"):
         EnumerationRecord.from_json_dict(d)
 
 

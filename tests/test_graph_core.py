@@ -236,6 +236,7 @@ VERTEX_ENTRIES = {
     "neighbors": (3, C3.neighbors, IncompatibleInputError),
     "induced_subgraph": (3, lambda v: C3.induced_subgraph([v]), IncompatibleInputError),
     "relabel": (3, lambda v: C3.relabel([v, 1, 2]), IncompatibleInputError),
+    "delete_arc": (3, lambda v: C3.delete_arc((0, v)), IncompatibleInputError),
     "push_vertices": (3, lambda v: pc.push_vertices(C3, {v}), InvalidPushSetError),
     "Kernel.of edges": (3, lambda v: Kernel.of(3, [(0, v)], range(3)), IncompatibleInputError),
     "Kernel.of kept": (3, lambda v: Kernel.of(3, [], [v]), IncompatibleInputError),
@@ -272,6 +273,14 @@ def test_the_vertex_count_is_a_nonnegative_int(bad):
 def test_probes_once_coerced_are_refused(probe, error, message):
     with pytest.raises(error, match=re.escape(message)):
         probe()
+
+
+def test_delete_arc_takes_a_pair_of_vertices():
+    assert C3.delete_arc([0, 1]) == C3.delete_arc((0, 1)) == pc.OrientedGraph(3, ((1, 2), (2, 0)))
+    with pytest.raises(IncompatibleInputError, match="arcs must be pairs"):
+        C3.delete_arc((0, 1, 2))
+    with pytest.raises(IncompatibleInputError, match=r"arc \(1, 0\) not present"):
+        C3.delete_arc((1, 0))
 
 
 def test_potential_values():

@@ -133,6 +133,21 @@ def test_certificate_transfer_to_pushed_target(rng):
         assert moved.verify(g)
 
 
+def test_certificates_name_vertices_of_their_graphs():
+    # each probe once verified: 0.5 pushed nothing, 1.0 was read as 1, and
+    # an arcless graph checked no image at all
+    c3 = pc.directed_cycle(3)
+    good = ColoringCertificate(frozenset(), (0, 1, 2), C3)
+    assert good.verify(c3)
+    probes = [
+        (c3, ColoringCertificate(frozenset({0.5}), (0, 1, 2), C3)),
+        (c3, ColoringCertificate(frozenset(), (0, 1.0, 2), C3)),
+        (OrientedGraph(1, ()), ColoringCertificate(frozenset(), (7,), C3)),
+    ]
+    for g, cert in probes:
+        assert not cert.verify(g)
+
+
 def _old_static_order(g, doms):
     """The order before the rank scan: a (touches, degree, -v) tuple per step."""
     n = g.vertex_count

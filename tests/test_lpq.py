@@ -94,6 +94,20 @@ def test_unknown_variant_is_a_config_error():
         pc.check_lpq_labeling(g, LpqLabeling(1, 1, (0, 1, 1, 0), "Oriented"))
 
 
+def test_labels_are_nonnegative_integers():
+    # 3.5 and True once passed as labels: the distances read 3.5 and 1
+    at = pc.fixture("at_c3")
+    builtin = pc.at_c3_labeling(2, 1).labels
+    probes = [
+        (0, 3.5, 7, 1, 4.5, 8),
+        tuple(True if label == 1 else label for label in builtin),
+        (-1,) + builtin[1:],
+    ]
+    for labels in probes:
+        with pytest.raises(ConfigError, match="nonnegative integers"):
+            pc.check_lpq_labeling(at, LpqLabeling(2, 1, labels, VARIANT_ORIENTED))
+
+
 def test_span_search_confirms_2_1_bound():
     at = pc.fixture("at_c3")
     oriented = pc.lpq_span_search(at, 2, 1, VARIANT_ORIENTED)

@@ -161,7 +161,7 @@ def test_every_module_level_name_is_loaded_somewhere():
 RAW_KERNELS = {
     # generated (lo, hi) edges of a simple graph, every vertex kept: the
     # paths Kernel.of would give, without its walk
-    "enumeration._critical_orientations",
+    "enumeration._worker",
 }
 
 
@@ -206,3 +206,63 @@ INT_CALLS = {
 
 def test_every_int_call_is_at_a_listed_site():
     assert _library_callers("int") == INT_CALLS
+
+
+# every defaulted parameter of a library function that no call in the
+# library or in perfbench sets, by keyword or by position, with the
+# reason it stays: any other such parameter is a branch that only the
+# tests take, so a test-only mode cannot enter unnoticed
+TEST_ONLY_PARAMETERS = {
+    "configs._sweep_configuration(reduce_rotation)",  # the tests' full-rotation oracle
+    "hom.tournaments(up_to)",  # the tests' isomorphism-class oracle; ROADMAP item 18 removes it
+}
+
+
+def _defaulted_parameters(tree, module: str):
+    """(qualified name, callee name, position or None, parameter) for each
+    defaulted parameter of the functions under ``tree``; a method's
+    position leaves out self or cls, and ``__init__`` is called by its
+    class's name."""
+    for cls in [None, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
+        body = tree.body if cls is None else cls.body
+        for fn in (n for n in body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))):
+            qual = f"{module}.{fn.name}" if cls is None else f"{module}.{cls.name}.{fn.name}"
+            callee = cls.name if cls is not None and fn.name == "__init__" else fn.name
+            positional = fn.args.posonlyargs + fn.args.args
+            if cls is not None and "staticmethod" not in {getattr(d, "id", None) for d in fn.decorator_list}:
+                positional = positional[1:]
+            for i, arg in enumerate(positional):
+                if i >= len(positional) - len(fn.args.defaults):
+                    yield qual, callee, i, arg.arg
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield qual, callee, None, arg.arg
+
+
+def _set_parameters(paths) -> set[tuple[str, object]]:
+    """(callee name, position or keyword) for each argument that a call in
+    the Python files ``paths`` passes; a call with * or ** passes all."""
+    found = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords
+            ):
+                found.add((name, "*"))
+            found |= {(name, i) for i in range(len(call.args))}
+            found |= {(name, k.arg) for k in call.keywords if k.arg is not None}
+    return found
+
+
+def test_every_defaulted_parameter_is_set_by_a_library_call_or_listed():
+    root = Path(__file__).resolve().parents[1]
+    set_by = _set_parameters([*SOURCE.glob("*.py"), *(root / "perfbench").rglob("*.py")])
+    unset = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for qual, callee, i, param in _defaulted_parameters(tree, path.stem):
+            if not {(callee, i), (callee, param), (callee, "*")} & set_by:
+                unset.add(f"{qual}({param})")
+    assert unset == TEST_ONLY_PARAMETERS

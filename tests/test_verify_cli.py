@@ -151,6 +151,14 @@ def test_certificate_and_report_schemas():
     rec_schema = _load_schema("enumeration_record.schema.json")
     for record in pc.find_critical(4):
         rec_schema.validate(record.to_json_dict())
+    # every field is required, arcs are no null, and every record is critical
+    bare = pc.EnumerationRecord("ff", 4, 4, True, 8, False)
+    for d in (
+        bare.to_json_dict(),
+        {k: v for k, v in bare.to_json_dict().items() if k not in ("exception", "arcs")},
+        {**record.to_json_dict(), "critical": False},
+    ):
+        assert not rec_schema.is_valid(d)
 
 
 def test_results_serialize_to_plain_json():
