@@ -60,9 +60,6 @@ from .hom import (
 )
 from .orient import push_class_count, push_class_representatives
 
-CONFIG_IDS = tuple(f"C{i}" for i in range(1, 17))
-
-
 @dataclass(frozen=True)
 class ConfigurationGadget:
     config_id: str
@@ -166,47 +163,44 @@ def _six_cycle(
     )
 
 
+# every configuration's gadget instances, by id, in the paper's order;
+# each row builds its gadgets from the id it is given
+_GADGETS = {
+    # the chain of 4 internal vertices, read from its second one
+    "C1": lambda cid: [_gadget(cid, (4,), ((1, 2),))],
+    "C2": lambda cid: [_center_with_chains(cid, c) for c in ((3, 3, 1), (3, 2, 2))],
+    "C3": lambda cid: [_center_with_chains(cid, (3, 3, 3, 2))],
+    "C4": lambda cid: [_two_centers(cid, 0, (3, 2), (3, 2))],
+    "C5": lambda cid: [_two_centers(cid, 0, (3, 3), (3, 3, 3))],
+    "C6": lambda cid: [_two_centers(cid, 1, (3, 2), (3, 3, 2))],
+    "C7": lambda cid: [
+        _two_centers(cid, 1, u_counts, (3, 3, 3)) for u_counts in ((3, 1), (2, 2))
+    ],
+    # C8..C10: centers u, w, v with u joined to w and to v
+    "C8": lambda cid: [
+        _gadget(cid, (), ((3,), (3, 2), (3, 3, 3)), ((0, 1, 0), (0, 2, 1)))
+    ],
+    "C9": lambda cid: [
+        _gadget(cid, (), ((3, 3), (3, 3), (3, 2)), ((0, 1, 0), (0, 2, 1)))
+    ],
+    "C10": lambda cid: [
+        _gadget(cid, (), ((2,), (3, 1), (3, 3, 3)), ((0, 1, 1), (0, 2, 1)))
+    ],
+    "C11": lambda cid: [_star_of_centers(cid, (3, 2), 2)],
+    "C12": lambda cid: [_star_of_centers(cid, (3,), 3)],
+    "C13": lambda cid: [_star_of_centers(cid, (), 4)],
+    "C14": lambda cid: [_six_cycle(cid, "xy", (3,), (3,), (-1,))],
+    "C15": lambda cid: [_six_cycle(cid, "xy", (3,), (1,), (1,))],
+    "C16": lambda cid: [_six_cycle(cid, "xu", (3,), (2,), (-1,))],
+}
+CONFIG_IDS = tuple(_GADGETS)
+
+
 def gadgets_for(config_id: str) -> list[ConfigurationGadget]:
     """Every gadget instance realizing one configuration."""
-    cid = config_id.upper()
-    if cid == "C1":
-        # the chain of 4 internal vertices, read from its second one
-        return [_gadget("C1", (4,), ((1, 2),))]
-    if cid == "C2":
-        return [_center_with_chains("C2", c) for c in ((3, 3, 1), (3, 2, 2))]
-    if cid == "C3":
-        return [_center_with_chains("C3", (3, 3, 3, 2))]
-    if cid == "C4":
-        return [_two_centers("C4", 0, (3, 2), (3, 2))]
-    if cid == "C5":
-        return [_two_centers("C5", 0, (3, 3), (3, 3, 3))]
-    if cid == "C6":
-        return [_two_centers("C6", 1, (3, 2), (3, 3, 2))]
-    if cid == "C7":
-        return [
-            _two_centers("C7", 1, u_counts, (3, 3, 3))
-            for u_counts in ((3, 1), (2, 2))
-        ]
-    # C8..C10: centers u, w, v with u joined to w and to v
-    if cid == "C8":
-        return [_gadget("C8", (), ((3,), (3, 2), (3, 3, 3)), ((0, 1, 0), (0, 2, 1)))]
-    if cid == "C9":
-        return [_gadget("C9", (), ((3, 3), (3, 3), (3, 2)), ((0, 1, 0), (0, 2, 1)))]
-    if cid == "C10":
-        return [_gadget("C10", (), ((2,), (3, 1), (3, 3, 3)), ((0, 1, 1), (0, 2, 1)))]
-    if cid == "C11":
-        return [_star_of_centers("C11", (3, 2), 2)]
-    if cid == "C12":
-        return [_star_of_centers("C12", (3,), 3)]
-    if cid == "C13":
-        return [_star_of_centers("C13", (), 4)]
-    if cid == "C14":
-        return [_six_cycle("C14", "xy", (3,), (3,), (-1,))]
-    if cid == "C15":
-        return [_six_cycle("C15", "xy", (3,), (1,), (1,))]
-    if cid == "C16":
-        return [_six_cycle("C16", "xu", (3,), (2,), (-1,))]
-    raise ConfigError(f"unknown configuration id {config_id!r}")
+    if config_id not in _GADGETS:
+        raise ConfigError(f"unknown configuration id {config_id!r}")
+    return _GADGETS[config_id](config_id)
 
 
 def negative_control_gadget() -> ConfigurationGadget:

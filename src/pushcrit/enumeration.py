@@ -694,9 +694,11 @@ def _complete_lines(path: str) -> list[bytes]:
     return data[:complete].splitlines()
 
 
-def _load_records(base: str):
-    """Records persisted under ``base``, less a torn final line.  Any other
-    line that is not a record raises ConfigError, naming file and line."""
+def _load_records(base: str, n: int):
+    """Records persisted under ``base``, the level of ``n`` vertices, less a
+    torn final line.  Any other line that is not a record of that level
+    raises ConfigError, naming file and line; a line of another ``n`` is
+    refused before its graph is built, let alone labeled."""
     records = {}
     path = os.path.join(base, _RECORDS_FILE)
     if not os.path.exists(path):
@@ -705,7 +707,10 @@ def _load_records(base: str):
         if not line.strip():
             continue
         try:
-            rec = EnumerationRecord.from_json_dict(json.loads(line.decode("utf-8")))
+            d = json.loads(line.decode("utf-8"))
+            if isinstance(d, dict) and d.get("n") != n:
+                raise TypeError(f"n is {d.get('n')!r}, not the level's {n}")
+            rec = EnumerationRecord.from_json_dict(d)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}:{number}: not a record: {exc}") from None
         records[rec.canonical_code] = rec
@@ -761,25 +766,29 @@ class _Run(ExitStack):
                 "wall-time budget exhausted", partial=self.records()
             )
 
-    def scan_level(self, name: str, candidates, total: int, worker, progress=None):
-        """Scan the ``total`` candidates of one level, taken from the
-        iterator ``candidates`` as the scan reaches them, each through
-        ``worker`` (``_worker``'s contract), and merge their records into
-        the run's, by canonical code.
+    def scan_level(
+        self, name: str, n: int, candidates, total: int, worker, progress=None
+    ):
+        """Scan the ``total`` candidates of one level, whose records are
+        graphs on ``n`` vertices, taken from the iterator ``candidates`` as
+        the scan reaches them, each through ``worker`` (``_worker``'s
+        contract), and merge their records into the run's, by canonical
+        code.
 
         With a shard directory, the level's record files and CURSOR log are
-        in its subdirectory ``name``; a resumed level first consumes the
-        candidates up to and including the one its log's last line names,
-        and a level with nothing left opens no log.  After each scanned
-        candidate the budget is checked and ``progress(done, todo)`` is
-        called, ``todo`` being the number of candidates the call scans.
+        in its subdirectory ``name``; a resumed level first reads back its
+        records, refusing any of another ``n``, and consumes the candidates
+        up to and including the one its log's last line names, and a level
+        with nothing left opens no log.  After each scanned candidate the
+        budget is checked and ``progress(done, todo)`` is called, ``todo``
+        being the number of candidates the call scans.
         """
         candidates = iter(candidates)
         base = _shard_paths(self.shard_dir, name) if self.shard_dir else None
         cursor_path = os.path.join(base, "CURSOR") if base else None
         todo = total
         if base and self.resume:
-            for rec in _load_records(base).values():
+            for rec in _load_records(base, n).values():
                 self.merged.setdefault(rec.canonical_code, rec)
             cursor = _read_cursor(cursor_path)
             if cursor is not None:
@@ -855,7 +864,7 @@ def find_critical(
         for n in range(3, n_max + 1):
             candidates, total = _level_candidates(n, n == n_max, run.check_budget)
             run.scan_level(
-                str(n), candidates, total, _worker,
+                str(n), n, candidates, total, _worker,
                 partial(progress, n) if progress else None,
             )
     return run.records()

@@ -27,11 +27,10 @@ from .configs import (
     verify_configuration,
 )
 from .crit import VERDICT_CRITICAL, is_pushably_k_critical
-from .density import mad_exact
 from .discharge import discharging_audit
 from .errors import ConfigError, UnclassifiableGraphError, UnknownSuiteError
-from .fixtures import builtin_graphs, fixture
-from .graph import OrientedGraph, directed_path, girth, potential
+from .fixtures import EXCEPTION_NAMES, FACTS, builtin_graphs, fixture, measured_facts
+from .graph import OrientedGraph, directed_path, potential
 from .lpq import (
     VARIANT_ORIENTED,
     VARIANT_TWO_DIPATH,
@@ -87,37 +86,19 @@ def verify_potential_table():
     return rows
 
 
-# the criticality claims, in claim order, with each fixture's gates
-CRITICAL_GATES = {
-    # c_minus4's mad/girth pair witnesses that the sparse-graph
-    # coloring guarantee needs both its girth and density hypotheses
-    "c_minus4": {"n": 4, "m": 4, "girth": 4, "mad": "2"},
-    "e1": {"n": 13, "m": 15, "girth": 6, "mad": "30/13"},
-    "e2": {"n": 13, "m": 15, "girth": 6, "mad": "30/13"},
-    "e3": {"n": 13, "m": 15, "girth": 6, "mad": "30/13"},
-    "f": {"n": 12, "m": 14, "potential": -2},
-}
-
-
 def _critical(name: str):
     g = fixture(name)
     report = is_pushably_k_critical(g, 3)
     witnesses_ok = report.verdict == VERDICT_CRITICAL and all(
         cert.verify(g.delete_arc(arc)) for arc, cert in report.arc_witnesses
     )
-    gate = dict(CRITICAL_GATES[name])
-    gate_ok = g.vertex_count == gate["n"] and g.arc_count == gate["m"]
-    if "girth" in gate:
-        gate_ok = gate_ok and girth(g) == gate["girth"]
-        gate_ok = gate_ok and str(mad_exact(g)) == gate["mad"]
-    if "potential" in gate:
-        gate_ok = gate_ok and potential(g) == gate["potential"]
+    gate_ok = measured_facts(name, g) == FACTS[name]
     evidence = {
         "fixture": name,
         "verdict": report.verdict,
         "arc_witnesses": len(report.arc_witnesses),
         "witnesses_verified": witnesses_ok,
-        "gates": gate,
+        "gates": dict(FACTS[name]),
         "gates_ok": gate_ok,
     }
     return witnesses_ok and gate_ok, evidence
@@ -304,7 +285,7 @@ _SUITES = {
         ("config.negative_control", _negative_control),
         ("config.proof_level_notes", _proof_level_notes),
     ],
-    "exceptions": lambda: _each("critical", CRITICAL_GATES, _critical),
+    "exceptions": lambda: _each("critical", EXCEPTION_NAMES + ("f",), _critical),
     "reconstruction": lambda: _each(
         "reconstruction", ("e1", "e2", "e3"), _reconstruction
     ),

@@ -88,8 +88,9 @@ def test_gadget_shapes():
 
 
 def test_unknown_config_rejected():
-    with pytest.raises(ConfigError):
-        gadgets_for("C17")
+    for config_id in ("C17", "c1"):
+        with pytest.raises(ConfigError):
+            gadgets_for(config_id)
 
 
 def test_orientation_class_counts():

@@ -26,6 +26,7 @@ from pushcrit.canon import (
     CanonicalLabeling,
     _refine,
     canonical_data,
+    canonical_form,
     orbit_of,
     underlying_cert,
 )
@@ -42,6 +43,7 @@ from pushcrit.enumeration import (
     _root_cell_verdict,
     enumerate_underlying,
     find_critical,
+    make_record,
     underlying_prune_verdict,
     verify_density_bound,
 )
@@ -951,6 +953,49 @@ def test_resume_rejects_a_record_line_with_values_no_record_has(tmp_path, capsys
         )
     rc = cli.main(["verify-bound", "--max-n", "5", "--shards", shard_dir, "--resume"])
     assert rc == cli.EXIT_USAGE and "not a record" in capsys.readouterr().err
+
+
+def test_resume_refuses_a_record_of_another_level_unlabeled(
+    tmp_path, monkeypatch, capsys
+):
+    # an arcless 60-vertex record is consistent in every field but its code,
+    # which only labeling the graph could refute; level 4 refuses it by its
+    # n alone, before its graph is built
+    shard_dir = str(tmp_path)
+    find_critical(5, shard_dir=shard_dir)
+    path = os.path.join(shard_dir, "4", "50.ndjson")
+    with open(path) as fh:
+        count = len(fh.read().splitlines())
+    forged = make_record("ab", OrientedGraph(60, ())).to_json_dict()
+    with open(path, "a") as fh:
+        fh.write(json.dumps(forged) + "\n")
+    labeled = []
+
+    def recorded(g):
+        labeled.append(g.vertex_count)
+        # labeling the arcless 60-vertex graph takes about a minute
+        return b"" if g.vertex_count == 60 else canonical_form(g)
+
+    monkeypatch.setattr(enumeration, "canonical_form", recorded)
+    where = f"{path}:{count + 1}: not a record: n is 60, not the level's 4"
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        find_critical(5, shard_dir=shard_dir, resume=True)
+    rc = cli.main(["verify-bound", "--max-n", "5", "--shards", shard_dir, "--resume"])
+    assert rc == cli.EXIT_USAGE and where in capsys.readouterr().err
+    assert 60 not in labeled
+
+
+def test_resume_skips_blank_record_lines(tmp_path):
+    shard_dir = str(tmp_path)
+    fresh = [r.to_json_dict() for r in find_critical(5, shard_dir=shard_dir)]
+    path = os.path.join(shard_dir, "4", "50.ndjson")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w") as fh:
+        # an empty line and a line of one space around every record
+        fh.write("".join(f"\n{line}\n \n" for line in lines))
+    resumed = find_critical(5, shard_dir=shard_dir, resume=True)
+    assert [r.to_json_dict() for r in resumed] == fresh
 
 
 # (field, a value for it, the rule the value breaks, the refusal's

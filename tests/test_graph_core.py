@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pushcrit as pc
-from pushcrit import cli, density
+from pushcrit import cli, density, fixtures
 from pushcrit.chains import Kernel
 from pushcrit.enumeration import EnumerationRecord, UnderlyingGraph
 from pushcrit.errors import (
+    FixtureIntegrityError,
     GraphParseError,
     IncompatibleInputError,
     InvalidPushSetError,
@@ -648,9 +650,11 @@ def test_parse_fixture_file():
     assert (g.vertex_count, g.arc_count) == (4, 4)
 
 
+FIXTURE_DIR = Path(pc.__file__).parent / "fixtures"
+
+
 def test_fixture_files_are_the_builtin_names():
-    package_dir = Path(pc.__file__).parent / "fixtures"
-    assert sorted(p.stem for p in package_dir.glob("*.og")) == sorted(pc.builtin_graphs())
+    assert sorted(p.stem for p in FIXTURE_DIR.glob("*.og")) == sorted(pc.builtin_graphs())
 
 
 # canonical forms of the named graphs; the package .og files are their only
@@ -673,22 +677,60 @@ def test_fixture_canonical_forms_are_pinned():
         assert pc.canonical_form(pc.fixture(name)).hex() == form, name
 
 
+# (fixture, a line of its file, what replaces that line, the gate's message):
+# e1 loses an arc, c_minus4's 4-cycle gets an even number of forward arcs,
+# and f keeps its counts but moves an arc's head from 2 to 1
+BROKEN_FIXTURES = [
+    ("e1", "p og 13 15\n0 4\n", "p og 13 14\n", "measured {'n': 13, 'm': 14"),
+    ("c_minus4", "\n2 3\n", "\n3 2\n", "forward-arc parity"),
+    ("f", "\n4 2\n", "\n4 1\n", "degree profile {2: 9, 3: 2, 4: 1}, not {2: 8, 3: 4}"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, line, replacement, message",
+    BROKEN_FIXTURES,
+    ids=[case[0] for case in BROKEN_FIXTURES],
+)
+def test_fixture_gates_refuse_a_broken_transcription(
+    tmp_path, monkeypatch, name, line, replacement, message
+):
+    for path in FIXTURE_DIR.glob("*.og"):
+        shutil.copy(path, tmp_path)
+    broken = tmp_path / f"{name}.og"
+    text = broken.read_text()
+    assert text.count(line) == 1
+    broken.write_text(text.replace(line, replacement))
+    monkeypatch.setattr(fixtures, "_FIXTURE_DIR", tmp_path)
+    fixtures.builtin_graphs.cache_clear()
+    try:
+        gate = f"fixture {name!r} failed its gate: {message}"
+        with pytest.raises(FixtureIntegrityError, match=re.escape(gate)):
+            fixtures.builtin_graphs()
+    finally:
+        fixtures.builtin_graphs.cache_clear()
+
+
+# (text, the line its parse error names, the error's message)
+PARSE_ERRORS = [
+    ("0 1\n1 0\n", 2, "digon"),
+    ("p og 2 5\n0 1\n", 1, "header promises 5 arcs"),
+    ("# comment\n\n0 0\n", 3, "loop at vertex 0"),
+    ("0 1\n0 1\n", 2, "parallel arc"),
+    ("# comment\np og -1 0\n", 2, "a graph on -1 vertices"),
+    ("p og 3 2\n0 1\n\n1 3\n", 4, "vertex 3 outside 0..2"),
+    ("p og 2 1\n# again\np og 2 1\n0 1\n", 3, "duplicate header"),
+    ("0 1\np og 2 1\n", 2, "header must precede arcs"),
+    ("p og 2\n0 1\n", 1, "header must be 'p og <n> <m>'"),
+    ("p graph 2 1\n0 1\n", 1, "header must be 'p og <n> <m>'"),
+    ("p og two 1\n0 1\n", 1, "header counts must be integers"),
+    ("0 1\n1 2 3\n", 2, "expected '<tail> <head>'"),
+    ("0 1\n\n1 x\n", 3, "non-integer endpoint"),
+]
+
+
 def test_parse_errors_carry_line_numbers():
-    with pytest.raises(GraphParseError) as err:
-        pc.parse_graph("0 1\n1 0\n")
-    assert err.value.line == 2
-    with pytest.raises(GraphParseError) as err:
-        pc.parse_graph("p og 2 5\n0 1\n")
-    assert err.value.line == 1
-    with pytest.raises(GraphParseError) as err:
-        pc.parse_graph("# comment\n\n0 0\n")
-    assert err.value.line == 3
-    with pytest.raises(GraphParseError) as err:
-        pc.parse_graph("0 1\n0 1\n")
-    assert err.value.line == 2
-    with pytest.raises(GraphParseError) as err:
-        pc.parse_graph("# comment\np og -1 0\n")
-    assert err.value.line == 2
-    with pytest.raises(GraphParseError) as err:
-        pc.parse_graph("p og 3 2\n0 1\n\n1 3\n")
-    assert err.value.line == 4
+    for text, line, message in PARSE_ERRORS:
+        with pytest.raises(GraphParseError, match=re.escape(message)) as err:
+            pc.parse_graph(text)
+        assert err.value.line == line, text

@@ -13,6 +13,7 @@ import pytest
 
 import pushcrit as pc
 from pushcrit import cli
+from pushcrit.hom import AT_C3
 from pushcrit.reconstruct import verify_fig6_coloring, verify_split_vertex_reconstructions
 from pushcrit.verify import run_suites, write_report
 
@@ -148,6 +149,15 @@ def test_certificate_and_report_schemas():
     cert_schema.validate({"result": "none", "nodes_explored": 12})
     crit_schema = _load_schema("criticality_report.schema.json")
     crit_schema.validate(pc.is_pushably_k_critical(pc.fixture("c_minus4"), 3).to_json_dict())
+    colorable = pc.is_pushably_k_critical(pc.fixture("m3p"), 3).to_json_dict()
+    assert colorable["verdict"] == "colorable" and "certificate" in colorable
+    crit_schema.validate(colorable)
+    # a pendant arc on c_minus4: deleting it leaves c_minus4, still uncolorable
+    c_minus4 = pc.fixture("c_minus4")
+    pendant = pc.OrientedGraph(5, c_minus4.arcs + ((3, 4),))
+    non_minimal = pc.is_pushably_k_critical(pendant, 3).to_json_dict()
+    assert non_minimal == {"verdict": "non_minimal", "k": 3, "failing_arc": [3, 4]}
+    crit_schema.validate(non_minimal)
     rec_schema = _load_schema("enumeration_record.schema.json")
     for record in pc.find_critical(4):
         rec_schema.validate(record.to_json_dict())
@@ -323,6 +333,38 @@ def test_cli_crash_is_an_internal_error(monkeypatch, capsys):
 def test_cli_discharge_unclassifiable(capsys):
     rc = cli.main(["discharge", "@c3"])
     assert rc == cli.EXIT_USAGE
+
+
+def test_cli_discharge(capsys):
+    rc = cli.main(["discharge", "@e2"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == cli.EXIT_OK
+    assert payload == pc.discharging_audit(pc.fixture("e2")).to_json_dict()
+    assert payload["total_initial"] == payload["total_final"] == 0
+
+
+def _pushed_image_arcs(g, payload):
+    """The arcs of ``g``, pushed and mapped as the certificate ``payload`` says."""
+    pushed = pc.push_vertices(g, payload["pushed"])
+    return {(payload["map"][str(u)], payload["map"][str(v)]) for u, v in pushed.arcs}
+
+
+def test_cli_color_onto_atc3_and_c2(tmp_path, capsys):
+    rc = cli.main(["color", "--target", "atc3", "@m3p"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == cli.EXIT_OK
+    assert _pushed_image_arcs(pc.fixture("m3p"), payload) <= AT_C3.arc_set
+    assert cli.main(["color", "--target", "atc3", "@c_minus4"]) == cli.EXIT_PROPERTY_FAILS
+    assert json.loads(capsys.readouterr().out)["result"] == "none"
+    # pushing keeps a 4-cycle's forward parity: the directed 4-cycle (even)
+    # maps onto one arc, c_minus4 (odd) does not
+    cycle = tmp_path / "c4.og"
+    cycle.write_text(pc.serialize_graph(pc.directed_cycle(4)))
+    assert cli.main(["color", "--target", "c2", str(cycle)]) == cli.EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert _pushed_image_arcs(pc.directed_cycle(4), payload) == {(0, 1)}
+    assert cli.main(["color", "--target", "c2", "@c_minus4"]) == cli.EXIT_PROPERTY_FAILS
+    assert json.loads(capsys.readouterr().out)["result"] == "none"
 
 
 def test_cli_budget_exhaustion(capsys):
