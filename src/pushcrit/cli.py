@@ -2,10 +2,10 @@
 
 Exit codes: 0 success / property holds; 1 property fails or no
 certificate; 2 usage or parse errors; 3 budget exhausted; 4 internal
-error (a failed self-check, ``SelfCheckError``, or any exception that
-is no ``PushcritError``, reported on one line, so a crash never reads as
-"property fails").  Graph arguments are file paths in the text
-format, or "@name" for a builtin fixture.
+error (a failed self-check, ``SelfCheckError``, a broken package fixture
+among them, or any exception that is no ``PushcritError``, reported on
+one line, so a crash never reads as "property fails").  Graph arguments
+are file paths in the text format, or "@name" for a builtin fixture.
 """
 
 from __future__ import annotations

@@ -145,8 +145,6 @@ from .chains import Kernel, classify_vertices
 from .errors import ConfigError, ResourceBudgetError, StructuralViolationError
 from .fixtures import EXCEPTION_NAMES, fixture
 from .graph import (
-    POTENTIAL_ARC_WEIGHT,
-    POTENTIAL_VERTEX_WEIGHT,
     OrientedGraph,
     _components,
     adjacency,
@@ -154,17 +152,15 @@ from .graph import (
     masks_to_edges,
     potential,
 )
+from .hom import MappingSearcher, _dfs
 from .transfer import ChainGraph
 
 UNDERLYING_VERTEX_LIMIT = 12
 FIND_CRITICAL_VERTEX_LIMIT = 10
 _CHUNK_LIMIT = 512
 
+# the density bound 13|A| >= 15|V| + 2, as potential(g) <= -BOUND_OFFSET
 BOUND_OFFSET = 2
-
-
-def satisfies_density_bound(n: int, m: int) -> bool:
-    return POTENTIAL_ARC_WEIGHT * m >= POTENTIAL_VERTEX_WEIGHT * n + BOUND_OFFSET
 
 
 # -- underlying graph generation ----------------------------------------------
@@ -416,62 +412,19 @@ def _level_candidates(n: int, last: bool, tick):
 # -- structural prunes ---------------------------------------------------------
 
 
-def _has_cut_vertex(n: int, masks) -> bool:
-    """Articulation-point test by DFS lowpoints (graph assumed connected)."""
-    if n <= 2:
-        return False
-    disc = [-1] * n
-    low = [0] * n
-    counter = [0]
-    found = [False]
-
-    def dfs(v: int, parent: int) -> None:
-        disc[v] = low[v] = counter[0]
-        counter[0] += 1
-        children = 0
-        m = masks[v]
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            if disc[u] == -1:
-                children += 1
-                dfs(u, v)
-                low[v] = min(low[v], low[u])
-                if parent != -1 and low[u] >= disc[v]:
-                    found[0] = True
-            elif u != parent:
-                low[v] = min(low[v], disc[u])
-        if parent == -1 and children > 1:
-            found[0] = True
-
-    dfs(0, -1)
-    return found[0]
+# the triangle as a search target: each color's neighbors, the same for
+# either arc direction, so a map into it is a proper 3-coloring of the
+# underlying graph
+_K3 = (0b110, 0b101, 0b011)
 
 
-def _chromatic_at_most_3(n: int, masks) -> bool:
-    colors = [-1] * n
-    order = sorted(range(n), key=lambda v: -bin(masks[v]).count("1"))
-
-    def dfs(i):
-        if i == n:
-            return True
-        v = order[i]
-        used = 0
-        m = masks[v]
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            if colors[u] >= 0:
-                used |= 1 << colors[u]
-        for c in range(3):
-            if not used >> c & 1:
-                colors[v] = c
-                if dfs(i + 1):
-                    return True
-                colors[v] = -1
-        return False
-
-    return dfs(0)
+def _three_colorable(g: OrientedGraph) -> bool:
+    searcher = MappingSearcher(g)
+    # the triangle moves any color to 0, so each component's first vertex
+    # takes color 0: the triangle's start mask (``hom``)
+    starts = searcher.start_bits
+    doms = [1 if starts >> v & 1 else 0b111 for v in range(g.vertex_count)]
+    return _dfs(searcher.order, searcher.later, starts, doms, _K3, _K3)[0] is not None
 
 
 def underlying_prune_verdict(under: UnderlyingGraph):
@@ -486,39 +439,24 @@ def underlying_prune_verdict(under: UnderlyingGraph):
     """
     n = under.vertex_count
     masks = under.masks
-    degrees = [bin(m).count("1") for m in masks]
-    is_cycle = all(d == 2 for d in degrees)
-    if not is_cycle and _has_cut_vertex(n, masks):
-        return False, "cut_vertex"
-    if not is_cycle:
+    g = OrientedGraph(n, under.edges)
+    # a cycle is 2-connected and has no vertex of degree 3+ to end a chain
+    if any(m.bit_count() != 2 for m in masks):
+        # v cuts when the graph less v's edges has v alone and 2+ other components
+        for v in range(n):
+            rest = [0 if u == v else m & ~(1 << v) for u, m in enumerate(masks)]
+            if len(_components(rest)) >= 3:
+                return False, "cut_vertex"
         # a chain with 4 or more internal vertices, a path of 6 or more
-        paths = classify_vertices(OrientedGraph(n, under.edges)).paths
-        if any(len(p) >= 6 for p in paths):
+        if any(len(p) >= 6 for p in classify_vertices(g).paths):
             return False, "long_chain"
-    if n >= 5:
-        # K4-containing graphs were already dropped during generation when
-        # forbid_k4 was set; re-test here so the verdict is self-contained
-        for a in range(n):
-            for b in range(a + 1, n):
-                if not masks[a] >> b & 1:
-                    continue
-                common = masks[a] & masks[b]
-                cm = common
-                while cm:
-                    c = (cm & -cm).bit_length() - 1
-                    cm &= cm - 1
-                    if common & masks[c] & ~((1 << (c + 1)) - 1):
-                        return False, "k4_subgraph"
-    if not _chromatic_at_most_3(n, masks):
-        edges = under.edges
-        for skip in range(len(edges)):
-            sub = [0] * n
-            for i, (lo, hi) in enumerate(edges):
-                if i != skip:
-                    sub[lo] |= 1 << hi
-                    sub[hi] |= 1 << lo
-            if not _chromatic_at_most_3(n, sub):
-                return False, "stays_4_chromatic"
+    # a K4 is a triangle in some vertex's neighborhood, generation's own test
+    if n >= 5 and any(_adds_k4(masks, m) for m in masks):
+        return False, "k4_subgraph"
+    if not _three_colorable(g) and not all(
+        _three_colorable(g.delete_arc(arc)) for arc in g.arcs
+    ):
+        return False, "stays_4_chromatic"
     return True, None
 
 
@@ -605,14 +543,14 @@ def _exception_codes() -> dict[str, str]:
 
 
 def make_record(code_hex: str, g: OrientedGraph) -> EnumerationRecord:
-    n, m = g.vertex_count, g.arc_count
+    pot = potential(g)
     return EnumerationRecord(
         canonical_code=code_hex,
-        n=n,
-        m=m,
+        n=g.vertex_count,
+        m=g.arc_count,
         critical=True,
-        potential=potential(g),
-        satisfies_bound=satisfies_density_bound(n, m),
+        potential=pot,
+        satisfies_bound=pot <= -BOUND_OFFSET,
         exception=_exception_codes().get(code_hex),
         arcs=tuple(sorted(g.arcs)),
     )

@@ -45,8 +45,14 @@ class ConfigError(PushcritError):
     """A parameter is outside the supported range."""
 
 
-class FixtureIntegrityError(PushcritError):
-    """A builtin graph failed one of its transcription gates."""
+class SelfCheckError(PushcritError):
+    """A result failed the library's own check before it was returned: a
+    fault in the library, not in its input."""
+
+
+class FixtureIntegrityError(SelfCheckError):
+    """A builtin graph failed one of its transcription gates: a fault in
+    the package's fixture files, never in a caller's input."""
 
 
 class UnknownFixtureError(PushcritError, KeyError):
@@ -59,11 +65,6 @@ class UnknownSuiteError(PushcritError, KeyError):
     """A verify-paper suite name outside the known set; still a KeyError."""
 
     __str__ = PushcritError.__str__
-
-
-class SelfCheckError(PushcritError):
-    """A result failed the library's own check before it was returned: a
-    fault in the library, not in its input."""
 
 
 class ResourceBudgetError(PushcritError):

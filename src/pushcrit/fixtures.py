@@ -70,11 +70,6 @@ _DEGREE_PROFILES = {
 }
 
 
-def measured_facts(name: str, g: OrientedGraph) -> dict:
-    """The facts that ``FACTS[name]`` states, measured on ``g``."""
-    return {key: _MEASURES[key](g) for key in FACTS[name]}
-
-
 def _gate(name: str, condition: bool, detail: str):
     if not condition:
         raise FixtureIntegrityError(f"fixture {name!r} failed its gate: {detail}")
@@ -94,7 +89,7 @@ def builtin_graphs() -> dict[str, OrientedGraph]:
     ):
         _gate(name, (g.vertex_count, g.arc_set) == (ref.vertex_count, ref.arc_set), detail)
     for name, facts in FACTS.items():
-        measured = measured_facts(name, graphs[name])
+        measured = {key: _MEASURES[key](graphs[name]) for key in facts}
         _gate(name, measured == facts, f"measured {measured}, the paper states {facts}")
     for name, profile in _DEGREE_PROFILES.items():
         measured = dict(sorted(Counter(graphs[name].degrees).items()))

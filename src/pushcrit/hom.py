@@ -9,7 +9,9 @@ CLI's ``color --budget-nodes``).  The order depends on the source graph
 only, so one ``MappingSearcher`` serves every target:
 ``tournament_coloring``, the one walk over k-tournaments behind pushable
 k-colorability and both chromatic numbers, sets up one searcher per
-source graph.
+source graph.  ``enumeration``'s structural audit runs ``_dfs`` on a
+searcher's tables into the triangle, with one table for both arc
+directions: a map there is a proper 3-coloring of the underlying graph.
 
 Pinned domains get forward checking and nothing more.  The pinned
 vertices come first in the order, so forward checking from them narrows

@@ -55,7 +55,7 @@ from .canon import CanonicalLabeling, orbit_of
 from .chains import Kernel
 from .crit import is_pushably_k_colorable
 from .errors import IncompatibleInputError
-from .fixtures import M3P_COLORING, M3P_PUSH_SET, fixture
+from .fixtures import FACTS, M3P_COLORING, M3P_PUSH_SET, fixture
 from .graph import OrientedGraph, adjacency, json_fields, potential
 from .hom import C3, ColoringCertificate
 from .transfer import ChainGraph
@@ -247,7 +247,8 @@ class DrawnColoringReport:
 
     @property
     def ok(self) -> bool:
-        return self.coloring_valid and self.recomputed_colorable and self.potential == 3
+        stated = FACTS["m3p"]["potential"]
+        return self.coloring_valid and self.recomputed_colorable and self.potential == stated
 
     def to_json_dict(self) -> dict:
         return {**json_fields(self), "ok": self.ok}

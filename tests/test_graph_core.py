@@ -707,6 +707,10 @@ def test_fixture_gates_refuse_a_broken_transcription(
         gate = f"fixture {name!r} failed its gate: {message}"
         with pytest.raises(FixtureIntegrityError, match=re.escape(gate)):
             fixtures.builtin_graphs()
+        # a broken package file is the library's fault: internal error, exit 4
+        assert cli.main(["info", "@c3"]) == 4
+        with pytest.raises(FixtureIntegrityError, match=re.escape(gate)):
+            pc.run_suites(("exceptions",))
     finally:
         fixtures.builtin_graphs.cache_clear()
 

@@ -26,8 +26,6 @@ def test_the_library_has_no_assert_statements():
 RECURSIVE = {
     "canon.canonical_data.recurse",  # one frame per individualized vertex: <= n
     "enumeration._graphs_on",  # one frame per uncached level: <= n <= 12
-    "enumeration._has_cut_vertex.dfs",  # one frame per DFS tree vertex: <= n
-    "enumeration._chromatic_at_most_3.dfs",  # one frame per colored vertex: n + 1
     "graph.json_fields",  # one frame per level of nesting: report, record, arcs, arc: <= 4
     "lpq._feasible.dfs",  # one frame per labeled vertex: n + 1
 }
